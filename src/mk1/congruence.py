@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import NotAClass
+from .errors import CrossCheckFailed, NotAClass
 from .kary import KRational, kq_one
 from .words import PrefixCode, Word, mu, word_key
 
@@ -49,6 +49,16 @@ class PrefixCodeCongruence:
             raise NotAClass("empty class")
         canon = tuple(sorted(sorted_groups, key=lambda c: word_key(c[0])))
         return cls(code, canon)
+
+    @classmethod
+    def _trusted(cls, code: PrefixCode,
+                 classes: tuple[tuple[Word, ...], ...]) -> "PrefixCodeCongruence":
+        """Build without checks, for canonical classes the library already
+        knows to partition ``code``."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "code", code)
+        object.__setattr__(c, "classes", classes)
+        return c
 
     @property
     def k(self) -> int:
@@ -86,7 +96,8 @@ def collision_measure(c: PrefixCodeCongruence) -> KRational:
     covered = c.code.mu
     direct = (kq_one(k) - covered) + (covered - mu(k, c.min_reps()))
     dual = kq_one(k) - noncollision_measure(c)
-    assert direct == dual
+    if direct != dual:
+        raise CrossCheckFailed(f"collision measure {direct} differs from 1 - noncollision {dual}")
     return direct
 
 
@@ -100,9 +111,8 @@ def split_class(c: PrefixCodeCongruence, index: int) -> PrefixCodeCongruence:
     k = c.k
     target = c.classes[index]
     groups = [cls for i, cls in enumerate(c.classes) if i != index]
-    groups.extend(tuple(w + (a,) for w in target) for a in range(k))
-    words = [w for cls in groups for w in cls]
-    return PrefixCodeCongruence.make(PrefixCode.make(k, words), groups)
+    groups.extend(tuple(w + (a,) for w in target) for a in range(k))  # stays sorted
+    return _canonical(k, groups)
 
 
 def max_congruence(c: PrefixCodeCongruence) -> PrefixCodeCongruence:
@@ -135,5 +145,12 @@ def max_congruence(c: PrefixCodeCongruence) -> PrefixCodeCongruence:
                 classes.append(strip)
                 changed = True
                 break
-    words = [w for cls in classes for w in cls]
-    return PrefixCodeCongruence.make(PrefixCode.make(k, words), classes)
+    return _canonical(k, [tuple(sorted(cls, key=word_key)) for cls in classes])
+
+
+def _canonical(k: int, groups: list[tuple[Word, ...]]) -> PrefixCodeCongruence:
+    """The congruence over the code of all the words in ``groups``, which are
+    sorted classes that partition a prefix code."""
+    words = tuple(sorted((w for cls in groups for w in cls), key=word_key))
+    classes = tuple(sorted(groups, key=lambda cls: word_key(cls[0])))
+    return PrefixCodeCongruence._trusted(PrefixCode._trusted(k, words), classes)

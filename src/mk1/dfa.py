@@ -10,12 +10,20 @@ of by walking word lists.
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .congruence import PrefixCodeCongruence
-from .elements import Mk1Element, image_code, part
-from .errors import BaseTooSmall, CyclicGraph, EmptyLanguage, NotSingleAccept, OutOfRange
+from .elements import Mk1Element, image_code_and_part
+from .errors import (
+    BaseTooSmall,
+    CrossCheckFailed,
+    CyclicGraph,
+    EmptyLanguage,
+    NotSingleAccept,
+    OutOfRange,
+)
 from .green import HeightReport, _rep_sum
 from .kary import KRational, kq, kq_zero
 from .words import PrefixCode, Word, format_word, word_key
@@ -55,9 +63,7 @@ class AcyclicDfa:
             seen.add((p, a))
         if self.edges != tuple(sorted(self.edges)):
             raise ValueError("edges must be sorted")
-        order = _topological_order(self.n_states, self.edges)
-        if order is None:
-            raise CyclicGraph("the transition graph has a cycle")
+        _acyclic_order(self)
         fwd: dict[int, list[int]] = {}
         back: dict[int, list[int]] = {}
         for p, _, q in self.edges:
@@ -88,23 +94,30 @@ def _closure(source: int, adj: dict[int, list[int]]) -> set[int]:
 
 
 def _topological_order(n: int, edges) -> list[int] | None:
+    """States in topological order, always taking the least ready state."""
     indeg = [0] * n
     for _, _, q in edges:
         indeg[q] += 1
-    todo = sorted(q for q in range(n) if indeg[q] == 0)
+    todo = [q for q in range(n) if indeg[q] == 0]  # sorted, so already a heap
     order = []
     outs: dict[int, list[int]] = {}
     for p, _, q in edges:
         outs.setdefault(p, []).append(q)
     while todo:
-        p = todo.pop(0)
+        p = heapq.heappop(todo)
         order.append(p)
         for q in outs.get(p, ()):
             indeg[q] -= 1
             if indeg[q] == 0:
-                todo.append(q)
-        todo.sort()
+                heapq.heappush(todo, q)
     return order if len(order) == n else None
+
+
+def _acyclic_order(d: AcyclicDfa) -> list[int]:
+    order = _topological_order(d.n_states, d.edges)
+    if order is None:
+        raise CyclicGraph("the transition graph has a cycle")
+    return order
 
 
 def trie_dfa(code: PrefixCode) -> AcyclicDfa:
@@ -134,9 +147,9 @@ def trie_dfa(code: PrefixCode) -> AcyclicDfa:
         out.setdefault(cls[node], {a: cls[ch] for a, ch in kids.items()})
     # Renumber classes breadth-first from the root, letters in order.
     number = {cls[()]: 0}
-    queue = [cls[()]]
+    queue = deque([cls[()]])
     while queue:
-        c = queue.pop(0)
+        c = queue.popleft()
         for a in sorted(out[c]):
             d = out[c][a]
             if d not in number:
@@ -169,8 +182,7 @@ def language(d: AcyclicDfa) -> list[Word]:
 def dfa_measure(d: AcyclicDfa) -> KRational:
     """Measure of the accepted code: push mass 1 from the start state
     through the DAG, each edge carrying a 1/k share of its source."""
-    order = _topological_order(d.n_states, d.edges)
-    assert order is not None
+    order = _acyclic_order(d)
     into: dict[int, list[int]] = {}
     for p, _, q in d.edges:
         into.setdefault(q, []).append(p)
@@ -183,17 +195,20 @@ def dfa_measure(d: AcyclicDfa) -> KRational:
 
 
 def shortest_accepted(d: AcyclicDfa) -> int:
+    outs: dict[int, list[int]] = {}
+    for p, _, q in d.edges:
+        outs.setdefault(p, []).append(q)
     dist = {d.start: 0}
-    queue = [d.start]
+    queue = deque([d.start])
     while queue:
-        p = queue.pop(0)
+        p = queue.popleft()
         if p == d.accept:
             return dist[p]
-        for e_p, _, q in d.edges:
-            if e_p == p and q not in dist:
+        for q in outs.get(p, ()):
+            if q not in dist:
                 dist[q] = dist[p] + 1
                 queue.append(q)
-    raise AssertionError("trimmed automaton must reach accept")
+    raise CrossCheckFailed("trimmed automaton never reached its accept state")
 
 
 def min_rep_measure(d: AcyclicDfa) -> KRational:
@@ -203,8 +218,7 @@ def min_rep_measure(d: AcyclicDfa) -> KRational:
 
 def counts_by_length(d: AcyclicDfa) -> dict[int, int]:
     """How many accepted words there are of each length."""
-    order = _topological_order(d.n_states, d.edges)
-    assert order is not None
+    order = _acyclic_order(d)
     into: dict[int, list[int]] = {}
     for p, _, q in d.edges:
         into.setdefault(q, []).append(p)
@@ -242,14 +256,14 @@ def height_report_via_dfa(e: Mk1Element) -> HeightReport:
         zero = kq_zero(e.k)
         return HeightReport(zero, zero, zero, zero, zero)
     k = e.k
-    r = dfa_measure(trie_dfa(image_code(e)))
-    p: PrefixCodeCongruence = part(e)
+    imc, p = image_code_and_part(e)
+    r = dfa_measure(trie_dfa(imc))
     l = kq_zero(k)
     l_max = kq_zero(k)
     aves: list[Fraction] = []
     meds: list[Fraction] = []
     for cls in p.classes:
-        counts = counts_by_length(trie_dfa(PrefixCode.make(k, cls)))
+        counts = counts_by_length(trie_dfa(PrefixCode._trusted(k, cls)))
         lo, hi, ave, med = _length_stats(counts)
         l = l + kq(k, 1, lo)
         l_max = l_max + kq(k, 1, hi)

@@ -14,6 +14,11 @@ except :func:`image_code_restriction` and the uniform-level restrictions
 returns reduced tables.  The restrictions deliberately return equivalent
 *split* tables, since their whole point is reshaping the rows.
 
+Inputs are checked once, where they enter: direct construction,
+:meth:`Mk1Element.make` and :func:`parse_table`.  Tables, codes and
+partitions that this module derives from a checked element are valid and
+canonically ordered by construction, so they are built without checks.
+
 The empty table is the zero element (nowhere-defined map); {^ -> ^} is the
 identity.
 """
@@ -79,9 +84,17 @@ class Mk1Element:
     @classmethod
     def make(cls, k: int, rows: Iterable[Row]) -> "Mk1Element":
         """Canonical reduced element from an arbitrary (valid) row iterable."""
-        canon = tuple(sorted({(tuple(x), tuple(y)) for x, y in rows},
-                             key=lambda r: word_key(r[0])))
+        canon = tuple(sorted({(tuple(x), tuple(y)) for x, y in rows}, key=_domain_key))
         return cls(k, canon).reduced()
+
+    @classmethod
+    def _trusted(cls, k: int, rows: tuple[Row, ...]) -> "Mk1Element":
+        """Build without checks, for rows the library derived from checked
+        elements: sorted by domain word, whose domain words form a prefix code."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "k", k)
+        object.__setattr__(e, "rows", rows)
+        return e
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
@@ -92,7 +105,7 @@ class Mk1Element:
 
     @property
     def domain_code(self) -> PrefixCode:
-        return PrefixCode(self.k, tuple(x for x, _ in self.rows))
+        return PrefixCode._trusted(self.k, tuple(x for x, _ in self.rows))
 
     @property
     def image_words(self) -> tuple[Word, ...]:
@@ -104,7 +117,7 @@ class Mk1Element:
 
     def reduced(self) -> "Mk1Element":
         rows = reduce_rows(self.k, self.rows)
-        return self if rows == self.rows else Mk1Element(self.k, rows)
+        return self if rows == self.rows else Mk1Element._trusted(self.k, rows)
 
     def __matmul__(self, other: "Mk1Element") -> "Mk1Element":
         return compose(self, other)
@@ -131,7 +144,11 @@ def reduce_rows(k: int, rows: Iterable[Row]) -> tuple[Row, ...]:
         table[p] = stem
         if p:
             stack.append(p[:-1])
-    return tuple(sorted(table.items(), key=lambda r: word_key(r[0])))
+    return tuple(sorted(table.items(), key=_domain_key))
+
+
+def _domain_key(row: Row):
+    return word_key(row[0])
 
 
 # -- constructors ---------------------------------------------------------------
@@ -193,7 +210,7 @@ def compose(f: Mk1Element, g: Mk1Element) -> Mk1Element:
         elif any(x2[: len(y)] == y for x2 in fdom):
             stack.extend((x + (a,), y + (a,)) for a in range(k))
         # otherwise y leads outside f's domain ideal: the row dies
-    return Mk1Element.make(k, out)
+    return Mk1Element._trusted(k, reduce_rows(k, out))
 
 
 # -- canonical restrictions ------------------------------------------------------
@@ -201,41 +218,31 @@ def compose(f: Mk1Element, g: Mk1Element) -> Mk1Element:
 def image_code_restriction(e: Mk1Element) -> Mk1Element:
     """Split rows until the image words form a prefix code (repeats allowed).
 
-    A row whose image is a proper prefix of another row's image is split into
-    its k letter-children, and the children are re-examined until no such row
-    remains.  Splitting a row never turns a non-conflicting row into a
-    conflicting one, so the outcome does not depend on the processing order.
-    The returned table denotes the same element but is not reduced.
+    A row is split into its k letter-children exactly while its image is a
+    proper prefix of one of e's own images.  That is the same as splitting
+    while the image is a proper prefix of another *current* image, since
+    every current image is one of e's images or extends a split image, and
+    every split image is a proper prefix of one of e's images.  The returned
+    table denotes the same element but is not reduced.
     """
-    if len({len(y) for _, y in e.rows}) <= 1:
-        return e  # images share one length, so none is a proper prefix
-    ext: dict[Word, int] = {}  # proper prefix -> number of images extending it
-    for _, y in e.rows:
-        for i in range(len(y)):
-            p = y[:i]
-            ext[p] = ext.get(p, 0) + 1
+    prefixes = {y[:i] for _, y in e.rows for i in range(len(y))}
+    if not any(y in prefixes for _, y in e.rows):
+        return e  # the images already form a prefix code
     rows: list[Row] = []
     stack = list(e.rows)
     while stack:
         x, y = stack.pop()
-        if not ext.get(y):
+        if y in prefixes:
+            stack.extend((x + (a,), y + (a,)) for a in range(e.k))
+        else:
             rows.append((x, y))
-            continue
-        for i in range(len(y)):
-            ext[y[:i]] -= 1
-        for a in range(e.k):
-            child = y + (a,)
-            for i in range(len(child)):
-                p = child[:i]
-                ext[p] = ext.get(p, 0) + 1
-            stack.append((x + (a,), child))
-    return Mk1Element(e.k, tuple(sorted(rows, key=lambda r: word_key(r[0]))))
+    rows.sort(key=_domain_key)
+    return Mk1Element._trusted(e.k, tuple(rows))
 
 
 def image_code(e: Mk1Element) -> PrefixCode:
     """The prefix code generating the image ideal (empty for zero)."""
-    r = image_code_restriction(e)
-    return PrefixCode.make(e.k, {y for _, y in r.rows})
+    return _image_code_of(image_code_restriction(e))
 
 
 def part(e: Mk1Element) -> PrefixCodeCongruence:
@@ -244,11 +251,30 @@ def part(e: Mk1Element) -> PrefixCodeCongruence:
     Classes group domain words with equal images; together with a common
     tail they are exactly the end pairs the map collapses.
     """
+    return _fibers_of(image_code_restriction(e))
+
+
+def image_code_and_part(e: Mk1Element) -> tuple[PrefixCode, PrefixCodeCongruence]:
+    """:func:`image_code` and :func:`part` of e from one restriction."""
     r = image_code_restriction(e)
+    return _image_code_of(r), _fibers_of(r)
+
+
+def _image_code_of(r: Mk1Element) -> PrefixCode:
+    """The image words of an image-code restriction, as a code."""
+    return PrefixCode._trusted(r.k, tuple(sorted({y for _, y in r.rows}, key=word_key)))
+
+
+def _fibers_of(r: Mk1Element) -> PrefixCodeCongruence:
+    """Domain words of an image-code restriction grouped by image.
+
+    Rows come sorted by domain word, so each group is sorted and the groups
+    appear in the order of their first words: already canonical.
+    """
     groups: dict[Word, list[Word]] = {}
     for x, y in r.rows:
         groups.setdefault(y, []).append(x)
-    return PrefixCodeCongruence.make(r.domain_code, groups.values())
+    return PrefixCodeCongruence._trusted(r.domain_code, tuple(map(tuple, groups.values())))
 
 
 def restrict_to_length(e: Mk1Element, m: int) -> Mk1Element:
@@ -266,7 +292,7 @@ def restrict_to_length(e: Mk1Element, m: int) -> Mk1Element:
             rows.append((x, y))
         else:
             rows.extend(_level_splits(e.k, x, y, m - len(x)))
-    return Mk1Element(e.k, tuple(sorted(rows, key=lambda r: word_key(r[0]))))
+    return Mk1Element._trusted(e.k, tuple(sorted(rows, key=_domain_key)))
 
 
 def uniform_image_form(e: Mk1Element) -> Mk1Element:
@@ -275,7 +301,7 @@ def uniform_image_form(e: Mk1Element) -> Mk1Element:
     rows: list[Row] = []
     for x, y in e.rows:
         rows.extend(_level_splits(e.k, x, y, target - len(y)))
-    return Mk1Element(e.k, tuple(sorted(rows, key=lambda r: word_key(r[0]))))
+    return Mk1Element._trusted(e.k, tuple(sorted(rows, key=_domain_key)))
 
 
 def _level_splits(k: int, x: Word, y: Word, depth: int):
@@ -298,7 +324,7 @@ def inverse_element(e: Mk1Element) -> Mk1Element:
     r = image_code_restriction(e)
     if len({y for _, y in r.rows}) != len(r.rows):
         raise NotInjective("element collapses distinct ends")
-    return Mk1Element.make(e.k, ((y, x) for x, y in r.rows))
+    return Mk1Element._trusted(e.k, reduce_rows(e.k, ((y, x) for x, y in r.rows)))
 
 
 def is_idempotent(e: Mk1Element) -> bool:
@@ -349,4 +375,4 @@ def parse_table(text: str) -> Mk1Element:
     doms = [x for x, _ in rows]
     if len(set(doms)) != len(doms):
         raise ParseError("repeated domain word")
-    return Mk1Element(k, tuple(sorted(rows, key=lambda r: word_key(r[0]))))
+    return Mk1Element(k, tuple(sorted(rows, key=_domain_key)))

@@ -149,3 +149,9 @@ class TooLarge(Mk1Error):
 
 class TooLong(Mk1Error):
     pass
+
+
+# -- internal cross-checks ------------------------------------------------------
+
+class CrossCheckFailed(Mk1Error):
+    """Two independent computations of one exact quantity disagreed."""

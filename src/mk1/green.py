@@ -34,6 +34,7 @@ from .elements import (
     compose,
     identity_element,
     image_code,
+    image_code_and_part,
     part,
     partial_identity,
     single_row,
@@ -42,12 +43,13 @@ from .elements import (
 from .errors import (
     AlphabetMismatch,
     BaseMismatch,
+    CrossCheckFailed,
     IndexMismatch,
     NotDistinct,
     OutOfRange,
 )
 from .kary import KRational, kq, kq_zero
-from .words import Word, code_with_measure, ideal_ess_leq, word_key
+from .words import Word, code_with_measure, ideal_ess_eq, ideal_ess_leq, word_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,8 +90,8 @@ class HeightReport:
 
 def heights(e: Mk1Element) -> HeightReport:
     """All exact heights of e (zero element: everything is 0)."""
-    p = part(e)
-    return heights_from_parts(image_code(e).mu, p)
+    imc, p = image_code_and_part(e)
+    return heights_from_parts(imc.mu, p)
 
 
 def heights_from_parts(r: KRational, p: PrefixCodeCongruence) -> HeightReport:
@@ -129,10 +131,12 @@ def d_index_M(e: Mk1Element):
     if e.is_zero:
         return None
     k = e.k
-    imc = image_code(e)
+    imc, p = image_code_and_part(e)
     idx = (len(imc) - 1) % (k - 1) + 1
-    assert idx == imc.mu.digit_sum_mod()
-    assert idx == noncollision_measure(part(e)).digit_sum_mod()
+    for name, height in (("R", imc.mu), ("L", noncollision_measure(p))):
+        if height.digit_sum_mod() != idx:
+            raise CrossCheckFailed(
+                f"{name}-height digit sum {height.digit_sum_mod()} differs from index {idx}")
     return idx
 
 
@@ -162,14 +166,19 @@ def leq_L(f: Mk1Element, g: Mk1Element) -> bool:
     """
     if f.k != g.k:
         raise AlphabetMismatch("different alphabets")
-    k = f.k
     if f.is_zero:
         return True
     if g.is_zero:
         return False
-    m = max_congruence(part(g))
+    return _fibers_leq(part(f), part(g))
+
+
+def _fibers_leq(pf: PrefixCodeCongruence, pg: PrefixCodeCongruence) -> bool:
+    """leq_L on the fiber partitions of two nonzero elements."""
+    k = pf.k
+    m = max_congruence(pg)
     q_words = set(m.code.words)
-    classes = list(part(f).classes)
+    classes = list(pf.classes)
     settled: list[tuple[Word, ...]] = []
     while classes:
         cls = classes.pop()
@@ -199,11 +208,18 @@ def leq_L(f: Mk1Element, g: Mk1Element) -> bool:
 
 
 def eq_R(f: Mk1Element, g: Mk1Element) -> bool:
-    return leq_R(f, g) and leq_R(g, f)
+    if f.k != g.k:
+        raise AlphabetMismatch("different alphabets")
+    return ideal_ess_eq(image_code(f), image_code(g))
 
 
 def eq_L(f: Mk1Element, g: Mk1Element) -> bool:
-    return leq_L(f, g) and leq_L(g, f)
+    if f.k != g.k:
+        raise AlphabetMismatch("different alphabets")
+    if f.is_zero or g.is_zero:
+        return f.is_zero and g.is_zero
+    pf, pg = part(f), part(g)
+    return _fibers_leq(pf, pg) and _fibers_leq(pg, pf)
 
 
 def section_inverse(e: Mk1Element) -> Mk1Element:
@@ -215,7 +231,8 @@ def section_inverse(e: Mk1Element) -> Mk1Element:
     for cls in p.classes:
         x = cls[0]
         y = apply(e, x)
-        assert isinstance(y, tuple)
+        if not isinstance(y, tuple):
+            raise CrossCheckFailed(f"fiber word {x} has no value: {y.value}")
         rows.append((y, x))
     return Mk1Element.make(e.k, rows)
 
@@ -306,7 +323,8 @@ def separating_context(f: Mk1Element, g: Mk1Element) -> tuple[Mk1Element, Mk1Ele
             return identity_element(k), single_row(k, w, w)
         if f_def and fv != gv and diff_value is None:
             diff_value = (w, fv, gv)
-    assert diff_value is not None, "distinct reduced tables differ at full depth"
+    if diff_value is None:
+        raise CrossCheckFailed("distinct reduced tables agree at full depth")
     x0, y0, y1 = diff_value
     short, long_ = (y0, y1) if len(y0) <= len(y1) else (y1, y0)
     if long_[: len(short)] != short:

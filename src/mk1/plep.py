@@ -26,6 +26,7 @@ from .elements import (
 )
 from .errors import (
     AlphabetMismatch,
+    CrossCheckFailed,
     DivisibleIndex,
     IndexMismatch,
     NotFixedLength,
@@ -76,7 +77,7 @@ def eta_idempotent(q: PrefixCode, q0: Word) -> Mk1Element:
     lengths = {len(w) for w in q.words}
     if len(lengths) != 1:
         raise NotFixedLength("code words must all have the same length")
-    if q0 not in set(q.words):
+    if q0 not in q:
         raise RepNotInCode("representative must belong to the code")
     (n,) = lengths
     members = set(q.words)
@@ -173,7 +174,8 @@ def plep_d_witness(e1: Mk1Element, e2: Mk1Element) -> PlepWitness:
     big = max(j1, j2)
     ext1 = sorted(w + u for w in code1.words for u in _level(k, big - j1))
     ext2 = sorted(w + u for w in code2.words for u in _level(k, big - j2))
-    assert len(ext1) == len(ext2)
+    if len(ext1) != len(ext2):
+        raise CrossCheckFailed(f"extended image codes differ in size: {len(ext1)} vs {len(ext2)}")
     q1 = PrefixCode.make(k, ext1)
     q2 = PrefixCode.make(k, ext2)
     pairing = list(zip(ext1, ext2))

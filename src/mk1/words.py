@@ -16,6 +16,7 @@ ends — decidable by the bounded covering test below.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -55,7 +56,7 @@ def format_word(w: Word) -> str:
     if not w:
         return "^"
     if any(j >= 26 for j in w):
-        raise ValueError("letter display supports alphabets up to 26 letters")
+        raise OutOfRange("letter display supports alphabets up to 26 letters")
     return "".join(chr(ord("a") + j) for j in w)
 
 
@@ -106,6 +107,15 @@ class PrefixCode:
     def make(cls, k: int, words: Iterable[Word]) -> "PrefixCode":
         return cls(k, tuple(sorted(set(map(tuple, words)), key=word_key)))
 
+    @classmethod
+    def _trusted(cls, k: int, words: tuple[Word, ...]) -> "PrefixCode":
+        """Build without checks, for words the library already holds as a
+        canonically sorted prefix code over k letters."""
+        code = object.__new__(cls)
+        object.__setattr__(code, "k", k)
+        object.__setattr__(code, "words", words)
+        return code
+
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)
 
@@ -113,7 +123,9 @@ class PrefixCode:
         return len(self.words)
 
     def __contains__(self, w) -> bool:
-        return tuple(w) in set(self.words)
+        w = tuple(w)
+        i = bisect_left(self.words, word_key(w), key=word_key)
+        return i < len(self.words) and self.words[i] == w
 
     @property
     def mu(self) -> KRational:

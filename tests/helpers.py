@@ -3,7 +3,7 @@
 import random
 
 from mk1.elements import Mk1Element, zero_element
-from mk1.words import PrefixCode, Word, parse_word
+from mk1.words import PrefixCode, Word, parse_word, word_key
 
 
 def el(k, *rows):
@@ -111,3 +111,28 @@ def random_idempotent(rng: random.Random, k: int, max_depth: int = 3) -> Mk1Elem
                 random_word(rng, k, rng.randrange(0, 2))
             rows.append((v + random_word(rng, k, rng.randrange(0, 2)), target))
     return Mk1Element.make(k, rows)
+
+
+def reference_image_code_restriction(e: Mk1Element) -> tuple:
+    """Rows of the image-code restriction by the counter loop: a row is split
+    while some *current* image properly extends its image, with a count of
+    current images kept for every proper prefix."""
+    ext: dict[Word, int] = {}  # proper prefix -> number of images extending it
+    for _, y in e.rows:
+        for i in range(len(y)):
+            ext[y[:i]] = ext.get(y[:i], 0) + 1
+    rows = []
+    stack = list(e.rows)
+    while stack:
+        x, y = stack.pop()
+        if not ext.get(y):
+            rows.append((x, y))
+            continue
+        for i in range(len(y)):
+            ext[y[:i]] -= 1
+        for a in range(e.k):
+            child = y + (a,)
+            for i in range(len(child)):
+                ext[child[:i]] = ext.get(child[:i], 0) + 1
+            stack.append((x + (a,), child))
+    return tuple(sorted(rows, key=lambda r: word_key(r[0])))

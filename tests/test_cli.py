@@ -197,6 +197,13 @@ def test_bad_input_exits_1(files, capsys):
     assert run(capsys, "chain", "2", "??", "0.1", "3")[0] == 1
 
 
+def test_large_alphabet_is_a_named_error(capsys):
+    # letters print only up to 'z', so a 30-letter chain cannot be shown
+    code, out, err = run(capsys, "chain", "30", "0.[1]", "0.[29]", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error OutOfRange: ")
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, "frobnicate")[0] == 1
     assert run(capsys)[0] == 1

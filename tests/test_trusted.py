@@ -1,0 +1,131 @@
+"""Checked boundaries and the unchecked results built behind them.
+
+Public constructors check their input; results the library derives from
+checked values skip those checks.  These properties make sure every such
+result would have passed them anyway, and that the one-pass image-code
+restriction agrees with the counter-loop reference.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import mk1
+from helpers import reference_image_code_restriction
+from mk1.congruence import PrefixCodeCongruence, max_congruence, split_class
+from mk1.elements import (
+    Mk1Element,
+    compose,
+    identity_element,
+    image_code,
+    image_code_restriction,
+    inverse_element,
+    is_injective,
+    part,
+    restrict_to_length,
+    uniform_image_form,
+    zero_element,
+)
+from mk1.errors import DomainNotPrefixCode, NotAClass, OutOfRange
+from mk1.words import PrefixCode
+
+
+def _tables(k):
+    words = st.lists(st.integers(0, k - 1), max_size=4).map(tuple)
+
+    @st.composite
+    def build(draw):
+        domain = []
+        for x in sorted(draw(st.lists(words, max_size=10)), key=len):
+            if not any(x[: len(d)] == d for d in domain):
+                domain.append(x)
+        # images come from the prefixes of a few stems, so they often
+        # are proper prefixes of one another
+        stems = draw(st.lists(words, min_size=1, max_size=3))
+        images = sorted({s[:i] for s in stems for i in range(len(s) + 1)})
+        return Mk1Element.make(k, [(x, draw(st.sampled_from(images))) for x in domain])
+
+    return build()
+
+
+elements = st.sampled_from((2, 3)).flatmap(lambda k: st.one_of(
+    st.just(zero_element(k)), st.just(identity_element(k)), _tables(k)))
+pairs = st.sampled_from((2, 3)).flatmap(lambda k: st.tuples(
+    st.one_of(st.just(identity_element(k)), _tables(k)), _tables(k)))
+
+
+def rebuilt(value):
+    """The value rebuilt from its fields through the checked constructor."""
+    if isinstance(value, Mk1Element):
+        return Mk1Element(value.k, value.rows)
+    if isinstance(value, PrefixCode):
+        return PrefixCode(value.k, value.words)
+    return PrefixCodeCongruence(rebuilt(value.code), value.classes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements)
+def test_restriction_matches_counter_loop(e):
+    assert image_code_restriction(e).rows == reference_image_code_restriction(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements, st.integers(0, 2))
+def test_derived_values_pass_the_checks(e, extra):
+    r = image_code_restriction(e)
+    p = part(e)
+    derived = [e.reduced(), r, image_code(e), p, p.code, e.domain_code,
+               max_congruence(p), uniform_image_form(e),
+               restrict_to_length(e, max((len(x) for x, _ in e.rows), default=0) + extra)]
+    if p.classes:
+        derived.append(split_class(p, extra % len(p.classes)))
+    if is_injective(e):
+        derived.append(inverse_element(e))
+    for value in derived:
+        assert rebuilt(value) == value
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs)
+def test_compose_passes_the_checks(fg):
+    f, g = fg
+    fg_ = compose(f, g)
+    assert rebuilt(fg_) == fg_
+    assert fg_.reduced() == fg_
+
+
+def test_public_constructors_still_check():
+    with pytest.raises(DomainNotPrefixCode):
+        Mk1Element.make(2, [((0,), ()), ((0, 1), ())])
+    with pytest.raises(OutOfRange):
+        Mk1Element.make(2, [((2,), ())])
+    with pytest.raises(ValueError):
+        Mk1Element.make(2, [((0,), (0,)), ((0,), (1,))])  # one word, two images
+    with pytest.raises(ValueError):
+        PrefixCode(2, ((0, 0), (1,)))                     # not canonically sorted
+    code = PrefixCode.make(2, [(0,), (1,)])
+    with pytest.raises(ValueError):
+        PrefixCodeCongruence(code, (((1,),), ((0,),)))    # classes out of order
+    with pytest.raises(NotAClass):
+        PrefixCodeCongruence.make(code, [[(0,), (1,)], []])
+
+
+def test_code_membership():
+    code = PrefixCode.make(3, [(0,), (1, 2), (2, 0, 1), (1, 0)])
+    for w in code.words:
+        assert w in code and list(w) in code
+    for w in [(), (1,), (0, 0), (1, 1), (2, 0), (2, 0, 1, 0), (2, 2, 2)]:
+        assert w not in code
+    assert () not in PrefixCode.make(2, [])
+
+
+def test_no_assert_statements_in_the_library():
+    """Library checks must survive ``python -O``, which strips asserts."""
+    package = Path(mk1.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
