@@ -32,7 +32,7 @@ import re
 
 from .elements import Mk1Element, compose, identity_element, image_code_restriction
 from .errors import EmptyTarget, OutOfRange, UnknownGate
-from .words import Word
+from .words import Word, words_of_length
 
 _TAU = re.compile(r"^tau\((\d+)\)$")
 _PROBE = re.compile(r"^E(\d+)$")
@@ -60,17 +60,10 @@ def gate_element(k: int, token: str) -> Mk1Element:
         i = int(m.group(1))
         if i < 1:
             raise UnknownGate("tau positions are 1-based")
-        rows = [(w, w[: i - 1] + (w[i], w[i - 1])) for w in _level(k, i + 1)]
+        rows = [(w, w[: i - 1] + (w[i], w[i - 1])) for w in words_of_length(k, i + 1)]
     else:
         raise UnknownGate(f"unknown generator {token!r}")
     return Mk1Element.make(k, rows)
-
-
-def _level(k: int, n: int) -> list[Word]:
-    words: list[Word] = [()]
-    for _ in range(n):
-        words = [w + (a,) for w in words for a in range(k)]
-    return words
 
 
 def token_length(token: str) -> int:

@@ -45,6 +45,7 @@ from .words import (
     is_prefix_code,
     parse_word,
     word_key,
+    words_of_length,
 )
 
 Row = tuple[Word, Word]
@@ -305,10 +306,7 @@ def uniform_image_form(e: Mk1Element) -> Mk1Element:
 
 
 def _level_splits(k: int, x: Word, y: Word, depth: int):
-    suffixes = [()]
-    for _ in range(depth):
-        suffixes = [s + (a,) for s in suffixes for a in range(k)]
-    return ((x + s, y + s) for s in suffixes)
+    return ((x + s, y + s) for s in words_of_length(k, depth))
 
 
 # -- predicates and inverses -----------------------------------------------------

@@ -57,10 +57,6 @@ class DomainNotPrefixCode(Mk1Error):
     pass
 
 
-class NotInDomainCode(Mk1Error):
-    pass
-
-
 class LengthTooSmall(Mk1Error):
     pass
 
@@ -128,10 +124,6 @@ class NotSingleAccept(Mk1Error):
 
 
 class CyclicGraph(Mk1Error):
-    pass
-
-
-class NotInImageCode(Mk1Error):
     pass
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Union
 
 from .congruence import (
@@ -49,7 +48,7 @@ from .errors import (
     OutOfRange,
 )
 from .kary import KRational, kq, kq_zero
-from .words import Word, code_with_measure, ideal_ess_eq, ideal_ess_leq, word_key
+from .words import Word, code_with_measure, ideal_ess_eq, ideal_ess_leq, word_key, words_of_length
 
 
 @dataclass(frozen=True, slots=True)
@@ -316,7 +315,7 @@ def separating_context(f: Mk1Element, g: Mk1Element) -> tuple[Mk1Element, Mk1Ele
         return identity_element(k), single_row(k, x0, x0)
     depth = max(len(x) for e in (f, g) for x, _ in e.rows)
     diff_value = None
-    for w in product(range(k), repeat=depth):
+    for w in words_of_length(k, depth):
         fv, gv = apply(f, w), apply(g, w)
         f_def, g_def = isinstance(fv, tuple), isinstance(gv, tuple)
         if f_def != g_def:

@@ -36,7 +36,7 @@ from .errors import (
     ZeroElement,
 )
 from .kary import kq_one
-from .words import PrefixCode, Word
+from .words import PrefixCode, Word, words_of_length
 
 
 def is_plep(e: Mk1Element) -> bool:
@@ -82,15 +82,8 @@ def eta_idempotent(q: PrefixCode, q0: Word) -> Mk1Element:
     (n,) = lengths
     members = set(q.words)
     rows = [(w, w) for w in q.words]
-    rows.extend((w, q0) for w in _level(q.k, n) if w not in members)
+    rows.extend((w, q0) for w in words_of_length(q.k, n) if w not in members)
     return Mk1Element.make(q.k, rows)
-
-
-def _level(k: int, n: int) -> list[Word]:
-    words: list[Word] = [()]
-    for _ in range(n):
-        words = [w + (a,) for w in words for a in range(k)]
-    return words
 
 
 def plep_element_with_index(k: int, i: int) -> Mk1Element:
@@ -102,7 +95,7 @@ def plep_element_with_index(k: int, i: int) -> Mk1Element:
     n = 1
     while k ** n <= i:
         n += 1
-    level = _level(k, n)
+    level = list(words_of_length(k, n))
     q = PrefixCode.make(k, level[:i])
     return eta_idempotent(q, level[0])
 
@@ -172,8 +165,8 @@ def plep_d_witness(e1: Mk1Element, e2: Mk1Element) -> PlepWitness:
     if n1 != n2:
         raise IndexMismatch(f"D-indices differ: {n1} vs {n2}")
     big = max(j1, j2)
-    ext1 = sorted(w + u for w in code1.words for u in _level(k, big - j1))
-    ext2 = sorted(w + u for w in code2.words for u in _level(k, big - j2))
+    ext1 = sorted(w + u for w in code1.words for u in words_of_length(k, big - j1))
+    ext2 = sorted(w + u for w in code2.words for u in words_of_length(k, big - j2))
     if len(ext1) != len(ext2):
         raise CrossCheckFailed(f"extended image codes differ in size: {len(ext1)} vs {len(ext2)}")
     q1 = PrefixCode.make(k, ext1)
@@ -184,8 +177,8 @@ def plep_d_witness(e1: Mk1Element, e2: Mk1Element) -> PlepWitness:
     rows_bp = [(y, x) for x, y in pairing]
     if total:
         members1, members2 = set(ext1), set(ext2)
-        rows_b.extend((w, ext2[0]) for w in _level(k, len(ext1[0])) if w not in members1)
-        rows_bp.extend((w, ext1[0]) for w in _level(k, len(ext2[0])) if w not in members2)
+        rows_b.extend((w, ext2[0]) for w in words_of_length(k, len(ext1[0])) if w not in members1)
+        rows_bp.extend((w, ext1[0]) for w in words_of_length(k, len(ext2[0])) if w not in members2)
     return PlepWitness(
         b=Mk1Element.make(k, rows_b),
         b_prime=Mk1Element.make(k, rows_bp),

@@ -12,6 +12,9 @@ every answer word keeps a short preimage *except* when the answer 0 only
 arises through the spare branch — which happens exactly when ∀x B(x,y)=1.
 Counting is thereby reduced to computing one exact measure, and back.
 
+Formulas are evaluated bit-parallel: each variable is one integer mask over
+all 2^(m+n) assignments, so ``& | ^`` give the whole truth table at once.
+
 The padding helpers at the bottom re-encode arbitrary words over a doubled
 alphabet so that codes can be completed to a single fixed length without
 changing their measure.
@@ -21,8 +24,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
+from operator import and_, or_
 
 from .congruence import noncollision_measure
 from .elements import Mk1Element, part
@@ -36,9 +40,53 @@ from .errors import (
     TooLong,
 )
 from .kary import KRational, kq
-from .words import PrefixCode, Word
+from .words import PrefixCode, Word, words_of_length
 
 Ast = tuple
+
+_SIZE = {"not": 2, "and": 3, "or": 3}  # tuple length of each inner node
+_CHECK = dict.fromkeys(_SIZE, lambda *operands: None)
+
+
+def _fold(ast: Ast, leaf, ops: dict):
+    """Fold ``ast`` bottom-up: ``leaf`` values a variable or constant node,
+    ``ops[op]`` combines an inner node's operand values.  The only AST
+    walker; it keeps its own stack, so depth is unlimited.  ``leaf`` judges
+    every node that is not a well-formed inner node."""
+    nodes = []
+    todo = [ast]
+    while todo:  # pre-order, right operand first: reversed, it is post-order
+        node = todo.pop()
+        nodes.append(node)
+        size = _SIZE.get(node[0])
+        if size is not None:
+            if len(node) != size:
+                raise ArityMismatch(f"{node[0]!r} takes {size - 1} operand(s)")
+            todo.extend(node[1:])
+    values = []
+    for node in reversed(nodes):
+        op = node[0]
+        if op == "not":
+            values[-1] = ops[op](values[-1])
+        elif op in _SIZE:
+            right = values.pop()
+            values[-1] = ops[op](values[-1], right)
+        else:
+            values.append(leaf(node))
+    return values[0]
+
+
+def _wrap(operand: tuple[str, int], level: int) -> str:
+    text, own = operand
+    return f"({text})" if own < level else text
+
+
+# (text, binding level) pairs; variables, constants and negations bind tightest
+_FORMAT = {
+    "not": lambda a: ("!" + _wrap(a, 3), 3),
+    "and": lambda a, b: (f"{_wrap(a, 2)} & {_wrap(b, 2)}", 2),
+    "or": lambda a, b: (f"{_wrap(a, 1)} | {_wrap(b, 1)}", 1),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,50 +104,38 @@ class BooleanFormula:
     def __post_init__(self):
         if self.m < 0 or self.n < 0:
             raise ArityMismatch("variable counts must be non-negative")
-        _check_ast(self.ast, self.m, self.n)
+        _fold(self.ast, self._check_leaf, _CHECK)
+
+    def _check_leaf(self, node) -> None:
+        op = node[0]
+        if len(node) != 2 or op not in ("x", "y", "const") or not isinstance(node[1], int):
+            raise ArityMismatch(f"unknown node {op!r}")
+        if op == "const":
+            if node[1] not in (0, 1):
+                raise ArityMismatch("constants are 0 or 1")
+        else:
+            bound = self.m if op == "x" else self.n
+            if not 1 <= node[1] <= bound:
+                raise ArityMismatch(f"{op}{node[1]} out of range (have {bound})")
 
     def __str__(self) -> str:
-        return f"m={self.m} n={self.n} {_format_ast(self.ast, 0)}"
+        return f"m={self.m} n={self.n} {_fold(self.ast, _format_leaf, _FORMAT)[0]}"
 
 
-def _check_ast(ast: Ast, m: int, n: int) -> None:
-    op = ast[0]
-    if op in ("x", "y"):
-        bound = m if op == "x" else n
-        if not 1 <= ast[1] <= bound:
-            raise ArityMismatch(f"{op}{ast[1]} out of range (have {bound})")
-    elif op == "const":
-        if ast[1] not in (0, 1):
-            raise ArityMismatch("constants are 0 or 1")
-    elif op == "not":
-        _check_ast(ast[1], m, n)
-    elif op in ("and", "or"):
-        _check_ast(ast[1], m, n)
-        _check_ast(ast[2], m, n)
-    else:
-        raise ArityMismatch(f"unknown node {op!r}")
-
-
-def _format_ast(ast: Ast, prec: int) -> str:
-    op = ast[0]
-    if op in ("x", "y"):
-        return f"{op}{ast[1]}"
-    if op == "const":
-        return str(ast[1])
-    if op == "not":
-        return "!" + _format_ast(ast[1], 3)
-    level = 2 if op == "and" else 1
-    sep = " & " if op == "and" else " | "
-    body = sep.join(_format_ast(a, level) for a in ast[1:])
-    return f"({body})" if prec > level else body
+def _format_leaf(node) -> tuple[str, int]:
+    op, i = node
+    return (str(i) if op == "const" else f"{op}{i}"), 3
 
 
 _HEADER = re.compile(r"^\s*m=(\d+)\s+n=(\d+)\s+(.*)$", re.DOTALL)
 _VAR = re.compile(r"[xy]\d+|[01()!&|]")
+_BINDS = {"(": 0, "|": 1, "&": 2, "!": 3}
+_NAMES = {"|": "or", "&": "and", "!": "not"}
 
 
 def parse_formula(text: str) -> BooleanFormula:
-    """Read "m=<int> n=<int> <expression>" with ! over & over |."""
+    """Read "m=<int> n=<int> <expression>" with ! over & over |, where & and
+    | nest to the left.  A shunting-yard: no recursion, no depth limit."""
     header = _HEADER.match(text)
     if not header:
         raise ParseError("expected a header like 'm=2 n=1' before the formula")
@@ -108,105 +144,117 @@ def parse_formula(text: str) -> BooleanFormula:
     tokens = _VAR.findall(body)
     if "".join(tokens) != "".join(body.split()):
         raise ParseError(f"unexpected characters in formula {body!r}")
-    pos = 0
+    operands: list[Ast] = []
+    pending: list[str] = []  # "(" and the operators still short of operands
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
+    def close(level: int) -> None:
+        while pending and _BINDS[pending[-1]] >= level:
+            op = _NAMES[pending.pop()]
+            k = 1 - _SIZE[op]  # minus the operand count
+            operands[k:] = [(op, *operands[k:])]
 
-    def take():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("formula ended unexpectedly")
-        pos += 1
-        return tokens[pos - 1]
-
-    def parse_or():
-        node = parse_and()
-        while peek() == "|":
-            take()
-            node = ("or", node, parse_and())
-        return node
-
-    def parse_and():
-        node = parse_not()
-        while peek() == "&":
-            take()
-            node = ("and", node, parse_not())
-        return node
-
-    def parse_not():
-        if peek() == "!":
-            take()
-            return ("not", parse_not())
-        return parse_atom()
-
-    def parse_atom():
-        t = take()
-        if t == "(":
-            node = parse_or()
-            if take() != ")":
+    want_operand = True
+    for i, t in enumerate(tokens):
+        if want_operand and t in ("!", "("):
+            pending.append(t)
+        elif want_operand:
+            if t in ("&", "|", ")"):
+                raise ParseError(f"unexpected token {t!r}")
+            operands.append(("const", int(t)) if t in ("0", "1") else (t[0], int(t[1:])))
+            want_operand = False
+        elif t in ("&", "|"):
+            close(_BINDS[t])
+            pending.append(t)
+            want_operand = True
+        else:  # ")" or an operand where an operator belongs
+            close(1)  # now pending ends in "(" exactly when one is open
+            if t == ")" and pending:
+                pending.pop()
+            elif pending:
                 raise ParseError("missing closing parenthesis")
-            return node
-        if t in ("0", "1"):
-            return ("const", int(t))
-        if t[0] in "xy":
-            return (t[0], int(t[1:]))
-        raise ParseError(f"unexpected token {t!r}")
-
-    ast = parse_or()
-    if pos != len(tokens):
-        raise ParseError(f"trailing tokens after formula: {tokens[pos:]}")
-    return BooleanFormula(m, n, ast)
+            else:
+                raise ParseError(f"trailing tokens after formula: {tokens[i:]}")
+    if want_operand:
+        raise ParseError("formula ended unexpectedly")
+    close(1)
+    if pending:
+        raise ParseError("formula ended unexpectedly")
+    return BooleanFormula(m, n, operands[0])
 
 
-def _py(ast: Ast) -> str:
-    op = ast[0]
-    if op == "x":
-        return f"x[{ast[1] - 1}]"
-    if op == "y":
-        return f"y[{ast[1] - 1}]"
-    if op == "const":
-        return str(ast[1])
-    if op == "not":
-        return f"(1-{_py(ast[1])})"
-    sym = "&" if op == "and" else "|"
-    return f"({_py(ast[1])}{sym}{_py(ast[2])})"
-
-
-@lru_cache(maxsize=None)
-def _compiled(f: BooleanFormula):
-    return eval(f"lambda x, y: {_py(f.ast)}")
+def _bitwise(ast: Ast, x, y, one: int) -> int:
+    """Fold ``ast`` over values on which & | ^ act bit by bit: single bits
+    (one = 1) or masks over many assignments (one = all ones)."""
+    leaves = {"x": (None, *x), "y": (None, *y), "const": (0, one)}
+    ops = {"not": lambda a: a ^ one, "and": and_, "or": or_}
+    return _fold(ast, lambda node: leaves[node[0]][node[1]], ops)
 
 
 def evaluate(f: BooleanFormula, x: tuple, y: tuple) -> int:
     if len(x) != f.m or len(y) != f.n:
         raise ArityMismatch(f"need {f.m} x-bits and {f.n} y-bits")
-    return _compiled(f)(x, y)
+    return _bitwise(f.ast, x, y, 1)
 
 
 def bits(n: int):
-    return product((0, 1), repeat=n)
+    return words_of_length(2, n)
+
+
+def truth_table(f: BooleanFormula) -> int:
+    """All 2^(m+n) values of ``f`` in one integer, capped at 24 variables: bit
+    i is the value at the i-th (y, x) pair of :func:`bits`, y varying slowest."""
+    count = f.m + f.n
+    if count > 24:
+        raise TooLarge("brute force capped at 24 variables")
+    size = 1 << count
+    # mask[p] has bit i set iff bit p of i is set; x1 and y1 are the high bits
+    mask = [_repeat(((1 << (1 << p)) - 1) << (1 << p), 2 << p, size) for p in range(count)]
+    return _bitwise(f.ast, mask[:f.m][::-1], mask[f.m:][::-1], (1 << size) - 1)
+
+
+def _repeat(pattern: int, width: int, size: int) -> int:
+    """A ``width``-bit pattern repeated to fill ``size`` bits, by doubling
+    (width and size are powers of two)."""
+    while width < size:
+        pattern |= pattern << width
+        width <<= 1
+    return pattern
+
+
+def _per_y(table: int, m: int, n: int, op) -> int:
+    """Combine each y's block of 2^m consecutive table bits with ``op``:
+    bit y·2^m of the result is the block's value, every other bit is 0."""
+    for j in range(m):
+        table = op(table, table >> (1 << j))
+    return table & _repeat(1, 1 << m, 1 << (m + n))
+
+
+def _covers(table: int, m: int, n: int) -> bool:
+    return _per_y(table, m, n, or_).bit_count() == 1 << n
 
 
 def count_forall_sat(f: BooleanFormula) -> int:
-    """|{y : for every x, B(x,y)=1}| by brute force."""
-    if f.m + f.n > 24:
-        raise TooLarge("brute force capped at 24 variables")
-    fn = _compiled(f)
-    return sum(1 for y in bits(f.n) if all(fn(x, y) for x in bits(f.m)))
+    """|{y : for every x, B(x,y)=1}|, read off the truth table."""
+    return _per_y(truth_table(f), f.m, f.n, and_).bit_count()
 
 
 def covers_every_y(f: BooleanFormula) -> bool:
     """Whether each y has at least one satisfying x (needed by φ_B)."""
-    if f.m + f.n > 24:
-        raise TooLarge("brute force capped at 24 variables")
-    fn = _compiled(f)
-    return all(any(fn(x, y) for x in bits(f.m)) for y in bits(f.n))
+    return _covers(truth_table(f), f.m, f.n)
 
 
 def ensure_surjective(f: BooleanFormula) -> BooleanFormula:
     """Add a fresh x-variable OR-ed in: same ∀-count, every y coverable."""
     return BooleanFormula(f.m + 1, f.n, ("or", ("x", f.m + 1), f.ast))
+
+
+def _chain(op: str, nodes: list, empty: Ast) -> Ast:
+    """The left-nested chain (op, (op, a, b), c)... of ``nodes``, or ``empty``."""
+    return reduce(lambda a, b: (op, a, b), nodes) if nodes else empty
+
+
+def _literals(var: str, values: Word) -> list:
+    return [(var, j) if b else ("not", (var, j)) for j, b in enumerate(values, 1)]
 
 
 def formula_from_truth_table(m: int, n: int, table: int) -> BooleanFormula:
@@ -217,29 +265,11 @@ def formula_from_truth_table(m: int, n: int, table: int) -> BooleanFormula:
     """
     if table < 0 or table >= 1 << (1 << (m + n)):
         raise OutOfRange("truth table bitmask out of range")
-    minterms = []
-    for i, (y, x) in enumerate(product(bits(n), bits(m))):
-        if table >> i & 1:
-            lits = [("x", j + 1) if b else ("not", ("x", j + 1)) for j, b in enumerate(x)]
-            lits += [("y", j + 1) if b else ("not", ("y", j + 1)) for j, b in enumerate(y)]
-            node = lits[0]
-            for lit in lits[1:]:
-                node = ("and", node, lit)
-            minterms.append(node)
-    if not minterms:
-        return BooleanFormula(m, n, ("const", 0))
-    node = minterms[0]
-    for t in minterms[1:]:
-        node = ("or", node, t)
-    return BooleanFormula(m, n, node)
-
-
-def truth_table(f: BooleanFormula) -> int:
-    fn = _compiled(f)
-    table = 0
-    for i, (y, x) in enumerate(product(bits(f.n), bits(f.m))):
-        table |= fn(x, y) << i
-    return table
+    xs = [_literals("x", x) for x in bits(m)]
+    ys = [_literals("y", y) for y in bits(n)]
+    minterms = [_chain("and", x + y, ("const", 1))
+                for i, (y, x) in enumerate(product(ys, xs)) if table >> i & 1]
+    return BooleanFormula(m, n, _chain("or", minterms, ("const", 0)))
 
 
 # -- the counting element ---------------------------------------------------------
@@ -248,13 +278,14 @@ def encode_formula(f: BooleanFormula, skeleton=None) -> Mk1Element:
     """The binary table element φ_B whose noncollision measure counts
     ∀-satisfied y's.  Raises NotSurjective when some y has no satisfying x
     (:func:`ensure_surjective` repairs that without changing the count)."""
-    if not covers_every_y(f):
+    table = truth_table(f)
+    if not _covers(table, f.m, f.n):
         raise NotSurjective("some y has no satisfying x; ensure_surjective first")
-    fn = _compiled(f)
     if skeleton is None:
         skeleton = encoding_skeleton(f.m, f.n)
     questions, spares = skeleton
-    rows = [(w, (fn(x, y),) + y) for w, y, x in questions]
+    answers = f"{table:0{len(questions)}b}"[::-1]  # answers[i] is bit i
+    rows = [(w, (int(a),) + y) for a, (w, y, _) in zip(answers, questions)]
     rows.extend(spares)
     return Mk1Element.make(2, rows)
 
@@ -331,11 +362,5 @@ def complete_to_length(code: PrefixCode, p: int) -> PrefixCode:
     fixed length, k^p * measure many words."""
     if any(len(w) > p for w in code.words):
         raise LengthTooSmall(f"code has words longer than {p}")
-    words = []
-    tails = {0: [()]}
-    for w in sorted(code.words, key=len):
-        need = p - len(w)
-        if need not in tails:
-            tails[need] = [t for t in product(range(code.k), repeat=need)]
-        words.extend(w + t for t in tails[need])
+    words = [w + t for w in code.words for t in words_of_length(code.k, p - len(w))]
     return PrefixCode.make(code.k, words)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -38,18 +39,14 @@ def is_prefix(u: Word, v: Word) -> bool:
     return len(u) <= len(v) and v[: len(u)] == u
 
 
-def prefix_comparable(u: Word, v: Word) -> bool:
-    return is_prefix(u, v) or is_prefix(v, u)
-
-
 def word_key(w: Word) -> tuple[int, Word]:
     """Sort key for the canonical (length, dictionary) display order."""
     return (len(w), w)
 
 
-def word_cmp_dict(x: Word, y: Word) -> int:
-    """-1/0/1 for the dictionary order: prefixes first, then letter order."""
-    return (x > y) - (x < y)
+def words_of_length(k: int, n: int) -> Iterator[Word]:
+    """Every word of length n over k letters, in dictionary order."""
+    return product(range(k), repeat=n)
 
 
 def format_word(w: Word) -> str:

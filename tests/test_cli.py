@@ -155,6 +155,12 @@ def test_count_forallsat(files, capsys):
     assert run(capsys, "count-forallsat", "--via-element", bad) == (0, "0\n", "")
 
 
+def test_count_forallsat_deep_formula(files, capsys):
+    deep = files("deep.txt", "m=0 n=1 " + "!" * 3000 + "y1")
+    assert run(capsys, "count-forallsat", deep) == (0, "1\n", "")
+    assert run(capsys, "count-forallsat", "--via-element", deep) == (0, "1\n", "")
+
+
 def test_dfa_mu(files, capsys):
     path = files("c.txt", CODE)
     assert run(capsys, "dfa-mu", path) == (0, "1\n", "")

@@ -1,6 +1,10 @@
 import random
+import sys
+from contextlib import contextmanager
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mk1.elements import apply, part
 from mk1.congruence import noncollision_measure
@@ -97,6 +101,50 @@ def test_compiled_matches_naive():
                 assert evaluate(f, x, y) == _eval_naive(f.ast, x, y)
 
 
+@contextmanager
+def _recursion_limit(limit):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, limit))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+@st.composite
+def formulas(draw):
+    """Small random formulas, some wrapped in a spine of 1500 operators,
+    deeper than Python's default recursion limit."""
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    atoms = [("const", 0), ("const", 1)]
+    atoms += [("x", i) for i in range(1, m + 1)] + [("y", j) for j in range(1, n + 1)]
+    ast = draw(st.recursive(st.sampled_from(atoms), lambda sub: st.one_of(
+        st.tuples(st.just("not"), sub),
+        st.tuples(st.sampled_from(["and", "or"]), sub, sub)), max_leaves=8))
+    # a seed, not st.randoms(): 1500 steps of draws would overrun hypothesis
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    for _ in range(draw(st.sampled_from([0, 10, 1500]))):
+        op = rng.choice(("not", "and", "or"))
+        if op == "not":
+            ast = ("not", ast)
+        elif rng.random() < 0.5:
+            ast = (op, ast, rng.choice(atoms))
+        else:
+            ast = (op, rng.choice(atoms), ast)
+    return BooleanFormula(m, n, ast)
+
+
+@settings(max_examples=60, deadline=None)
+@given(formulas())
+def test_truth_table_and_evaluate_match_naive(f):
+    table = truth_table(f)
+    with _recursion_limit(10_000):
+        for i, (y, x) in enumerate(product(bits(f.n), bits(f.m))):
+            want = _eval_naive(f.ast, x, y)
+            assert evaluate(f, x, y) == want
+            assert (table >> i) & 1 == want
+
+
 def test_count_forall_sat():
     assert count_forall_sat(parse_formula("m=1 n=1 x1 | y1")) == 1
     assert count_forall_sat(parse_formula("m=1 n=1 1")) == 2
@@ -112,6 +160,99 @@ def test_truth_table_roundtrip():
         assert truth_table(f) == table
     with pytest.raises(OutOfRange):
         formula_from_truth_table(1, 1, 16)
+
+
+def test_constant_minterm():
+    f = formula_from_truth_table(0, 0, 1)
+    assert str(f) == "m=0 n=0 1"
+    assert truth_table(f) == 1
+    assert str(formula_from_truth_table(0, 0, 0)) == "m=0 n=0 0"
+
+
+def test_one_size_cap():
+    big = BooleanFormula(20, 5, ("const", 1))
+    for fn in (truth_table, count_forall_sat, covers_every_y, encode_formula):
+        with pytest.raises(TooLarge):
+            fn(big)
+    wide = BooleanFormula(20, 20, ("and", ("x", 20), ("not", ("y", 1))))
+    assert evaluate(wide, (0,) * 19 + (1,), (0,) * 20) == 1
+    assert evaluate(wide, (0,) * 20, (0,) * 20) == 0
+
+
+# Deep formulas are compared by str and truth table: tuple equality recurses.
+
+def test_deep_dnf():
+    table = 2**1024 - 1
+    f = formula_from_truth_table(5, 5, table)
+    assert truth_table(f) == table
+    text = str(f)
+    g = parse_formula(text)
+    assert str(g) == text
+    assert truth_table(g) == table
+    assert count_forall_sat(f) == 32 and covers_every_y(f)
+
+
+def test_parse_deep():
+    f = parse_formula("m=1 n=0 " + "!" * 3000 + "x1")
+    assert str(f) == "m=1 n=0 " + "!" * 3000 + "x1"
+    assert truth_table(f) == 0b10
+    f = parse_formula("m=1 n=0 " + "(" * 3000 + "x1" + ")" * 3000)
+    assert f.ast == ("x", 1)
+    f = parse_formula("m=1 n=1 " + " | ".join(["x1"] * 4999 + ["y1"]))
+    assert str(f) == "m=1 n=1 " + " | ".join(["x1"] * 4999 + ["y1"])
+    assert truth_table(f) == 0b1110
+    assert str(parse_formula(str(f))) == str(f)
+
+
+def _parse_reference(tokens):
+    """Recursive-descent reading of the formula grammar: the AST, or None."""
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def binary(op, sym, operand):
+        nonlocal pos
+        node = operand()
+        while node is not None and peek() == sym:
+            pos += 1
+            right = operand()
+            node = None if right is None else (op, node, right)
+        return node
+
+    def negation():
+        nonlocal pos
+        t = peek()
+        pos += 1
+        if t == "!":
+            node = negation()
+            return None if node is None else ("not", node)
+        if t == "(":
+            node = binary("or", "|", conjunction)
+            if node is None or peek() != ")":
+                return None
+            pos += 1
+            return node
+        if t in ("0", "1"):
+            return ("const", int(t))
+        return (t[0], int(t[1:])) if t and t[0] in "xy" else None
+
+    def conjunction():
+        return binary("and", "&", negation)
+
+    node = binary("or", "|", conjunction)
+    return node if pos == len(tokens) else None
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(["x1", "y1", "0", "(", ")", "!", "&", "|"]), max_size=14))
+def test_parse_matches_recursive_reference(tokens):
+    want = _parse_reference(tokens)
+    if want is None:
+        with pytest.raises(ParseError):
+            parse_formula("m=1 n=1 " + " ".join(tokens))
+    else:
+        assert parse_formula("m=1 n=1 " + " ".join(tokens)).ast == want
 
 
 def test_ensure_surjective():

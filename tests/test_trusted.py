@@ -121,11 +121,23 @@ def test_code_membership():
     assert () not in PrefixCode.make(2, [])
 
 
+def _library_nodes():
+    package = Path(mk1.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.name, node
+
+
 def test_no_assert_statements_in_the_library():
     """Library checks must survive ``python -O``, which strips asserts."""
-    package = Path(mk1.__file__).parent
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(package.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes()
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_eval_or_exec_in_the_library():
+    """The library never runs generated code."""
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes()
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("eval", "exec")]
     assert found == []
