@@ -44,6 +44,7 @@ from .words import (
     format_word,
     is_prefix_code,
     parse_word,
+    proper_prefixes,
     word_key,
     words_of_length,
 )
@@ -180,37 +181,35 @@ def apply(e: Mk1Element, w: Word):
     defined on part of w·A* but w itself is too short to determine the value.
     """
     w = tuple(w)
-    best = None
     partial = False
     for x, y in e.rows:
-        if len(x) <= len(w):
-            if w[: len(x)] == x:
-                best = y + w[len(x):]
-                break
-        elif x[: len(w)] == w:
-            partial = True
-    if best is not None:
-        return best
+        if w[: len(x)] == x:
+            return y + w[len(x):]
+        partial = partial or x[: len(w)] == w
     return NoValue.NEED_LONGER if partial else NoValue.UNDEFINED
 
 
 def compose(f: Mk1Element, g: Mk1Element) -> Mk1Element:
-    """The element f∘g (g applied first), reduced."""
+    """The element f∘g (g applied first), reduced.
+
+    Cost: O((|f| + r)·d) set lookups for r rows walked, words of length ≤ d."""
     if f.k != g.k:
         raise AlphabetMismatch(f"cannot compose over {f.k} and {g.k} letters")
     k = f.k
-    fdom = {x: y for x, y in f.rows}
-    maxlen = max((len(x) for x in fdom), default=0)
+    fdom = dict(f.rows)
+    inner = proper_prefixes(fdom)
     out: list[Row] = []
     stack: list[Row] = list(g.rows)
     while stack:
         x, y = stack.pop()
-        hit = next((i for i in range(min(len(y), maxlen) + 1) if y[:i] in fdom), None)
-        if hit is not None:
-            out.append((x, fdom[y[:hit]] + y[hit:]))
-        elif any(x2[: len(y)] == y for x2 in fdom):
+        for i in range(len(y) + 1):
+            if y[:i] in fdom:
+                out.append((x, fdom[y[:i]] + y[i:]))
+                break
+            if y[:i] not in inner:
+                break  # y leads outside f's domain ideal: the row dies
+        else:  # y is a proper prefix of a domain word of f
             stack.extend((x + (a,), y + (a,)) for a in range(k))
-        # otherwise y leads outside f's domain ideal: the row dies
     return Mk1Element._trusted(k, reduce_rows(k, out))
 
 
@@ -226,7 +225,7 @@ def image_code_restriction(e: Mk1Element) -> Mk1Element:
     every split image is a proper prefix of one of e's images.  The returned
     table denotes the same element but is not reduced.
     """
-    prefixes = {y[:i] for _, y in e.rows for i in range(len(y))}
+    prefixes = proper_prefixes(e.image_words)
     if not any(y in prefixes for _, y in e.rows):
         return e  # the images already form a prefix code
     rows: list[Row] = []

@@ -28,9 +28,7 @@ from .congruence import (
 )
 from .elements import (
     Mk1Element,
-    NoValue,
     apply,
-    compose,
     identity_element,
     image_code,
     image_code_and_part,
@@ -48,7 +46,7 @@ from .errors import (
     OutOfRange,
 )
 from .kary import KRational, kq, kq_zero
-from .words import Word, code_with_measure, ideal_ess_eq, ideal_ess_leq, word_key, words_of_length
+from .words import Word, code_with_measure, ideal_ess_eq, ideal_ess_leq, proper_prefixes, word_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,30 +172,21 @@ def leq_L(f: Mk1Element, g: Mk1Element) -> bool:
 
 def _fibers_leq(pf: PrefixCodeCongruence, pg: PrefixCodeCongruence) -> bool:
     """leq_L on the fiber partitions of two nonzero elements."""
-    k = pf.k
     m = max_congruence(pg)
     q_words = set(m.code.words)
+    inner = proper_prefixes(q_words)
+    m_class_of = {w: cls for cls in m.classes for w in cls}
     classes = list(pf.classes)
-    settled: list[tuple[Word, ...]] = []
     while classes:
         cls = classes.pop()
-        action = "keep"
-        for w in cls:
-            if any(len(q) <= len(w) and w[: len(q)] == q for q in q_words):
-                continue
-            if any(len(q) > len(w) and q[: len(w)] == w for q in q_words):
-                action = "split"
-                break
-            return False    # f is defined on ends outside g's domain ideal
-        if action == "split":
-            classes.extend(tuple(w + (a,) for w in cls) for a in range(k))
-        else:
-            settled.append(cls)
-    m_class_of = {w: cls for cls in m.classes for w in cls}
-    for cls in settled:
+        heads = [next((w[:i] for i in range(len(w) + 1) if w[:i] in q_words), None) for w in cls]
+        if None in heads:   # some word of the class has no q-word above it
+            if not all(w in inner for w, q in zip(cls, heads) if q is None):
+                return False    # f is defined on ends outside g's domain ideal
+            classes.extend(tuple(w + (a,) for w in cls) for a in range(pf.k))
+            continue
         groups: dict[Word, set] = {}
-        for w in cls:
-            q = next(q for q in q_words if w[: len(q)] == q)
+        for w, q in zip(cls, heads):
             groups.setdefault(w[len(q):], set()).add(q)
         for qs in groups.values():
             for q in qs:
@@ -299,7 +288,8 @@ def separating_context(f: Mk1Element, g: Mk1Element) -> tuple[Mk1Element, Mk1Ele
 
     The surviving sandwich is a single-row table.  Distinct elements always
     admit such a context: they differ on some end, and pinning that end down
-    to a finite window kills exactly one of them.
+    to a finite window kills exactly one of them.  A walk of the union trie
+    of the two domains finds that window in O(rows × depth) steps, not k^depth.
     """
     if f.k != g.k:
         raise AlphabetMismatch("different alphabets")
@@ -313,14 +303,24 @@ def separating_context(f: Mk1Element, g: Mk1Element) -> tuple[Mk1Element, Mk1Ele
             return identity_element(k), identity_element(k)
         x0 = survivor.rows[0][0]
         return identity_element(k), single_row(k, x0, x0)
-    depth = max(len(x) for e in (f, g) for x, _ in e.rows)
+    fdom, gdom = dict(f.rows), dict(g.rows)
+    inner = proper_prefixes([*fdom, *gdom])
+    depth = max(map(len, [*fdom, *gdom]))
     diff_value = None
-    for w in words_of_length(k, depth):
-        fv, gv = apply(f, w), apply(g, w)
-        f_def, g_def = isinstance(fv, tuple), isinstance(gv, tuple)
-        if f_def != g_def:
+    stack: list[tuple[Word, Word | None, Word | None]] = [((), None, None)]
+    while stack:  # node p, with the domain words of f and g that prefix it
+        p, fx, gx = stack.pop()
+        fx = p if p in fdom else fx
+        gx = p if p in gdom else gx
+        if p in inner:  # f or g has domain words below p
+            stack.extend((p + (a,), fx, gx) for a in reversed(range(k)))
+            continue
+        w = p + (0,) * (depth - len(p))  # f and g each treat all of p's subtree alike
+        fv = None if fx is None else fdom[fx] + w[len(fx):]
+        gv = None if gx is None else gdom[gx] + w[len(gx):]
+        if (fv is None) != (gv is None):
             return identity_element(k), single_row(k, w, w)
-        if f_def and fv != gv and diff_value is None:
+        if fv != gv and diff_value is None:
             diff_value = (w, fv, gv)
     if diff_value is None:
         raise CrossCheckFailed("distinct reduced tables agree at full depth")

@@ -49,6 +49,17 @@ def words_of_length(k: int, n: int) -> Iterator[Word]:
     return product(range(k), repeat=n)
 
 
+def proper_prefixes(words: Iterable[Word]) -> set[Word]:
+    """Every proper prefix of the words: the inner nodes of their trie."""
+    out: set[Word] = set()
+    for w in words:
+        for i in range(len(w) - 1, -1, -1):
+            if w[:i] in out:
+                break
+            out.add(w[:i])
+    return out
+
+
 def format_word(w: Word) -> str:
     if not w:
         return "^"
@@ -174,16 +185,14 @@ class _Trie:
             node = node.get(j)
             if node is None:
                 return False
-        return _subtree_is_full(node, self.k)
-
-
-def _subtree_is_full(node, k: int) -> bool:
-    """Whether the code words below this node form a maximal prefix code."""
-    if None in node:
+        stack = [node]  # the code words below w must form a maximal code
+        while stack:
+            node = stack.pop()
+            if None not in node:
+                if len(node) < self.k:
+                    return False
+                stack.extend(node.values())
         return True
-    if len(node) < k:
-        return False
-    return all(_subtree_is_full(child, k) for child in node.values())
 
 
 def covered(w: Word, code: PrefixCode) -> bool:
@@ -204,24 +213,16 @@ def ideal_ess_eq(p1: PrefixCode, p2: PrefixCode) -> bool:
 def complement_code(code: PrefixCode) -> PrefixCode:
     """The canonical prefix code complementary to ``code``.
 
-    Its members are the maximal tree nodes whose subtrees miss code·A*
-    entirely; together with ``code`` it covers every infinite end, and the
-    complement of the empty code is {^}.
+    Its members are the maximal tree nodes whose subtrees miss code·A*: the
+    children of inner trie nodes that are neither code words nor inner.  With
+    ``code`` it covers every infinite end; the complement of {} is {^}.
     """
-    k = code.k
-    out: list[Word] = []
-
-    def walk(prefix: Word, node):
-        if None in node:
-            return
-        if not node:
-            out.append(prefix)
-            return
-        for j in range(k):
-            walk(prefix + (j,), node.get(j, {}))
-
-    walk((), _Trie(k, code.words).root)
-    return PrefixCode.make(k, out)
+    words = set(code.words)
+    if not words:
+        return PrefixCode.make(code.k, [()])
+    inner = proper_prefixes(words)
+    children = (p + (j,) for p in inner for j in range(code.k))
+    return PrefixCode.make(code.k, [c for c in children if c not in words and c not in inner])
 
 
 # -- measure-preserving rewriting ---------------------------------------------

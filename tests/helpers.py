@@ -2,8 +2,9 @@
 
 import random
 
-from mk1.elements import Mk1Element, zero_element
-from mk1.words import PrefixCode, Word, parse_word, word_key
+from mk1.elements import Mk1Element, identity_element, reduce_rows, single_row, zero_element
+from mk1.errors import CrossCheckFailed, NotDistinct
+from mk1.words import PrefixCode, Word, parse_word, word_key, words_of_length
 
 
 def el(k, *rows):
@@ -54,6 +55,17 @@ def random_nonempty_code(rng: random.Random, k: int, max_depth: int = 4) -> Pref
         code = random_code(rng, k, max_depth)
         if len(code):
             return code
+
+
+def deep_code(n: int) -> list[Word]:
+    """The maximal binary prefix code {0^i·1 : i < n} ∪ {0^n}, n levels deep."""
+    return [(0,) * i + (1,) for i in range(n)] + [(0,) * n]
+
+
+def deep_rotation(n: int) -> Mk1Element:
+    """A bijection of deep_code(n) onto itself, shifting each word to the next."""
+    code = deep_code(n)
+    return Mk1Element.make(2, list(zip(code, code[1:] + code[:1])))
 
 
 def random_word(rng: random.Random, k: int, length: int) -> Word:
@@ -136,3 +148,53 @@ def reference_image_code_restriction(e: Mk1Element) -> tuple:
                 ext[child[:i]] = ext.get(child[:i], 0) + 1
             stack.append((x + (a,), child))
     return tuple(sorted(rows, key=lambda r: word_key(r[0])))
+
+
+def reference_compose(f: Mk1Element, g: Mk1Element) -> Mk1Element:
+    """f∘g by scanning f's whole domain for every row of g: a row is split
+    while some domain word of f properly extends its image."""
+    k = f.k
+    fdom = {x: y for x, y in f.rows}
+    maxlen = max((len(x) for x in fdom), default=0)
+    out = []
+    stack = list(g.rows)
+    while stack:
+        x, y = stack.pop()
+        hit = next((i for i in range(min(len(y), maxlen) + 1) if y[:i] in fdom), None)
+        if hit is not None:
+            out.append((x, fdom[y[:hit]] + y[hit:]))
+        elif any(x2[: len(y)] == y for x2 in fdom):
+            stack.extend((x + (a,), y + (a,)) for a in range(k))
+    return Mk1Element(k, reduce_rows(k, out))
+
+
+def reference_separating_context(f: Mk1Element, g: Mk1Element):
+    """Separating contexts by applying f and g to all k^depth words of the
+    full depth, in dictionary order."""
+    k = f.k
+    f, g = f.reduced(), g.reduced()
+    if f == g:
+        raise NotDistinct("elements are equal")
+    if f.is_zero or g.is_zero:
+        survivor = g if f.is_zero else f
+        if len(survivor.rows) == 1:
+            return identity_element(k), identity_element(k)
+        x0 = survivor.rows[0][0]
+        return identity_element(k), single_row(k, x0, x0)
+    depth = max(len(x) for e in (f, g) for x, _ in e.rows)
+    diff_value = None
+    for w in words_of_length(k, depth):
+        # at full depth a word is either in a row's ideal or outside the domain
+        fv, gv = ([y + w[len(x):] for x, y in e.rows if w[: len(x)] == x] for e in (f, g))
+        if bool(fv) != bool(gv):
+            return identity_element(k), single_row(k, w, w)
+        if fv != gv and diff_value is None:
+            diff_value = (w, fv[0], gv[0])
+    if diff_value is None:
+        raise CrossCheckFailed("distinct reduced tables agree at full depth")
+    x0, y0, y1 = diff_value
+    short, long_ = (y0, y1) if len(y0) <= len(y1) else (y1, y0)
+    if long_[: len(short)] != short:
+        return single_row(k, y0, y0), single_row(k, x0, x0)
+    y2 = short + ((long_[len(short)] + 1) % k,)
+    return single_row(k, y2, y2), single_row(k, x0, x0)

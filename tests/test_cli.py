@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
+from helpers import deep_rotation
 from mk1.cli import main
-from mk1.elements import compose, parse_table, partial_identity, single_row
+from mk1.elements import compose, format_table, parse_table, partial_identity, single_row
 from mk1.green import heights
 from mk1.kary import parse_krational
 from mk1.words import PrefixCode, parse_word
@@ -74,6 +75,13 @@ def test_green(files, capsys):
     code, _, err = run(capsys, "green", "eqD-plep", f, g)
     assert code == 2
     assert err.startswith("error NotPlep:")
+
+
+def test_green_on_a_deep_table(files, capsys):
+    ident = files("id.txt", "k 2\n^ -> ^\n")
+    deep = files("deep.txt", format_table(deep_rotation(1500)) + "\n")
+    assert run(capsys, "green", "leqR", ident, deep) == (0, "true\n", "")
+    assert run(capsys, "green", "eqR", ident, deep) == (0, "true\n", "")
 
 
 def test_dindex(files, capsys):

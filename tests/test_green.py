@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_element
+from helpers import deep_rotation, random_element
 from mk1.elements import (
     Mk1Element,
     NoValue,
@@ -188,6 +188,13 @@ def test_section_laws(seed=88):
         sec = section_inverse(g)
         assert compose(compose(g, sec), g) == g.reduced()
         assert compose(compose(sec, g), sec) == sec
+
+
+def test_R_order_on_a_1500_level_table():
+    """Deep image codes do not reach Python's recursion limit."""
+    h, ident = deep_rotation(1500), identity_element(2)
+    assert leq_R(ident, h) and leq_R(h, ident)
+    assert eq_R(ident, h) and eq_R(h, ident)
 
 
 def test_dense_chain():

@@ -1,0 +1,156 @@
+"""Prefix-set walks in compose, separating_context and leq_L.
+
+``compose`` and ``separating_context`` walk the proper prefixes of domain
+words instead of scanning every domain word per row or trying every word
+of the full depth.  These properties check them byte for byte against the
+scanning references in ``helpers``, check ``leq_L`` against the section
+certificate, and time the inputs on which the scans blow up.
+"""
+
+import time
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import reference_compose, reference_separating_context
+from mk1.elements import (
+    Mk1Element,
+    compose,
+    format_table,
+    identity_element,
+    zero_element,
+)
+from mk1.errors import NotDistinct
+from mk1.green import eq_L, leq_L, section_inverse, separating_context
+from mk1.words import proper_prefixes, words_of_length
+
+
+def _words(k):
+    return st.lists(st.integers(0, k - 1), max_size=5).map(tuple)
+
+
+@st.composite
+def _table(draw, k, near):
+    """A partial table whose domain and image words are drawn mostly from
+    ``near``, so images are often proper prefixes of domain words."""
+    domain = []
+    pool = st.one_of(st.sampled_from(near[::-1]), _words(k))   # () last, so rarely all
+    for x in sorted(draw(st.lists(pool, min_size=1, max_size=8)), key=len):
+        if not any(x[: len(d)] == d for d in domain):
+            domain.append(x)
+    return Mk1Element.make(k, [(x, draw(st.sampled_from(near))) for x in domain])
+
+
+def _one_letter_off(e, draw):
+    """e with one image letter changed (or one letter given to an empty image)."""
+    rows = list(e.rows)
+    i = draw(st.integers(0, len(rows) - 1))
+    x, y = rows[i]
+    j = draw(st.integers(0, len(y)))
+    a = draw(st.integers(1, e.k - 1))
+    y = y[:j] + ((y[j] + a) % e.k,) + y[j + 1:] if j < len(y) else y + (a,)
+    rows[i] = (x, y)
+    return Mk1Element.make(e.k, rows)
+
+
+@st.composite
+def pairs(draw):
+    k = draw(st.sampled_from((2, 3)))
+    stems = draw(st.lists(_words(k), min_size=1, max_size=4))
+    near = sorted({s[:i] for s in stems for i in range(len(s) + 1)})
+    f = draw(_table(k, near))
+    if f.rows and draw(st.booleans()):
+        return f, _one_letter_off(f, draw)
+    return f, draw(_table(k, near))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pairs())
+def test_compose_matches_the_scanning_reference(fg):
+    f, g = fg
+    for a, b in _partners(f, g) + [(g, f)]:
+        assert format_table(compose(a, b)) == format_table(reference_compose(a, b))
+
+
+def _partners(f, g):
+    """(f, g), and f beside the zero and the identity on either side."""
+    ends = (zero_element(f.k), identity_element(f.k))
+    return [(f, g)] + [(f, e) for e in ends] + [(e, f) for e in ends]
+
+
+def _separates(f, g, contexts):
+    c1, c2 = contexts
+    sf, sg = compose(compose(c1, f), c2), compose(compose(c1, g), c2)
+    survivor = sg if sf.is_zero else sf
+    return sf.is_zero != sg.is_zero and len(survivor.rows) == 1
+
+
+def _contexts(sep, f, g):
+    try:
+        return tuple(map(format_table, sep(f, g)))
+    except NotDistinct:
+        return "equal"
+
+
+@settings(max_examples=400, deadline=None)
+@given(pairs())
+def test_separating_context_matches_the_full_depth_reference(fg):
+    f, g = fg
+    for a, b in _partners(f, g):
+        got = _contexts(separating_context, a, b)
+        assert got == _contexts(reference_separating_context, a, b)
+        assert got == "equal" or _separates(a, b, separating_context(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs(), st.booleans())
+def test_leq_L_matches_the_section_certificate(fg, through_g):
+    f, g = fg
+    if through_g:
+        f = compose(f, g)   # then f <=_L g
+    certified = compose(compose(f, section_inverse(g)), g) == f.reduced()
+    assert leq_L(f, g) == certified
+    assert not through_g or certified
+    assert eq_L(f, g) == (leq_L(f, g) and leq_L(g, f))
+
+
+def test_leq_L_compares_ends_past_the_fiber_words():
+    """g sends a·t and b·t alike; f sends aa and ba apart, so f is not
+    below g, although each f-fiber meets both a and b."""
+    f = Mk1Element.make(2, [((0, 0), (0,)), ((0, 1), (1,)), ((1, 0), (1,)), ((1, 1), (0,))])
+    g = Mk1Element.make(2, [((0,), ()), ((1,), ())])
+    assert not leq_L(f, g)
+    assert leq_L(compose(f, g), g)
+
+
+def test_proper_prefixes():
+    assert proper_prefixes([]) == set()
+    assert proper_prefixes([()]) == set()
+    assert proper_prefixes([(0, 1, 1), (0, 1), (1,)]) == {(), (0,), (0, 1)}
+    words = list(words_of_length(3, 3)) + [(2, 2, 2, 0)]
+    assert proper_prefixes(words) == {w[:i] for w in words for i in range(len(w))}
+
+
+# -- worst cases: the scanning references take far longer on these -----------
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_separating_context_at_depth_40(k):
+    """k^40 words of full depth: trying them all would never finish."""
+    f = Mk1Element.make(k, [((0,) * 40, (0,))])
+    g = Mk1Element.make(k, [((0,) * 40, (1,))])
+    started = time.perf_counter()
+    contexts = separating_context(f, g)
+    assert time.perf_counter() - started < 0.5
+    assert _separates(f, g, contexts)
+
+
+def test_compose_splitting_into_a_wide_level_table():
+    """f∘swap splits every row of swap down to f's 2^14 level words; scanning
+    f's domain for each split row takes several seconds."""
+    rows = tuple((w, w[::-1]) for w in words_of_length(2, 14))
+    f = Mk1Element(2, rows)     # reversal does not merge: already reduced
+    swap = Mk1Element.make(2, [((0,), (1,)), ((1,), (0,))])
+    started = time.perf_counter()
+    fs = compose(f, swap)
+    assert time.perf_counter() - started < 2.0
+    assert fs.rows == tuple(((1 - w[0],) + w[1:], y) for w, y in rows[8192:] + rows[:8192])

@@ -141,3 +141,16 @@ def test_no_eval_or_exec_in_the_library():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in ("eval", "exec")]
     assert found == []
+
+
+def test_no_recursive_functions_in_the_library():
+    """Walks keep their own stacks, so deep tables never reach Python's
+    recursion limit.  (A method calling a module function of its own name
+    is not recursion.)"""
+    nodes = list(_library_nodes())
+    methods = {id(fn) for _, cls in nodes if isinstance(cls, ast.ClassDef) for fn in cls.body}
+    found = [f"{name}:{fn.name}" for name, fn in nodes
+             if isinstance(fn, ast.FunctionDef) and id(fn) not in methods
+             and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                     and call.func.id == fn.name for call in ast.walk(fn))]
+    assert found == []

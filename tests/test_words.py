@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import random_code, random_nonempty_code
+from helpers import deep_code, random_code, random_nonempty_code
 from mk1.errors import ChildrenMissing, NotInCode, OutOfRange, ParseError
 from mk1.kary import kq, kq_one, kq_zero, parse_krational
 from mk1.words import (
@@ -92,6 +92,15 @@ def test_complement():
     assert complement_code(pc(2)) == pc(2, "^")
     assert complement_code(pc(2, "a", "b")) == pc(2)
     assert complement_code(pc(3, "b")) == pc(3, "a", "c")
+
+
+def test_trie_walks_past_the_recursion_limit():
+    """Covering and complements hold no Python frame per trie level."""
+    code = deep_code(1500)
+    assert covered((), PrefixCode.make(2, code))
+    assert ideal_ess_eq(PrefixCode.make(2, code), pc(2, "^"))
+    assert complement_code(PrefixCode.make(2, code[:-1])).words == (code[-1],)
+    assert complement_code(PrefixCode.make(2, code)) == pc(2)
 
 
 def test_complement_is_exact_cover(seed=4242):
