@@ -10,10 +10,8 @@ of by walking word lists.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .elements import Mk1Element, image_code_and_part
 from .errors import (
@@ -24,7 +22,7 @@ from .errors import (
     NotSingleAccept,
     OutOfRange,
 )
-from .green import HeightReport, _rep_sum
+from .green import HeightReport, _pow_sum, _ratio, _rep_sum
 from .kary import KRational, kq, kq_zero
 from .words import PrefixCode, Word, format_word, word_key
 
@@ -81,6 +79,16 @@ class AcyclicDfa:
             raise NotSingleAccept(f"need exactly one accept state, got {len(accepts)}")
         return cls(k, n_states, start, accepts[0], tuple(sorted(edges)))
 
+    @classmethod
+    def _trusted(cls, k: int, n_states: int, start: int, accept: int,
+                 edges: tuple[tuple[int, int, int], ...]) -> "AcyclicDfa":
+        """Build without checks, for automata the library derived from
+        checked codes: trimmed, acyclic, with edges already sorted."""
+        d = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (k, n_states, start, accept, edges)):
+            object.__setattr__(d, name, value)
+        return d
+
 
 def _closure(source: int, adj: dict[int, list[int]]) -> set[int]:
     seen = {source}
@@ -94,22 +102,21 @@ def _closure(source: int, adj: dict[int, list[int]]) -> set[int]:
 
 
 def _topological_order(n: int, edges) -> list[int] | None:
-    """States in topological order, always taking the least ready state."""
+    """States in a topological order (Kahn's algorithm), None on a cycle."""
     indeg = [0] * n
-    for _, _, q in edges:
-        indeg[q] += 1
-    todo = [q for q in range(n) if indeg[q] == 0]  # sorted, so already a heap
-    order = []
     outs: dict[int, list[int]] = {}
     for p, _, q in edges:
+        indeg[q] += 1
         outs.setdefault(p, []).append(q)
+    todo = [q for q in range(n) if indeg[q] == 0]
+    order = []
     while todo:
-        p = heapq.heappop(todo)
+        p = todo.pop()
         order.append(p)
         for q in outs.get(p, ()):
             indeg[q] -= 1
             if indeg[q] == 0:
-                heapq.heappush(todo, q)
+                todo.append(q)
     return order if len(order) == n else None
 
 
@@ -123,43 +130,48 @@ def _acyclic_order(d: AcyclicDfa) -> list[int]:
 def trie_dfa(code: PrefixCode) -> AcyclicDfa:
     """The minimal acyclic automaton of a prefix code.
 
-    Builds the word trie, then merges states with identical outgoing
-    behaviour bottom-up (all leaves collapse into the single accept
-    state).  States are numbered in breadth-first order from the start.
+    Builds the word trie as nested dicts, then gives each node, children
+    before parents, the id of its signature (the child id on each letter);
+    nodes with equal signatures merge, and all leaves become the single
+    accept state (Revuz's bottom-up minimisation of acyclic automata).
+    States are numbered in breadth-first order from the start, letters in
+    order, and edges come out in that order.  Cost: O(k) dictionary
+    operations per trie node, so linear in the total length of the code.
     """
     if not code.words:
         raise EmptyLanguage("cannot build an automaton for the empty code")
-    children: dict[Word, dict[int, Word]] = {(): {}}
+    k = code.k
+    root: dict = {}
+    nodes = [(None, None, root)]  # (parent, letter, node), parents first
     for w in code.words:
-        for i in range(len(w)):
-            children.setdefault(w[: i + 1], {})
-            children[w[: i]].setdefault(w[i], w[: i + 1])
-    # Bottom-up signature merge: nodes sharing (letter -> class) maps unify.
-    cls: dict[Word, int] = {}
+        node = root
+        for a in w:
+            child = node.get(a)
+            if child is None:
+                child = node[a] = {}
+                nodes.append((node, a, child))
+            node = child
     sig_ids: dict[tuple, int] = {}
-    for node in sorted(children, key=len, reverse=True):
-        sig = tuple(sorted((a, cls[ch]) for a, ch in children[node].items()))
-        if sig not in sig_ids:
-            sig_ids[sig] = len(sig_ids)
-        cls[node] = sig_ids[sig]
-    out: dict[int, dict[int, int]] = {}
-    for node, kids in children.items():
-        out.setdefault(cls[node], {a: cls[ch] for a, ch in kids.items()})
-    # Renumber classes breadth-first from the root, letters in order.
-    number = {cls[()]: 0}
-    queue = deque([cls[()]])
-    while queue:
-        c = queue.popleft()
-        for a in sorted(out[c]):
-            d = out[c][a]
-            if d not in number:
-                number[d] = len(number)
-                queue.append(d)
-    edges = tuple(sorted(
-        (number[c], a, number[d]) for c, kids in out.items() for a, d in kids.items()
-    ))
-    accept = number[cls[code.words[0]]]
-    return AcyclicDfa(code.k, len(number), 0, accept, edges)
+    # Backwards through nodes, a node's children already stand as ids in it;
+    # the node then stands in its parent as the id of its signature.
+    for parent, a, node in reversed(nodes):
+        sid = sig_ids.setdefault(tuple(map(node.get, range(k))), len(sig_ids))
+        if parent is not None:
+            parent[a] = sid
+    sigs = list(sig_ids)
+    number = [None] * len(sigs)
+    number[sid] = 0  # the root came last
+    order = [sid]
+    edges = []
+    for p, c in enumerate(order):
+        for a, d in enumerate(sigs[c]):
+            if d is not None:
+                if number[d] is None:
+                    number[d] = len(order)
+                    order.append(d)
+                edges.append((p, a, number[d]))
+    accept = number[sig_ids[(None,) * k]]
+    return AcyclicDfa._trusted(k, len(order), 0, accept, tuple(edges))
 
 
 def language(d: AcyclicDfa) -> list[Word]:
@@ -231,11 +243,12 @@ def counts_by_length(d: AcyclicDfa) -> dict[int, int]:
     return counts[d.accept]
 
 
-def _length_stats(counts: dict[int, int]) -> tuple[int, int, Fraction, Fraction]:
+def _length_stats(counts: dict[int, int]) -> tuple[int, int, tuple[int, int], tuple[int, int]]:
+    """Shortest and longest length, and the average and median length as
+    reduced (num, den) pairs."""
     total = sum(counts.values())
     lengths = sorted(counts)
-    lo, hi = lengths[0], lengths[-1]
-    ave = Fraction(sum(n * c for n, c in counts.items()), total)
+    ave = _ratio(sum(n * c for n, c in counts.items()), total)
     # Walk the sorted multiset to its middle element(s).
     wanted = [(total - 1) // 2, total // 2]
     mids = []
@@ -245,8 +258,7 @@ def _length_stats(counts: dict[int, int]) -> tuple[int, int, Fraction, Fraction]
         while wanted and wanted[0] < seen:
             mids.append(n)
             wanted.pop(0)
-    med = Fraction(mids[0] + mids[1], 2)
-    return lo, hi, ave, med
+    return lengths[0], lengths[-1], ave, _ratio(mids[0] + mids[1], 2)
 
 
 def height_report_via_dfa(e: Mk1Element) -> HeightReport:
@@ -257,20 +269,11 @@ def height_report_via_dfa(e: Mk1Element) -> HeightReport:
         return HeightReport(zero, zero, zero, zero, zero)
     k = e.k
     imc, p = image_code_and_part(e)
-    r = dfa_measure(trie_dfa(imc))
-    l = kq_zero(k)
-    l_max = kq_zero(k)
-    aves: list[Fraction] = []
-    meds: list[Fraction] = []
-    for cls in p.classes:
-        counts = counts_by_length(trie_dfa(PrefixCode._trusted(k, cls)))
-        lo, hi, ave, med = _length_stats(counts)
-        l = l + kq(k, 1, lo)
-        l_max = l_max + kq(k, 1, hi)
-        aves.append(ave)
-        meds.append(med)
-    return HeightReport(r=r, l=l, l_max=l_max,
-                        l_ave=_rep_sum(k, aves), l_med=_rep_sum(k, meds))
+    stats = [_length_stats(counts_by_length(trie_dfa(PrefixCode._trusted(k, cls))))
+             for cls in p.classes]
+    lo, hi, ave, med = zip(*stats)
+    return HeightReport(r=dfa_measure(trie_dfa(imc)), l=_pow_sum(k, lo), l_max=_pow_sum(k, hi),
+                        l_ave=_rep_sum(k, ave), l_med=_rep_sum(k, med))
 
 
 def format_dfa(d: AcyclicDfa) -> str:

@@ -17,9 +17,11 @@ canonical section below (g∘ḡ∘g = g), which the test-suite exploits.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import Sequence, Union
 
 from .congruence import (
     PrefixCodeCongruence,
@@ -28,10 +30,10 @@ from .congruence import (
 )
 from .elements import (
     Mk1Element,
-    apply,
     identity_element,
     image_code,
     image_code_and_part,
+    image_code_restriction,
     part,
     partial_identity,
     single_row,
@@ -45,7 +47,7 @@ from .errors import (
     NotDistinct,
     OutOfRange,
 )
-from .kary import KRational, kq, kq_zero
+from .kary import KRational, kq
 from .words import Word, code_with_measure, ideal_ess_eq, ideal_ess_leq, proper_prefixes, word_key
 
 
@@ -67,13 +69,25 @@ class ExponentSum:
 Height = Union[KRational, ExponentSum]
 
 
-def _rep_sum(k: int, exps: list[Fraction]) -> Height:
-    if all(e.denominator == 1 for e in exps):
-        return sum((kq(k, 1, int(e)) for e in exps), kq_zero(k))
-    counts: dict[Fraction, int] = {}
-    for e in exps:
-        counts[e] = counts.get(e, 0) + 1
-    return ExponentSum(k, tuple(sorted(counts.items())))
+def _pow_sum(k: int, exps: Sequence[int]) -> KRational:
+    """Sum of k**(-e) over exps, as one integer over k**max(exps)."""
+    top = max(exps, default=0)
+    return kq(k, sum(k ** (top - e) for e in exps), top)
+
+
+def _ratio(num: int, den: int) -> tuple[int, int]:
+    """num/den as a gcd-reduced integer pair."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _rep_sum(k: int, exps: Sequence[tuple[int, int]]) -> Height:
+    """Sum of k**(-n/d) over exponents given as reduced (n, d) pairs: a
+    KRational when every exponent is an integer, else an ExponentSum."""
+    counts = Counter(exps)
+    if all(d == 1 for _, d in counts):
+        return _pow_sum(k, [n for n, _ in exps])
+    return ExponentSum(k, tuple(sorted((Fraction(n, d), c) for (n, d), c in counts.items())))
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,20 +106,19 @@ def heights(e: Mk1Element) -> HeightReport:
 
 
 def heights_from_parts(r: KRational, p: PrefixCodeCongruence) -> HeightReport:
-    k = p.k
-    lens = [sorted(len(w) for w in cls) for cls in p.classes]
-    ave = [Fraction(sum(ls), len(ls)) for ls in lens]
+    # canonical classes are sorted by length first, so each ls is sorted
+    lens = [[len(w) for w in cls] for cls in p.classes]
     med = [
-        Fraction(ls[len(ls) // 2]) if len(ls) % 2
-        else Fraction(ls[len(ls) // 2 - 1] + ls[len(ls) // 2], 2)
+        (ls[len(ls) // 2], 1) if len(ls) % 2
+        else _ratio(ls[len(ls) // 2 - 1] + ls[len(ls) // 2], 2)
         for ls in lens
     ]
     return HeightReport(
         r=r,
         l=noncollision_measure(p),
-        l_max=sum((kq(k, 1, ls[-1]) for ls in lens), kq_zero(k)),
-        l_ave=_rep_sum(k, ave),
-        l_med=_rep_sum(k, med),
+        l_max=_pow_sum(p.k, [ls[-1] for ls in lens]),
+        l_ave=_rep_sum(p.k, [_ratio(sum(ls), len(ls)) for ls in lens]),
+        l_med=_rep_sum(p.k, med),
     )
 
 
@@ -214,15 +227,10 @@ def section_inverse(e: Mk1Element) -> Mk1Element:
     """The canonical section ē: each image word maps back to the shortest
     (then dictionary-first) member of its fiber.  Satisfies e∘ē∘e = e and
     ē∘e∘ē = ē, so f <=_L g iff f∘ḡ∘g = f, and f <=_R g iff g∘ḡ∘f = f."""
-    p = part(e)
-    rows = []
-    for cls in p.classes:
-        x = cls[0]
-        y = apply(e, x)
-        if not isinstance(y, tuple):
-            raise CrossCheckFailed(f"fiber word {x} has no value: {y.value}")
-        rows.append((y, x))
-    return Mk1Element.make(e.k, rows)
+    first: dict[Word, Word] = {}  # image -> first domain word of its fiber
+    for x, y in image_code_restriction(e).rows:
+        first.setdefault(y, x)
+    return Mk1Element.make(e.k, first.items())
 
 
 # -- chains and prescribed heights -------------------------------------------------

@@ -274,25 +274,24 @@ def formula_from_truth_table(m: int, n: int, table: int) -> BooleanFormula:
 
 # -- the counting element ---------------------------------------------------------
 
-def encode_formula(f: BooleanFormula, skeleton=None) -> Mk1Element:
+def encode_formula(f: BooleanFormula) -> Mk1Element:
     """The binary table element φ_B whose noncollision measure counts
     ∀-satisfied y's.  Raises NotSurjective when some y has no satisfying x
     (:func:`ensure_surjective` repairs that without changing the count)."""
     table = truth_table(f)
     if not _covers(table, f.m, f.n):
         raise NotSurjective("some y has no satisfying x; ensure_surjective first")
-    if skeleton is None:
-        skeleton = encoding_skeleton(f.m, f.n)
-    questions, spares = skeleton
+    questions, spares = encoding_skeleton(f.m, f.n)
     answers = f"{table:0{len(questions)}b}"[::-1]  # answers[i] is bit i
     rows = [(w, (int(a),) + y) for a, (w, y, _) in zip(answers, questions)]
     rows.extend(spares)
     return Mk1Element.make(2, rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def encoding_skeleton(m: int, n: int):
-    """Reusable domain scaffolding for :func:`encode_formula`."""
+    """Reusable domain scaffolding for :func:`encode_formula`: 3·2^(m+n) rows,
+    kept for the few (m, n) shapes used last."""
     questions = tuple(
         ((0,) + y + x, y, x) for y in bits(n) for x in bits(m)
     )

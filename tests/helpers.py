@@ -1,8 +1,18 @@
 """Seeded random generators shared across the test suite."""
 
 import random
+from collections import deque
 
-from mk1.elements import Mk1Element, identity_element, reduce_rows, single_row, zero_element
+from mk1.dfa import AcyclicDfa
+from mk1.elements import (
+    Mk1Element,
+    apply,
+    identity_element,
+    part,
+    reduce_rows,
+    single_row,
+    zero_element,
+)
 from mk1.errors import CrossCheckFailed, NotDistinct
 from mk1.words import PrefixCode, Word, parse_word, word_key, words_of_length
 
@@ -198,3 +208,50 @@ def reference_separating_context(f: Mk1Element, g: Mk1Element):
         return single_row(k, y0, y0), single_row(k, x0, x0)
     y2 = short + ((long_[len(short)] + 1) % k,)
     return single_row(k, y2, y2), single_row(k, x0, x0)
+
+
+def reference_trie_dfa(code: PrefixCode) -> AcyclicDfa:
+    """The minimal automaton of a nonempty code from a trie keyed by word
+    prefixes, merged deepest level first with sorted signatures, renumbered
+    breadth-first and built through the checked constructor."""
+    children: dict[Word, dict[int, Word]] = {(): {}}
+    for w in code.words:
+        for i in range(len(w)):
+            children.setdefault(w[: i + 1], {})
+            children[w[: i]].setdefault(w[i], w[: i + 1])
+    cls: dict[Word, int] = {}
+    sig_ids: dict[tuple, int] = {}
+    for node in sorted(children, key=len, reverse=True):
+        sig = tuple(sorted((a, cls[ch]) for a, ch in children[node].items()))
+        if sig not in sig_ids:
+            sig_ids[sig] = len(sig_ids)
+        cls[node] = sig_ids[sig]
+    out: dict[int, dict[int, int]] = {}
+    for node, kids in children.items():
+        out.setdefault(cls[node], {a: cls[ch] for a, ch in kids.items()})
+    number = {cls[()]: 0}
+    queue = deque([cls[()]])
+    while queue:
+        c = queue.popleft()
+        for a in sorted(out[c]):
+            d = out[c][a]
+            if d not in number:
+                number[d] = len(number)
+                queue.append(d)
+    edges = tuple(sorted(
+        (number[c], a, number[d]) for c, kids in out.items() for a, d in kids.items()
+    ))
+    accept = number[cls[code.words[0]]]
+    return AcyclicDfa(code.k, len(number), 0, accept, edges)
+
+
+def reference_section_inverse(e: Mk1Element) -> Mk1Element:
+    """The canonical section by applying e to the first word of each fiber."""
+    rows = []
+    for cls in part(e).classes:
+        x = cls[0]
+        y = apply(e, x)
+        if not isinstance(y, tuple):
+            raise CrossCheckFailed(f"fiber word {x} has no value: {y.value}")
+        rows.append((y, x))
+    return Mk1Element.make(e.k, rows)

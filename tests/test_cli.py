@@ -1,14 +1,15 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
-from helpers import deep_rotation
+from helpers import deep_code, deep_rotation
 from mk1.cli import main
 from mk1.elements import compose, format_table, parse_table, partial_identity, single_row
 from mk1.green import heights
 from mk1.kary import parse_krational
-from mk1.words import PrefixCode, parse_word
+from mk1.words import PrefixCode, format_word, parse_word
 
 PHI1 = "k 2\naa -> a\nab -> aa\nb -> aaa\n"
 SWAP = "k 2\na -> b\nb -> a\n"
@@ -82,6 +83,22 @@ def test_green_on_a_deep_table(files, capsys):
     deep = files("deep.txt", format_table(deep_rotation(1500)) + "\n")
     assert run(capsys, "green", "leqR", ident, deep) == (0, "true\n", "")
     assert run(capsys, "green", "eqR", ident, deep) == (0, "true\n", "")
+
+
+def test_heights_dfa_on_a_deep_table(files, capsys):
+    """1501 one-word fibers, 1.1 million letters in all: linear, so fast."""
+    table = files("deep.txt", format_table(deep_rotation(1500)) + "\n")
+    started = time.perf_counter()
+    assert run(capsys, "heights", "--dfa", table) == (
+        0, "R 1\nL 1\nLmax 1\nLave 1\nLmed 1\n", "")
+    assert time.perf_counter() - started < 6.0
+
+
+def test_dfa_mu_on_a_deep_code(files, capsys):
+    code = files("deep.txt", "k 2\n" + "\n".join(map(format_word, deep_code(1500))) + "\n")
+    started = time.perf_counter()
+    assert run(capsys, "dfa-mu", code) == (0, "1\n", "")
+    assert time.perf_counter() - started < 1.0
 
 
 def test_dindex(files, capsys):

@@ -1,0 +1,96 @@
+"""Minimal automata and height reports in time linear in the code.
+
+``trie_dfa`` builds the trie once and merges it bottom-up by signature ids;
+the heights sum integer powers of k.  These properties check both against
+the references in ``helpers`` and against each other, and time the inputs
+on which the old prefix-slicing trie and the per-class ``apply`` blew up.
+"""
+
+import time
+
+from hypothesis import example, given, settings, strategies as st
+
+from helpers import deep_rotation, el, reference_section_inverse, reference_trie_dfa
+from mk1.dfa import format_dfa, height_report_via_dfa, trie_dfa
+from mk1.elements import Mk1Element, format_table, identity_element, zero_element
+from mk1.green import format_height_report, heights, section_inverse
+from mk1.words import PrefixCode, words_of_length
+
+
+def _words(k, max_size=5):
+    return st.lists(st.integers(0, k - 1), max_size=max_size).map(tuple)
+
+
+def _prefix_free(words):
+    """The words that have no shorter (or equal, earlier) word as a prefix."""
+    code = []
+    for x in sorted(words, key=len):
+        if not any(x[: len(d)] == d for d in code):
+            code.append(x)
+    return code
+
+
+def _codes(k):
+    small = st.lists(_words(k), min_size=1, max_size=10).map(_prefix_free)
+    deep = st.lists(st.integers(0, k - 1), min_size=20, max_size=200).map(lambda w: [tuple(w)])
+    # P·S for prefix codes P and S: every p's subtrie is a copy of S's
+    shared = st.tuples(small, small).map(lambda ps: [p + s for p in ps[0] for s in ps[1]])
+    return st.one_of(st.just([()]), small, deep, shared).map(lambda ws: PrefixCode.make(k, ws))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 4)).flatmap(_codes))
+def test_trie_dfa_matches_the_prefix_trie_reference(code):
+    assert format_dfa(trie_dfa(code)) == format_dfa(reference_trie_dfa(code))
+
+
+def _tables(k):
+    """Tables whose images are prefixes of one or two stems, so fibers
+    collect words of several lengths and restrictions split rows."""
+    @st.composite
+    def build(draw):
+        domain = _prefix_free(draw(st.lists(_words(k, 4), min_size=1, max_size=12)))
+        stems = draw(st.lists(_words(k, 3), min_size=1, max_size=2))
+        images = sorted({s[:i] for s in stems for i in range(len(s) + 1)})
+        return Mk1Element.make(k, [(x, draw(st.sampled_from(images))) for x in domain])
+
+    return build()
+
+
+elements = st.sampled_from((2, 3)).flatmap(lambda k: st.one_of(
+    st.just(zero_element(k)), st.just(identity_element(k)), _tables(k)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements)
+@example(zero_element(3))
+@example(identity_element(3))
+@example(el(2, ("a", "a"), ("b", "^")))   # fibers {a, ba}, {bb}: lengths 3/2, 2
+@example(el(3, ("a", "^"), ("ba", "^"), ("bb", "^"), ("c", "^")))   # 3/2
+def test_height_report_via_dfa_formats_as_heights(e):
+    assert format_height_report(height_report_via_dfa(e)) == format_height_report(heights(e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements)
+def test_section_inverse_matches_the_apply_reference(e):
+    assert format_table(section_inverse(e)) == format_table(reference_section_inverse(e))
+
+
+def test_section_inverse_of_a_wide_level_table():
+    """2^14 rows w -> reverse(w): one row per fiber, no scan per row."""
+    e = Mk1Element.make(2, [(w, w[::-1]) for w in words_of_length(2, 14)])
+    started = time.perf_counter()
+    sec = section_inverse(e)
+    assert time.perf_counter() - started < 2.0
+    assert sec.rows == tuple((w, w[::-1]) for w in words_of_length(2, 14))
+
+
+def test_height_report_on_a_1500_level_table():
+    """1501 one-word fibers of total length about 1.1 million letters."""
+    h = deep_rotation(1500)
+    started = time.perf_counter()
+    rep = height_report_via_dfa(h)
+    assert time.perf_counter() - started < 6.0
+    assert format_height_report(rep) == format_height_report(heights(h)) == "\n".join(
+        f"{name} 1" for name in ("R", "L", "Lmax", "Lave", "Lmed"))

@@ -1,9 +1,9 @@
 """Checked boundaries and the unchecked results built behind them.
 
 Public constructors check their input; results the library derives from
-checked values skip those checks.  These properties make sure every such
-result would have passed them anyway, and that the one-pass image-code
-restriction agrees with the counter-loop reference.
+checked values, automata included, skip those checks.  These properties
+make sure every such result would have passed them anyway, and that the
+one-pass image-code restriction agrees with the counter-loop reference.
 """
 
 import ast
@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import mk1
 from helpers import reference_image_code_restriction
 from mk1.congruence import PrefixCodeCongruence, max_congruence, split_class
+from mk1.dfa import AcyclicDfa, trie_dfa
 from mk1.elements import (
     Mk1Element,
     compose,
@@ -62,6 +63,8 @@ def rebuilt(value):
         return Mk1Element(value.k, value.rows)
     if isinstance(value, PrefixCode):
         return PrefixCode(value.k, value.words)
+    if isinstance(value, AcyclicDfa):
+        return AcyclicDfa(value.k, value.n_states, value.start, value.accept, value.edges)
     return PrefixCodeCongruence(rebuilt(value.code), value.classes)
 
 
@@ -85,6 +88,16 @@ def test_derived_values_pass_the_checks(e, extra):
         derived.append(inverse_element(e))
     for value in derived:
         assert rebuilt(value) == value
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements)
+def test_automata_pass_the_checks(e):
+    codes = [e.domain_code, image_code(e)] + [PrefixCode(e.k, cls) for cls in part(e).classes]
+    for code in codes:
+        if code.words:
+            d = trie_dfa(code)
+            assert rebuilt(d) == d
 
 
 @settings(max_examples=150, deadline=None)
