@@ -120,31 +120,29 @@ def max_congruence(c: PrefixCodeCongruence) -> PrefixCodeCongruence:
 
     Whenever k classes are S·a1, ..., S·ak for a common stem set S and the k
     distinct last letters, they encode the same end identifications as the
-    single class S over the coarser code; merge and repeat.  The result is
-    the canonical coarsest presentation of the end relation.
+    single class S over the coarser code; merge, and look again only at S.
+    Classes wait under their stem set until their family is whole.  The
+    result is the canonical coarsest presentation of the end relation.
     """
     k = c.k
-    classes = [frozenset(cls) for cls in c.classes]
-    changed = True
-    while changed:
-        changed = False
-        by_strip: dict[frozenset, dict[int, int]] = {}
-        for i, cls in enumerate(classes):
-            if any(not w for w in cls):
-                continue
-            lasts = {w[-1] for w in cls}
-            if len(lasts) != 1:
-                continue
-            (a,) = lasts
-            fam = by_strip.setdefault(frozenset(w[:-1] for w in cls), {})
-            fam[a] = i
-            if len(fam) == k:
-                strip = frozenset(w[:-1] for w in cls)
-                for j in sorted(fam.values(), reverse=True):
-                    del classes[j]
-                classes.append(strip)
-                changed = True
-                break
+    classes = set(map(frozenset, c.classes))
+    families: dict[frozenset, dict[int, frozenset]] = {}
+    todo = list(classes)
+    while todo:
+        cls = todo.pop()
+        if () in cls:
+            continue
+        lasts = {w[-1] for w in cls}
+        if len(lasts) != 1:
+            continue
+        strip = frozenset(w[:-1] for w in cls)
+        fam = families.setdefault(strip, {})
+        fam[lasts.pop()] = cls
+        if len(fam) == k:
+            classes.difference_update(fam.values())
+            del families[strip]
+            classes.add(strip)
+            todo.append(strip)
     return _canonical(k, [tuple(sorted(cls, key=word_key)) for cls in classes])
 
 

@@ -61,11 +61,9 @@ class AcyclicDfa:
             seen.add((p, a))
         if self.edges != tuple(sorted(self.edges)):
             raise ValueError("edges must be sorted")
-        _acyclic_order(self)
-        fwd: dict[int, list[int]] = {}
+        _, fwd = _acyclic_order(self)
         back: dict[int, list[int]] = {}
         for p, _, q in self.edges:
-            fwd.setdefault(p, []).append(q)
             back.setdefault(q, []).append(p)
         if len(_closure(self.start, fwd)) != self.n_states:
             raise ValueError("every state must be reachable from the start")
@@ -101,14 +99,15 @@ def _closure(source: int, adj: dict[int, list[int]]) -> set[int]:
     return seen
 
 
-def _topological_order(n: int, edges) -> list[int] | None:
-    """States in a topological order (Kahn's algorithm), None on a cycle."""
-    indeg = [0] * n
+def _acyclic_order(d: AcyclicDfa) -> tuple[list[int], dict[int, list[int]]]:
+    """States in a topological order (Kahn's algorithm), and the targets of
+    each state's out-edges."""
+    indeg = [0] * d.n_states
     outs: dict[int, list[int]] = {}
-    for p, _, q in edges:
+    for p, _, q in d.edges:
         indeg[q] += 1
         outs.setdefault(p, []).append(q)
-    todo = [q for q in range(n) if indeg[q] == 0]
+    todo = [q for q in range(d.n_states) if indeg[q] == 0]
     order = []
     while todo:
         p = todo.pop()
@@ -117,14 +116,9 @@ def _topological_order(n: int, edges) -> list[int] | None:
             indeg[q] -= 1
             if indeg[q] == 0:
                 todo.append(q)
-    return order if len(order) == n else None
-
-
-def _acyclic_order(d: AcyclicDfa) -> list[int]:
-    order = _topological_order(d.n_states, d.edges)
-    if order is None:
+    if len(order) != d.n_states:
         raise CyclicGraph("the transition graph has a cycle")
-    return order
+    return order, outs
 
 
 def trie_dfa(code: PrefixCode) -> AcyclicDfa:
@@ -194,15 +188,13 @@ def language(d: AcyclicDfa) -> list[Word]:
 def dfa_measure(d: AcyclicDfa) -> KRational:
     """Measure of the accepted code: push mass 1 from the start state
     through the DAG, each edge carrying a 1/k share of its source."""
-    order = _acyclic_order(d)
-    into: dict[int, list[int]] = {}
-    for p, _, q in d.edges:
-        into.setdefault(q, []).append(p)
-    mass = {q: kq_zero(d.k) for q in range(d.n_states)}
+    order, outs = _acyclic_order(d)
+    mass = [kq_zero(d.k)] * d.n_states
     mass[d.start] = kq(d.k, 1)
-    for q in order:
-        for p in into.get(q, ()):
-            mass[q] = mass[q] + mass[p].scale_pow(-1)
+    for p in order:
+        share = mass[p].scale_pow(-1)
+        for q in outs.get(p, ()):
+            mass[q] = mass[q] + share
     return mass[d.accept]
 
 
@@ -230,16 +222,14 @@ def min_rep_measure(d: AcyclicDfa) -> KRational:
 
 def counts_by_length(d: AcyclicDfa) -> dict[int, int]:
     """How many accepted words there are of each length."""
-    order = _acyclic_order(d)
-    into: dict[int, list[int]] = {}
-    for p, _, q in d.edges:
-        into.setdefault(q, []).append(p)
-    counts: dict[int, dict[int, int]] = {q: {} for q in range(d.n_states)}
+    order, outs = _acyclic_order(d)
+    counts: list[dict[int, int]] = [{} for _ in range(d.n_states)]
     counts[d.start] = {0: 1}
-    for q in order:
-        for p in into.get(q, ()):
+    for p in order:
+        for q in outs.get(p, ()):
+            into = counts[q]
             for n, c in counts[p].items():
-                counts[q][n + 1] = counts[q].get(n + 1, 0) + c
+                into[n + 1] = into.get(n + 1, 0) + c
     return counts[d.accept]
 
 

@@ -114,9 +114,6 @@ class Mk1Element:
         """Right-hand words in row order (repeats preserved)."""
         return tuple(y for _, y in self.rows)
 
-    def is_reduced(self) -> bool:
-        return self.rows == reduce_rows(self.k, self.rows)
-
     def reduced(self) -> "Mk1Element":
         rows = reduce_rows(self.k, self.rows)
         return self if rows == self.rows else Mk1Element._trusted(self.k, rows)
@@ -129,23 +126,30 @@ class Mk1Element:
 
 
 def reduce_rows(k: int, rows: Iterable[Row]) -> tuple[Row, ...]:
-    """Merge full sibling row families x·a -> y·a to the unique fixpoint."""
+    """Merge full sibling row families x·a -> y·a to the unique fixpoint.
+
+    One pass from the deepest parents up: a family can only become whole
+    through merges one level below it, so once that level is done each
+    parent needs one look.  A merge puts its own parent on the next level.
+    """
     table = {tuple(x): tuple(y) for x, y in rows}
-    stack = sorted({x[:-1] for x in table if x}, key=word_key)  # pop() takes deepest
-    while stack:
-        p = stack.pop()
-        children = [p + (a,) for a in range(k)]
-        if not all(c in table for c in children):
-            continue
-        images = [table[c] for c in children]
-        stem = images[0][:-1] if images[0] else None
-        if stem is None or any(y != stem + (a,) for a, y in enumerate(images)):
-            continue
-        for c in children:
-            del table[c]
-        table[p] = stem
-        if p:
-            stack.append(p[:-1])
+    parents: list[set[Word]] = [set() for _ in range(max(map(len, table), default=0))]
+    for x in table:
+        if x:
+            parents[len(x) - 1].add(x[:-1])
+    for depth in range(len(parents) - 1, -1, -1):
+        for p in parents[depth]:
+            y = table.get(p + (0,))
+            if not y or y[-1] != 0:
+                continue
+            stem = y[:-1]
+            if any(table.get(p + (a,)) != stem + (a,) for a in range(1, k)):
+                continue
+            for a in range(k):
+                del table[p + (a,)]
+            table[p] = stem
+            if depth:
+                parents[depth - 1].add(p[:-1])
     return tuple(sorted(table.items(), key=_domain_key))
 
 

@@ -153,20 +153,10 @@ class PlepWitness:
 
 
 def plep_d_witness(e1: Mk1Element, e2: Mk1Element) -> PlepWitness:
-    if e1.k != e2.k:
-        raise AlphabetMismatch("different alphabets")
-    _require_plep(e1)
-    _require_plep(e2)
+    r1, r2 = common_image_refinement(e1, e2)
     k = e1.k
-    r1, code1 = _uniform_image_code(e1)
-    r2, code2 = _uniform_image_code(e2)
-    n1, j1 = _k_free(k, len(code1))
-    n2, j2 = _k_free(k, len(code2))
-    if n1 != n2:
-        raise IndexMismatch(f"D-indices differ: {n1} vs {n2}")
-    big = max(j1, j2)
-    ext1 = sorted(w + u for w in code1.words for u in words_of_length(k, big - j1))
-    ext2 = sorted(w + u for w in code2.words for u in words_of_length(k, big - j2))
+    # the refined images all have one length, so dictionary order is canonical
+    ext1, ext2 = (sorted({y for _, y in r.rows}) for r in (r1, r2))
     if len(ext1) != len(ext2):
         raise CrossCheckFailed(f"extended image codes differ in size: {len(ext1)} vs {len(ext2)}")
     q1 = PrefixCode.make(k, ext1)

@@ -249,19 +249,11 @@ def replace_r2(code: PrefixCode, c: Word) -> PrefixCode:
 
 
 def r2_normal_form(code: PrefixCode) -> PrefixCode:
-    """Merge sibling families until none remain (the minimal representative)."""
-    words = set(code.words)
-    changed = True
-    while changed:
-        changed = False
-        parents = {w[:-1] for w in words if w}
-        for p in sorted(parents, key=word_key):
-            fam = {p + (j,) for j in range(code.k)}
-            if fam <= words:
-                words -= fam
-                words.add(p)
-                changed = True
-    return PrefixCode.make(code.k, words)
+    """Merge sibling families until none remain (the minimal representative):
+    the domain of the reduced partial identity on the code."""
+    from .elements import reduce_rows  # elements imports this module
+    rows = reduce_rows(code.k, ((w, w) for w in code.words))
+    return PrefixCode._trusted(code.k, tuple(x for x, _ in rows))
 
 
 # -- codes of prescribed measure ------------------------------------------------

@@ -1,8 +1,12 @@
-"""Seeded random generators shared across the test suite."""
+"""Seeded random generators, hypothesis strategies and reference
+implementations shared across the test suite."""
 
 import random
 from collections import deque
 
+from hypothesis import strategies as st
+
+from mk1.congruence import PrefixCodeCongruence
 from mk1.dfa import AcyclicDfa
 from mk1.elements import (
     Mk1Element,
@@ -15,6 +19,42 @@ from mk1.elements import (
 )
 from mk1.errors import CrossCheckFailed, NotDistinct
 from mk1.words import PrefixCode, Word, parse_word, word_key, words_of_length
+
+
+def words(k: int, max_size: int = 4):
+    """Strategy: words over k letters of length at most ``max_size``."""
+    return st.lists(st.integers(0, k - 1), max_size=max_size).map(tuple)
+
+
+def prefix_free(ws) -> list[Word]:
+    """The words that have no shorter (or equal, earlier) word as a prefix."""
+    code: list[Word] = []
+    for x in sorted(ws, key=len):
+        if not any(x[: len(d)] == d for d in code):
+            code.append(x)
+    return code
+
+
+def tables(k: int):
+    """Strategy: reduced tables over k letters whose images are prefixes of a
+    few stems, so images often are proper prefixes of one another: fibers
+    collect words of several lengths and restrictions split rows."""
+    @st.composite
+    def build(draw):
+        domain = prefix_free(draw(st.lists(words(k), max_size=12)))
+        stems = draw(st.lists(words(k), min_size=1, max_size=3))
+        images = sorted({s[:i] for s in stems for i in range(len(s) + 1)})
+        return Mk1Element.make(k, [(x, draw(st.sampled_from(images))) for x in domain])
+
+    return build()
+
+
+def elements_over(k: int):
+    """Strategy: the zero, the identity and :func:`tables` over k letters."""
+    return st.one_of(st.just(zero_element(k)), st.just(identity_element(k)), tables(k))
+
+
+elements = st.sampled_from((2, 3)).flatmap(elements_over)
 
 
 def el(k, *rows):
@@ -92,7 +132,6 @@ def random_element(rng: random.Random, k: int, max_depth: int = 3,
 
 
 def random_congruence(rng: random.Random, k: int):
-    from mk1.congruence import PrefixCodeCongruence
     code = random_nonempty_code(rng, k, max_depth=3)
     groups: list[list] = []
     for w in code.words:
@@ -255,3 +294,71 @@ def reference_section_inverse(e: Mk1Element) -> Mk1Element:
             raise CrossCheckFailed(f"fiber word {x} has no value: {y.value}")
         rows.append((y, x))
     return Mk1Element.make(e.k, rows)
+
+
+def reference_reduce_rows(k: int, rows) -> tuple:
+    """Reduction from a stack of parents sorted deepest last, each merge
+    pushing its own parent back on top."""
+    table = {tuple(x): tuple(y) for x, y in rows}
+    stack = sorted({x[:-1] for x in table if x}, key=word_key)  # pop() takes deepest
+    while stack:
+        p = stack.pop()
+        children = [p + (a,) for a in range(k)]
+        if not all(c in table for c in children):
+            continue
+        images = [table[c] for c in children]
+        stem = images[0][:-1] if images[0] else None
+        if stem is None or any(y != stem + (a,) for a, y in enumerate(images)):
+            continue
+        for c in children:
+            del table[c]
+        table[p] = stem
+        if p:
+            stack.append(p[:-1])
+    return tuple(sorted(table.items(), key=lambda r: word_key(r[0])))
+
+
+def reference_r2_normal_form(code: PrefixCode) -> PrefixCode:
+    """Sibling families merged by passes over the sorted parents, one pass
+    per level, until a pass merges nothing."""
+    ws = set(code.words)
+    changed = True
+    while changed:
+        changed = False
+        parents = {w[:-1] for w in ws if w}
+        for p in sorted(parents, key=word_key):
+            fam = {p + (j,) for j in range(code.k)}
+            if fam <= ws:
+                ws -= fam
+                ws.add(p)
+                changed = True
+    return PrefixCode.make(code.k, ws)
+
+
+def reference_max_congruence(c: PrefixCodeCongruence) -> PrefixCodeCongruence:
+    """The coarsest congruence by scanning every class for a whole family
+    and restarting the scan after each merge."""
+    k = c.k
+    classes = [frozenset(cls) for cls in c.classes]
+    changed = True
+    while changed:
+        changed = False
+        by_strip: dict[frozenset, dict[int, int]] = {}
+        for i, cls in enumerate(classes):
+            if any(not w for w in cls):
+                continue
+            lasts = {w[-1] for w in cls}
+            if len(lasts) != 1:
+                continue
+            (a,) = lasts
+            fam = by_strip.setdefault(frozenset(w[:-1] for w in cls), {})
+            fam[a] = i
+            if len(fam) == k:
+                strip = frozenset(w[:-1] for w in cls)
+                for j in sorted(fam.values(), reverse=True):
+                    del classes[j]
+                classes.append(strip)
+                changed = True
+                break
+    code = PrefixCode.make(k, [w for cls in classes for w in cls])
+    return PrefixCodeCongruence.make(code, classes)

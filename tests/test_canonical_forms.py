@@ -1,0 +1,120 @@
+"""Reduced tables, R2 normal forms and maximal congruences.
+
+Each comes from one bottom-up merge.  These properties check them against
+the restarting loops kept in ``helpers``, check that ``make`` gives one
+canonical table however the rows are presented, and time the inputs on
+which the old loops were quadratic and about cubic.
+"""
+
+import time
+
+from hypothesis import given, settings, strategies as st
+
+from helpers import (
+    deep_code,
+    elements,
+    elements_over,
+    reference_max_congruence,
+    reference_r2_normal_form,
+    reference_reduce_rows,
+)
+from mk1.congruence import max_congruence, split_class
+from mk1.elements import (
+    Mk1Element,
+    compose,
+    image_code,
+    image_code_restriction,
+    part,
+    partial_identity,
+    reduce_rows,
+    restrict_to_length,
+)
+from mk1.green import leq_L
+from mk1.words import PrefixCode, r2_normal_form, words_of_length
+
+
+def _deeper(e, extra):
+    """e with every domain word split to ``extra`` letters past the longest."""
+    return restrict_to_length(e, max((len(x) for x, _ in e.rows), default=0) + extra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements, st.integers(0, 2))
+def test_reduce_rows_matches_the_reference(e, extra):
+    split = _deeper(e, extra).rows
+    for rows in (e.rows, image_code_restriction(e).rows, split,
+                 [(x, x) for x, _ in split], [(x, y[:1]) for x, y in split]):
+        assert reduce_rows(e.k, rows) == reference_reduce_rows(e.k, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements, st.integers(0, 2))
+def test_r2_normal_form_matches_the_reference(e, extra):
+    for code in (e.domain_code, image_code(e), _deeper(e, extra).domain_code):
+        form = r2_normal_form(code)
+        assert form == reference_r2_normal_form(code)
+        assert form == partial_identity(code).reduced().domain_code
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements, st.integers(0, 2))
+def test_max_congruence_matches_the_reference(e, extra):
+    p = part(e)
+    congruences = [p, part(_deeper(e, extra))]
+    if p.classes:
+        congruences.append(split_class(p, extra % len(p.classes)))
+    for c in congruences:
+        assert max_congruence(c) == reference_max_congruence(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements, st.data())
+def test_make_ignores_row_order_and_splits(e, data):
+    rows = data.draw(st.permutations(e.rows))
+    assert Mk1Element.make(e.k, rows) == e
+    for _ in range(data.draw(st.integers(1, 3))):
+        if not rows:
+            break
+        x, y = rows.pop(data.draw(st.integers(0, len(rows) - 1)))
+        rows.extend((x + (a,), y + (a,)) for a in range(e.k))
+        assert Mk1Element.make(e.k, rows) == e
+
+
+triples = st.sampled_from((2, 3)).flatmap(lambda k: st.tuples(*[elements_over(k)] * 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(triples)
+def test_compose_is_associative(fgh):
+    f, g, h = fgh
+    assert compose(compose(f, g), h) == compose(f, compose(g, h))
+
+
+def _unmergeable_pairs(d):
+    """1.5·2^d rows over two letters.  The rows 0·u·0 and 0·reverse(u)·1 share
+    the image 00·u·00, a fiber that never merges; the 2^d one-word fibers of
+    the rows 1·w -> 11·reverse(w) merge all the way up to {b}."""
+    rows = []
+    for u in words_of_length(2, d - 2):
+        image = (0, 0) + u + (0, 0)
+        rows += [((0,) + u + (0,), image), ((0,) + u[::-1] + (1,), image)]
+    rows += [((1,) + w, (1, 1) + w[::-1]) for w in words_of_length(2, d)]
+    return Mk1Element.make(2, rows)
+
+
+def test_leq_L_with_thousands_of_classes_that_never_merge():
+    g = _unmergeable_pairs(13)
+    assert len(g.rows) == 12_288
+    started = time.perf_counter()
+    assert leq_L(g, g)
+    assert time.perf_counter() - started < 2.0
+    m = max_congruence(part(g))
+    assert len(m.classes) == 2**11 + 1 and ((1,),) in m.classes
+
+
+def test_r2_normal_form_of_a_1600_level_code():
+    code = PrefixCode.make(2, deep_code(1600))
+    started = time.perf_counter()
+    form = r2_normal_form(code)
+    assert time.perf_counter() - started < 1.0
+    assert form == PrefixCode.make(2, [()])

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import mk1
 from helpers import deep_code, deep_rotation
 from mk1.cli import main
 from mk1.elements import compose, format_table, parse_table, partial_identity, single_row
@@ -245,9 +248,13 @@ def test_usage_errors_exit_1(capsys):
 def test_console_script(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text(CODE)
+    # the subprocess imports the mk1 that this test imported
+    src = str(Path(mk1.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
     done = subprocess.run(
         [sys.executable, "-m", "mk1.cli", "measure", str(path)],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
     )
     assert done.returncode == 0
     assert done.stdout == "1\n"

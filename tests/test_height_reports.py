@@ -10,28 +10,23 @@ import time
 
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import deep_rotation, el, reference_section_inverse, reference_trie_dfa
+from helpers import (
+    deep_rotation,
+    el,
+    elements,
+    prefix_free,
+    reference_section_inverse,
+    reference_trie_dfa,
+    words,
+)
 from mk1.dfa import format_dfa, height_report_via_dfa, trie_dfa
 from mk1.elements import Mk1Element, format_table, identity_element, zero_element
 from mk1.green import format_height_report, heights, section_inverse
 from mk1.words import PrefixCode, words_of_length
 
 
-def _words(k, max_size=5):
-    return st.lists(st.integers(0, k - 1), max_size=max_size).map(tuple)
-
-
-def _prefix_free(words):
-    """The words that have no shorter (or equal, earlier) word as a prefix."""
-    code = []
-    for x in sorted(words, key=len):
-        if not any(x[: len(d)] == d for d in code):
-            code.append(x)
-    return code
-
-
 def _codes(k):
-    small = st.lists(_words(k), min_size=1, max_size=10).map(_prefix_free)
+    small = st.lists(words(k, 5), min_size=1, max_size=10).map(prefix_free)
     deep = st.lists(st.integers(0, k - 1), min_size=20, max_size=200).map(lambda w: [tuple(w)])
     # P·S for prefix codes P and S: every p's subtrie is a copy of S's
     shared = st.tuples(small, small).map(lambda ps: [p + s for p in ps[0] for s in ps[1]])
@@ -42,23 +37,6 @@ def _codes(k):
 @given(st.sampled_from((2, 3, 4)).flatmap(_codes))
 def test_trie_dfa_matches_the_prefix_trie_reference(code):
     assert format_dfa(trie_dfa(code)) == format_dfa(reference_trie_dfa(code))
-
-
-def _tables(k):
-    """Tables whose images are prefixes of one or two stems, so fibers
-    collect words of several lengths and restrictions split rows."""
-    @st.composite
-    def build(draw):
-        domain = _prefix_free(draw(st.lists(_words(k, 4), min_size=1, max_size=12)))
-        stems = draw(st.lists(_words(k, 3), min_size=1, max_size=2))
-        images = sorted({s[:i] for s in stems for i in range(len(s) + 1)})
-        return Mk1Element.make(k, [(x, draw(st.sampled_from(images))) for x in domain])
-
-    return build()
-
-
-elements = st.sampled_from((2, 3)).flatmap(lambda k: st.one_of(
-    st.just(zero_element(k)), st.just(identity_element(k)), _tables(k)))
 
 
 @settings(max_examples=300, deadline=None)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mk1
-from helpers import reference_image_code_restriction
+from helpers import elements, reference_image_code_restriction, tables
 from mk1.congruence import PrefixCodeCongruence, max_congruence, split_class
 from mk1.dfa import AcyclicDfa, trie_dfa
 from mk1.elements import (
@@ -27,34 +27,13 @@ from mk1.elements import (
     part,
     restrict_to_length,
     uniform_image_form,
-    zero_element,
 )
 from mk1.errors import DomainNotPrefixCode, NotAClass, OutOfRange
 from mk1.words import PrefixCode
 
 
-def _tables(k):
-    words = st.lists(st.integers(0, k - 1), max_size=4).map(tuple)
-
-    @st.composite
-    def build(draw):
-        domain = []
-        for x in sorted(draw(st.lists(words, max_size=10)), key=len):
-            if not any(x[: len(d)] == d for d in domain):
-                domain.append(x)
-        # images come from the prefixes of a few stems, so they often
-        # are proper prefixes of one another
-        stems = draw(st.lists(words, min_size=1, max_size=3))
-        images = sorted({s[:i] for s in stems for i in range(len(s) + 1)})
-        return Mk1Element.make(k, [(x, draw(st.sampled_from(images))) for x in domain])
-
-    return build()
-
-
-elements = st.sampled_from((2, 3)).flatmap(lambda k: st.one_of(
-    st.just(zero_element(k)), st.just(identity_element(k)), _tables(k)))
 pairs = st.sampled_from((2, 3)).flatmap(lambda k: st.tuples(
-    st.one_of(st.just(identity_element(k)), _tables(k)), _tables(k)))
+    st.one_of(st.just(identity_element(k)), tables(k)), tables(k)))
 
 
 def rebuilt(value):
