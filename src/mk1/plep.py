@@ -100,9 +100,10 @@ def plep_element_with_index(k: int, i: int) -> Mk1Element:
     return eta_idempotent(q, level[0])
 
 
-def _uniform_image_code(e: Mk1Element) -> tuple[Mk1Element, PrefixCode]:
+def _uniform_image_code(e: Mk1Element) -> tuple[Mk1Element, int]:
+    """The uniform image form of e's restriction, and its image-code size."""
     r = uniform_image_form(image_code_restriction(e))
-    return r, PrefixCode.make(e.k, {y for _, y in r.rows})
+    return r, len({y for _, y in r.rows})
 
 
 def _k_free(k: int, n: int) -> tuple[int, int]:
@@ -122,10 +123,10 @@ def common_image_refinement(e1: Mk1Element, e2: Mk1Element) -> tuple[Mk1Element,
     _require_plep(e1)
     _require_plep(e2)
     k = e1.k
-    r1, q1 = _uniform_image_code(e1)
-    r2, q2 = _uniform_image_code(e2)
-    n1, j1 = _k_free(k, len(q1))
-    n2, j2 = _k_free(k, len(q2))
+    r1, size1 = _uniform_image_code(e1)
+    r2, size2 = _uniform_image_code(e2)
+    n1, j1 = _k_free(k, size1)
+    n2, j2 = _k_free(k, size2)
     if n1 != n2:
         raise IndexMismatch(f"D-indices differ: {n1} vs {n2}")
     big = max(j1, j2)
@@ -156,11 +157,11 @@ def plep_d_witness(e1: Mk1Element, e2: Mk1Element) -> PlepWitness:
     r1, r2 = common_image_refinement(e1, e2)
     k = e1.k
     # the refined images all have one length, so dictionary order is canonical
-    ext1, ext2 = (sorted({y for _, y in r.rows}) for r in (r1, r2))
+    ext1, ext2 = (tuple(sorted({y for _, y in r.rows})) for r in (r1, r2))
     if len(ext1) != len(ext2):
         raise CrossCheckFailed(f"extended image codes differ in size: {len(ext1)} vs {len(ext2)}")
-    q1 = PrefixCode.make(k, ext1)
-    q2 = PrefixCode.make(k, ext2)
+    q1 = PrefixCode._trusted(k, ext1)
+    q2 = PrefixCode._trusted(k, ext2)
     pairing = list(zip(ext1, ext2))
     total = is_tlep(e1) and is_tlep(e2)
     rows_b = list(pairing)

@@ -23,13 +23,12 @@ changing their measure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import product
 from operator import and_, or_
 
 from .congruence import noncollision_measure
-from .elements import Mk1Element, part
+from .elements import Mk1Element, part, reduce_rows
 from .errors import (
     ArityMismatch,
     LengthTooSmall,
@@ -95,16 +94,29 @@ class BooleanFormula:
 
     The ast is nested tuples: ('x', i) and ('y', i) with 1-based indices,
     ('not', a), ('and', a, b), ('or', a, b), ('const', 0 or 1).
+    Formulas the library derives from truth tables carry their table.
     """
 
     m: int
     n: int
     ast: Ast
+    _table: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.m < 0 or self.n < 0:
             raise ArityMismatch("variable counts must be non-negative")
         _fold(self.ast, self._check_leaf, _CHECK)
+
+    @classmethod
+    def _trusted(cls, m: int, n: int, ast: Ast, table: int | None) -> "BooleanFormula":
+        """Build without the check fold, for an ast the library built itself;
+        ``table`` is its truth table, or None to leave it to :func:`truth_table`."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "m", m)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "ast", ast)
+        object.__setattr__(f, "_table", table)
+        return f
 
     def _check_leaf(self, node) -> None:
         op = node[0]
@@ -202,10 +214,13 @@ def bits(n: int):
 
 def truth_table(f: BooleanFormula) -> int:
     """All 2^(m+n) values of ``f`` in one integer, capped at 24 variables: bit
-    i is the value at the i-th (y, x) pair of :func:`bits`, y varying slowest."""
+    i is the value at the i-th (y, x) pair of :func:`bits`, y varying slowest.
+    Formulas built from truth tables return theirs; others are folded."""
     count = f.m + f.n
     if count > 24:
         raise TooLarge("brute force capped at 24 variables")
+    if f._table is not None:
+        return f._table
     size = 1 << count
     # mask[p] has bit i set iff bit p of i is set; x1 and y1 are the high bits
     mask = [_repeat(((1 << (1 << p)) - 1) << (1 << p), 2 << p, size) for p in range(count)]
@@ -245,7 +260,19 @@ def covers_every_y(f: BooleanFormula) -> bool:
 
 def ensure_surjective(f: BooleanFormula) -> BooleanFormula:
     """Add a fresh x-variable OR-ed in: same ∀-count, every y coverable."""
-    return BooleanFormula(f.m + 1, f.n, ("or", ("x", f.m + 1), f.ast))
+    table = f._table
+    if table is not None and f.m + f.n < 24:
+        # x_{m+1} is the lowest bit of the x index: old bit i moves to bit
+        # 2i, where x_{m+1} = 0, and every odd bit, where it is 1, is set
+        size = 2 << (f.m + f.n)
+        s = size >> 2
+        while s:  # spread the bits apart, halves first
+            table = (table | table << s) & _repeat((1 << s) - 1, 2 * s, size)
+            s >>= 1
+        table |= _repeat(0b10, 2, size)
+    else:
+        table = None  # left to truth_table, which folds or raises TooLarge
+    return BooleanFormula._trusted(f.m + 1, f.n, ("or", ("x", f.m + 1), f.ast), table)
 
 
 def _chain(op: str, nodes: list, empty: Ast) -> Ast:
@@ -267,9 +294,14 @@ def formula_from_truth_table(m: int, n: int, table: int) -> BooleanFormula:
         raise OutOfRange("truth table bitmask out of range")
     xs = [_literals("x", x) for x in bits(m)]
     ys = [_literals("y", y) for y in bits(n)]
-    minterms = [_chain("and", x + y, ("const", 1))
-                for i, (y, x) in enumerate(product(ys, xs)) if table >> i & 1]
-    return BooleanFormula(m, n, _chain("or", minterms, ("const", 0)))
+    reverse = f"{table:b}"[::-1]  # reverse[i] is bit i: one pass finds the set bits
+    minterms = []
+    i = reverse.find("1")
+    while i >= 0:
+        y, x = divmod(i, 1 << m)
+        minterms.append(_chain("and", xs[x] + ys[y], ("const", 1)))
+        i = reverse.find("1", i + 1)
+    return BooleanFormula._trusted(m, n, _chain("or", minterms, ("const", 0)), table)
 
 
 # -- the counting element ---------------------------------------------------------
@@ -285,7 +317,9 @@ def encode_formula(f: BooleanFormula) -> Mk1Element:
     answers = f"{table:0{len(questions)}b}"[::-1]  # answers[i] is bit i
     rows = [(w, (int(a),) + y) for a, (w, y, _) in zip(answers, questions)]
     rows.extend(spares)
-    return Mk1Element.make(2, rows)
+    # questions, then the one letter longer spares, each in dictionary
+    # order: canonical already; rows merge only when m = 0 or n = 0
+    return Mk1Element._trusted(2, reduce_rows(2, rows))
 
 
 @lru_cache(maxsize=8)

@@ -147,6 +147,9 @@ def _check_witness(e1, e2, expect_tlep):
     w = plep_d_witness(e1, e2)
     assert w.tlep is expect_tlep
     assert len(w.q1) == len(w.q2)
+    for q in (w.q1, w.q2):  # built unchecked: they must pass the checks
+        assert PrefixCode(q.k, q.words) == q
+        assert len({len(word) for word in q.words}) == 1
     assert is_plep(w.b) and is_plep(w.b_prime)
     id1 = partial_identity(w.q1)
     id2 = partial_identity(w.q2)

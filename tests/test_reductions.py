@@ -1,11 +1,13 @@
 import random
 import sys
+import time
 from contextlib import contextmanager
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mk1 import reductions
 from mk1.elements import apply, part
 from mk1.congruence import noncollision_measure
 from mk1.errors import (
@@ -171,9 +173,12 @@ def test_constant_minterm():
 
 def test_one_size_cap():
     big = BooleanFormula(20, 5, ("const", 1))
+    edge = formula_from_truth_table(12, 12, 1)
+    assert truth_table(edge) == 1
     for fn in (truth_table, count_forall_sat, covers_every_y, encode_formula):
-        with pytest.raises(TooLarge):
-            fn(big)
+        for f in (big, ensure_surjective(edge)):
+            with pytest.raises(TooLarge):
+                fn(f)
     wide = BooleanFormula(20, 20, ("and", ("x", 20), ("not", ("y", 1))))
     assert evaluate(wide, (0,) * 19 + (1,), (0,) * 20) == 1
     assert evaluate(wide, (0,) * 20, (0,) * 20) == 0
@@ -190,6 +195,43 @@ def test_deep_dnf():
     assert str(g) == text
     assert truth_table(g) == table
     assert count_forall_sat(f) == 32 and covers_every_y(f)
+
+
+def test_sparse_truth_table_in_linear_time():
+    table = 1 | 1 << (2**20 - 1)
+    started = time.perf_counter()
+    f = formula_from_truth_table(10, 10, table)
+    elapsed = time.perf_counter() - started
+    names = [f"x{j}" for j in range(1, 11)] + [f"y{j}" for j in range(1, 11)]
+    low = " & ".join("!" + v for v in names)
+    assert str(f) == f"m=10 n=10 {low} | {' & '.join(names)}"
+    assert truth_table(f) == truth_table(parse_formula(str(f))) == table
+    assert elapsed < 1.0
+
+
+def _forall_count(m: int, n: int, table: int) -> int:
+    block = (1 << (1 << m)) - 1
+    return sum(table >> (y << m) & block == block for y in range(1 << n))
+
+
+def test_pipeline_folds_no_formula(monkeypatch):
+    """Formulas built from truth tables carry them through the criterion-11
+    pipeline, so it folds no formula."""
+    def no_fold(*args):
+        raise AssertionError("a formula was folded")
+
+    monkeypatch.setattr(reductions, "_fold", no_fold)
+    rng = random.Random(5)
+    cases = [(2, 2, 0), (2, 2, 0xFFFF), (2, 2, 0b0110_1111_0000_1001), (3, 2, 0xFF00FF00)]
+    cases += [(3, 2, rng.getrandbits(32)) for _ in range(3)]
+    for m, n, table in cases:
+        f = formula_from_truth_table(m, n, table)
+        want = _forall_count(m, n, table)
+        assert count_forall_sat(f) == want
+        if not covers_every_y(f):
+            f = ensure_surjective(f)
+        noncoll = noncollision_measure(part(encode_formula(f)))
+        assert recover_count(f.m, n, noncoll) == want
 
 
 def test_parse_deep():

@@ -4,13 +4,15 @@ Public constructors check their input; results the library derives from
 checked values, automata included, skip those checks.  These properties
 make sure every such result would have passed them anyway, and that the
 one-pass image-code restriction agrees with the counter-loop reference.
+Formulas built from truth tables skip the check fold and carry their
+table; φ_B skips ``make``'s sort and checks.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mk1
 from helpers import elements, reference_image_code_restriction, tables
@@ -29,6 +31,14 @@ from mk1.elements import (
     uniform_image_form,
 )
 from mk1.errors import DomainNotPrefixCode, NotAClass, OutOfRange
+from mk1.reductions import (
+    BooleanFormula,
+    covers_every_y,
+    encode_formula,
+    ensure_surjective,
+    formula_from_truth_table,
+    truth_table,
+)
 from mk1.words import PrefixCode
 
 
@@ -44,6 +54,8 @@ def rebuilt(value):
         return PrefixCode(value.k, value.words)
     if isinstance(value, AcyclicDfa):
         return AcyclicDfa(value.k, value.n_states, value.start, value.accept, value.edges)
+    if isinstance(value, BooleanFormula):
+        return BooleanFormula(value.m, value.n, value.ast)
     return PrefixCodeCongruence(rebuilt(value.code), value.classes)
 
 
@@ -86,6 +98,35 @@ def test_compose_passes_the_checks(fg):
     fg_ = compose(f, g)
     assert rebuilt(fg_) == fg_
     assert fg_.reduced() == fg_
+
+
+shapes = st.tuples(st.integers(0, 10), st.integers(0, 10)).filter(lambda mn: sum(mn) <= 10)
+truth_tables = shapes.flatmap(lambda mn: st.tuples(
+    st.just(mn[0]), st.just(mn[1]), st.integers(0, (1 << (1 << sum(mn))) - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(truth_tables)
+@example((0, 0, 0))
+@example((0, 0, 1))
+@example((0, 3, 0b11111111))   # no x: all eight question rows of φ_B merge
+@example((3, 0, 0b01101001))   # no y: two pairs of question rows merge
+@example((5, 5, 2**1024 - 1))  # 1024 minterms
+def test_formulas_from_truth_tables_pass_the_checks(mnt):
+    """The stored table is the fold of the checked rebuild, and it takes no
+    part in ==, hash or str.  (The rebuild shares the ast, so == stays off
+    Python's recursion limit on long DNFs.)"""
+    m, n, table = mnt
+    f = formula_from_truth_table(m, n, table)
+    assert f._table == table
+    for g in (f, ensure_surjective(f)):
+        checked = rebuilt(g)
+        assert checked._table is None
+        assert g._table == truth_table(checked)
+        assert g == checked and hash(g) == hash(checked) and str(g) == str(checked)
+        if covers_every_y(g):
+            e = encode_formula(g)
+            assert e == Mk1Element.make(2, e.rows)
 
 
 def test_public_constructors_still_check():
