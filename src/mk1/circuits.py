@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 
 from .elements import Mk1Element, compose, identity_element, image_code_restriction
-from .errors import EmptyTarget, OutOfRange, UnknownGate
+from .errors import BaseTooSmall, EmptyTarget, OutOfRange, UnknownGate
 from .words import Word, words_of_length
 
 _TAU = re.compile(r"^tau\((\d+)\)$")
@@ -90,6 +90,8 @@ def eval_generator_word(k: int, tokens: list[str]) -> Mk1Element:
 
 def synthesize_partial_identity(k: int, target: Word) -> list[str]:
     """A generator word for the partial identity on A^m minus {target}."""
+    if k < 2:
+        raise BaseTooSmall(f"alphabet size must be at least 2, got {k}")
     target = tuple(target)
     m = len(target)
     if m == 0:

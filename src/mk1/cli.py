@@ -41,6 +41,8 @@ def _read_code(path: str) -> PrefixCode:
             if len(parts) != 2 or parts[0] != "k" or not parts[1].isdigit():
                 raise ParseError(f"expected a 'k <int>' header, got {line!r}")
             k = int(parts[1])
+            if k < 2:
+                raise ParseError("alphabet needs at least two letters")
             continue
         words.append(parse_word(line, k))
     if k is None:

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import CrossCheckFailed, NotAClass
+from .errors import CrossCheckFailed, NotAClass, NotCanonical
 from .kary import KRational, kq_one
-from .words import PrefixCode, Word, mu, word_key
+from .words import PrefixCode, Word, _unchecked, mu, word_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,14 +33,14 @@ class PrefixCodeCongruence:
             if not cls:
                 raise NotAClass("empty class")
             if list(cls) != sorted(cls, key=word_key):
-                raise ValueError("class not canonically sorted")
+                raise NotCanonical("class not canonically sorted")
             seen.update(cls)
         if sum(len(cls) for cls in self.classes) > len(seen):
-            raise ValueError("classes overlap")
+            raise NotAClass("classes overlap")
         if seen != set(self.code.words):
-            raise ValueError("classes do not partition the code")
+            raise NotAClass("classes do not partition the code")
         if list(self.classes) != sorted(self.classes, key=lambda c: word_key(c[0])):
-            raise ValueError("classes not sorted by leading representative")
+            raise NotCanonical("classes not sorted by leading representative")
 
     @classmethod
     def make(cls, code: PrefixCode, groups: Iterable[Iterable[Word]]) -> "PrefixCodeCongruence":
@@ -50,15 +50,8 @@ class PrefixCodeCongruence:
         canon = tuple(sorted(sorted_groups, key=lambda c: word_key(c[0])))
         return cls(code, canon)
 
-    @classmethod
-    def _trusted(cls, code: PrefixCode,
-                 classes: tuple[tuple[Word, ...], ...]) -> "PrefixCodeCongruence":
-        """Build without checks, for canonical classes the library already
-        knows to partition ``code``."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "code", code)
-        object.__setattr__(c, "classes", classes)
-        return c
+    # _trusted(code, classes): canonical classes that partition code
+    _trusted = classmethod(_unchecked)
 
     @property
     def k(self) -> int:

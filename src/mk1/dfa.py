@@ -10,21 +10,23 @@ of by walking word lists.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 
 from .elements import Mk1Element, image_code_and_part
 from .errors import (
     BaseTooSmall,
-    CrossCheckFailed,
     CyclicGraph,
     EmptyLanguage,
+    NotCanonical,
+    NotDeterministic,
     NotSingleAccept,
+    NotTrimmed,
     OutOfRange,
 )
-from .green import HeightReport, _pow_sum, _ratio, _rep_sum
-from .kary import KRational, kq, kq_zero
-from .words import PrefixCode, Word, format_word, word_key
+from .green import HeightReport, _ratio, _rep_sum
+from .kary import KRational, kq, kq_pow_sum, kq_zero
+from .words import PrefixCode, Word, _unchecked, format_word, word_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,29 +48,29 @@ class AcyclicDfa:
         if self.k < 2:
             raise BaseTooSmall(f"alphabet size must be at least 2, got {self.k}")
         if self.n_states < 1:
-            raise ValueError("need at least one state")
+            raise OutOfRange("need at least one state")
         for q in (self.start, self.accept):
             if not 0 <= q < self.n_states:
-                raise ValueError(f"state {q} out of range")
+                raise OutOfRange(f"state {q} out of range")
         seen = set()
         for p, a, q in self.edges:
             if not (0 <= p < self.n_states and 0 <= q < self.n_states):
-                raise ValueError(f"edge ({p},{a},{q}) leaves the state range")
+                raise OutOfRange(f"edge ({p},{a},{q}) leaves the state range")
             if not 0 <= a < self.k:
                 raise OutOfRange(f"letter {a} outside alphabet of size {self.k}")
             if (p, a) in seen:
-                raise ValueError(f"two edges leave state {p} on letter {a}")
+                raise NotDeterministic(f"two edges leave state {p} on letter {a}")
             seen.add((p, a))
         if self.edges != tuple(sorted(self.edges)):
-            raise ValueError("edges must be sorted")
-        _, fwd = _acyclic_order(self)
-        back: dict[int, list[int]] = {}
-        for p, _, q in self.edges:
-            back.setdefault(q, []).append(p)
-        if len(_closure(self.start, fwd)) != self.n_states:
-            raise ValueError("every state must be reachable from the start")
-        if len(_closure(self.accept, back)) != self.n_states:
-            raise ValueError("every state must reach the accept state")
+            raise NotCanonical("edges must be sorted")
+        _acyclic_order(self)
+        # In a DAG every state is reached from a state without in-edges and
+        # reaches one without out-edges, so degrees decide both closures.
+        others = set(range(self.n_states))
+        if {q for _, _, q in self.edges} != others - {self.start}:
+            raise NotTrimmed("every state must be reachable from the start")
+        if {p for p, _ in seen} != others - {self.accept}:
+            raise NotTrimmed("every state must reach the accept state")
 
     @classmethod
     def make(cls, k, n_states, start, accepts, edges) -> "AcyclicDfa":
@@ -77,26 +79,8 @@ class AcyclicDfa:
             raise NotSingleAccept(f"need exactly one accept state, got {len(accepts)}")
         return cls(k, n_states, start, accepts[0], tuple(sorted(edges)))
 
-    @classmethod
-    def _trusted(cls, k: int, n_states: int, start: int, accept: int,
-                 edges: tuple[tuple[int, int, int], ...]) -> "AcyclicDfa":
-        """Build without checks, for automata the library derived from
-        checked codes: trimmed, acyclic, with edges already sorted."""
-        d = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (k, n_states, start, accept, edges)):
-            object.__setattr__(d, name, value)
-        return d
-
-
-def _closure(source: int, adj: dict[int, list[int]]) -> set[int]:
-    seen = {source}
-    todo = [source]
-    while todo:
-        for q in adj.get(todo.pop(), ()):
-            if q not in seen:
-                seen.add(q)
-                todo.append(q)
-    return seen
+    # _trusted(k, n_states, start, accept, edges): trimmed, acyclic, edges sorted
+    _trusted = classmethod(_unchecked)
 
 
 def _acyclic_order(d: AcyclicDfa) -> tuple[list[int], dict[int, list[int]]]:
@@ -186,33 +170,12 @@ def language(d: AcyclicDfa) -> list[Word]:
 
 
 def dfa_measure(d: AcyclicDfa) -> KRational:
-    """Measure of the accepted code: push mass 1 from the start state
-    through the DAG, each edge carrying a 1/k share of its source."""
-    order, outs = _acyclic_order(d)
-    mass = [kq_zero(d.k)] * d.n_states
-    mass[d.start] = kq(d.k, 1)
-    for p in order:
-        share = mass[p].scale_pow(-1)
-        for q in outs.get(p, ()):
-            mass[q] = mass[q] + share
-    return mass[d.accept]
+    """Measure of the accepted code, from its words counted by length."""
+    return kq_pow_sum(d.k, counts_by_length(d))
 
 
 def shortest_accepted(d: AcyclicDfa) -> int:
-    outs: dict[int, list[int]] = {}
-    for p, _, q in d.edges:
-        outs.setdefault(p, []).append(q)
-    dist = {d.start: 0}
-    queue = deque([d.start])
-    while queue:
-        p = queue.popleft()
-        if p == d.accept:
-            return dist[p]
-        for q in outs.get(p, ()):
-            if q not in dist:
-                dist[q] = dist[p] + 1
-                queue.append(q)
-    raise CrossCheckFailed("trimmed automaton never reached its accept state")
+    return min(counts_by_length(d))
 
 
 def min_rep_measure(d: AcyclicDfa) -> KRational:
@@ -262,8 +225,9 @@ def height_report_via_dfa(e: Mk1Element) -> HeightReport:
     stats = [_length_stats(counts_by_length(trie_dfa(PrefixCode._trusted(k, cls))))
              for cls in p.classes]
     lo, hi, ave, med = zip(*stats)
-    return HeightReport(r=dfa_measure(trie_dfa(imc)), l=_pow_sum(k, lo), l_max=_pow_sum(k, hi),
-                        l_ave=_rep_sum(k, ave), l_med=_rep_sum(k, med))
+    return HeightReport(r=dfa_measure(trie_dfa(imc)), l=kq_pow_sum(k, Counter(lo)),
+                        l_max=kq_pow_sum(k, Counter(hi)), l_ave=_rep_sum(k, ave),
+                        l_med=_rep_sum(k, med))
 
 
 def format_dfa(d: AcyclicDfa) -> str:

@@ -32,8 +32,10 @@ from typing import Iterable, Iterator
 from .congruence import PrefixCodeCongruence
 from .errors import (
     AlphabetMismatch,
+    BaseTooSmall,
     DomainNotPrefixCode,
     LengthTooSmall,
+    NotCanonical,
     NotInjective,
     OutOfRange,
     ParseError,
@@ -41,6 +43,7 @@ from .errors import (
 from .words import (
     PrefixCode,
     Word,
+    _unchecked,
     format_word,
     is_prefix_code,
     parse_word,
@@ -72,14 +75,14 @@ class Mk1Element:
 
     def __post_init__(self):
         if self.k < 2:
-            raise ValueError("alphabet needs at least two letters")
+            raise BaseTooSmall("alphabet needs at least two letters")
         for x, y in self.rows:
             for j in x + y:
                 if not 0 <= j < self.k:
                     raise OutOfRange(f"letter index {j} out of range for k={self.k}")
         doms = [x for x, _ in self.rows]
         if doms != sorted(set(doms), key=word_key):
-            raise ValueError("rows must be sorted by domain word, without repeats")
+            raise NotCanonical("rows must be sorted by domain word, without repeats")
         if not is_prefix_code(doms):
             raise DomainNotPrefixCode("domain words must form a prefix code")
 
@@ -89,14 +92,8 @@ class Mk1Element:
         canon = tuple(sorted({(tuple(x), tuple(y)) for x, y in rows}, key=_domain_key))
         return cls(k, canon).reduced()
 
-    @classmethod
-    def _trusted(cls, k: int, rows: tuple[Row, ...]) -> "Mk1Element":
-        """Build without checks, for rows the library derived from checked
-        elements: sorted by domain word, whose domain words form a prefix code."""
-        e = object.__new__(cls)
-        object.__setattr__(e, "k", k)
-        object.__setattr__(e, "rows", rows)
-        return e
+    # _trusted(k, rows): rows sorted by domain word, whose domain words form a prefix code
+    _trusted = classmethod(_unchecked)
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)

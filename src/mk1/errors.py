@@ -3,7 +3,8 @@
 Domain errors derive from :class:`Mk1Error` and carry a stable reason code
 (the class name) so the command-line front end can print a named diagnostic
 and exit with status 2.  Malformed *textual* input is a :class:`ParseError`
-instead, which the front end maps to exit status 1.
+instead, which the front end maps to exit status 1.  The errors the checked
+constructors raise for malformed values also subclass ``ValueError``.
 """
 
 
@@ -21,7 +22,7 @@ class ParseError(ValueError):
 
 # -- exact k-ary arithmetic ------------------------------------------------
 
-class BaseTooSmall(Mk1Error):
+class BaseTooSmall(Mk1Error, ValueError):
     pass
 
 
@@ -29,7 +30,7 @@ class BaseMismatch(Mk1Error):
     pass
 
 
-class NegativeResult(Mk1Error):
+class NegativeResult(Mk1Error, ValueError):
     pass
 
 
@@ -37,9 +38,13 @@ class ZeroValue(Mk1Error):
     pass
 
 
+class NotCanonical(Mk1Error, ValueError):
+    pass
+
+
 # -- words and prefix codes ------------------------------------------------
 
-class OutOfRange(Mk1Error):
+class OutOfRange(Mk1Error, ValueError):
     pass
 
 
@@ -51,9 +56,13 @@ class ChildrenMissing(Mk1Error):
     pass
 
 
+class NotPrefixCode(Mk1Error, ValueError):
+    pass
+
+
 # -- element tables ----------------------------------------------------------
 
-class DomainNotPrefixCode(Mk1Error):
+class DomainNotPrefixCode(NotPrefixCode):
     pass
 
 
@@ -71,7 +80,7 @@ class NotInjective(Mk1Error):
 
 # -- congruences and Green structure -----------------------------------------
 
-class NotAClass(Mk1Error):
+class NotAClass(Mk1Error, ValueError):
     pass
 
 
@@ -124,6 +133,14 @@ class NotSingleAccept(Mk1Error):
 
 
 class CyclicGraph(Mk1Error):
+    pass
+
+
+class NotDeterministic(Mk1Error, ValueError):
+    pass
+
+
+class NotTrimmed(Mk1Error, ValueError):
     pass
 
 

@@ -47,7 +47,7 @@ from .errors import (
     NotDistinct,
     OutOfRange,
 )
-from .kary import KRational, kq
+from .kary import KRational, kq, kq_pow_sum
 from .words import Word, code_with_measure, ideal_ess_eq, ideal_ess_leq, proper_prefixes, word_key
 
 
@@ -69,12 +69,6 @@ class ExponentSum:
 Height = Union[KRational, ExponentSum]
 
 
-def _pow_sum(k: int, exps: Sequence[int]) -> KRational:
-    """Sum of k**(-e) over exps, as one integer over k**max(exps)."""
-    top = max(exps, default=0)
-    return kq(k, sum(k ** (top - e) for e in exps), top)
-
-
 def _ratio(num: int, den: int) -> tuple[int, int]:
     """num/den as a gcd-reduced integer pair."""
     g = gcd(num, den)
@@ -86,7 +80,7 @@ def _rep_sum(k: int, exps: Sequence[tuple[int, int]]) -> Height:
     KRational when every exponent is an integer, else an ExponentSum."""
     counts = Counter(exps)
     if all(d == 1 for _, d in counts):
-        return _pow_sum(k, [n for n, _ in exps])
+        return kq_pow_sum(k, {n: c for (n, _), c in counts.items()})
     return ExponentSum(k, tuple(sorted((Fraction(n, d), c) for (n, d), c in counts.items())))
 
 
@@ -102,10 +96,6 @@ class HeightReport:
 def heights(e: Mk1Element) -> HeightReport:
     """All exact heights of e (zero element: everything is 0)."""
     imc, p = image_code_and_part(e)
-    return heights_from_parts(imc.mu, p)
-
-
-def heights_from_parts(r: KRational, p: PrefixCodeCongruence) -> HeightReport:
     # canonical classes are sorted by length first, so each ls is sorted
     lens = [[len(w) for w in cls] for cls in p.classes]
     med = [
@@ -114,9 +104,9 @@ def heights_from_parts(r: KRational, p: PrefixCodeCongruence) -> HeightReport:
         for ls in lens
     ]
     return HeightReport(
-        r=r,
+        r=imc.mu,
         l=noncollision_measure(p),
-        l_max=_pow_sum(p.k, [ls[-1] for ls in lens]),
+        l_max=kq_pow_sum(p.k, Counter(ls[-1] for ls in lens)),
         l_ave=_rep_sum(p.k, [_ratio(sum(ls), len(ls)) for ls in lens]),
         l_med=_rep_sum(p.k, med),
     )
@@ -243,6 +233,8 @@ def dense_chain(k: int, lo: KRational, hi: KRational, count: int) -> list[Mk1Ele
         raise BaseMismatch("measures must be in base k")
     if not lo < hi:
         raise OutOfRange("need lo < hi")
+    if count < 0:
+        raise OutOfRange(f"count must be at least 0, got {count}")
     diff = hi - lo
     t = 0
     while k ** t <= count:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BaseMismatch, BaseTooSmall, NegativeResult, ParseError, ZeroValue
+from .errors import (BaseMismatch, BaseTooSmall, NegativeResult, NotCanonical, OutOfRange,
+                     ParseError, ZeroValue)
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,19 +30,16 @@ class KRational:
         if self.base < 2:
             raise BaseTooSmall(f"base must be at least 2, got {self.base}")
         if self.num < 0 or self.exp < 0:
-            raise ValueError("numerator and exponent must be non-negative")
+            raise NegativeResult("numerator and exponent must be non-negative")
         if self.num == 0 and self.exp != 0:
-            raise ValueError("zero must be stored as (0, 0)")
+            raise NotCanonical("zero must be stored as (0, 0)")
         if self.exp > 0 and self.num % self.base == 0:
-            raise ValueError("numerator not k-reduced; use kq()")
+            raise NotCanonical("numerator not k-reduced; use kq()")
 
     # -- queries ------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return self.num == 0
-
-    def is_one(self) -> bool:
-        return self.num == 1 and self.exp == 0
 
     def digits(self) -> tuple[int, tuple[int, ...]]:
         """Integer part and fractional base-k digits (most significant first).
@@ -82,37 +80,33 @@ class KRational:
     def as_integer(self) -> int:
         """The value as an int, or raise if it has a fractional part."""
         if self.exp != 0:
-            raise ValueError(f"{self} is not an integer")
+            raise OutOfRange(f"{self} is not an integer")
         return self.num
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _check_base(self, other: "KRational"):
+    def _aligned(self, other: "KRational") -> tuple[int, int, int]:
+        """Both numerators over the common denominator base**e, and e."""
         if not isinstance(other, KRational):
             raise TypeError(f"expected KRational, got {type(other).__name__}")
         if self.base != other.base:
             raise BaseMismatch(f"cannot mix bases {self.base} and {other.base}")
+        k, e = self.base, max(self.exp, other.exp)
+        return self.num * k ** (e - self.exp), other.num * k ** (e - other.exp), e
 
     def __add__(self, other: "KRational") -> "KRational":
-        self._check_base(other)
-        k, e = self.base, max(self.exp, other.exp)
-        a = self.num * k ** (e - self.exp) + other.num * k ** (e - other.exp)
-        return kq(k, a, e)
+        a, b, e = self._aligned(other)
+        return kq(self.base, a + b, e)
 
     def __sub__(self, other: "KRational") -> "KRational":
-        self._check_base(other)
-        k, e = self.base, max(self.exp, other.exp)
-        a = self.num * k ** (e - self.exp) - other.num * k ** (e - other.exp)
-        if a < 0:
+        a, b, e = self._aligned(other)
+        if a < b:
             raise NegativeResult(f"{self} - {other} would be negative")
-        return kq(k, a, e)
+        return kq(self.base, a - b, e)
 
     def cmp(self, other: "KRational") -> int:
-        self._check_base(other)
-        e = max(self.exp, other.exp)
-        lhs = self.num * self.base ** (e - self.exp)
-        rhs = other.num * other.base ** (e - other.exp)
-        return (lhs > rhs) - (lhs < rhs)
+        a, b, _ = self._aligned(other)
+        return (a > b) - (a < b)
 
     def __lt__(self, other):
         return self.cmp(other) < 0
@@ -157,6 +151,13 @@ def kq(base: int, num: int, exp: int = 0) -> KRational:
     return KRational(base, num, exp)
 
 
+def kq_pow_sum(base: int, counts: dict[int, int]) -> KRational:
+    """Sum of count * base**(-e) over a mapping {e: count}, as one integer
+    over base**max(e): the Bernoulli measure of count words of each length e."""
+    top = max(counts, default=0)
+    return kq(base, sum(c * base ** (top - e) for e, c in counts.items()), top)
+
+
 def kq_zero(base: int) -> KRational:
     return kq(base, 0)
 
@@ -199,16 +200,17 @@ def format_krational(x: KRational) -> str:
 
 def parse_krational(base: int, text: str) -> KRational:
     """Inverse of :func:`format_krational` for the given base."""
+    if base < 2:
+        raise BaseTooSmall(f"base must be at least 2, got {base}")
     text = text.strip()
     if not text:
         raise ParseError("empty k-ary rational")
-    if "." in text:
-        ip_text, _, frac_text = text.partition(".")
-    else:
-        ip_text, frac_text = text, ""
+    ip_text, _, frac_text = text.partition(".")
     try:
         if base <= 10:
-            int_part = _int_from_base(ip_text, base)
+            if not ip_text.isdigit():
+                raise ValueError
+            int_part = int(ip_text, base)
             frac = tuple(int(c) for c in frac_text)
             if any(d >= base for d in frac):
                 raise ValueError
@@ -238,14 +240,3 @@ def _int_to_base(value: int, base: int) -> str:
         out.append(str(d))
     return "".join(reversed(out))
 
-
-def _int_from_base(text: str, base: int) -> int:
-    if not text or not text.isdigit():
-        raise ValueError(text)
-    value = 0
-    for c in text:
-        d = int(c)
-        if d >= base:
-            raise ValueError(text)
-        value = value * base + d
-    return value

@@ -39,7 +39,7 @@ from .errors import (
     TooLong,
 )
 from .kary import KRational, kq
-from .words import PrefixCode, Word, words_of_length
+from .words import PrefixCode, Word, _unchecked, words_of_length
 
 Ast = tuple
 
@@ -107,16 +107,8 @@ class BooleanFormula:
             raise ArityMismatch("variable counts must be non-negative")
         _fold(self.ast, self._check_leaf, _CHECK)
 
-    @classmethod
-    def _trusted(cls, m: int, n: int, ast: Ast, table: int | None) -> "BooleanFormula":
-        """Build without the check fold, for an ast the library built itself;
-        ``table`` is its truth table, or None to leave it to :func:`truth_table`."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "m", m)
-        object.__setattr__(f, "n", n)
-        object.__setattr__(f, "ast", ast)
-        object.__setattr__(f, "_table", table)
-        return f
+    # _trusted(m, n, ast, table): an ast the library built, and its truth table or None
+    _trusted = classmethod(_unchecked)
 
     def _check_leaf(self, node) -> None:
         op = node[0]
@@ -315,7 +307,7 @@ def encode_formula(f: BooleanFormula) -> Mk1Element:
         raise NotSurjective("some y has no satisfying x; ensure_surjective first")
     questions, spares = encoding_skeleton(f.m, f.n)
     answers = f"{table:0{len(questions)}b}"[::-1]  # answers[i] is bit i
-    rows = [(w, (int(a),) + y) for a, (w, y, _) in zip(answers, questions)]
+    rows = [(w, (int(a),) + y) for a, (w, y) in zip(answers, questions)]
     rows.extend(spares)
     # questions, then the one letter longer spares, each in dictionary
     # order: canonical already; rows merge only when m = 0 or n = 0
@@ -326,9 +318,7 @@ def encode_formula(f: BooleanFormula) -> Mk1Element:
 def encoding_skeleton(m: int, n: int):
     """Reusable domain scaffolding for :func:`encode_formula`: 3·2^(m+n) rows,
     kept for the few (m, n) shapes used last."""
-    questions = tuple(
-        ((0,) + y + x, y, x) for y in bits(n) for x in bits(m)
-    )
+    questions = tuple(((0,) + y + x, y) for y in bits(n) for x in bits(m))
     spares = tuple(
         ((1,) + y + w, (0,) + y) for y in bits(n) for w in bits(m + 1)
     )

@@ -11,27 +11,41 @@ together with the alphabet size.  Its Bernoulli measure mu(P) = sum over
 words of k**(-length) is exact (:class:`~mk1.kary.KRational`); a prefix code
 is maximal iff the measure is 1.  The right ideal generated by P is P·A*,
 and two ideals are essentially equal when they contain the same infinite
-ends — decidable by the bounded covering test below.
+ends — decided by measure below: the code words extending w cover w·A^ω
+exactly when their measure is k**(-|w|).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import (
+    BaseTooSmall,
     ChildrenMissing,
+    NotCanonical,
     NotInCode,
+    NotPrefixCode,
     OutOfRange,
     ParseError,
 )
-from .kary import KRational, kq, kq_one
+from .kary import KRational, kq, kq_one, kq_pow_sum
 
 Word = tuple[int, ...]
 
 EPSILON: Word = ()
+
+
+def _unchecked(cls, *values):
+    """An instance of the slotted dataclass ``cls`` holding ``values`` in field
+    order, built without ``__post_init__``: every ``_trusted`` class method."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def is_prefix(u: Word, v: Word) -> bool:
@@ -101,28 +115,22 @@ class PrefixCode:
 
     def __post_init__(self):
         if self.k < 2:
-            raise ValueError("alphabet needs at least two letters")
+            raise BaseTooSmall("alphabet needs at least two letters")
         for w in self.words:
             for j in w:
                 if not 0 <= j < self.k:
-                    raise ValueError(f"letter index {j} out of range for k={self.k}")
+                    raise OutOfRange(f"letter index {j} out of range for k={self.k}")
         if list(self.words) != sorted(set(self.words), key=word_key):
-            raise ValueError("words must be canonically sorted and distinct")
+            raise NotCanonical("words must be canonically sorted and distinct")
         if not is_prefix_code(self.words):
-            raise ValueError("not a prefix code")
+            raise NotPrefixCode("not a prefix code")
 
     @classmethod
     def make(cls, k: int, words: Iterable[Word]) -> "PrefixCode":
         return cls(k, tuple(sorted(set(map(tuple, words)), key=word_key)))
 
-    @classmethod
-    def _trusted(cls, k: int, words: tuple[Word, ...]) -> "PrefixCode":
-        """Build without checks, for words the library already holds as a
-        canonically sorted prefix code over k letters."""
-        code = object.__new__(cls)
-        object.__setattr__(code, "k", k)
-        object.__setattr__(code, "words", words)
-        return code
+    # _trusted(k, words): words are a canonically sorted prefix code over k letters
+    _trusted = classmethod(_unchecked)
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)
@@ -148,62 +156,37 @@ def mu(k: int, words: Iterable[Word]) -> KRational:
 
     Input is treated as a set; duplicates do not count twice.
     """
-    ws = set(map(tuple, words))
-    if not ws:
-        return kq(k, 0)
-    depth = max(len(w) for w in ws)
-    total = sum(k ** (depth - len(w)) for w in ws)
-    return kq(k, total, depth)
+    return kq_pow_sum(k, Counter(map(len, set(map(tuple, words)))))
 
 
 def is_maximal_code(code: PrefixCode) -> bool:
     return code.mu == kq_one(code.k)
 
 
-# -- the right-ideal covering test -------------------------------------------
-
-class _Trie:
-    """Internal prefix tree for covering queries against a fixed code."""
-
-    __slots__ = ("k", "root")
-
-    def __init__(self, k: int, words: Iterable[Word]):
-        self.k = k
-        self.root = {}
-        for w in words:
-            node = self.root
-            for j in w:
-                node = node.setdefault(j, {})
-            node[None] = True  # end marker
-
-    def covers(self, w: Word) -> bool:
-        """True iff every infinite end through w has a prefix in the code."""
-        node = self.root
-        for j in w:
-            if None in node:
-                return True
-            node = node.get(j)
-            if node is None:
-                return False
-        stack = [node]  # the code words below w must form a maximal code
-        while stack:
-            node = stack.pop()
-            if None not in node:
-                if len(node) < self.k:
-                    return False
-                stack.extend(node.values())
-        return True
-
+# -- essential containment by measure ------------------------------------------
 
 def covered(w: Word, code: PrefixCode) -> bool:
     """True iff the end set of w·A* is contained in that of code·A*."""
-    return _Trie(code.k, code.words).covers(w)
+    return ideal_ess_leq(PrefixCode._trusted(code.k, (tuple(w),)), code)
 
 
 def ideal_ess_leq(p1: PrefixCode, p2: PrefixCode) -> bool:
-    """Essential containment of right ideals: ends(P1 A*) within ends(P2 A*)."""
-    trie = _Trie(p2.k, p2.words)
-    return all(trie.covers(w) for w in p1.words)
+    """Essential containment of right ideals: ends(P1 A*) within ends(P2 A*).
+
+    In dictionary order a code word that is a prefix of w sits just before
+    w, and the code words extending w form one run from w on; the run covers
+    w·A^ω iff its measure is k**(-|w|).  Each w costs two bisects and its own
+    run, so the cost is linear in the codes after one sort.
+    """
+    k = p2.k
+    ws = sorted(p2.words)
+    for w in p1.words:
+        i = bisect_right(ws, w)
+        if i and is_prefix(ws[i - 1], w):
+            continue
+        if mu(k, ws[i:bisect_left(ws, w + (k,), i)]) != kq(k, 1, len(w)):
+            return False
+    return True
 
 
 def ideal_ess_eq(p1: PrefixCode, p2: PrefixCode) -> bool:

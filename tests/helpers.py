@@ -199,6 +199,37 @@ def reference_image_code_restriction(e: Mk1Element) -> tuple:
     return tuple(sorted(rows, key=lambda r: word_key(r[0])))
 
 
+def reference_ideal_ess_leq(p1: PrefixCode, p2: PrefixCode) -> bool:
+    """Essential containment by a covering walk of P2's trie: each word of P1
+    passes a code word, or ends at a node below which every inner node has
+    all k children."""
+    root: dict = {}
+    for w in p2.words:
+        node = root
+        for j in w:
+            node = node.setdefault(j, {})
+        node[None] = True  # end marker
+
+    def covers(w: Word) -> bool:
+        node = root
+        for j in w:
+            if None in node:
+                return True
+            node = node.get(j)
+            if node is None:
+                return False
+        stack = [node]  # the code words below w must form a maximal code
+        while stack:
+            node = stack.pop()
+            if None not in node:
+                if len(node) < p2.k:
+                    return False
+                stack.extend(node.values())
+        return True
+
+    return all(covers(w) for w in p1.words)
+
+
 def reference_compose(f: Mk1Element, g: Mk1Element) -> Mk1Element:
     """f∘g by scanning f's whole domain for every row of g: a row is split
     while some domain word of f properly extends its image."""

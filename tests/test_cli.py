@@ -231,6 +231,38 @@ def test_bad_input_exits_1(files, capsys):
     assert run(capsys, "chain", "2", "??", "0.1", "3")[0] == 1
 
 
+MALFORMED_FILES = {
+    "noncode.txt": "k 2\na\nab\n",    # a is a prefix of ab
+    "code1.txt": "k 1\na\n",
+    "table1.txt": "k 1\na -> a\n",
+}
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["measure", "noncode.txt"], 2),
+    (["dfa-mu", "noncode.txt"], 2),
+    (["measure", "code1.txt"], 1),
+    (["dfa-mu", "--dump", "code1.txt"], 1),
+    (["normalize", "table1.txt"], 1),
+    (["heights", "--dfa", "table1.txt"], 1),
+    (["synth-id", "1", "a"], 2),
+    (["eval-gen", "1", "and"], 2),
+    (["chain", "1", "0.1", "0.11", "1"], 2),
+    (["with-heights", "1", "0", "0"], 2),
+    (["chain", "2", "0.1", "0.11", "-1"], 2),
+    (["eval-gen", "2", "frob"], 2),
+    (["measure", "missing.txt"], 1),
+])
+def test_malformed_input_is_a_named_error(tmp_path, capsys, argv, status):
+    for name, text in MALFORMED_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (status, "")
+    assert err.startswith("error")
+    assert "Traceback" not in err
+
+
 def test_large_alphabet_is_a_named_error(capsys):
     # letters print only up to 'z', so a 30-letter chain cannot be shown
     code, out, err = run(capsys, "chain", "30", "0.[1]", "0.[29]", "3")

@@ -46,6 +46,20 @@ def test_validation():
     assert d.accept == 1
 
 
+def test_reachability_is_decided_by_degrees():
+    # state 0's only edge leads into the start: start has an in-edge, and 0
+    # is a second state without in-edges
+    with pytest.raises(ValueError, match="reachable from the start"):
+        AcyclicDfa(2, 3, 1, 2, ((0, 0, 1), (1, 0, 2)))
+    # state 3 is a second sink beside the accept state
+    with pytest.raises(ValueError, match="reach the accept state"):
+        AcyclicDfa(2, 4, 0, 2, ((0, 0, 1), (0, 1, 3), (1, 0, 2)))
+    # the accept state may not lead on
+    with pytest.raises(ValueError, match="reach the accept state"):
+        AcyclicDfa(2, 3, 0, 1, ((0, 0, 1), (1, 0, 2)))
+    assert AcyclicDfa(2, 1, 0, 0, ()).n_states == 1
+
+
 def test_trie_dfa_worked():
     d = trie_dfa(pc(2, "a", "ba", "bb"))
     assert d == AcyclicDfa(

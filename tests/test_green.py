@@ -1,6 +1,7 @@
 """Heights, Green preorders, D-index, chains, prescribed heights, contexts."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,15 @@ def test_R_order_on_a_1500_level_table():
     h, ident = deep_rotation(1500), identity_element(2)
     assert leq_R(ident, h) and leq_R(h, ident)
     assert eq_R(ident, h) and eq_R(h, ident)
+
+
+def test_R_order_between_1500_level_tables_is_fast():
+    """Containment by measure: two bisects per word and one slice per run."""
+    f, g = deep_rotation(1500), deep_rotation(1500)
+    started = time.perf_counter()
+    assert leq_R(f, g) and leq_R(g, f)
+    assert eq_R(f, g) and eq_R(g, f)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_dense_chain():

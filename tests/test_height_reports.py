@@ -19,7 +19,7 @@ from helpers import (
     reference_trie_dfa,
     words,
 )
-from mk1.dfa import format_dfa, height_report_via_dfa, trie_dfa
+from mk1.dfa import dfa_measure, format_dfa, height_report_via_dfa, shortest_accepted, trie_dfa
 from mk1.elements import Mk1Element, format_table, identity_element, zero_element
 from mk1.green import format_height_report, heights, section_inverse
 from mk1.words import PrefixCode, words_of_length
@@ -37,6 +37,14 @@ def _codes(k):
 @given(st.sampled_from((2, 3, 4)).flatmap(_codes))
 def test_trie_dfa_matches_the_prefix_trie_reference(code):
     assert format_dfa(trie_dfa(code)) == format_dfa(reference_trie_dfa(code))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 4)).flatmap(_codes))
+def test_automaton_measure_and_shortest_length_from_length_counts(code):
+    d = trie_dfa(code)
+    assert dfa_measure(d) == code.mu
+    assert shortest_accepted(d) == min(map(len, code.words))
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,8 +3,16 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import deep_code, random_code, random_nonempty_code
+from helpers import (
+    deep_code,
+    prefix_free,
+    random_code,
+    random_nonempty_code,
+    reference_ideal_ess_leq,
+    words,
+)
 from mk1.errors import ChildrenMissing, NotInCode, OutOfRange, ParseError
 from mk1.kary import kq, kq_one, kq_zero, parse_krational
 from mk1.words import (
@@ -85,6 +93,41 @@ def test_covered():
     full = pc(2, "a", "ba", "bb")
     assert covered((), full)
     assert covered((1,), full)            # via the pair {ba, bb}
+
+
+def _ideal_codes(k):
+    """Strategy: the empty code, {^}, prefix codes of mixed depths, and such
+    codes completed to maximal ones by their complements."""
+    mixed = st.lists(words(k, 5), min_size=1, max_size=10).map(prefix_free)
+    full = mixed.map(lambda ws: ws + list(complement_code(PrefixCode.make(k, ws)).words))
+    return st.one_of(st.just([]), st.just([()]), mixed, full).map(
+        lambda ws: PrefixCode.make(k, ws))
+
+
+@st.composite
+def _code_pairs(draw):
+    """(p1, p2): p1 independent of p2, or p2's sibling families merged, or p2
+    with one word split into its children (the ideal is the same)."""
+    k = draw(st.sampled_from((2, 3)))
+    p2 = draw(_ideal_codes(k))
+    choices = [_ideal_codes(k), st.just(r2_normal_form(p2))]
+    if p2.words:
+        choices.append(st.sampled_from(p2.words).map(lambda w: replace_r1(p2, w)))
+    return draw(st.one_of(choices)), p2
+
+
+@settings(max_examples=600, deadline=None)
+@given(_code_pairs())
+@example((pc(2), pc(2)))
+@example((pc(2, "^"), pc(2)))
+@example((pc(2), pc(2, "^")))
+@example((pc(2, "^"), pc(2, "a", "ba", "bb")))
+@example((pc(3, "a", "b"), pc(3, "aa", "ab", "ac", "ba", "bb")))
+@example((pc(2, "aa", "ba"), pc(2, "ab", "b")))
+def test_ideal_ess_leq_matches_the_trie_reference(pair):
+    p1, p2 = pair
+    assert ideal_ess_leq(p1, p2) == reference_ideal_ess_leq(p1, p2)
+    assert ideal_ess_leq(p2, p1) == reference_ideal_ess_leq(p2, p1)
 
 
 def test_complement():
