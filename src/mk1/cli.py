@@ -100,8 +100,10 @@ def _cmd_dindex(args):
 def _cmd_chain(args):
     lo = parse_krational(args.k, args.lo)
     hi = parse_krational(args.k, args.hi)
-    elements = green.dense_chain(args.k, lo, hi, args.count)
-    print("\n\n".join(format_table(e) for e in elements))
+    tables = (format_table(e) for e in green.iter_dense_chain(args.k, lo, hi, args.count))
+    print(next(tables, ""))  # an empty chain prints one empty line
+    for text in tables:
+        print("\n" + text)
 
 
 def _cmd_with_heights(args):

@@ -45,6 +45,7 @@ from .words import (
     Word,
     _unchecked,
     format_word,
+    is_prefix,
     is_prefix_code,
     parse_word,
     proper_prefixes,
@@ -246,6 +247,18 @@ def image_code(e: Mk1Element) -> PrefixCode:
     return _image_code_of(image_code_restriction(e))
 
 
+def image_ideal(e: Mk1Element) -> PrefixCode:
+    """The minimal image words, which generate the image ideal (empty for zero).
+
+    In dictionary order every word between a word and its extension extends
+    it too, so a word is minimal iff the last kept word is not its prefix."""
+    kept: list[Word] = []
+    for y in sorted(set(e.image_words)):
+        if not kept or not is_prefix(kept[-1], y):
+            kept.append(y)
+    return PrefixCode._trusted(e.k, tuple(sorted(kept, key=word_key)))
+
+
 def part(e: Mk1Element) -> PrefixCodeCongruence:
     """The fiber partition of the image-code restriction of e.
 
@@ -312,17 +325,16 @@ def _level_splits(k: int, x: Word, y: Word, depth: int):
 # -- predicates and inverses -----------------------------------------------------
 
 def is_injective(e: Mk1Element) -> bool:
-    r = image_code_restriction(e)
-    return len({y for _, y in r.rows}) == len(r.rows)
+    """True iff the images are distinct and pairwise prefix-incomparable."""
+    return is_prefix_code(e.image_words)
 
 
 def inverse_element(e: Mk1Element) -> Mk1Element:
-    """The inverse of an injective element (its image words, restricted, form
-    a prefix code, so the flipped table is again valid)."""
-    r = image_code_restriction(e)
-    if len({y for _, y in r.rows}) != len(r.rows):
+    """The inverse of an injective element (its image words form a prefix
+    code, so the flipped table is again valid)."""
+    if not is_injective(e):
         raise NotInjective("element collapses distinct ends")
-    return Mk1Element._trusted(e.k, reduce_rows(e.k, ((y, x) for x, y in r.rows)))
+    return Mk1Element._trusted(e.k, reduce_rows(e.k, ((y, x) for x, y in e.rows)))
 
 
 def is_idempotent(e: Mk1Element) -> bool:

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .congruence import (
     PrefixCodeCongruence,
@@ -31,9 +31,8 @@ from .congruence import (
 from .elements import (
     Mk1Element,
     identity_element,
-    image_code,
-    image_code_and_part,
     image_code_restriction,
+    image_ideal,
     part,
     partial_identity,
     single_row,
@@ -95,7 +94,7 @@ class HeightReport:
 
 def heights(e: Mk1Element) -> HeightReport:
     """All exact heights of e (zero element: everything is 0)."""
-    imc, p = image_code_and_part(e)
+    p = part(e)
     # canonical classes are sorted by length first, so each ls is sorted
     lens = [[len(w) for w in cls] for cls in p.classes]
     med = [
@@ -104,7 +103,7 @@ def heights(e: Mk1Element) -> HeightReport:
         for ls in lens
     ]
     return HeightReport(
-        r=imc.mu,
+        r=image_ideal(e).mu,
         l=noncollision_measure(p),
         l_max=kq_pow_sum(p.k, Counter(ls[-1] for ls in lens)),
         l_ave=_rep_sum(p.k, [_ratio(sum(ls), len(ls)) for ls in lens]),
@@ -125,15 +124,15 @@ def format_height_report(rep: HeightReport) -> str:
 def d_index_M(e: Mk1Element):
     """Position of e's D-class among the k-1 nonzero ones; None for zero.
 
-    Cross-checked three ways: from the image-code size and from the digit
-    sums of both heights, which always agree modulo k-1.
+    Cross-checked three ways: from the number of minimal image words and
+    from the digit sums of both heights, which always agree modulo k-1.
     """
     if e.is_zero:
         return None
     k = e.k
-    imc, p = image_code_and_part(e)
-    idx = (len(imc) - 1) % (k - 1) + 1
-    for name, height in (("R", imc.mu), ("L", noncollision_measure(p))):
+    ideal = image_ideal(e)
+    idx = (len(ideal) - 1) % (k - 1) + 1
+    for name, height in (("R", ideal.mu), ("L", noncollision_measure(part(e)))):
         if height.digit_sum_mod() != idx:
             raise CrossCheckFailed(
                 f"{name}-height digit sum {height.digit_sum_mod()} differs from index {idx}")
@@ -152,7 +151,7 @@ def leq_R(f: Mk1Element, g: Mk1Element) -> bool:
     """f <=_R g: does f's image ideal essentially sit inside g's?"""
     if f.k != g.k:
         raise AlphabetMismatch("different alphabets")
-    return ideal_ess_leq(image_code(f), image_code(g))
+    return ideal_ess_leq(image_ideal(f), image_ideal(g))
 
 
 def leq_L(f: Mk1Element, g: Mk1Element) -> bool:
@@ -201,7 +200,7 @@ def _fibers_leq(pf: PrefixCodeCongruence, pg: PrefixCodeCongruence) -> bool:
 def eq_R(f: Mk1Element, g: Mk1Element) -> bool:
     if f.k != g.k:
         raise AlphabetMismatch("different alphabets")
-    return ideal_ess_eq(image_code(f), image_code(g))
+    return ideal_ess_eq(image_ideal(f), image_ideal(g))
 
 
 def eq_L(f: Mk1Element, g: Mk1Element) -> bool:
@@ -229,6 +228,12 @@ def dense_chain(k: int, lo: KRational, hi: KRational, count: int) -> list[Mk1Ele
     """count idempotents strictly between lo and hi in both the R- and
     L-order, with strictly increasing heights.  Witnesses the density of the
     ordering: the canonical codes of intermediate measures are nested."""
+    return list(iter_dense_chain(k, lo, hi, count))
+
+
+def iter_dense_chain(k: int, lo: KRational, hi: KRational, count: int) -> Iterator[Mk1Element]:
+    """:func:`dense_chain` one element at a time, in bounded memory; the
+    arguments are checked before the first element is asked for."""
     if lo.base != k or hi.base != k:
         raise BaseMismatch("measures must be in base k")
     if not lo < hi:
@@ -239,11 +244,8 @@ def dense_chain(k: int, lo: KRational, hi: KRational, count: int) -> list[Mk1Ele
     t = 0
     while k ** t <= count:
         t += 1
-    out = []
-    for i in range(1, count + 1):
-        c = lo + kq(k, diff.num * i, diff.exp + t)
-        out.append(partial_identity(code_with_measure(k, c)))
-    return out
+    return (partial_identity(code_with_measure(k, lo + kq(k, diff.num * i, diff.exp + t)))
+            for i in range(1, count + 1))
 
 
 def _corner_split(k: int, words: list[Word]) -> list[Word]:

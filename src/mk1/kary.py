@@ -57,19 +57,13 @@ class KRational:
     def digit_sum_mod(self) -> int:
         """Sum of all base-k digits, reduced into {1, ..., base-1}.
 
-        Congruent to ``num`` modulo ``base - 1`` (casting out k-1's), which
-        is what makes it usable as a D-class index.  Undefined for zero.
+        The digits are those of ``num``, and a digit sum is congruent to its
+        number modulo ``base - 1`` (casting out k-1's), which is what makes
+        it usable as a D-class index.  Undefined for zero.
         """
         if self.is_zero():
             raise ZeroValue("digit sum index of zero is undefined")
-        int_part, frac = self.digits()
-        total = sum(frac)
-        while int_part:
-            int_part, d = divmod(int_part, self.base)
-            total += d
-        if self.base == 2:
-            return 1
-        return (total - 1) % (self.base - 1) + 1
+        return (self.num - 1) % (self.base - 1) + 1
 
     def scale_pow(self, j: int) -> "KRational":
         """Exact multiplication by base**j (j may be negative)."""

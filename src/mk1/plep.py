@@ -7,10 +7,10 @@ Total plep elements (domain measure 1) form the *tlep* submonoid.  The zero
 element counts as plep but not tlep.
 
 Within these submonoids the D-class of a nonzero element is pinned down by
-a single positive integer prime to k: the numerator of its R-height (the
-k-free part of its image-code size).  :func:`plep_d_witness` makes the
-equivalence concrete, producing a conjugating pair built from level-extended
-image codes; :func:`plep_element_with_index` realizes any admissible index.
+a single positive integer prime to k: the numerator of its R-height, the
+measure of its image ideal.  :func:`plep_d_witness` makes the equivalence
+concrete, producing a conjugating pair built from level-extended image
+codes; :func:`plep_element_with_index` realizes any admissible index.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 from .elements import (
     Mk1Element,
-    image_code,
-    image_code_restriction,
+    image_ideal,
     restrict_to_length,
     uniform_image_form,
 )
@@ -55,9 +54,9 @@ def _require_plep(e: Mk1Element) -> None:
 
 
 def d_index_plep(e: Mk1Element) -> int:
-    """The k-free part of the image-code size: numerator of the R-height."""
+    """The numerator of the R-height, the measure of the image ideal."""
     _require_plep(e)
-    return image_code(e).mu.num
+    return image_ideal(e).mu.num
 
 
 def eq_D_plep(f: Mk1Element, g: Mk1Element) -> bool:
@@ -100,20 +99,6 @@ def plep_element_with_index(k: int, i: int) -> Mk1Element:
     return eta_idempotent(q, level[0])
 
 
-def _uniform_image_code(e: Mk1Element) -> tuple[Mk1Element, int]:
-    """The uniform image form of e's restriction, and its image-code size."""
-    r = uniform_image_form(image_code_restriction(e))
-    return r, len({y for _, y in r.rows})
-
-
-def _k_free(k: int, n: int) -> tuple[int, int]:
-    j = 0
-    while n % k == 0:
-        n //= k
-        j += 1
-    return n, j
-
-
 def common_image_refinement(e1: Mk1Element, e2: Mk1Element) -> tuple[Mk1Element, Mk1Element]:
     """Split two plep tables until their image codes are fixed-length and
     equally large.  Possible exactly when the D-indices agree; the two image
@@ -122,13 +107,13 @@ def common_image_refinement(e1: Mk1Element, e2: Mk1Element) -> tuple[Mk1Element,
         raise AlphabetMismatch("different alphabets")
     _require_plep(e1)
     _require_plep(e2)
-    k = e1.k
-    r1, size1 = _uniform_image_code(e1)
-    r2, size2 = _uniform_image_code(e2)
-    n1, j1 = _k_free(k, size1)
-    n2, j2 = _k_free(k, size2)
-    if n1 != n2:
-        raise IndexMismatch(f"D-indices differ: {n1} vs {n2}")
+    h1, h2 = image_ideal(e1).mu, image_ideal(e2).mu
+    if h1.num != h2.num:
+        raise IndexMismatch(f"D-indices differ: {h1.num} vs {h2.num}")
+    r1, r2 = uniform_image_form(e1), uniform_image_form(e2)
+    # with images of length L the code has h·k^L = h.num·k^(L - h.exp) words
+    j1 = len(r1.rows[0][1]) - h1.exp
+    j2 = len(r2.rows[0][1]) - h2.exp
     big = max(j1, j2)
     r1 = restrict_to_length(r1, max(len(x) for x, _ in r1.rows) + (big - j1))
     r2 = restrict_to_length(r2, max(len(x) for x, _ in r2.rows) + (big - j2))

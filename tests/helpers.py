@@ -12,18 +12,24 @@ from mk1.elements import (
     Mk1Element,
     apply,
     identity_element,
+    image_code,
+    image_code_restriction,
     part,
     reduce_rows,
+    restrict_to_length,
     single_row,
+    uniform_image_form,
     zero_element,
 )
-from mk1.errors import CrossCheckFailed, NotDistinct
-from mk1.words import PrefixCode, Word, parse_word, word_key, words_of_length
+from mk1.errors import AlphabetMismatch, CrossCheckFailed, IndexMismatch, NotDistinct, NotInjective
+from mk1.kary import KRational
+from mk1.plep import _require_plep
+from mk1.words import PrefixCode, Word, ideal_ess_leq, parse_word, word_key, words_of_length
 
 
-def words(k: int, max_size: int = 4):
-    """Strategy: words over k letters of length at most ``max_size``."""
-    return st.lists(st.integers(0, k - 1), max_size=max_size).map(tuple)
+def words(k: int, max_size: int = 4, min_size: int = 0):
+    """Strategy: words over k letters of length ``min_size`` to ``max_size``."""
+    return st.lists(st.integers(0, k - 1), min_size=min_size, max_size=max_size).map(tuple)
 
 
 def prefix_free(ws) -> list[Word]:
@@ -41,7 +47,8 @@ def tables(k: int):
     collect words of several lengths and restrictions split rows."""
     @st.composite
     def build(draw):
-        domain = prefix_free(draw(st.lists(words(k), max_size=12)))
+        # nonempty domain words, so that an empty one does not swallow the rest
+        domain = prefix_free(draw(st.lists(words(k, min_size=1), max_size=12))) or [()]
         stems = draw(st.lists(words(k), min_size=1, max_size=3))
         images = sorted({s[:i] for s in stems for i in range(len(s) + 1)})
         return Mk1Element.make(k, [(x, draw(st.sampled_from(images))) for x in domain])
@@ -158,6 +165,52 @@ def random_level_plep(rng: random.Random, k: int, total: bool) -> Mk1Element:
         rows = list(e.rows) + [(w, images[0]) for w in rest]
         e = Mk1Element.make(k, rows)
     return e
+
+
+def plep_tables(k: int):
+    """Strategy: plep tables over k letters (every image is a fixed number of
+    letters longer or shorter than its domain word) whose images are
+    prefixes of a few stems, so they often nest or coincide."""
+    @st.composite
+    def build(draw):
+        domain = prefix_free(draw(st.lists(words(k, min_size=1), max_size=10))) or [()]
+        shift = draw(st.integers(-min(map(len, domain)), 2))
+        stems = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=6, max_size=6),
+                              min_size=1, max_size=3))
+        rows = [(x, tuple(draw(st.sampled_from(stems))[: len(x) + shift])) for x in domain]
+        return Mk1Element.make(k, rows)
+
+    return build()
+
+
+plep_pairs = st.sampled_from((2, 3)).flatmap(
+    lambda k: st.tuples(plep_tables(k), plep_tables(k)))
+
+
+def random_plep_pair(rng: random.Random, k: int) -> tuple[Mk1Element, Mk1Element]:
+    """Two level plep tables shaped like the benchmark's plep pairs: level-n
+    domains (all of the level when total), t distinct images of length n or
+    n + 1, with equal k-free parts of t in about three pairs of four."""
+    def k_free(t):
+        while t % k == 0:
+            t //= k
+        return t
+
+    def level_plep(n, shift, distinct, total):
+        level = list(words_of_length(k, n))
+        domain = level if total else rng.sample(level, rng.randint(distinct, len(level)))
+        images = rng.sample(list(words_of_length(k, n + shift)), distinct)
+        picks = images + [rng.choice(images) for _ in range(len(domain) - distinct)]
+        rng.shuffle(picks)
+        return Mk1Element.make(k, list(zip(domain, picks)))
+
+    n1, n2 = (rng.randint(2, 5), rng.randint(2, 5)) if k == 2 else (rng.randint(1, 3), rng.randint(1, 3))
+    s1, s2 = rng.randint(0, 1), rng.randint(0, 1)
+    t1 = rng.randint(1, k ** n1)
+    same = rng.random() < 0.75
+    choices = [t for t in range(1, k ** n2 + 1) if (k_free(t) == k_free(t1)) == same] or [1]
+    total = rng.random() < 0.3
+    return level_plep(n1, s1, t1, total), level_plep(n2, s2, rng.choice(choices), total)
 
 
 def random_idempotent(rng: random.Random, k: int, max_depth: int = 3) -> Mk1Element:
@@ -393,3 +446,75 @@ def reference_max_congruence(c: PrefixCodeCongruence) -> PrefixCodeCongruence:
                 break
     code = PrefixCode.make(k, [w for cls in classes for w in cls])
     return PrefixCodeCongruence.make(code, classes)
+
+
+def reference_leq_R(f: Mk1Element, g: Mk1Element) -> bool:
+    """f <=_R g on the image codes of the image-code restrictions."""
+    if f.k != g.k:
+        raise AlphabetMismatch("different alphabets")
+    return ideal_ess_leq(image_code(f), image_code(g))
+
+
+def reference_is_injective(e: Mk1Element) -> bool:
+    """Distinct images after the image-code restriction."""
+    r = image_code_restriction(e)
+    return len({y for _, y in r.rows}) == len(r.rows)
+
+
+def reference_inverse_element(e: Mk1Element) -> Mk1Element:
+    """The flipped image-code restriction of an injective element."""
+    r = image_code_restriction(e)
+    if len({y for _, y in r.rows}) != len(r.rows):
+        raise NotInjective("element collapses distinct ends")
+    return Mk1Element(e.k, reduce_rows(e.k, ((y, x) for x, y in r.rows)))
+
+
+def reference_d_index_M(e: Mk1Element):
+    """The D-index from the size of the restriction's image code."""
+    return None if e.is_zero else (len(image_code(e)) - 1) % (e.k - 1) + 1
+
+
+def _uniform_image_code(e: Mk1Element) -> tuple[Mk1Element, int]:
+    """The uniform image form of e's restriction, and its image-code size."""
+    r = uniform_image_form(image_code_restriction(e))
+    return r, len({y for _, y in r.rows})
+
+
+def _k_free(k: int, n: int) -> tuple[int, int]:
+    j = 0
+    while n % k == 0:
+        n //= k
+        j += 1
+    return n, j
+
+
+def reference_common_image_refinement(e1: Mk1Element, e2: Mk1Element):
+    """Both tables split to uniform image codes through the restriction, then
+    compared and levelled by the k-free parts of the code sizes."""
+    if e1.k != e2.k:
+        raise AlphabetMismatch("different alphabets")
+    _require_plep(e1)
+    _require_plep(e2)
+    k = e1.k
+    r1, size1 = _uniform_image_code(e1)
+    r2, size2 = _uniform_image_code(e2)
+    n1, j1 = _k_free(k, size1)
+    n2, j2 = _k_free(k, size2)
+    if n1 != n2:
+        raise IndexMismatch(f"D-indices differ: {n1} vs {n2}")
+    big = max(j1, j2)
+    r1 = restrict_to_length(r1, max(len(x) for x, _ in r1.rows) + (big - j1))
+    r2 = restrict_to_length(r2, max(len(x) for x, _ in r2.rows) + (big - j2))
+    return r1, r2
+
+
+def reference_digit_sum_mod(x: KRational) -> int:
+    """The digit sum of a nonzero value by walking its base-k digits."""
+    int_part, frac = x.digits()
+    total = sum(frac)
+    while int_part:
+        int_part, d = divmod(int_part, x.base)
+        total += d
+    if x.base == 2:
+        return 1
+    return (total - 1) % (x.base - 1) + 1

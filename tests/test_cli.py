@@ -1,4 +1,5 @@
 import os
+import select
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import mk1
 from helpers import deep_code, deep_rotation
 from mk1.cli import main
 from mk1.elements import compose, format_table, parse_table, partial_identity, single_row
-from mk1.green import heights
+from mk1.green import dense_chain, heights, iter_dense_chain
 from mk1.kary import parse_krational
 from mk1.words import PrefixCode, format_word, parse_word
 
@@ -123,6 +124,41 @@ def test_chain(files, capsys):
     lo, hi = parse_krational(2, "0.01"), parse_krational(2, "0.1")
     assert all(lo < m < hi for m in measures)
     assert measures == sorted(measures)
+
+
+def test_chain_prints_the_tables_of_dense_chain(capsys):
+    lo, hi = parse_krational(3, "0.01"), parse_krational(3, "0.2")
+    for count in range(7):
+        want = "\n\n".join(format_table(e) for e in dense_chain(3, lo, hi, count)) + "\n"
+        assert run(capsys, "chain", "3", "0.01", "0.2", str(count)) == (0, want, "")
+
+
+def test_chain_streams_its_tables():
+    """The first table of a chain of 10^11 idempotents is printed within
+    seconds, long before the whole chain could be built."""
+    argv = ["chain", "2", "0.1", "0.11", "100000000000"]
+    lo, hi = parse_krational(2, argv[2]), parse_krational(2, argv[3])
+    first = format_table(next(iter_dense_chain(2, lo, hi, int(argv[4]))))
+    src = str(Path(mk1.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    out = b""
+    with subprocess.Popen(
+        [sys.executable, "-m", "mk1.cli", *argv], stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+    ) as proc:
+        deadline = time.monotonic() + 5
+        try:
+            while b"\n\n" not in out:
+                left = deadline - time.monotonic()
+                if left <= 0 or not select.select([proc.stdout], [], [], left)[0]:
+                    break
+                chunk = os.read(proc.stdout.fileno(), 1 << 16)
+                if not chunk:
+                    break
+                out += chunk
+        finally:
+            proc.kill()
+    assert out.decode().split("\n\n")[0] == first
 
 
 def test_with_heights(files, capsys):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import reference_digit_sum_mod
 from mk1.errors import BaseMismatch, BaseTooSmall, NegativeResult, ParseError, ZeroValue
 from mk1.kary import (
     KRational,
@@ -70,6 +71,12 @@ def test_digit_sum_mod_is_num_residue(k, num, exp):
     s = x.digit_sum_mod()
     assert 1 <= s <= k - 1
     assert s % (k - 1) == x.num % (k - 1)
+
+
+@given(st.integers(2, 9), st.integers(1, 10**12), st.integers(0, 30))
+def test_digit_sum_mod_matches_the_digit_walk(k, num, exp):
+    x = kq(k, num, exp)
+    assert x.digit_sum_mod() == reference_digit_sum_mod(x)
 
 
 def test_arithmetic():
