@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 
 from .elements import Mk1Element, compose, identity_element, image_code_restriction
-from .errors import BaseTooSmall, EmptyTarget, OutOfRange, UnknownGate
+from .errors import BaseTooSmall, EmptyTarget, OutOfRange, TooLarge, UnknownGate
 from .words import Word, words_of_length
 
 _TAU = re.compile(r"^tau\((\d+)\)$")
@@ -60,6 +60,8 @@ def gate_element(k: int, token: str) -> Mk1Element:
         i = int(m.group(1))
         if i < 1:
             raise UnknownGate("tau positions are 1-based")
+        if k ** min(i + 1, 21) > 1 << 20:  # k >= 2, so k**21 is over the cap
+            raise TooLarge(f"{token} over {k} letters would need more than 2^20 rows")
         rows = [(w, w[: i - 1] + (w[i], w[i - 1])) for w in words_of_length(k, i + 1)]
     else:
         raise UnknownGate(f"unknown generator {token!r}")

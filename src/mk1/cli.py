@@ -2,13 +2,15 @@
 
 Every command reads exact inputs (table files, code files, formula files,
 digit strings) and writes exact, byte-deterministic output.  Exit status:
-0 on success, 1 for unparseable input or bad usage, 2 for a domain error
-(reported on stderr as ``error <Reason>: <message>``).
+0 on success (also when the reader closes the output pipe early), 1 for
+unparseable input or bad usage, 2 for a domain error (reported on stderr as
+``error <Reason>: <message>``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import circuits, dfa, green, plep, reductions
@@ -271,12 +273,17 @@ def main(argv=None) -> int:
         return 0 if stop.code == 0 else 1
     try:
         args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, inside the try
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Mk1Error as exc:
         print(f"error {exc.reason}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # devnull takes what is left for the interpreter's final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ from .errors import (
     NotTrimmed,
     OutOfRange,
 )
-from .green import HeightReport, _ratio, _rep_sum
+from .green import HeightReport
 from .kary import KRational, kq, kq_pow_sum, kq_zero
 from .words import PrefixCode, Word, _unchecked, format_word, word_key
 
@@ -196,38 +196,16 @@ def counts_by_length(d: AcyclicDfa) -> dict[int, int]:
     return counts[d.accept]
 
 
-def _length_stats(counts: dict[int, int]) -> tuple[int, int, tuple[int, int], tuple[int, int]]:
-    """Shortest and longest length, and the average and median length as
-    reduced (num, den) pairs."""
-    total = sum(counts.values())
-    lengths = sorted(counts)
-    ave = _ratio(sum(n * c for n, c in counts.items()), total)
-    # Walk the sorted multiset to its middle element(s).
-    wanted = [(total - 1) // 2, total // 2]
-    mids = []
-    seen = 0
-    for n in lengths:
-        seen += counts[n]
-        while wanted and wanted[0] < seen:
-            mids.append(n)
-            wanted.pop(0)
-    return lengths[0], lengths[-1], ave, _ratio(mids[0] + mids[1], 2)
-
-
 def height_report_via_dfa(e: Mk1Element) -> HeightReport:
-    """The same report as :func:`mk1.green.heights`, but computed from
-    minimal automata of the image code and of each collapsing class."""
-    if e.is_zero:
-        zero = kq_zero(e.k)
-        return HeightReport(zero, zero, zero, zero, zero)
+    """The same report as :func:`mk1.green.heights`, but with the R-height
+    and each fiber's word lengths read off minimal automata of the image
+    code and of each fiber."""
     k = e.k
     imc, p = image_code_and_part(e)
-    stats = [_length_stats(counts_by_length(trie_dfa(PrefixCode._trusted(k, cls))))
-             for cls in p.classes]
-    lo, hi, ave, med = zip(*stats)
-    return HeightReport(r=dfa_measure(trie_dfa(imc)), l=kq_pow_sum(k, Counter(lo)),
-                        l_max=kq_pow_sum(k, Counter(hi)), l_ave=_rep_sum(k, ave),
-                        l_med=_rep_sum(k, med))
+    lengths = [sorted(Counter(counts_by_length(trie_dfa(PrefixCode._trusted(k, cls)))).elements())
+               for cls in p.classes]
+    r = dfa_measure(trie_dfa(imc)) if imc.words else kq_zero(k)  # zero has no image code
+    return HeightReport.from_fibers(k, r, lengths)
 
 
 def format_dfa(d: AcyclicDfa) -> str:

@@ -26,6 +26,7 @@ identity.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -194,23 +195,23 @@ def apply(e: Mk1Element, w: Word):
 def compose(f: Mk1Element, g: Mk1Element) -> Mk1Element:
     """The element f∘g (g applied first), reduced.
 
-    Cost: O((|f| + r)·d) set lookups for r rows walked, words of length ≤ d."""
+    In dictionary order the domain word of f that is a prefix of an image y,
+    if any, sits just before y, and one that extends y just after it; a row
+    whose image has neither leaves f's domain ideal and dies.  Cost: one sort
+    of f's domain, then one bisect per row walked."""
     if f.k != g.k:
         raise AlphabetMismatch(f"cannot compose over {f.k} and {g.k} letters")
     k = f.k
     fdom = dict(f.rows)
-    inner = proper_prefixes(fdom)
+    ws = sorted(fdom)
     out: list[Row] = []
     stack: list[Row] = list(g.rows)
     while stack:
         x, y = stack.pop()
-        for i in range(len(y) + 1):
-            if y[:i] in fdom:
-                out.append((x, fdom[y[:i]] + y[i:]))
-                break
-            if y[:i] not in inner:
-                break  # y leads outside f's domain ideal: the row dies
-        else:  # y is a proper prefix of a domain word of f
+        i = bisect_right(ws, y)
+        if i and is_prefix(ws[i - 1], y):
+            out.append((x, fdom[ws[i - 1]] + y[len(ws[i - 1]):]))
+        elif i < len(ws) and is_prefix(y, ws[i]):  # split until a domain word matches
             stack.extend((x + (a,), y + (a,)) for a in range(k))
     return Mk1Element._trusted(k, reduce_rows(k, out))
 

@@ -91,24 +91,26 @@ class HeightReport:
     l_ave: Height
     l_med: Height
 
+    @classmethod
+    def from_fibers(cls, k: int, r: KRational, lengths: Sequence[Sequence[int]]) -> "HeightReport":
+        """The report of an element with R-height r whose fibers have these
+        word lengths, each fiber's sorted: every L-height charges a fiber
+        k**(-n) for its shortest, longest, average or median length n.  The
+        shortest words of distinct fibers are distinct, so L is the
+        noncollision measure.  With no fibers every L-height is 0."""
+        med = [(ls[len(ls) // 2], 1) if len(ls) % 2
+               else _ratio(ls[len(ls) // 2 - 1] + ls[len(ls) // 2], 2) for ls in lengths]
+        return cls(r=r, l=kq_pow_sum(k, Counter(ls[0] for ls in lengths)),
+                   l_max=kq_pow_sum(k, Counter(ls[-1] for ls in lengths)),
+                   l_ave=_rep_sum(k, [_ratio(sum(ls), len(ls)) for ls in lengths]),
+                   l_med=_rep_sum(k, med))
+
 
 def heights(e: Mk1Element) -> HeightReport:
     """All exact heights of e (zero element: everything is 0)."""
-    p = part(e)
-    # canonical classes are sorted by length first, so each ls is sorted
-    lens = [[len(w) for w in cls] for cls in p.classes]
-    med = [
-        (ls[len(ls) // 2], 1) if len(ls) % 2
-        else _ratio(ls[len(ls) // 2 - 1] + ls[len(ls) // 2], 2)
-        for ls in lens
-    ]
-    return HeightReport(
-        r=image_ideal(e).mu,
-        l=noncollision_measure(p),
-        l_max=kq_pow_sum(p.k, Counter(ls[-1] for ls in lens)),
-        l_ave=_rep_sum(p.k, [_ratio(sum(ls), len(ls)) for ls in lens]),
-        l_med=_rep_sum(p.k, med),
-    )
+    # canonical classes are sorted by length first
+    return HeightReport.from_fibers(e.k, image_ideal(e).mu,
+                                    [[len(w) for w in cls] for cls in part(e).classes])
 
 
 def format_height_report(rep: HeightReport) -> str:

@@ -2,18 +2,20 @@
 implementations shared across the test suite."""
 
 import random
-from collections import deque
+from collections import Counter, deque
 
 from hypothesis import strategies as st
 
-from mk1.congruence import PrefixCodeCongruence
-from mk1.dfa import AcyclicDfa
+from mk1.congruence import PrefixCodeCongruence, noncollision_measure
+from mk1.dfa import AcyclicDfa, counts_by_length, dfa_measure, trie_dfa
 from mk1.elements import (
     Mk1Element,
     apply,
     identity_element,
     image_code,
+    image_code_and_part,
     image_code_restriction,
+    image_ideal,
     part,
     reduce_rows,
     restrict_to_length,
@@ -22,7 +24,8 @@ from mk1.elements import (
     zero_element,
 )
 from mk1.errors import AlphabetMismatch, CrossCheckFailed, IndexMismatch, NotDistinct, NotInjective
-from mk1.kary import KRational
+from mk1.green import HeightReport, _ratio, _rep_sum
+from mk1.kary import KRational, kq_pow_sum, kq_zero
 from mk1.plep import _require_plep
 from mk1.words import PrefixCode, Word, ideal_ess_leq, parse_word, word_key, words_of_length
 
@@ -366,6 +369,57 @@ def reference_trie_dfa(code: PrefixCode) -> AcyclicDfa:
     ))
     accept = number[cls[code.words[0]]]
     return AcyclicDfa(code.k, len(number), 0, accept, edges)
+
+
+def reference_heights(e: Mk1Element) -> HeightReport:
+    """All heights of e summed inline from the fibers' word lists."""
+    p = part(e)
+    lens = [[len(w) for w in cls] for cls in p.classes]
+    med = [
+        (ls[len(ls) // 2], 1) if len(ls) % 2
+        else _ratio(ls[len(ls) // 2 - 1] + ls[len(ls) // 2], 2)
+        for ls in lens
+    ]
+    return HeightReport(
+        r=image_ideal(e).mu,
+        l=noncollision_measure(p),
+        l_max=kq_pow_sum(p.k, Counter(ls[-1] for ls in lens)),
+        l_ave=_rep_sum(p.k, [_ratio(sum(ls), len(ls)) for ls in lens]),
+        l_med=_rep_sum(p.k, med),
+    )
+
+
+def _reference_length_stats(counts: dict[int, int]):
+    """Shortest and longest length, and the average and median length as
+    reduced (num, den) pairs, from the number of words of each length."""
+    total = sum(counts.values())
+    lengths = sorted(counts)
+    ave = _ratio(sum(n * c for n, c in counts.items()), total)
+    # Walk the sorted multiset to its middle element(s).
+    wanted = [(total - 1) // 2, total // 2]
+    mids = []
+    seen = 0
+    for n in lengths:
+        seen += counts[n]
+        while wanted and wanted[0] < seen:
+            mids.append(n)
+            wanted.pop(0)
+    return lengths[0], lengths[-1], ave, _ratio(mids[0] + mids[1], 2)
+
+
+def reference_height_report_via_dfa(e: Mk1Element) -> HeightReport:
+    """The automaton report with its own length statistics per fiber."""
+    if e.is_zero:
+        zero = kq_zero(e.k)
+        return HeightReport(zero, zero, zero, zero, zero)
+    k = e.k
+    imc, p = image_code_and_part(e)
+    stats = [_reference_length_stats(counts_by_length(trie_dfa(PrefixCode._trusted(k, cls))))
+             for cls in p.classes]
+    lo, hi, ave, med = zip(*stats)
+    return HeightReport(r=dfa_measure(trie_dfa(imc)), l=kq_pow_sum(k, Counter(lo)),
+                        l_max=kq_pow_sum(k, Counter(hi)), l_ave=_rep_sum(k, ave),
+                        l_med=_rep_sum(k, med))
 
 
 def reference_section_inverse(e: Mk1Element) -> Mk1Element:

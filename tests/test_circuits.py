@@ -18,7 +18,7 @@ from mk1.elements import (
     identity_element,
     partial_identity,
 )
-from mk1.errors import EmptyTarget, OutOfRange, UnknownGate
+from mk1.errors import EmptyTarget, OutOfRange, TooLarge, UnknownGate
 from mk1.words import PrefixCode
 
 
@@ -63,6 +63,13 @@ def test_unknown_gates():
     with pytest.raises(UnknownGate):
         gate_element(2, "E3")   # needs three letters
     assert apply(gate_element(3, "E3"), (2,)) == (1,)
+
+
+def test_tau_tables_are_capped_at_2_to_the_20_rows():
+    """tau(i) has k^(i+1) rows; past 2^20 it is refused before any is built."""
+    for k, token in ((2, "tau(40)"), (2, "tau(20)"), (3, "tau(12)"), (2, "tau(" + "9" * 400 + ")")):
+        with pytest.raises(TooLarge):
+            gate_element(k, token)
 
 
 def test_token_lengths():

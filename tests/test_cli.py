@@ -30,6 +30,14 @@ def files(tmp_path):
     return write
 
 
+def subprocess_env():
+    """The environment in which ``python -m mk1.cli`` imports the mk1 that
+    this test imported."""
+    src = str(Path(mk1.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -139,12 +147,9 @@ def test_chain_streams_its_tables():
     argv = ["chain", "2", "0.1", "0.11", "100000000000"]
     lo, hi = parse_krational(2, argv[2]), parse_krational(2, argv[3])
     first = format_table(next(iter_dense_chain(2, lo, hi, int(argv[4]))))
-    src = str(Path(mk1.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH", "")]
     out = b""
     with subprocess.Popen(
-        [sys.executable, "-m", "mk1.cli", *argv], stdout=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        [sys.executable, "-m", "mk1.cli", *argv], stdout=subprocess.PIPE, env=subprocess_env(),
     ) as proc:
         deadline = time.monotonic() + 5
         try:
@@ -159,6 +164,28 @@ def test_chain_streams_its_tables():
         finally:
             proc.kill()
     assert out.decode().split("\n\n")[0] == first
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("count, take", [("100000000000", 10), ("3", 0)])
+def test_closed_stdout_pipe_is_not_a_failure(tmp_path, count, take, unbuffered):
+    """The reader takes 10 bytes of an endless chain, or none of a short
+    one, and closes the pipe: the command ends quietly, with exit status 0
+    and nothing on stderr.  Buffered output that is still unwritten when
+    the command ends would otherwise fail the interpreter's final flush."""
+    argv = ["chain", "2", "0.1", "0.11", count]
+    with open(tmp_path / "err.txt", "wb") as err, subprocess.Popen(
+        [sys.executable, "-m", "mk1.cli", *argv], stdout=subprocess.PIPE, stderr=err,
+        env={**subprocess_env(), "PYTHONUNBUFFERED": unbuffered},
+    ) as proc:
+        try:
+            assert len(proc.stdout.read(take)) == take
+            proc.stdout.close()
+            status = proc.wait(timeout=10)
+        finally:
+            proc.kill()
+    assert status == 0
+    assert (tmp_path / "err.txt").read_text() == ""
 
 
 def test_with_heights(files, capsys):
@@ -181,6 +208,9 @@ def test_synth_and_eval(files, capsys):
     assert out == "k 2\nb -> b\n"
     assert run(capsys, "eval-gen", "2", "proj2", "fork")[1] == "k 2\n^ -> ^\n"
     assert run(capsys, "eval-gen", "2", "frob")[0] == 2
+    # 2^41 rows would never fit: refused before any is built
+    code, out, err = run(capsys, "eval-gen", "2", "tau(40)")
+    assert (code, out) == (2, "") and err.startswith("error TooLarge:")
 
 
 PHI_B = (
@@ -316,13 +346,9 @@ def test_usage_errors_exit_1(capsys):
 def test_console_script(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text(CODE)
-    # the subprocess imports the mk1 that this test imported
-    src = str(Path(mk1.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH", "")]
     done = subprocess.run(
         [sys.executable, "-m", "mk1.cli", "measure", str(path)],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        capture_output=True, text=True, env=subprocess_env(),
     )
     assert done.returncode == 0
     assert done.stdout == "1\n"

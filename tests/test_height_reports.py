@@ -1,12 +1,15 @@
 """Minimal automata and height reports in time linear in the code.
 
 ``trie_dfa`` builds the trie once and merges it bottom-up by signature ids;
-the heights sum integer powers of k.  These properties check both against
-the references in ``helpers`` and against each other, and time the inputs
-on which the old prefix-slicing trie and the per-class ``apply`` blew up.
+the heights sum integer powers of k.  Both height reports read the fiber
+lengths and the R-height their own way and sum them through
+``HeightReport.from_fibers``.  These properties check them against the
+references in ``helpers`` and against each other, and time the inputs on
+which the old prefix-slicing trie and the per-class ``apply`` blew up.
 """
 
 import time
+from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -15,13 +18,16 @@ from helpers import (
     el,
     elements,
     prefix_free,
+    reference_height_report_via_dfa,
+    reference_heights,
     reference_section_inverse,
     reference_trie_dfa,
     words,
 )
 from mk1.dfa import dfa_measure, format_dfa, height_report_via_dfa, shortest_accepted, trie_dfa
 from mk1.elements import Mk1Element, format_table, identity_element, zero_element
-from mk1.green import format_height_report, heights, section_inverse
+from mk1.green import ExponentSum, HeightReport, format_height_report, heights, section_inverse
+from mk1.kary import kq, kq_zero
 from mk1.words import PrefixCode, words_of_length
 
 
@@ -55,6 +61,40 @@ def test_automaton_measure_and_shortest_length_from_length_counts(code):
 @example(el(3, ("a", "^"), ("ba", "^"), ("bb", "^"), ("c", "^")))   # 3/2
 def test_height_report_via_dfa_formats_as_heights(e):
     assert format_height_report(height_report_via_dfa(e)) == format_height_report(heights(e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements)
+@example(zero_element(2))
+@example(zero_element(3))
+@example(el(2, ("a", "a"), ("b", "^")))
+@example(el(3, ("a", "^"), ("ba", "^"), ("bb", "^"), ("c", "^")))
+def test_height_reports_match_their_inline_references(e):
+    for got, want in ((heights(e), reference_heights(e)),
+                      (height_report_via_dfa(e), reference_height_report_via_dfa(e))):
+        assert got == want
+        assert format_height_report(got) == format_height_report(want)
+
+
+def test_height_report_from_fiber_lengths():
+    """Fibers of lengths {1, 2}, {2, 3, 5} and {3} over two letters: the even
+    fiber has median 3/2, the odd one median 3."""
+    r = kq(2, 3, 2)
+    rep = HeightReport.from_fibers(2, r, [[1, 2], [2, 3, 5], [3]])
+    assert rep.r == r
+    assert rep.l == kq(2, 7, 3)                   # 2^-1 + 2^-2 + 2^-3
+    assert rep.l_max == kq(2, 13, 5)              # 2^-2 + 2^-5 + 2^-3
+    assert rep.l_ave == ExponentSum(2, ((Fraction(3, 2), 1), (Fraction(3), 1),
+                                        (Fraction(10, 3), 1)))
+    assert rep.l_med == ExponentSum(2, ((Fraction(3, 2), 1), (Fraction(3), 2)))
+    assert format_height_report(rep) == "\n".join([
+        "R 0.11", "L 0.111", "Lmax 0.01101",
+        "Lave 2^(-3/2) + 2^(-3) + 2^(-10/3)", "Lmed 2^(-3/2) + 2*2^(-3)"])
+    # an even fiber with a whole median and average: 3^-3 each
+    rep = HeightReport.from_fibers(3, r, [[2, 4]])
+    assert rep.l_ave == rep.l_med == kq(3, 1, 3)
+    zero = kq_zero(2)
+    assert HeightReport.from_fibers(2, zero, []) == HeightReport(zero, zero, zero, zero, zero)
 
 
 @settings(max_examples=300, deadline=None)

@@ -12,7 +12,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_compose, reference_separating_context
+from helpers import deep_code, deep_rotation, reference_compose, reference_separating_context
 from mk1.elements import (
     Mk1Element,
     compose,
@@ -154,3 +154,14 @@ def test_compose_splitting_into_a_wide_level_table():
     fs = compose(f, swap)
     assert time.perf_counter() - started < 2.0
     assert fs.rows == tuple(((1 - w[0],) + w[1:], y) for w, y in rows[8192:] + rows[:8192])
+
+
+def test_compose_of_a_2000_level_table():
+    """2001 rows up to 2000 letters deep: one bisect per row, where looking
+    up every prefix of every image took about ten seconds."""
+    h = deep_rotation(2000)
+    started = time.perf_counter()
+    hh = compose(h, h)
+    assert time.perf_counter() - started < 1.0
+    code = deep_code(2000)
+    assert hh == Mk1Element.make(2, list(zip(code, code[2:] + code[:2])))

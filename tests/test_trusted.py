@@ -187,3 +187,15 @@ def test_no_recursive_functions_in_the_library():
              and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                      and call.func.id == fn.name for call in ast.walk(fn))]
     assert found == []
+
+
+def test_no_private_imports_across_library_modules():
+    """Modules share only public names; the one exception is the unchecked
+    constructor every ``_trusted`` classmethod wraps."""
+    found = [f"{name}:{node.lineno}:{alias.name}" for name, node in _library_nodes()
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").startswith("mk1"))
+             for alias in node.names
+             if alias.name.startswith("_")
+             and ((node.module or "").removeprefix("mk1."), alias.name) != ("words", "_unchecked")]
+    assert found == []
