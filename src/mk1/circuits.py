@@ -35,41 +35,46 @@ from .errors import BaseTooSmall, EmptyTarget, OutOfRange, TooLarge, UnknownGate
 from .words import Word, words_of_length
 
 _TAU = re.compile(r"^tau\((\d+)\)$")
-_PROBE = re.compile(r"^E(\d+)$")
+_PROBE = re.compile(r"^E(\d{1,18})$")
 
 
 def gate_element(k: int, token: str) -> Mk1Element:
+    """A generator's table: k**width rows for the letters it reads (2 for
+    and/or/proj2, i+1 for tau(i), else 1), refused unbuilt past 2^20."""
+    width = 2 if token in ("and", "or", "proj2") else token_length(token)
     if token == "and":
-        rows = [((i, j), (0,) if i == 0 and j == 0 else (1,)) for i in range(k) for j in range(k)]
+        rows = (((i, j), (0,) if i == 0 and j == 0 else (1,)) for i in range(k) for j in range(k))
     elif token == "or":
-        rows = [((i, j), (0,) if i == 0 or j == 0 else (1,)) for i in range(k) for j in range(k)]
+        rows = (((i, j), (0,) if i == 0 or j == 0 else (1,)) for i in range(k) for j in range(k))
     elif token == "not":
-        rows = [((i,), (1,) if i == 0 else (0,)) for i in range(k)]
+        rows = (((i,), (1,) if i == 0 else (0,)) for i in range(k))
     elif token == "fork":
-        rows = [((i,), (i, i)) for i in range(k)]
+        rows = (((i,), (i, i)) for i in range(k))
     elif token == "proj2":
-        rows = [((i, j), (j,)) for i in range(k) for j in range(k)]
+        rows = (((i, j), (j,)) for i in range(k) for j in range(k))
     elif token == "guard":
-        rows = [((i,), (i,)) for i in range(1, k)]
+        rows = (((i,), (i,)) for i in range(1, k))
     elif m := _PROBE.match(token):
         c = int(m.group(1))
         if not 1 <= c <= k:
             raise UnknownGate(f"probe {token} needs an alphabet of at least {c} letters")
-        rows = [((i,), (1,) if i == c - 1 else (0,)) for i in range(k)]
-    elif m := _TAU.match(token):
-        i = int(m.group(1))
+        rows = (((i,), (1,) if i == c - 1 else (0,)) for i in range(k))
+    elif _TAU.match(token):
+        i = width - 1
         if i < 1:
             raise UnknownGate("tau positions are 1-based")
-        if k ** min(i + 1, 21) > 1 << 20:  # k >= 2, so k**21 is over the cap
-            raise TooLarge(f"{token} over {k} letters would need more than 2^20 rows")
-        rows = [(w, w[: i - 1] + (w[i], w[i - 1])) for w in words_of_length(k, i + 1)]
+        rows = ((w, w[: i - 1] + (w[i], w[i - 1])) for w in words_of_length(k, i + 1))
     else:
         raise UnknownGate(f"unknown generator {token!r}")
+    if k ** min(width, 21) > 1 << 20:  # k >= 2, so k**21 is over the cap
+        raise TooLarge(f"{token} over {k} letters would need more than 2^20 rows")
     return Mk1Element.make(k, rows)
 
 
 def token_length(token: str) -> int:
     if m := _TAU.match(token):
+        if len(m.group(1)) > 18:  # int() refuses past 4300 digits
+            raise TooLarge(f"a tau position of {len(m.group(1))} digits is out of reach")
         return int(m.group(1)) + 1
     return 1
 

@@ -109,12 +109,12 @@ def trie_dfa(code: PrefixCode) -> AcyclicDfa:
     """The minimal acyclic automaton of a prefix code.
 
     Builds the word trie as nested dicts, then gives each node, children
-    before parents, the id of its signature (the child id on each letter);
+    before parents, the id of its signature (its (letter, child id) pairs);
     nodes with equal signatures merge, and all leaves become the single
     accept state (Revuz's bottom-up minimisation of acyclic automata).
     States are numbered in breadth-first order from the start, letters in
-    order, and edges come out in that order.  Cost: O(k) dictionary
-    operations per trie node, so linear in the total length of the code.
+    order, and edges come out in that order.  Cost: one sort of each node's
+    letters, so linear in the total length of the code up to those sorts.
     """
     if not code.words:
         raise EmptyLanguage("cannot build an automaton for the empty code")
@@ -133,7 +133,7 @@ def trie_dfa(code: PrefixCode) -> AcyclicDfa:
     # Backwards through nodes, a node's children already stand as ids in it;
     # the node then stands in its parent as the id of its signature.
     for parent, a, node in reversed(nodes):
-        sid = sig_ids.setdefault(tuple(map(node.get, range(k))), len(sig_ids))
+        sid = sig_ids.setdefault(tuple(sorted(node.items())), len(sig_ids))
         if parent is not None:
             parent[a] = sid
     sigs = list(sig_ids)
@@ -142,13 +142,12 @@ def trie_dfa(code: PrefixCode) -> AcyclicDfa:
     order = [sid]
     edges = []
     for p, c in enumerate(order):
-        for a, d in enumerate(sigs[c]):
-            if d is not None:
-                if number[d] is None:
-                    number[d] = len(order)
-                    order.append(d)
-                edges.append((p, a, number[d]))
-    accept = number[sig_ids[(None,) * k]]
+        for a, d in sigs[c]:
+            if number[d] is None:
+                number[d] = len(order)
+                order.append(d)
+            edges.append((p, a, number[d]))
+    accept = number[sig_ids[()]]
     return AcyclicDfa._trusted(k, len(order), 0, accept, tuple(edges))
 
 

@@ -10,9 +10,10 @@ medians can have fractional exponents, in which case the value is returned
 symbolically as an :class:`ExponentSum` rather than rounded.
 
 The partial orders: f <=_R g iff the image ideal of f essentially sits
-inside that of g; f <=_L g iff f is constant-or-undefined across g's fibers.
-Both are decided exactly, and both admit a one-line certificate through the
-canonical section below (g∘ḡ∘g = g), which the test-suite exploits.
+inside that of g; f <=_L g iff f = u∘g for some u, decided by one section s
+of g with g∘s∘g = g (then u = f∘s), read off g's minimal image words with
+no fiber partition.  The canonical section below (g∘ḡ∘g = g) certifies both
+orders too, which the test-suite exploits.
 """
 
 from __future__ import annotations
@@ -23,13 +24,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Sequence, Union
 
-from .congruence import (
-    PrefixCodeCongruence,
-    max_congruence,
-    noncollision_measure,
-)
+from .congruence import noncollision_measure
 from .elements import (
     Mk1Element,
+    compose,
     identity_element,
     image_code_restriction,
     image_ideal,
@@ -157,46 +155,22 @@ def leq_R(f: Mk1Element, g: Mk1Element) -> bool:
 
 
 def leq_L(f: Mk1Element, g: Mk1Element) -> bool:
-    """f <=_L g: is f constant-or-undefined across each fiber of g?
-
-    The fibers of g are presented maximally coarsely; f's fibers are then
-    refined until each domain word either extends a fiber-code word of g or
-    escapes g's essential domain entirely (which settles the answer).
-    Finally each refined f-fiber, grouped by the tail beyond the g-fiber
-    word, must consume whole g-fiber classes.
-    """
+    """f <=_L g: is f = u∘g for some u?  If g∘s∘g = g, then f = u∘g gives
+    f∘s∘g = u∘g = f, so u = f∘s will do whenever any u does; the section
+    s = :func:`_l_section` of g has g∘s∘g = g."""
     if f.k != g.k:
         raise AlphabetMismatch("different alphabets")
-    if f.is_zero:
-        return True
-    if g.is_zero:
-        return False
-    return _fibers_leq(part(f), part(g))
+    return compose(compose(f, _l_section(g)), g) == f.reduced()
 
 
-def _fibers_leq(pf: PrefixCodeCongruence, pg: PrefixCodeCongruence) -> bool:
-    """leq_L on the fiber partitions of two nonzero elements."""
-    m = max_congruence(pg)
-    q_words = set(m.code.words)
-    inner = proper_prefixes(q_words)
-    m_class_of = {w: cls for cls in m.classes for w in cls}
-    classes = list(pf.classes)
-    while classes:
-        cls = classes.pop()
-        heads = [next((w[:i] for i in range(len(w) + 1) if w[:i] in q_words), None) for w in cls]
-        if None in heads:   # some word of the class has no q-word above it
-            if not all(w in inner for w, q in zip(cls, heads) if q is None):
-                return False    # f is defined on ends outside g's domain ideal
-            classes.extend(tuple(w + (a,) for w in cls) for a in range(pf.k))
-            continue
-        groups: dict[Word, set] = {}
-        for w, q in zip(cls, heads):
-            groups.setdefault(w[len(q):], set()).add(q)
-        for qs in groups.values():
-            for q in qs:
-                if not set(m_class_of[q]) <= qs:
-                    return False
-    return True
+def _l_section(g: Mk1Element) -> Mk1Element:
+    """Each minimal image word y of g back to the domain word x_y of g's
+    first row with image y.  Every image is y·v for a minimal y, and
+    g(x_y·v·t) = y·v·t, so g∘s∘g = g."""
+    back: dict[Word, Word] = {}
+    for x, y in g.rows:
+        back.setdefault(y, x)
+    return Mk1Element._trusted(g.k, tuple((y, back[y]) for y in image_ideal(g).words))
 
 
 def eq_R(f: Mk1Element, g: Mk1Element) -> bool:
@@ -206,12 +180,7 @@ def eq_R(f: Mk1Element, g: Mk1Element) -> bool:
 
 
 def eq_L(f: Mk1Element, g: Mk1Element) -> bool:
-    if f.k != g.k:
-        raise AlphabetMismatch("different alphabets")
-    if f.is_zero or g.is_zero:
-        return f.is_zero and g.is_zero
-    pf, pg = part(f), part(g)
-    return _fibers_leq(pf, pg) and _fibers_leq(pg, pf)
+    return leq_L(f, g) and leq_L(g, f)
 
 
 def section_inverse(e: Mk1Element) -> Mk1Element:

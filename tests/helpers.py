@@ -6,11 +6,12 @@ from collections import Counter, deque
 
 from hypothesis import strategies as st
 
-from mk1.congruence import PrefixCodeCongruence, noncollision_measure
+from mk1.congruence import PrefixCodeCongruence, max_congruence, noncollision_measure
 from mk1.dfa import AcyclicDfa, counts_by_length, dfa_measure, trie_dfa
 from mk1.elements import (
     Mk1Element,
     apply,
+    compose,
     identity_element,
     image_code,
     image_code_and_part,
@@ -27,7 +28,15 @@ from mk1.errors import AlphabetMismatch, CrossCheckFailed, IndexMismatch, NotDis
 from mk1.green import HeightReport, _ratio, _rep_sum
 from mk1.kary import KRational, kq_pow_sum, kq_zero
 from mk1.plep import _require_plep
-from mk1.words import PrefixCode, Word, ideal_ess_leq, parse_word, word_key, words_of_length
+from mk1.words import (
+    PrefixCode,
+    Word,
+    ideal_ess_leq,
+    parse_word,
+    proper_prefixes,
+    word_key,
+    words_of_length,
+)
 
 
 def words(k: int, max_size: int = 4, min_size: int = 0):
@@ -65,6 +74,19 @@ def elements_over(k: int):
 
 
 elements = st.sampled_from((2, 3)).flatmap(elements_over)
+
+
+def related_pairs(k: int):
+    """Strategy: (side, f, g) over k letters, the zero and the identity
+    included: f = g∘u (side "R", so f <=_R g), f = u∘g (side "L", so
+    f <=_L g), or f drawn apart from g (side "")."""
+    @st.composite
+    def build(draw):
+        g, u = draw(elements_over(k)), draw(elements_over(k))
+        side = draw(st.sampled_from(("R", "L", "")))
+        return side, {"R": compose(g, u), "L": compose(u, g), "": u}[side], g
+
+    return build()
 
 
 def el(k, *rows):
@@ -126,6 +148,12 @@ def deep_rotation(n: int) -> Mk1Element:
     """A bijection of deep_code(n) onto itself, shifting each word to the next."""
     code = deep_code(n)
     return Mk1Element.make(2, list(zip(code, code[1:] + code[:1])))
+
+
+def nested_images(n: int) -> Mk1Element:
+    """The table sending the i-th binary word of length n to 0^i: each image
+    is a proper prefix of every later one."""
+    return Mk1Element.make(2, [(w, (0,) * i) for i, w in enumerate(words_of_length(2, n))])
 
 
 def random_word(rng: random.Random, k: int, length: int) -> Word:
@@ -507,6 +535,40 @@ def reference_leq_R(f: Mk1Element, g: Mk1Element) -> bool:
     if f.k != g.k:
         raise AlphabetMismatch("different alphabets")
     return ideal_ess_leq(image_code(f), image_code(g))
+
+
+def reference_leq_L(f: Mk1Element, g: Mk1Element) -> bool:
+    """f <=_L g on the fiber partitions: g's fibers coarsened as far as they
+    go, then f's fibers refined until each word extends a coarse fiber word
+    of g or leaves g's domain ideal, and each refined f-fiber, grouped by the
+    tail past the g-fiber word, must take in whole g-fibers."""
+    if f.k != g.k:
+        raise AlphabetMismatch("different alphabets")
+    if f.is_zero:
+        return True
+    if g.is_zero:
+        return False
+    pf, m = part(f), max_congruence(part(g))
+    q_words = set(m.code.words)
+    inner = proper_prefixes(q_words)
+    m_class_of = {w: cls for cls in m.classes for w in cls}
+    classes = list(pf.classes)
+    while classes:
+        cls = classes.pop()
+        heads = [next((w[:i] for i in range(len(w) + 1) if w[:i] in q_words), None) for w in cls]
+        if None in heads:   # some word of the class has no q-word above it
+            if not all(w in inner for w, q in zip(cls, heads) if q is None):
+                return False    # f is defined on ends outside g's domain ideal
+            classes.extend(tuple(w + (a,) for w in cls) for a in range(pf.k))
+            continue
+        groups: dict[Word, set] = {}
+        for w, q in zip(cls, heads):
+            groups.setdefault(w[len(q):], set()).add(q)
+        for qs in groups.values():
+            for q in qs:
+                if not set(m_class_of[q]) <= qs:
+                    return False
+    return True
 
 
 def reference_is_injective(e: Mk1Element) -> bool:

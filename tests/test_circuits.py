@@ -72,6 +72,19 @@ def test_tau_tables_are_capped_at_2_to_the_20_rows():
             gate_element(k, token)
 
 
+def test_every_gate_table_is_capped_at_2_to_the_20_rows():
+    """A gate reading w letters has k^w rows: 2 for and/or/proj2, i+1 for
+    tau(i), 1 otherwise; the digit count of an index is checked before int()."""
+    for k, token in ((1025, "and"), (1025, "or"), (1025, "proj2"), (2**20 + 1, "not"),
+                     (2, "tau(" + "9" * 5000 + ")")):
+        with pytest.raises(TooLarge):
+            gate_element(k, token)
+    with pytest.raises(TooLarge):
+        token_length("tau(" + "9" * 5000 + ")")
+    with pytest.raises(UnknownGate):   # no alphabet has that many letters
+        gate_element(2, "E" + "9" * 5000)
+
+
 def test_token_lengths():
     assert token_length("and") == 1
     assert token_length("tau(1)") == 2

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import mk1
-from helpers import deep_code, deep_rotation
+from helpers import deep_code, deep_rotation, nested_images
 from mk1.cli import main
 from mk1.elements import compose, format_table, parse_table, partial_identity, single_row
 from mk1.green import dense_chain, heights, iter_dense_chain
@@ -113,6 +113,23 @@ def test_dfa_mu_on_a_deep_code(files, capsys):
     assert time.perf_counter() - started < 1.0
 
 
+def test_dfa_mu_over_a_billion_letters(files, capsys):
+    """A trie node's signature holds only the letters it has, not all k."""
+    code = files("big.txt", "k 1000000000\n^\n")
+    started = time.perf_counter()
+    assert run(capsys, "dfa-mu", code) == (0, "1\n", "")
+    assert time.perf_counter() - started < 1.0
+
+
+def test_green_L_on_nested_images(files, capsys):
+    """1,024 nested images: two compositions, where the fiber walk is cubic."""
+    table = files("nested.txt", format_table(nested_images(10)) + "\n")
+    started = time.perf_counter()
+    assert run(capsys, "green", "leqL", table, table) == (0, "true\n", "")
+    assert run(capsys, "green", "eqL", table, table) == (0, "true\n", "")
+    assert time.perf_counter() - started < 5.0
+
+
 def test_dindex(files, capsys):
     assert run(capsys, "dindex", "M", files("f.txt", PHI1)) == (0, "1\n", "")
     assert run(capsys, "dindex", "M", files("z.txt", "k 2\n"))[1] == "zero\n"
@@ -210,6 +227,16 @@ def test_synth_and_eval(files, capsys):
     assert run(capsys, "eval-gen", "2", "frob")[0] == 2
     # 2^41 rows would never fit: refused before any is built
     code, out, err = run(capsys, "eval-gen", "2", "tau(40)")
+    assert (code, out) == (2, "") and err.startswith("error TooLarge:")
+
+
+def test_gate_tables_are_refused_before_they_are_built(capsys):
+    """One rule for every gate: k^width rows, at most 2^20, checked first."""
+    started = time.perf_counter()
+    code, out, err = run(capsys, "eval-gen", "100000", "and")
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (2, "") and err.startswith("error TooLarge:")
+    code, out, err = run(capsys, "eval-gen", "2", "tau(" + "9" * 5000 + ")")
     assert (code, out) == (2, "") and err.startswith("error TooLarge:")
 
 

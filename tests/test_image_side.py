@@ -17,6 +17,7 @@ from helpers import (
     deep_rotation,
     elements,
     elements_over,
+    nested_images,
     plep_pairs,
     plep_tables,
     prefix_free,
@@ -43,7 +44,7 @@ from mk1.elements import (
 from mk1.errors import Mk1Error, NotInjective
 from mk1.green import d_index_M, eq_R, leq_R
 from mk1.plep import common_image_refinement, d_index_plep, eq_D_plep, plep_d_witness
-from mk1.words import PrefixCode, ideal_ess_eq, is_prefix, words_of_length
+from mk1.words import PrefixCode, ideal_ess_eq, is_prefix
 
 
 @st.composite
@@ -156,12 +157,6 @@ def test_plep_refinement_of_random_level_pairs_and_the_zero_element():
     z = zero_element(2)
     assert outcome(common_image_refinement, z, deep_rotation(3)) == \
         outcome(reference_common_image_refinement, z, deep_rotation(3))
-
-
-def nested_images(n: int) -> Mk1Element:
-    """The table sending the i-th binary word of length n to 0^i: each image
-    is a proper prefix of every later one."""
-    return Mk1Element.make(2, [(w, (0,) * i) for i, w in enumerate(words_of_length(2, n))])
 
 
 def test_R_side_of_nested_images_is_fast():
