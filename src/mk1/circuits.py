@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 
-from .elements import Mk1Element, compose, identity_element, image_code_restriction
+from .elements import Mk1Element, compose, fibers, identity_element
 from .errors import BaseTooSmall, EmptyTarget, OutOfRange, TooLarge, UnknownGate
 from .words import Word, words_of_length
 
@@ -125,8 +125,5 @@ def length_bound_check(k: int, tokens: list[str], factor: int = 2) -> bool:
     """Every image word has a preimage within |image| + factor*word-length."""
     e = eval_generator_word(k, tokens)
     bound = factor * generator_length(tokens)
-    shortest: dict[Word, int] = {}
-    for x, y in image_code_restriction(e).rows:
-        if y not in shortest or len(x) < shortest[y]:
-            shortest[y] = len(x)
-    return all(n <= len(y) + bound for y, n in shortest.items())
+    # z's shortest preimage has length |z| + min(|x| - |y|) over its fiber
+    return all(min(len(x) - len(y) for x, y in path) <= bound for _, path in fibers(e))

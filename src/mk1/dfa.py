@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .elements import Mk1Element, image_code_and_part
+from .elements import Mk1Element, image_code, part
 from .errors import (
     BaseTooSmall,
     CyclicGraph,
@@ -200,7 +200,7 @@ def height_report_via_dfa(e: Mk1Element) -> HeightReport:
     and each fiber's word lengths read off minimal automata of the image
     code and of each fiber."""
     k = e.k
-    imc, p = image_code_and_part(e)
+    imc, p = image_code(e), part(e)
     lengths = [sorted(Counter(counts_by_length(trie_dfa(PrefixCode._trusted(k, cls)))).elements())
                for cls in p.classes]
     r = dfa_measure(trie_dfa(imc)) if imc.words else kq_zero(k)  # zero has no image code

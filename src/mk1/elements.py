@@ -12,7 +12,8 @@ Equality on :class:`Mk1Element` is structural, so monoid equality is
 structural equality of reduced elements; every public constructor here
 except :func:`image_code_restriction` and the uniform-level restrictions
 returns reduced tables.  The restrictions deliberately return equivalent
-*split* tables, since their whole point is reshaping the rows.
+*split* tables, since their whole point is reshaping the rows.  Fibers have
+one source, :func:`fibers`, which the restriction and the L side all read.
 
 Inputs are checked once, where they enter: direct construction,
 :meth:`Mk1Element.make` and :func:`parse_table`.  Tables, codes and
@@ -49,7 +50,6 @@ from .words import (
     is_prefix,
     is_prefix_code,
     parse_word,
-    proper_prefixes,
     word_key,
     words_of_length,
 )
@@ -218,34 +218,42 @@ def compose(f: Mk1Element, g: Mk1Element) -> Mk1Element:
 
 # -- canonical restrictions ------------------------------------------------------
 
-def image_code_restriction(e: Mk1Element) -> Mk1Element:
-    """Split rows until the image words form a prefix code (repeats allowed).
+def fibers(e: Mk1Element) -> Iterator[tuple[Word, tuple[Row, ...]]]:
+    """Each image-code word z of e, with the rows x -> y of e whose image y
+    is a prefix of z: z's fiber is {x·z[|y|:]}, of lengths |x| - |y| + |z|.
 
-    A row is split into its k letter-children exactly while its image is a
-    proper prefix of one of e's own images.  That is the same as splitting
-    while the image is a proper prefix of another *current* image, since
-    every current image is one of e's images or extends a split image, and
-    every split image is a proper prefix of one of e's images.  The returned
-    table denotes the same element but is not reduced.
-    """
-    prefixes = proper_prefixes(e.image_words)
-    if not any(y in prefixes for _, y in e.rows):
-        return e  # the images already form a prefix code
-    rows: list[Row] = []
-    stack = list(e.rows)
-    while stack:
-        x, y = stack.pop()
-        if y in prefixes:
-            stack.extend((x + (a,), y + (a,)) for a in range(e.k))
+    A walk of the image trie in dictionary order from each minimal image: a
+    node takes the rows of the image it is, then goes on to its k children if
+    the next image extends it, else it is a z.  Cost: one sort of the images,
+    one look per node and one path copy per image; no fiber word is built."""
+    rows_of: dict[Word, list[Row]] = {}
+    for row in e.rows:
+        rows_of.setdefault(row[1], []).append(row)
+    ys, i, stack = sorted(rows_of), 0, []
+    while stack or i < len(ys):
+        p, path = stack.pop() if stack else (ys[i], ())  # the first image left is minimal
+        if i < len(ys) and ys[i] == p:
+            path = path + tuple(rows_of[p])
+            i += 1
+        if i < len(ys) and ys[i][:len(p)] == p:  # the next image extends p
+            stack += [(p + (a,), path) for a in reversed(range(e.k))]
         else:
-            rows.append((x, y))
-    rows.sort(key=_domain_key)
+            yield p, path
+
+
+def image_code_restriction(e: Mk1Element) -> Mk1Element:
+    """Split rows until the image words form a prefix code (repeats allowed):
+    the rows x·z[|y|:] -> z over the :func:`fibers` of e.  The returned table
+    denotes the same element but is not reduced."""
+    if is_prefix_code(set(e.image_words)):
+        return e
+    rows = sorted([(x + z[len(y):], z) for z, path in fibers(e) for x, y in path], key=_domain_key)
     return Mk1Element._trusted(e.k, tuple(rows))
 
 
 def image_code(e: Mk1Element) -> PrefixCode:
     """The prefix code generating the image ideal (empty for zero)."""
-    return _image_code_of(image_code_restriction(e))
+    return PrefixCode._trusted(e.k, tuple(sorted((z for z, _ in fibers(e)), key=word_key)))
 
 
 def image_ideal(e: Mk1Element) -> PrefixCode:
@@ -264,31 +272,14 @@ def part(e: Mk1Element) -> PrefixCodeCongruence:
     """The fiber partition of the image-code restriction of e.
 
     Classes group domain words with equal images; together with a common
-    tail they are exactly the end pairs the map collapses.
-    """
-    return _fibers_of(image_code_restriction(e))
-
-
-def image_code_and_part(e: Mk1Element) -> tuple[PrefixCode, PrefixCodeCongruence]:
-    """:func:`image_code` and :func:`part` of e from one restriction."""
-    r = image_code_restriction(e)
-    return _image_code_of(r), _fibers_of(r)
-
-
-def _image_code_of(r: Mk1Element) -> PrefixCode:
-    """The image words of an image-code restriction, as a code."""
-    return PrefixCode._trusted(r.k, tuple(sorted({y for _, y in r.rows}, key=word_key)))
-
-
-def _fibers_of(r: Mk1Element) -> PrefixCodeCongruence:
-    """Domain words of an image-code restriction grouped by image.
-
-    Rows come sorted by domain word, so each group is sorted and the groups
+    tail they are exactly the end pairs the map collapses.  The restriction
+    comes sorted by domain word, so each group is sorted and the groups
     appear in the order of their first words: already canonical.
     """
+    r = image_code_restriction(e)
     groups: dict[Word, list[Word]] = {}
-    for x, y in r.rows:
-        groups.setdefault(y, []).append(x)
+    for x, z in r.rows:
+        groups.setdefault(z, []).append(x)
     return PrefixCodeCongruence._trusted(r.domain_code, tuple(map(tuple, groups.values())))
 
 

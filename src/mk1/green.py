@@ -28,8 +28,8 @@ from .congruence import noncollision_measure
 from .elements import (
     Mk1Element,
     compose,
+    fibers,
     identity_element,
-    image_code_restriction,
     image_ideal,
     part,
     partial_identity,
@@ -106,9 +106,8 @@ class HeightReport:
 
 def heights(e: Mk1Element) -> HeightReport:
     """All exact heights of e (zero element: everything is 0)."""
-    # canonical classes are sorted by length first
-    return HeightReport.from_fibers(e.k, image_ideal(e).mu,
-                                    [[len(w) for w in cls] for cls in part(e).classes])
+    return HeightReport.from_fibers(e.k, image_ideal(e).mu, [
+        sorted(len(x) - len(y) + len(z) for x, y in path) for z, path in fibers(e)])
 
 
 def format_height_report(rep: HeightReport) -> str:
@@ -187,10 +186,11 @@ def section_inverse(e: Mk1Element) -> Mk1Element:
     """The canonical section ē: each image word maps back to the shortest
     (then dictionary-first) member of its fiber.  Satisfies e∘ē∘e = e and
     ē∘e∘ē = ē, so f <=_L g iff f∘ḡ∘g = f, and f <=_R g iff g∘ḡ∘f = f."""
-    first: dict[Word, Word] = {}  # image -> first domain word of its fiber
-    for x, y in image_code_restriction(e).rows:
-        first.setdefault(y, x)
-    return Mk1Element.make(e.k, first.items())
+    rows = []
+    for z, path in fibers(e):  # the shortest members come from the least offset
+        lo = min(len(x) - len(y) for x, y in path)
+        rows.append((z, min(x + z[len(y):] for x, y in path if len(x) - len(y) == lo)))
+    return Mk1Element.make(e.k, rows)
 
 
 # -- chains and prescribed heights -------------------------------------------------

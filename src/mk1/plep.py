@@ -32,6 +32,7 @@ from .errors import (
     NotPlep,
     OutOfRange,
     RepNotInCode,
+    TooLarge,
     ZeroElement,
 )
 from .kary import kq_one
@@ -79,6 +80,7 @@ def eta_idempotent(q: PrefixCode, q0: Word) -> Mk1Element:
     if q0 not in q:
         raise RepNotInCode("representative must belong to the code")
     (n,) = lengths
+    _check_level(q.k, n)
     members = set(q.words)
     rows = [(w, w) for w in q.words]
     rows.extend((w, q0) for w in words_of_length(q.k, n) if w not in members)
@@ -94,9 +96,15 @@ def plep_element_with_index(k: int, i: int) -> Mk1Element:
     n = 1
     while k ** n <= i:
         n += 1
+    _check_level(k, n)
     level = list(words_of_length(k, n))
     q = PrefixCode.make(k, level[:i])
     return eta_idempotent(q, level[0])
+
+
+def _check_level(k: int, n: int) -> None:
+    if k ** min(n, 21) > 1 << 20:  # k >= 2, so k**21 is over the cap
+        raise TooLarge(f"a level of {n} letters over {k} letters has more than 2^20 words")
 
 
 def common_image_refinement(e1: Mk1Element, e2: Mk1Element) -> tuple[Mk1Element, Mk1Element]:
@@ -110,11 +118,14 @@ def common_image_refinement(e1: Mk1Element, e2: Mk1Element) -> tuple[Mk1Element,
     h1, h2 = image_ideal(e1).mu, image_ideal(e2).mu
     if h1.num != h2.num:
         raise IndexMismatch(f"D-indices differ: {h1.num} vs {h2.num}")
-    r1, r2 = uniform_image_form(e1), uniform_image_form(e2)
     # with images of length L the code has h·k^L = h.num·k^(L - h.exp) words
-    j1 = len(r1.rows[0][1]) - h1.exp
-    j2 = len(r2.rows[0][1]) - h2.exp
+    j1 = max(len(y) for _, y in e1.rows) - h1.exp
+    j2 = max(len(y) for _, y in e2.rows) - h2.exp
     big = max(j1, j2)
+    for e, h in ((e1, h1), (e2, h2)):  # a row's image y is split to length h.exp + big
+        if sum(e.k ** min(h.exp + big - len(y), 21) for _, y in e.rows) > 1 << 20:
+            raise TooLarge("the refined tables would have more than 2^20 rows")
+    r1, r2 = uniform_image_form(e1), uniform_image_form(e2)
     r1 = restrict_to_length(r1, max(len(x) for x, _ in r1.rows) + (big - j1))
     r2 = restrict_to_length(r2, max(len(x) for x, _ in r2.rows) + (big - j2))
     return r1, r2
@@ -152,6 +163,7 @@ def plep_d_witness(e1: Mk1Element, e2: Mk1Element) -> PlepWitness:
     rows_b = list(pairing)
     rows_bp = [(y, x) for x, y in pairing]
     if total:
+        _check_level(k, max(len(ext1[0]), len(ext2[0])))
         members1, members2 = set(ext1), set(ext2)
         rows_b.extend((w, ext2[0]) for w in words_of_length(k, len(ext1[0])) if w not in members1)
         rows_bp.extend((w, ext1[0]) for w in words_of_length(k, len(ext2[0])) if w not in members2)

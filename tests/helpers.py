@@ -7,6 +7,7 @@ from collections import Counter, deque
 from hypothesis import strategies as st
 
 from mk1.congruence import PrefixCodeCongruence, max_congruence, noncollision_measure
+from mk1.circuits import eval_generator_word, generator_length
 from mk1.dfa import AcyclicDfa, counts_by_length, dfa_measure, trie_dfa
 from mk1.elements import (
     Mk1Element,
@@ -14,7 +15,6 @@ from mk1.elements import (
     compose,
     identity_element,
     image_code,
-    image_code_and_part,
     image_code_restriction,
     image_ideal,
     part,
@@ -283,6 +283,18 @@ def reference_image_code_restriction(e: Mk1Element) -> tuple:
     return tuple(sorted(rows, key=lambda r: word_key(r[0])))
 
 
+def reference_length_bound_check(k: int, tokens: list[str], factor: int = 2) -> bool:
+    """The length bound from the counter-loop restriction's rows: the
+    shortest domain word of each image word."""
+    e = eval_generator_word(k, tokens)
+    bound = factor * generator_length(tokens)
+    shortest: dict[Word, int] = {}
+    for x, y in reference_image_code_restriction(e):
+        if y not in shortest or len(x) < shortest[y]:
+            shortest[y] = len(x)
+    return all(n <= len(y) + bound for y, n in shortest.items())
+
+
 def reference_ideal_ess_leq(p1: PrefixCode, p2: PrefixCode) -> bool:
     """Essential containment by a covering walk of P2's trie: each word of P1
     passes a code word, or ends at a node below which every inner node has
@@ -441,7 +453,7 @@ def reference_height_report_via_dfa(e: Mk1Element) -> HeightReport:
         zero = kq_zero(e.k)
         return HeightReport(zero, zero, zero, zero, zero)
     k = e.k
-    imc, p = image_code_and_part(e)
+    imc, p = image_code(e), part(e)
     stats = [_reference_length_stats(counts_by_length(trie_dfa(PrefixCode._trusted(k, cls))))
              for cls in p.classes]
     lo, hi, ave, med = zip(*stats)

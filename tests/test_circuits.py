@@ -1,6 +1,9 @@
+import random
 from itertools import product
 
 import pytest
+
+from helpers import reference_length_bound_check
 
 from mk1.circuits import (
     eval_generator_word,
@@ -164,3 +167,20 @@ def test_length_bound():
     assert length_bound_check(2, ["and"])
     assert length_bound_check(3, ["tau(2)", "or"])
     assert length_bound_check(2, ["proj2", "guard", "not", "E1", "fork"])
+    assert not length_bound_check(2, ["proj2"], factor=0)  # b -> ^ loses a letter
+
+
+def test_length_bound_matches_the_restriction_reference():
+    rng = random.Random(14)
+    gates = ["and", "or", "not", "fork", "proj2", "guard", "E1", "E2", "tau(1)", "tau(2)"]
+    programs = [(k, synthesize_partial_identity(k, t)) for k in (2, 3) for m in (1, 2)
+                for t in product(range(k), repeat=m)]
+    programs += [(k, [rng.choice(gates) for _ in range(rng.randint(1, 6))])
+                 for k in (2, 3) for _ in range(60)]
+    seen = set()
+    for k, prog in programs:
+        for factor in (0, 1, 2):
+            got = length_bound_check(k, prog, factor)
+            assert got == reference_length_bound_check(k, prog, factor), (k, prog, factor)
+            seen.add(got)
+    assert seen == {False, True}

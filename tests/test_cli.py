@@ -130,6 +130,16 @@ def test_green_L_on_nested_images(files, capsys):
     assert time.perf_counter() - started < 5.0
 
 
+def test_heights_on_nested_images(files, capsys):
+    """1,024 nested images: the walk reads each fiber's lengths off its path,
+    where the restriction has 2^28 letters."""
+    table = files("nested.txt", format_table(nested_images(10)) + "\n")
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "heights", table)
+    assert time.perf_counter() - started < 5.0
+    assert code == 0 and out.startswith("R 1\nL 0.10000000001\nLmax 0.0000000001\nLave ")
+
+
 def test_dindex(files, capsys):
     assert run(capsys, "dindex", "M", files("f.txt", PHI1)) == (0, "1\n", "")
     assert run(capsys, "dindex", "M", files("z.txt", "k 2\n"))[1] == "zero\n"
@@ -304,6 +314,18 @@ def test_witness_plep(files, capsys):
     b, bp = parse_table(b_text), parse_table(bp_text)
     left = compose(bp, b)
     assert compose(left, left) == left   # an idempotent linking the two
+
+
+@pytest.mark.parametrize("text", [
+    "k 2\n^ -> " + "a" * 40 + "\n",                 # a total witness over 2^40 words
+    "k 2\na -> a\n" + "b" * 40 + " -> " + "b" * 40 + "\n",   # a -> a split 2^39 ways
+])
+def test_witness_plep_refuses_long_levels_before_building_them(files, capsys, text):
+    f = files("f.txt", text)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "witness-plep", f, f)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (2, "") and err.startswith("error TooLarge:")
 
 
 def test_separate(files, capsys):

@@ -1,0 +1,87 @@
+"""The fiber walk: one walk of the image trie feeds every fiber reader.
+
+:func:`mk1.elements.fibers` yields each image-code word z with the rows
+whose images are prefixes of z.  The image code, the fiber partition and
+the image-code restriction are read off it, and the L-heights, the
+canonical section and the length bound read lengths and offsets off it
+without building the restriction.  These properties check the walk against
+the counter-loop restriction, check that those readers build no
+restriction, and time the nested tables on which the restriction is cubic.
+"""
+
+import random
+import time
+
+from hypothesis import given, settings
+
+from helpers import (
+    deep_code,
+    deep_rotation,
+    elements,
+    nested_images,
+    random_element,
+    reference_image_code_restriction,
+)
+from mk1 import elements as elements_module
+from mk1.circuits import length_bound_check, synthesize_partial_identity
+from mk1.elements import fibers, image_code, image_code_restriction
+from mk1.green import heights, section_inverse
+from mk1.kary import parse_krational
+from mk1.words import is_prefix, word_key, words_of_length
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements)
+def test_the_walk_yields_the_image_code_with_its_rows(e):
+    walked = list(fibers(e))
+    zs = [z for z, _ in walked]
+    assert len(set(zs)) == len(zs)
+    images = set(e.image_words)
+    for z, path in walked:
+        assert any(is_prefix(y, z) for y in images)
+        assert not any(is_prefix(z, y) and y != z for y in images)
+        assert sorted(path) == sorted(row for row in e.rows if is_prefix(row[1], z))
+    rows = sorted(((x + z[len(y):], z) for z, path in walked for x, y in path),
+                  key=lambda row: word_key(row[0]))
+    assert tuple(rows) == reference_image_code_restriction(e)
+
+
+def test_L_side_readers_build_no_restriction(monkeypatch):
+    """Heights, the image code, the section and the length bound read the
+    walk's lengths and offsets, never the restriction's rows."""
+    rng = random.Random(14)
+    es = [random_element(rng, k) for k in (2, 3) for _ in range(60)]
+    es += [nested_images(4), deep_rotation(30)]
+    programs = [(2, synthesize_partial_identity(2, (0, 1))), (2, ["proj2"]), (2, ["fork", "and"]),
+                (3, ["tau(2)", "or"]), (3, synthesize_partial_identity(3, (2,)))]
+
+    def answers():
+        return ([(heights(e), image_code(e), section_inverse(e)) for e in es],
+                [length_bound_check(k, prog, f) for k, prog in programs for f in (0, 1, 2)])
+
+    assert sum(image_code_restriction(e) is not e for e in es) > 20
+    want = answers()
+    assert False in want[1] and True in want[1]
+
+    def no_restriction(e):
+        raise AssertionError("an image-code restriction was built")
+
+    monkeypatch.setattr(elements_module, "image_code_restriction", no_restriction)
+    assert answers() == want
+
+
+def test_L_side_of_nested_images_is_fast():
+    """1,024 nested images: the restriction has 2^19 rows and 2^28 letters,
+    the walk one path per image-code word."""
+    e = nested_images(10)
+    started = time.perf_counter()
+    rep, code, s = heights(e), image_code(e), section_inverse(e)
+    assert time.perf_counter() - started < 2.0
+    # every z = 0^j·1 (j < 1023) has shortest member length 11, and 0^1023 has 10
+    assert (rep.r, rep.l, rep.l_max) == tuple(
+        parse_krational(2, v) for v in ("1", "0.10000000001", "0.0000000001"))
+    assert code.words == tuple(sorted(deep_code(1023), key=word_key))
+    # 0^j·1 goes back through row j, the last one to image 0^j
+    level = list(words_of_length(2, 10))
+    back = {(0,) * j + (1,): w + (1,) for j, w in enumerate(level[:-1])}
+    assert dict(s.rows) == {**back, (0,) * 1023: level[-1]}

@@ -66,7 +66,7 @@ def test_R_and_L_orders_are_transitive_along_chains(guv):
 
 
 def test_L_order_builds_no_fibers(monkeypatch):
-    """leq_L and eq_L never build the image-code restriction."""
+    """leq_L and eq_L never walk the fibers or build the image-code restriction."""
     rng = random.Random(13)
     gs = [random_element(rng, k) for k in (2, 3) for _ in range(40)]
     pairs = [(compose(random_element(rng, g.k), g) if i % 2 else random_element(rng, g.k), g)
@@ -78,11 +78,12 @@ def test_L_order_builds_no_fibers(monkeypatch):
     want = answers()
     assert sum(w[0] for w in want) > 20
 
-    def no_restriction(e):
-        raise AssertionError("an image-code restriction was built")
+    def no_fibers(e):
+        raise AssertionError("fibers were walked or a restriction was built")
 
-    monkeypatch.setattr(elements_module, "image_code_restriction", no_restriction)
-    monkeypatch.setattr(green, "image_code_restriction", no_restriction)
+    monkeypatch.setattr(elements_module, "image_code_restriction", no_fibers)
+    monkeypatch.setattr(elements_module, "fibers", no_fibers)
+    monkeypatch.setattr(green, "fibers", no_fibers)
     assert answers() == want
 
 

@@ -171,8 +171,8 @@ def test_R_side_of_nested_images_is_fast():
 
 
 def test_R_side_builds_no_restriction(monkeypatch):
-    """The R-order, injectivity and the plep index never build the image-code
-    restriction; only fibers need it."""
+    """The R-order, injectivity and the plep index never walk the fibers or
+    build the image-code restriction; only the L side needs them."""
     rng = random.Random(21)
     pairs = [(random_element(rng, k), random_element(rng, k)) for k in (2, 3) for _ in range(30)]
     code = random_nonempty_code(rng, 3)
@@ -193,9 +193,10 @@ def test_R_side_builds_no_restriction(monkeypatch):
     assert any(isinstance(w, tuple) and w[0] == "IndexMismatch" for *_, w in want[2])
     assert any(not isinstance(w, tuple) for *_, w in want[2])
 
-    def no_restriction(e):
-        raise AssertionError("an image-code restriction was built")
+    def no_fibers(e):
+        raise AssertionError("fibers were walked or a restriction was built")
 
-    monkeypatch.setattr(elements_module, "image_code_restriction", no_restriction)
-    monkeypatch.setattr(green, "image_code_restriction", no_restriction)
+    monkeypatch.setattr(elements_module, "image_code_restriction", no_fibers)
+    monkeypatch.setattr(elements_module, "fibers", no_fibers)
+    monkeypatch.setattr(green, "fibers", no_fibers)
     assert answers() == want

@@ -19,6 +19,7 @@ from mk1.errors import (
     NotPlep,
     OutOfRange,
     RepNotInCode,
+    TooLarge,
     ZeroElement,
 )
 from mk1.green import eq_R, heights
@@ -166,6 +167,26 @@ def _check_witness(e1, e2, expect_tlep):
     # the idempotents sit in the right R-classes
     assert eq_R(e1, id1) and eq_R(e2, id2)
     return w
+
+
+def test_long_levels_are_refused_before_they_are_built():
+    """Refinements, witness fillers and eta levels over 2^20 rows raise
+    TooLarge first; long words in few rows still get their witness."""
+    split = el(2, ("a", "a"), ("b" * 40, "b" * 40))   # a -> a would split 2^39 ways
+    with pytest.raises(TooLarge):
+        common_image_refinement(split, split)
+    total = el(2, ("^", "a" * 40))                    # the filler would span 2^40 words
+    assert len(common_image_refinement(total, total)[0].rows) == 1
+    with pytest.raises(TooLarge):
+        plep_d_witness(total, total)
+    with pytest.raises(TooLarge):
+        eta_idempotent(pc(2, "a" * 21), parse_word("a" * 21, 2))
+    for i in (2 ** 20 + 1, 10 ** 30 + 1):
+        with pytest.raises(TooLarge):
+            plep_element_with_index(2, i)
+    long_row = el(2, ("a" * 30, "b" * 30))
+    w = plep_d_witness(long_row, long_row)
+    assert not w.tlep and len(w.b.rows) == 1
 
 
 def test_plep_witness_partial_case():

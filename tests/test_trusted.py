@@ -199,3 +199,14 @@ def test_no_private_imports_across_library_modules():
              if alias.name.startswith("_")
              and ((node.module or "").removeprefix("mk1."), alias.name) != ("words", "_unchecked")]
     assert found == []
+
+
+def test_only_elements_names_the_restriction():
+    """Fibers are worked out in one module; the others read ``fibers``,
+    ``part`` or ``image_code``.  The package re-exports the restriction."""
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes()
+             if name not in ("elements.py", "__init__.py")
+             and "image_code_restriction" in (getattr(node, "id", None),
+                                              getattr(node, "attr", None),
+                                              getattr(node, "name", None))]
+    assert found == []
