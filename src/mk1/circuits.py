@@ -32,7 +32,7 @@ import re
 
 from .elements import Mk1Element, compose, fibers, identity_element
 from .errors import BaseTooSmall, EmptyTarget, OutOfRange, TooLarge, UnknownGate
-from .words import Word, words_of_length
+from .words import Word, check_cap, words_of_length
 
 _TAU = re.compile(r"^tau\((\d+)\)$")
 _PROBE = re.compile(r"^E(\d{1,18})$")
@@ -66,8 +66,7 @@ def gate_element(k: int, token: str) -> Mk1Element:
         rows = ((w, w[: i - 1] + (w[i], w[i - 1])) for w in words_of_length(k, i + 1))
     else:
         raise UnknownGate(f"unknown generator {token!r}")
-    if k ** min(width, 21) > 1 << 20:  # k >= 2, so k**21 is over the cap
-        raise TooLarge(f"{token} over {k} letters would need more than 2^20 rows")
+    check_cap(k, [width], f"{token} over {k} letters would need more than 2^20 rows")
     return Mk1Element.make(k, rows)
 
 

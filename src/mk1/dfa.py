@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .elements import Mk1Element, image_code, part
+from .elements import Mk1Element, fibers
 from .errors import (
     BaseTooSmall,
     CyclicGraph,
@@ -198,12 +198,14 @@ def counts_by_length(d: AcyclicDfa) -> dict[int, int]:
 def height_report_via_dfa(e: Mk1Element) -> HeightReport:
     """The same report as :func:`mk1.green.heights`, but with the R-height
     and each fiber's word lengths read off minimal automata of the image
-    code and of each fiber."""
-    k = e.k
-    imc, p = image_code(e), part(e)
-    lengths = [sorted(Counter(counts_by_length(trie_dfa(PrefixCode._trusted(k, cls)))).elements())
-               for cls in p.classes]
-    r = dfa_measure(trie_dfa(imc)) if imc.words else kq_zero(k)  # zero has no image code
+    code and of each fiber, both from one :func:`~mk1.elements.fibers` walk."""
+    k, zs, lengths = e.k, [], []
+    for z, path in fibers(e):
+        zs.append(z)
+        fiber = PrefixCode._trusted(k, tuple(sorted((x + z[len(y):] for x, y in path), key=word_key)))
+        lengths.append(sorted(Counter(counts_by_length(trie_dfa(fiber))).elements()))
+    imc = PrefixCode._trusted(k, tuple(sorted(zs, key=word_key)))
+    r = dfa_measure(trie_dfa(imc)) if zs else kq_zero(k)  # zero has no image code
     return HeightReport.from_fibers(k, r, lengths)
 
 

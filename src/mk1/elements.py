@@ -46,10 +46,12 @@ from .words import (
     PrefixCode,
     Word,
     _unchecked,
+    check_cap,
     format_word,
     is_prefix,
     is_prefix_code,
     parse_word,
+    trie_leaves,
     word_key,
     words_of_length,
 )
@@ -222,30 +224,19 @@ def fibers(e: Mk1Element) -> Iterator[tuple[Word, tuple[Row, ...]]]:
     """Each image-code word z of e, with the rows x -> y of e whose image y
     is a prefix of z: z's fiber is {x·z[|y|:]}, of lengths |x| - |y| + |z|.
 
-    A walk of the image trie in dictionary order from each minimal image: a
-    node takes the rows of the image it is, then goes on to its k children if
-    the next image extends it, else it is a z.  Cost: one sort of the images,
-    one look per node and one path copy per image; no fiber word is built."""
+    The leaves of the image trie, each image tagged with its rows
+    (:func:`~mk1.words.trie_leaves`); no fiber word is built."""
     rows_of: dict[Word, list[Row]] = {}
     for row in e.rows:
         rows_of.setdefault(row[1], []).append(row)
-    ys, i, stack = sorted(rows_of), 0, []
-    while stack or i < len(ys):
-        p, path = stack.pop() if stack else (ys[i], ())  # the first image left is minimal
-        if i < len(ys) and ys[i] == p:
-            path = path + tuple(rows_of[p])
-            i += 1
-        if i < len(ys) and ys[i][:len(p)] == p:  # the next image extends p
-            stack += [(p + (a,), path) for a in reversed(range(e.k))]
-        else:
-            yield p, path
+    return trie_leaves(e.k, {y: tuple(rows) for y, rows in rows_of.items()})
 
 
 def image_code_restriction(e: Mk1Element) -> Mk1Element:
     """Split rows until the image words form a prefix code (repeats allowed):
     the rows x·z[|y|:] -> z over the :func:`fibers` of e.  The returned table
     denotes the same element but is not reduced."""
-    if is_prefix_code(set(e.image_words)):
+    if is_prefix_code(dict.fromkeys(e.image_words)):
         return e
     rows = sorted([(x + z[len(y):], z) for z, path in fibers(e) for x, y in path], key=_domain_key)
     return Mk1Element._trusted(e.k, tuple(rows))
@@ -262,7 +253,7 @@ def image_ideal(e: Mk1Element) -> PrefixCode:
     In dictionary order every word between a word and its extension extends
     it too, so a word is minimal iff the last kept word is not its prefix."""
     kept: list[Word] = []
-    for y in sorted(set(e.image_words)):
+    for y in sorted(dict.fromkeys(e.image_words)):
         if not kept or not is_prefix(kept[-1], y):
             kept.append(y)
     return PrefixCode._trusted(e.k, tuple(sorted(kept, key=word_key)))
@@ -292,26 +283,23 @@ def restrict_to_length(e: Mk1Element, m: int) -> Mk1Element:
     longest = max((len(x) for x, _ in e.rows), default=0)
     if m < longest:
         raise LengthTooSmall(f"cannot shorten domain words of length {longest} to {m}")
-    rows: list[Row] = []
-    for x, y in e.rows:
-        if len(x) == m:
-            rows.append((x, y))
-        else:
-            rows.extend(_level_splits(e.k, x, y, m - len(x)))
-    return Mk1Element._trusted(e.k, tuple(sorted(rows, key=_domain_key)))
+    return _split_rows(e, [m - len(x) for x, _ in e.rows],
+                       f"restricting to length {m} would give more than 2^20 rows")
 
 
 def uniform_image_form(e: Mk1Element) -> Mk1Element:
     """Split rows until all image words share the maximal image length."""
     target = max((len(y) for _, y in e.rows), default=0)
-    rows: list[Row] = []
-    for x, y in e.rows:
-        rows.extend(_level_splits(e.k, x, y, target - len(y)))
+    return _split_rows(e, [target - len(y) for _, y in e.rows],
+                       "the uniform image form would have more than 2^20 rows")
+
+
+def _split_rows(e: Mk1Element, depths: list[int], message: str) -> Mk1Element:
+    """Each row x -> y split into the rows x·s -> y·s over the words s of its
+    depth, refused with ``message`` before any row past 2^20 is built."""
+    check_cap(e.k, depths, message)
+    rows = [(x + s, y + s) for (x, y), d in zip(e.rows, depths) for s in words_of_length(e.k, d)]
     return Mk1Element._trusted(e.k, tuple(sorted(rows, key=_domain_key)))
-
-
-def _level_splits(k: int, x: Word, y: Word, depth: int):
-    return ((x + s, y + s) for s in words_of_length(k, depth))
 
 
 # -- predicates and inverses -----------------------------------------------------

@@ -45,7 +45,7 @@ from .errors import (
     OutOfRange,
 )
 from .kary import KRational, kq, kq_pow_sum
-from .words import Word, code_with_measure, ideal_ess_eq, ideal_ess_leq, proper_prefixes, word_key
+from .words import Word, code_with_measure, ideal_ess_eq, ideal_ess_leq, trie_leaves, word_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,8 +261,9 @@ def separating_context(f: Mk1Element, g: Mk1Element) -> tuple[Mk1Element, Mk1Ele
 
     The surviving sandwich is a single-row table.  Distinct elements always
     admit such a context: they differ on some end, and pinning that end down
-    to a finite window kills exactly one of them.  A walk of the union trie
-    of the two domains finds that window in O(rows × depth) steps, not k^depth.
+    to a finite window kills exactly one of them.  The leaves of the union
+    trie of the two domains (:func:`~mk1.words.trie_leaves`) find that window
+    in O(rows × depth) steps, not k^depth.
     """
     if f.k != g.k:
         raise AlphabetMismatch("different alphabets")
@@ -276,25 +277,20 @@ def separating_context(f: Mk1Element, g: Mk1Element) -> tuple[Mk1Element, Mk1Ele
             return identity_element(k), identity_element(k)
         x0 = survivor.rows[0][0]
         return identity_element(k), single_row(k, x0, x0)
-    fdom, gdom = dict(f.rows), dict(g.rows)
-    inner = proper_prefixes([*fdom, *gdom])
-    depth = max(map(len, [*fdom, *gdom]))
+    tags: dict[Word, tuple] = {}  # each domain word with its rows, by side
+    for side, e in enumerate((f, g)):
+        for x, y in e.rows:
+            tags[x] = tags.get(x, ()) + ((side, x, y),)
+    depth = max(map(len, tags))
     diff_value = None
-    stack: list[tuple[Word, Word | None, Word | None]] = [((), None, None)]
-    while stack:  # node p, with the domain words of f and g that prefix it
-        p, fx, gx = stack.pop()
-        fx = p if p in fdom else fx
-        gx = p if p in gdom else gx
-        if p in inner:  # f or g has domain words below p
-            stack.extend((p + (a,), fx, gx) for a in reversed(range(k)))
-            continue
+    # off every domain word's subtree neither side is defined, so leaves there are left out
+    for p, path in trie_leaves(k, tags):
         w = p + (0,) * (depth - len(p))  # f and g each treat all of p's subtree alike
-        fv = None if fx is None else fdom[fx] + w[len(fx):]
-        gv = None if gx is None else gdom[gx] + w[len(gx):]
-        if (fv is None) != (gv is None):
+        fv, gv = ([y + w[len(x):] for s, x, y in path if s == side] for side in (0, 1))
+        if bool(fv) != bool(gv):
             return identity_element(k), single_row(k, w, w)
         if fv != gv and diff_value is None:
-            diff_value = (w, fv, gv)
+            diff_value = (w, fv[0], gv[0])
     if diff_value is None:
         raise CrossCheckFailed("distinct reduced tables agree at full depth")
     x0, y0, y1 = diff_value

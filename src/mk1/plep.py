@@ -32,11 +32,10 @@ from .errors import (
     NotPlep,
     OutOfRange,
     RepNotInCode,
-    TooLarge,
     ZeroElement,
 )
 from .kary import kq_one
-from .words import PrefixCode, Word, words_of_length
+from .words import PrefixCode, Word, check_cap, words_of_length
 
 
 def is_plep(e: Mk1Element) -> bool:
@@ -103,8 +102,7 @@ def plep_element_with_index(k: int, i: int) -> Mk1Element:
 
 
 def _check_level(k: int, n: int) -> None:
-    if k ** min(n, 21) > 1 << 20:  # k >= 2, so k**21 is over the cap
-        raise TooLarge(f"a level of {n} letters over {k} letters has more than 2^20 words")
+    check_cap(k, [n], f"a level of {n} letters over {k} letters has more than 2^20 words")
 
 
 def common_image_refinement(e1: Mk1Element, e2: Mk1Element) -> tuple[Mk1Element, Mk1Element]:
@@ -123,8 +121,8 @@ def common_image_refinement(e1: Mk1Element, e2: Mk1Element) -> tuple[Mk1Element,
     j2 = max(len(y) for _, y in e2.rows) - h2.exp
     big = max(j1, j2)
     for e, h in ((e1, h1), (e2, h2)):  # a row's image y is split to length h.exp + big
-        if sum(e.k ** min(h.exp + big - len(y), 21) for _, y in e.rows) > 1 << 20:
-            raise TooLarge("the refined tables would have more than 2^20 rows")
+        check_cap(e.k, (h.exp + big - len(y) for _, y in e.rows),
+                  "the refined tables would have more than 2^20 rows")
     r1, r2 = uniform_image_form(e1), uniform_image_form(e2)
     r1 = restrict_to_length(r1, max(len(x) for x, _ in r1.rows) + (big - j1))
     r2 = restrict_to_length(r2, max(len(x) for x, _ in r2.rows) + (big - j2))

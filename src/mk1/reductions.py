@@ -39,7 +39,7 @@ from .errors import (
     TooLong,
 )
 from .kary import KRational, kq
-from .words import PrefixCode, Word, _unchecked, words_of_length
+from .words import PrefixCode, Word, _unchecked, check_cap, words_of_length
 
 Ast = tuple
 
@@ -385,5 +385,7 @@ def complete_to_length(code: PrefixCode, p: int) -> PrefixCode:
     fixed length, k^p * measure many words."""
     if any(len(w) > p for w in code.words):
         raise LengthTooSmall(f"code has words longer than {p}")
+    check_cap(code.k, (p - len(w) for w in code.words),
+              f"completing to length {p} would give more than 2^20 words")
     words = [w + t for w in code.words for t in words_of_length(code.k, p - len(w))]
     return PrefixCode.make(code.k, words)

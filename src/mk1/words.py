@@ -31,6 +31,7 @@ from .errors import (
     NotPrefixCode,
     OutOfRange,
     ParseError,
+    TooLarge,
 )
 from .kary import KRational, kq, kq_one, kq_pow_sum
 
@@ -63,15 +64,30 @@ def words_of_length(k: int, n: int) -> Iterator[Word]:
     return product(range(k), repeat=n)
 
 
-def proper_prefixes(words: Iterable[Word]) -> set[Word]:
-    """Every proper prefix of the words: the inner nodes of their trie."""
-    out: set[Word] = set()
-    for w in words:
-        for i in range(len(w) - 1, -1, -1):
-            if w[:i] in out:
-                break
-            out.add(w[:i])
-    return out
+def trie_leaves(k: int, tags: dict[Word, tuple]) -> Iterator[tuple[Word, tuple]]:
+    """The leaves, in dictionary order, of the trie below the minimal words
+    where each inner node has all k children, each with the tags of the
+    words on its path added up, shortest first.  The library's one trie
+    walk: a word's extensions follow it at once in dictionary order, so one
+    pointer into the sorted words tells if a node is a word and if it is
+    inner.  Cost: one sort, one look per node and one path copy per word."""
+    ws, i, stack = sorted(tags), 0, []
+    while stack or i < len(ws):
+        p, path = stack.pop() if stack else (ws[i], ())  # the first word left is minimal
+        if i < len(ws) and ws[i] == p:
+            path = path + tags[p]
+            i += 1
+        if i < len(ws) and ws[i][:len(p)] == p:  # the next word extends p
+            stack += [(p + (a,), path) for a in reversed(range(k))]
+        else:
+            yield p, path
+
+
+def check_cap(k: int, depths: Iterable[int], message: str) -> None:
+    """Raise TooLarge(message) when the rows or words to be built, k**d for
+    each of the depths d, are more than 2^20."""
+    if sum(k ** min(d, 21) for d in depths) > 1 << 20:  # k >= 2, so k**21 is over the cap
+        raise TooLarge(message)
 
 
 def format_word(w: Word) -> str:
@@ -82,19 +98,20 @@ def format_word(w: Word) -> str:
     return "".join(chr(ord("a") + j) for j in w)
 
 
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_INDICES = bytes.maketrans(_LETTERS.encode(), bytes(range(26)))
+
+
 def parse_word(text: str, k: int) -> Word:
     text = text.strip()
     if text == "^":
         return ()
     if not text:
         raise ParseError("empty word text (use '^' for the empty word)")
-    out = []
-    for c in text:
-        j = ord(c) - ord("a")
-        if not 0 <= j < min(k, 26):
-            raise ParseError(f"letter {c!r} invalid for a {k}-letter alphabet")
-        out.append(j)
-    return tuple(out)
+    bad = text.strip(_LETTERS[:k])  # starts at the first letter outside the alphabet
+    if bad:
+        raise ParseError(f"letter {bad[0]!r} invalid for a {k}-letter alphabet")
+    return tuple(text.encode().translate(_INDICES))
 
 
 def is_prefix_code(words: Iterable[Word]) -> bool:
@@ -197,15 +214,12 @@ def complement_code(code: PrefixCode) -> PrefixCode:
     """The canonical prefix code complementary to ``code``.
 
     Its members are the maximal tree nodes whose subtrees miss code·A*: the
-    children of inner trie nodes that are neither code words nor inner.  With
-    ``code`` it covers every infinite end; the complement of {} is {^}.
+    leaves of the trie of the code and the root that are not code words.
+    With ``code`` it covers every infinite end; the complement of {} is {^}.
     """
-    words = set(code.words)
-    if not words:
-        return PrefixCode.make(code.k, [()])
-    inner = proper_prefixes(words)
-    children = (p + (j,) for p in inner for j in range(code.k))
-    return PrefixCode.make(code.k, [c for c in children if c not in words and c not in inner])
+    tags = {(): (), **{w: (w,) for w in code.words}}  # a leaf with no tag is no code word
+    gaps = (p for p, path in trie_leaves(code.k, tags) if not path)
+    return PrefixCode._trusted(code.k, tuple(sorted(gaps, key=word_key)))
 
 
 # -- measure-preserving rewriting ---------------------------------------------

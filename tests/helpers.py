@@ -33,7 +33,6 @@ from mk1.words import (
     Word,
     ideal_ess_leq,
     parse_word,
-    proper_prefixes,
     word_key,
     words_of_length,
 )
@@ -540,6 +539,28 @@ def reference_max_congruence(c: PrefixCodeCongruence) -> PrefixCodeCongruence:
                 break
     code = PrefixCode.make(k, [w for cls in classes for w in cls])
     return PrefixCodeCongruence.make(code, classes)
+
+
+def proper_prefixes(words) -> set[Word]:
+    """Every proper prefix of the words: the inner nodes of their trie."""
+    out: set[Word] = set()
+    for w in words:
+        for i in range(len(w) - 1, -1, -1):
+            if w[:i] in out:
+                break
+            out.add(w[:i])
+    return out
+
+
+def reference_complement_code(code: PrefixCode) -> PrefixCode:
+    """The complement as the children of inner trie nodes that are neither
+    code words nor inner."""
+    words = set(code.words)
+    if not words:
+        return PrefixCode.make(code.k, [()])
+    inner = proper_prefixes(words)
+    children = (p + (j,) for p in inner for j in range(code.k))
+    return PrefixCode.make(code.k, [c for c in children if c not in words and c not in inner])
 
 
 def reference_leq_R(f: Mk1Element, g: Mk1Element) -> bool:

@@ -1,6 +1,7 @@
 """Tables: reduction, composition, application, restrictions, text form."""
 
 import random
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from mk1.errors import (
     DomainNotPrefixCode,
     NotInjective,
     ParseError,
+    TooLarge,
 )
 from mk1.kary import kq
 from mk1.elements import (
@@ -32,7 +34,8 @@ from mk1.elements import (
     uniform_image_form,
     zero_element,
 )
-from mk1.words import PrefixCode, mu, parse_word
+from mk1.reductions import complete_to_length
+from mk1.words import PrefixCode, check_cap, mu, parse_word
 
 
 def el(k, *rows):
@@ -137,6 +140,23 @@ def test_restrict_to_length():
     u = uniform_image_form(PHI1)
     assert {len(y) for _, y in u.rows} == {3}
     assert u.reduced() == PHI1
+
+
+def test_level_splits_past_the_cap_are_refused_unbuilt():
+    """2^40 rows would never be listed; the count comes first."""
+    started = time.perf_counter()
+    with pytest.raises(TooLarge):
+        restrict_to_length(identity_element(2), 40)
+    with pytest.raises(TooLarge):
+        uniform_image_form(el(2, ("a", "^"), ("b", "a" * 40)))
+    with pytest.raises(TooLarge):
+        complete_to_length(PrefixCode.make(3, [(0,), (1, 1)]), 10 ** 6)
+    assert time.perf_counter() - started < 1.0
+    for k, depths in ((2, [20]), (2, [19, 19]), (3, [12, 0]), (1024, [2]), (2, [])):
+        check_cap(k, depths, "at or below the cap")
+    for k, depths in ((2, [20, 0]), (2, [10 ** 9]), (1025, [2]), (3, [12, 12])):
+        with pytest.raises(TooLarge, match="^over it$"):
+            check_cap(k, depths, "over it")
 
 
 def test_injectivity_and_inverse():

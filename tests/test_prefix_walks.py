@@ -1,28 +1,37 @@
-"""Prefix-set walks in compose, separating_context and leq_L.
+"""Prefix walks: the trie walk, compose, separating_context and leq_L.
 
-``compose`` and ``separating_context`` walk the proper prefixes of domain
-words instead of scanning every domain word per row or trying every word
-of the full depth.  These properties check them byte for byte against the
-scanning references in ``helpers``, check ``leq_L`` against the section
-certificate, and time the inputs on which the scans blow up.
+``words.trie_leaves`` is the one trie walk; ``separating_context`` reads
+the leaves of the union trie of two domains, and ``compose`` bisects into
+f's sorted domain, instead of trying every word of the full depth or
+scanning every domain word per row.  These properties check the walk
+against the leaves of the completed trie, check the two callers byte for
+byte against the scanning references in ``helpers``, check ``leq_L``
+against the section certificate, and time the inputs on which the scans
+blow up or a recursive walk would pass Python's recursion limit.
 """
 
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import deep_code, deep_rotation, reference_compose, reference_separating_context
+from helpers import (
+    deep_code,
+    deep_rotation,
+    reference_compose,
+    reference_separating_context,
+)
 from mk1.elements import (
     Mk1Element,
     compose,
     format_table,
     identity_element,
+    partial_identity,
     zero_element,
 )
 from mk1.errors import NotDistinct
 from mk1.green import eq_L, leq_L, section_inverse, separating_context
-from mk1.words import proper_prefixes, words_of_length
+from mk1.words import PrefixCode, is_prefix, trie_leaves, words_of_length
 
 
 def _words(k):
@@ -123,12 +132,34 @@ def test_leq_L_compares_ends_past_the_fiber_words():
     assert leq_L(compose(f, g), g)
 
 
-def test_proper_prefixes():
-    assert proper_prefixes([]) == set()
-    assert proper_prefixes([()]) == set()
-    assert proper_prefixes([(0, 1, 1), (0, 1), (1,)]) == {(), (0,), (0, 1)}
-    words = list(words_of_length(3, 3)) + [(2, 2, 2, 0)]
-    assert proper_prefixes(words) == {w[:i] for w in words for i in range(len(w))}
+@st.composite
+def _tagged_words(draw):
+    """(k, tags): a few words, ^ and nested words included, each with a tuple."""
+    k = draw(st.sampled_from((2, 3)))
+    ws = draw(st.lists(st.one_of(st.just(()), _words(k)), max_size=8))
+    if ws and draw(st.booleans()):
+        ws.append(ws[0] + draw(_words(k)))   # nested below another word
+    return k, {w: draw(st.lists(st.integers(0, 9), max_size=2).map(tuple)) for w in ws}
+
+
+def _brute_leaves(k, tags):
+    """The leaves of the trie of the words below the minimal ones, each inner
+    node given all k children, with the tags of the words on its path."""
+    inner = {w[:i] for w in tags for i in range(len(w))}
+    nodes = {w for w in tags if not any(is_prefix(v, w) for v in tags if v != w)}
+    nodes |= {p + (a,) for p in inner if any(is_prefix(w, p) for w in tags) for a in range(k)}
+    return [(p, sum((tags[w] for w in sorted(tags, key=len) if is_prefix(w, p)), ()))
+            for p in sorted(nodes - inner)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_tagged_words())
+@example((2, {}))
+@example((2, {(): ("root",)}))
+@example((3, {(): (), (1,): (1,), (1, 2, 0): (2,)}))
+def test_trie_leaves_match_the_completed_trie(ktags):
+    k, tags = ktags
+    assert list(trie_leaves(k, tags)) == _brute_leaves(k, tags)
 
 
 # -- worst cases: the scanning references take far longer on these -----------
@@ -142,6 +173,14 @@ def test_separating_context_at_depth_40(k):
     contexts = separating_context(f, g)
     assert time.perf_counter() - started < 0.5
     assert _separates(f, g, contexts)
+
+
+def test_separating_context_past_the_recursion_limit():
+    """1,501 rows 1,500 levels deep, and a partial identity on the same code."""
+    code = deep_code(1500)
+    f, g = deep_rotation(1500), partial_identity(PrefixCode.make(2, code[:-1]))
+    for a, b in ((f, g), (g, f), (f, compose(f, f))):
+        assert _separates(a, b, separating_context(a, b))
 
 
 def test_compose_splitting_into_a_wide_level_table():

@@ -9,6 +9,7 @@ table; φ_B skips ``make``'s sort and checks.
 """
 
 import ast
+import operator
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,22 @@ def test_no_private_imports_across_library_modules():
              if alias.name.startswith("_")
              and ((node.module or "").removeprefix("mk1."), alias.name) != ("words", "_unchecked")]
     assert found == []
+
+
+def _spells_the_cap(node) -> bool:
+    """2^20 as a literal, 1 << 20 or 2 ** 20."""
+    if isinstance(node, ast.Constant):
+        return node.value == 1 << 20 and type(node.value) is int
+    ops = {ast.LShift: operator.lshift, ast.Pow: operator.pow}
+    return (isinstance(node, ast.BinOp) and type(node.op) in ops
+            and isinstance(node.left, ast.Constant) and isinstance(node.right, ast.Constant)
+            and ops[type(node.op)](node.left.value, node.right.value) == 1 << 20)
+
+
+def test_only_words_spells_the_size_cap():
+    """Every 2^20 cap on rows or words goes through ``words.check_cap``."""
+    found = [name for name, node in _library_nodes() if _spells_the_cap(node)]
+    assert found and set(found) == {"words.py"}
 
 
 def test_only_elements_names_the_restriction():

@@ -1,6 +1,7 @@
 """Prefix codes: measure, covering, complements, rewriting, measure chains."""
 
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +11,7 @@ from helpers import (
     prefix_free,
     random_code,
     random_nonempty_code,
+    reference_complement_code,
     reference_ideal_ess_leq,
     words,
 )
@@ -45,9 +47,14 @@ def test_word_text():
     assert parse_word("abc", 3) == (0, 1, 2)
     assert parse_word("^", 2) == ()
     with pytest.raises(ParseError):
-        parse_word("ac", 2)
-    with pytest.raises(ParseError):
         parse_word("", 2)
+    assert parse_word(" abz ", 26) == (0, 1, 25)
+    assert parse_word("a" * 1500, 30) == (0,) * 1500
+    for text, k, bad in (("acab", 2, "c"), ("cab", 2, "c"), ("abcd", 3, "d"),
+                         ("a b", 2, " "), ("aAb", 2, "A"), ("aé", 2, "é"), ("a^", 2, "^")):
+        with pytest.raises(ParseError, match="^" + re.escape(
+                f"letter {bad!r} invalid for a {k}-letter alphabet") + "$"):
+            parse_word(text, k)
 
 
 def test_prefix_basics():
@@ -135,6 +142,17 @@ def test_complement():
     assert complement_code(pc(2)) == pc(2, "^")
     assert complement_code(pc(2, "a", "b")) == pc(2)
     assert complement_code(pc(3, "b")) == pc(3, "a", "c")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(_ideal_codes))
+@example(pc(2))
+@example(pc(2, "^"))
+@example(pc(3, "^"))
+@example(PrefixCode.make(2, deep_code(12)[:-1]))
+@example(PrefixCode.make(3, [(2,) * 9 + (1,), (0,)]))
+def test_complement_matches_the_inner_node_reference(code):
+    assert complement_code(code).words == reference_complement_code(code).words
 
 
 def test_trie_walks_past_the_recursion_limit():
