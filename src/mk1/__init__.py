@@ -63,6 +63,7 @@ from .words import (
     format_word,
     is_maximal_code,
     mu,
+    parse_code,
     parse_word,
     r2_normal_form,
 )

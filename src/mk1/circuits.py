@@ -31,8 +31,8 @@ from __future__ import annotations
 import re
 
 from .elements import Mk1Element, compose, fibers, identity_element
-from .errors import BaseTooSmall, EmptyTarget, OutOfRange, TooLarge, UnknownGate
-from .words import Word, check_cap, words_of_length
+from .errors import BaseTooSmall, EmptyTarget, TooLarge, UnknownGate
+from .words import Word, check_cap, check_letters, words_of_length
 
 _TAU = re.compile(r"^tau\((\d+)\)$")
 _PROBE = re.compile(r"^E(\d{1,18})$")
@@ -57,7 +57,8 @@ def gate_element(k: int, token: str) -> Mk1Element:
     elif m := _PROBE.match(token):
         c = int(m.group(1))
         if not 1 <= c <= k:
-            raise UnknownGate(f"probe {token} needs an alphabet of at least {c} letters")
+            raise UnknownGate(f"probe {token} needs an alphabet of at least {c} letters"
+                              if c else f"probes count from 1, got {token}")
         rows = (((i,), (1,) if i == c - 1 else (0,)) for i in range(k))
     elif _TAU.match(token):
         i = width - 1
@@ -102,9 +103,7 @@ def synthesize_partial_identity(k: int, target: Word) -> list[str]:
     m = len(target)
     if m == 0:
         raise EmptyTarget("target word must be nonempty")
-    for c in target:
-        if not 0 <= c < k:
-            raise OutOfRange(f"letter {c} outside alphabet of size {k}")
+    check_letters(k, (target,))
     prog: list[str] = []
     for i in range(1, m + 1):
         if i > 1:

@@ -16,61 +16,35 @@ import sys
 from . import circuits, dfa, green, plep, reductions
 from .congruence import noncollision_measure
 from .elements import compose, format_table, parse_table, part
-from .errors import Mk1Error, ParseError
+from .errors import CrossCheckFailed, Mk1Error, ParseError
 from .kary import parse_krational
-from .words import PrefixCode, parse_word
+from .words import parse_code, parse_word
 
 
-def _read(path: str) -> str:
+def _read(path: str, parse):
     with open(path, encoding="utf-8") as handle:
-        return handle.read()
-
-
-def _read_table(path: str):
-    return parse_table(_read(path))
-
-
-def _read_code(path: str) -> PrefixCode:
-    """Code files: a "k <int>" header, then one word per line."""
-    k = None
-    words = []
-    for raw in _read(path).splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if k is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "k" or not parts[1].isdigit():
-                raise ParseError(f"expected a 'k <int>' header, got {line!r}")
-            k = int(parts[1])
-            if k < 2:
-                raise ParseError("alphabet needs at least two letters")
-            continue
-        words.append(parse_word(line, k))
-    if k is None:
-        raise ParseError("empty code file")
-    return PrefixCode.make(k, words)
-
-
-def _read_formula(path: str) -> reductions.BooleanFormula:
-    return reductions.parse_formula(_read(path))
+        try:
+            text = handle.read()  # one decode of the whole file: exc.start is a file offset
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text (byte {exc.start})") from None
+    return parse(text)
 
 
 def _cmd_normalize(args):
-    print(format_table(_read_table(args.table).reduced()))
+    print(format_table(_read(args.table, parse_table).reduced()))
 
 
 def _cmd_compose(args):
-    f, g = _read_table(args.f), _read_table(args.g)
+    f, g = _read(args.f, parse_table), _read(args.g, parse_table)
     print(format_table(compose(f, g)))
 
 
 def _cmd_measure(args):
-    print(_read_code(args.code).mu)
+    print(_read(args.code, parse_code).mu)
 
 
 def _cmd_heights(args):
-    e = _read_table(args.table)
+    e = _read(args.table, parse_table)
     report = dfa.height_report_via_dfa(e) if args.dfa else green.heights(e)
     print(green.format_height_report(report))
 
@@ -86,12 +60,12 @@ _RELATIONS = {
 
 
 def _cmd_green(args):
-    verdict = _RELATIONS[args.relation](_read_table(args.f), _read_table(args.g))
+    verdict = _RELATIONS[args.relation](_read(args.f, parse_table), _read(args.g, parse_table))
     print("true" if verdict else "false")
 
 
 def _cmd_dindex(args):
-    e = _read_table(args.table)
+    e = _read(args.table, parse_table)
     if args.kind == "M":
         idx = green.d_index_M(e)
         print("zero" if idx is None else idx)
@@ -125,19 +99,22 @@ def _cmd_eval_gen(args):
 
 
 def _cmd_phi_b(args):
-    f = _read_formula(args.formula)
+    f = _read(args.formula, reductions.parse_formula)
     e = reductions.encode_formula(f)
     print(format_table(e))
     if args.check:
         noncoll = noncollision_measure(part(e))
-        count = reductions.recover_count(f.m, f.n, noncoll)
+        count = reductions.count_forall_sat(f)
+        predicted = reductions.predicted_noncollision(f.m, f.n, count)
+        if noncoll != predicted:
+            raise CrossCheckFailed(f"noncollision {noncoll}; count {count} predicts {predicted}")
         print(f"noncollision {noncoll}")
-        print(f"predicted {reductions.predicted_noncollision(f.m, f.n, count)}")
+        print(f"predicted {predicted}")
         print(f"count {count}")
 
 
 def _cmd_count_forallsat(args):
-    f = _read_formula(args.formula)
+    f = _read(args.formula, reductions.parse_formula)
     if args.via_element:
         if not reductions.covers_every_y(f):
             f = reductions.ensure_surjective(f)
@@ -147,7 +124,7 @@ def _cmd_count_forallsat(args):
 
 
 def _cmd_dfa_mu(args):
-    automaton = dfa.trie_dfa(_read_code(args.code))
+    automaton = dfa.trie_dfa(_read(args.code, parse_code))
     if args.dump:
         print(dfa.format_dfa(automaton))
         print(f"mu: {dfa.dfa_measure(automaton)}")
@@ -156,7 +133,7 @@ def _cmd_dfa_mu(args):
 
 
 def _cmd_witness_plep(args):
-    w = plep.plep_d_witness(_read_table(args.f), _read_table(args.g))
+    w = plep.plep_d_witness(_read(args.f, parse_table), _read(args.g, parse_table))
     print(f"tlep {'true' if w.tlep else 'false'}")
     print()
     print(format_table(w.b))
@@ -165,7 +142,7 @@ def _cmd_witness_plep(args):
 
 
 def _cmd_separate(args):
-    c1, c2 = green.separating_context(_read_table(args.f), _read_table(args.g))
+    c1, c2 = green.separating_context(_read(args.f, parse_table), _read(args.g, parse_table))
     print(format_table(c1))
     print()
     print(format_table(c2))

@@ -39,7 +39,6 @@ from .errors import (
     LengthTooSmall,
     NotCanonical,
     NotInjective,
-    OutOfRange,
     ParseError,
 )
 from .words import (
@@ -47,9 +46,11 @@ from .words import (
     Word,
     _unchecked,
     check_cap,
+    check_letters,
     format_word,
     is_prefix,
     is_prefix_code,
+    parse_header,
     parse_word,
     trie_leaves,
     word_key,
@@ -80,10 +81,7 @@ class Mk1Element:
     def __post_init__(self):
         if self.k < 2:
             raise BaseTooSmall("alphabet needs at least two letters")
-        for x, y in self.rows:
-            for j in x + y:
-                if not 0 <= j < self.k:
-                    raise OutOfRange(f"letter index {j} out of range for k={self.k}")
+        check_letters(self.k, (w for row in self.rows for w in row))
         doms = [x for x, _ in self.rows]
         if doms != sorted(set(doms), key=word_key):
             raise NotCanonical("rows must be sorted by domain word, without repeats")
@@ -329,7 +327,7 @@ def is_partial_identity(e: Mk1Element) -> bool:
 # -- text format -----------------------------------------------------------------
 
 def format_table(e: Mk1Element) -> str:
-    """Multi-line text form: a 'k <int>' header then one 'x -> y' row per line."""
+    """Multi-line text form: a ``k`` header line, then one 'x -> y' row per line."""
     lines = [f"k {e.k}"]
     lines.extend(f"{format_word(x)} -> {format_word(y)}" for x, y in e.rows)
     return "\n".join(lines)
@@ -340,29 +338,22 @@ def parse_table(text: str) -> Mk1Element:
 
     Blank lines and lines starting with '#' are ignored.  Rows need not be
     sorted; the element is validated but not reduced, so normal forms remain
-    an explicit, observable step.
+    an explicit, observable step.  Each row is checked once, here, and the
+    element is built without its constructor's checks.
     """
-    k = None
+    lines = (line for line in map(str.strip, text.splitlines())
+             if line and not line.startswith("#"))
+    k = parse_header(next(lines, ""))
     rows: list[Row] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if k is None:
-            head = line.split()
-            if len(head) != 2 or head[0] != "k" or not head[1].isdigit():
-                raise ParseError(f"expected 'k <int>' header, got {line!r}")
-            k = int(head[1])
-            if k < 2:
-                raise ParseError("alphabet needs at least two letters")
-            continue
+    for line in lines:
         if "->" not in line:
             raise ParseError(f"expected 'x -> y' row, got {line!r}")
         left, _, right = line.partition("->")
         rows.append((parse_word(left, k), parse_word(right, k)))
-    if k is None:
-        raise ParseError("missing 'k <int>' header")
+    rows.sort(key=_domain_key)
     doms = [x for x, _ in rows]
-    if len(set(doms)) != len(doms):
+    if any(u == v for u, v in zip(doms, doms[1:])):  # equal words sort next to each other
         raise ParseError("repeated domain word")
-    return Mk1Element(k, tuple(sorted(rows, key=_domain_key)))
+    if not is_prefix_code(doms):
+        raise DomainNotPrefixCode("domain words must form a prefix code")
+    return Mk1Element._trusted(k, tuple(rows))

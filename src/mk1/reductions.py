@@ -39,7 +39,7 @@ from .errors import (
     TooLong,
 )
 from .kary import KRational, kq
-from .words import PrefixCode, Word, _unchecked, check_cap, words_of_length
+from .words import PrefixCode, Word, _unchecked, check_cap, check_letters, words_of_length
 
 Ast = tuple
 
@@ -105,25 +105,27 @@ class BooleanFormula:
     def __post_init__(self):
         if self.m < 0 or self.n < 0:
             raise ArityMismatch("variable counts must be non-negative")
-        _fold(self.ast, self._check_leaf, _CHECK)
+        _fold(self.ast, lambda node: _check_leaf(self.m, self.n, node), _CHECK)
 
     # _trusted(m, n, ast, table): an ast the library built, and its truth table or None
     _trusted = classmethod(_unchecked)
 
-    def _check_leaf(self, node) -> None:
-        op = node[0]
-        if len(node) != 2 or op not in ("x", "y", "const") or not isinstance(node[1], int):
-            raise ArityMismatch(f"unknown node {op!r}")
-        if op == "const":
-            if node[1] not in (0, 1):
-                raise ArityMismatch("constants are 0 or 1")
-        else:
-            bound = self.m if op == "x" else self.n
-            if not 1 <= node[1] <= bound:
-                raise ArityMismatch(f"{op}{node[1]} out of range (have {bound})")
-
     def __str__(self) -> str:
         return f"m={self.m} n={self.n} {_fold(self.ast, _format_leaf, _FORMAT)[0]}"
+
+
+def _check_leaf(m: int, n: int, node) -> None:
+    """Raise ArityMismatch unless ``node`` is 0, 1, one of x1..xm or y1..yn."""
+    op = node[0]
+    if len(node) != 2 or op not in ("x", "y", "const") or not isinstance(node[1], int):
+        raise ArityMismatch(f"unknown node {op!r}")
+    if op == "const":
+        if node[1] not in (0, 1):
+            raise ArityMismatch("constants are 0 or 1")
+    else:
+        bound = m if op == "x" else n
+        if not 1 <= node[1] <= bound:
+            raise ArityMismatch(f"{op}{node[1]} out of range (have {bound})")
 
 
 def _format_leaf(node) -> tuple[str, int]:
@@ -139,7 +141,8 @@ _NAMES = {"|": "or", "&": "and", "!": "not"}
 
 def parse_formula(text: str) -> BooleanFormula:
     """Read "m=<int> n=<int> <expression>" with ! over & over |, where & and
-    | nest to the left.  A shunting-yard: no recursion, no depth limit."""
+    | nest to the left.  A shunting-yard: no recursion, no depth limit.
+    Leaves are checked after the syntax, which is reported first."""
     header = _HEADER.match(text)
     if not header:
         raise ParseError("expected a header like 'm=2 n=1' before the formula")
@@ -149,6 +152,7 @@ def parse_formula(text: str) -> BooleanFormula:
     if "".join(tokens) != "".join(body.split()):
         raise ParseError(f"unexpected characters in formula {body!r}")
     operands: list[Ast] = []
+    leaves: list[Ast] = []
     pending: list[str] = []  # "(" and the operators still short of operands
 
     def close(level: int) -> None:
@@ -164,7 +168,8 @@ def parse_formula(text: str) -> BooleanFormula:
         elif want_operand:
             if t in ("&", "|", ")"):
                 raise ParseError(f"unexpected token {t!r}")
-            operands.append(("const", int(t)) if t in ("0", "1") else (t[0], int(t[1:])))
+            leaves.append(("const", int(t)) if t in ("0", "1") else (t[0], int(t[1:])))
+            operands.append(leaves[-1])
             want_operand = False
         elif t in ("&", "|"):
             close(_BINDS[t])
@@ -183,7 +188,9 @@ def parse_formula(text: str) -> BooleanFormula:
     close(1)
     if pending:
         raise ParseError("formula ended unexpectedly")
-    return BooleanFormula(m, n, operands[0])
+    for leaf in leaves:
+        _check_leaf(m, n, leaf)
+    return BooleanFormula._trusted(m, n, operands[0], None)
 
 
 def _bitwise(ast: Ast, x, y, one: int) -> int:
@@ -352,9 +359,7 @@ def pad_encode(k: int, w: Word, p: int) -> Word:
     stay codes after encoding."""
     if 2 * len(w) > 2 * p:
         raise TooLong(f"word of length {len(w)} does not fit in {p} pairs")
-    for a in w:
-        if not 0 <= a < k:
-            raise OutOfRange(f"letter {a} outside alphabet of size {k}")
+    check_letters(k, (w,))
     out = []
     for a in w:
         out.extend((a, 1))

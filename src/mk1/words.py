@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -114,6 +114,35 @@ def parse_word(text: str, k: int) -> Word:
     return tuple(text.encode().translate(_INDICES))
 
 
+def parse_header(line: str) -> int:
+    """k >= 2 from a "k <int>" header line; "" stands for a missing header."""
+    if not line:
+        raise ParseError("missing 'k <int>' header")
+    head = line.split()
+    if len(head) != 2 or head[0] != "k" or not head[1].isdigit():
+        raise ParseError(f"expected 'k <int>' header, got {line!r}")
+    k = int(head[1])
+    if k < 2:
+        raise ParseError("alphabet needs at least two letters")
+    return k
+
+
+def parse_code(text: str) -> PrefixCode:
+    """A "k <int>" header, then one word per line; '#' starts a comment."""
+    lines = [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
+    if not lines:
+        raise ParseError("empty code file")
+    k = parse_header(lines[0])
+    return PrefixCode.make(k, (parse_word(line, k) for line in lines[1:]))
+
+
+def check_letters(k: int, words: Iterable[Word]) -> None:
+    """Raise OutOfRange unless every letter of every word is in range(k)."""
+    bad = [j for j in set(chain.from_iterable(words)) if not 0 <= j < k]
+    if bad:
+        raise OutOfRange(f"letter index {min(bad)} out of range for k={k}")
+
+
 def is_prefix_code(words: Iterable[Word]) -> bool:
     """True iff no word is a proper prefix of another (duplicates rejected)."""
     ws = sorted(words)
@@ -133,10 +162,7 @@ class PrefixCode:
     def __post_init__(self):
         if self.k < 2:
             raise BaseTooSmall("alphabet needs at least two letters")
-        for w in self.words:
-            for j in w:
-                if not 0 <= j < self.k:
-                    raise OutOfRange(f"letter index {j} out of range for k={self.k}")
+        check_letters(self.k, self.words)
         if list(self.words) != sorted(set(self.words), key=word_key):
             raise NotCanonical("words must be canonically sorted and distinct")
         if not is_prefix_code(self.words):

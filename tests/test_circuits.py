@@ -65,6 +65,8 @@ def test_unknown_gates():
             gate_element(2, bad)
     with pytest.raises(UnknownGate):
         gate_element(2, "E3")   # needs three letters
+    with pytest.raises(UnknownGate, match="^probes count from 1, got E0$"):
+        gate_element(2, "E0")
     assert apply(gate_element(3, "E3"), (2,)) == (1,)
 
 

@@ -9,11 +9,12 @@ import pytest
 
 import mk1
 from helpers import deep_code, deep_rotation, nested_images
+from mk1 import reductions
 from mk1.cli import main
-from mk1.elements import compose, format_table, parse_table, partial_identity, single_row
+from mk1.elements import compose, format_table, parse_table
 from mk1.green import dense_chain, heights, iter_dense_chain
 from mk1.kary import parse_krational
-from mk1.words import PrefixCode, format_word, parse_word
+from mk1.words import format_word
 
 PHI1 = "k 2\naa -> a\nab -> aa\nb -> aaa\n"
 SWAP = "k 2\na -> b\nb -> a\n"
@@ -277,6 +278,16 @@ def test_phi_b(files, capsys):
     assert code == 2 and err.startswith("error NotSurjective:")
 
 
+def test_phi_b_check_catches_a_wrong_count(files, capsys, monkeypatch):
+    """A φ_B sending aaa to ba instead of aa: its noncollision measure gives
+    count 2, where the formula's ∀-count is 1."""
+    wrong = parse_table(PHI_B.replace("aaa -> aa\n", "aaa -> ba\n"))
+    monkeypatch.setattr(reductions, "encode_formula", lambda f: wrong)
+    code, out, err = run(capsys, "phi-b", "--check", files("f.txt", FORMULA))
+    assert code == 2 and out == format_table(wrong) + "\n"
+    assert err.startswith("error CrossCheckFailed: ") and err.count("\n") == 1
+
+
 def test_count_forallsat(files, capsys):
     path = files("f.txt", FORMULA)
     assert run(capsys, "count-forallsat", path) == (0, "1\n", "")
@@ -367,6 +378,7 @@ MALFORMED_FILES = {
     (["chain", "2", "0.1", "0.11", "-1"], 2),
     (["eval-gen", "2", "frob"], 2),
     (["measure", "missing.txt"], 1),
+    (["eval-gen", "2", "E0"], 2),
 ])
 def test_malformed_input_is_a_named_error(tmp_path, capsys, argv, status):
     for name, text in MALFORMED_FILES.items():
@@ -376,6 +388,29 @@ def test_malformed_input_is_a_named_error(tmp_path, capsys, argv, status):
     assert (code, out) == (status, "")
     assert err.startswith("error")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, data, offset", [
+    ("normalize", b"\xff\xfe k 2\n", 0),
+    ("measure", b"k 2\na  # caf\xe9\n", 12),
+    ("count-forallsat", b"m=1 n=1 x1 | y1 \x80", 16),
+], ids=["table", "code", "formula"])
+def test_files_that_are_not_utf8_are_a_parse_error(tmp_path, capsys, command, data, offset):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path} is not UTF-8 text (byte {offset})\n"
+
+
+def test_comment_rules(files, capsys):
+    """Code files drop '#' to the end of the line; tables drop only whole
+    '#' lines, so a trailing one is part of the row."""
+    assert run(capsys, "measure", files("c.txt", "k 2 # binary\na  # note\nb\n")) == (0, "1\n", "")
+    assert run(capsys, "normalize", files("t.txt", "k 2\na -> a # note\n")) == (
+        1, "", "error: letter ' ' invalid for a 2-letter alphabet\n")
+    assert run(capsys, "normalize", files("h.txt", "k 2 # binary\n")) == (
+        1, "", "error: expected 'k <int>' header, got 'k 2 # binary'\n")
 
 
 def test_large_alphabet_is_a_named_error(capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import random_congruence, random_maximal_code, random_nonempty_code
+from helpers import random_congruence
 from mk1.congruence import (
     PrefixCodeCongruence,
     collision_measure,

@@ -30,7 +30,6 @@ from mk1.elements import (
     parse_table,
     partial_identity,
     restrict_to_length,
-    single_row,
     uniform_image_form,
     zero_element,
 )

@@ -9,7 +9,6 @@ import pytest
 from helpers import deep_rotation, random_element
 from mk1.elements import (
     Mk1Element,
-    NoValue,
     apply,
     compose,
     identity_element,

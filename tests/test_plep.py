@@ -3,7 +3,6 @@ import random
 import pytest
 
 from mk1.elements import (
-    Mk1Element,
     compose,
     identity_element,
     image_code,

@@ -5,7 +5,8 @@ checked values, automata included, skip those checks.  These properties
 make sure every such result would have passed them anyway, and that the
 one-pass image-code restriction agrees with the counter-loop reference.
 Formulas built from truth tables skip the check fold and carry their
-table; φ_B skips ``make``'s sort and checks.
+table; φ_B skips ``make``'s sort and checks.  The text readers check their
+input once and build tables and formulas without the constructors' checks.
 """
 
 import ast
@@ -22,25 +23,28 @@ from mk1.dfa import AcyclicDfa, trie_dfa
 from mk1.elements import (
     Mk1Element,
     compose,
+    format_table,
     identity_element,
     image_code,
     image_code_restriction,
     inverse_element,
     is_injective,
+    parse_table,
     part,
     restrict_to_length,
     uniform_image_form,
 )
-from mk1.errors import DomainNotPrefixCode, NotAClass, OutOfRange
+from mk1.errors import ArityMismatch, DomainNotPrefixCode, NotAClass, OutOfRange, ParseError
 from mk1.reductions import (
     BooleanFormula,
     covers_every_y,
     encode_formula,
     ensure_surjective,
     formula_from_truth_table,
+    parse_formula,
     truth_table,
 )
-from mk1.words import PrefixCode
+from mk1.words import PrefixCode, format_word, parse_code
 
 
 pairs = st.sampled_from((2, 3)).flatmap(lambda k: st.tuples(
@@ -128,6 +132,52 @@ def test_formulas_from_truth_tables_pass_the_checks(mnt):
         if covers_every_y(g):
             e = encode_formula(g)
             assert e == Mk1Element.make(2, e.rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements, st.randoms(use_true_random=False))
+def test_parsed_tables_and_codes_pass_the_checks(e, rnd):
+    """Rows and words in any order, repeated code words counting once."""
+    rows = format_table(e).splitlines()[1:]
+    words = [format_word(y) for y in image_code(e).words] * 2
+    rnd.shuffle(rows)
+    rnd.shuffle(words)
+    header = f"k {e.k}\n"
+    t, code = parse_table(header + "\n".join(rows)), parse_code(header + "\n".join(words))
+    assert rebuilt(t) == t == e
+    assert rebuilt(code) == code == image_code(e)
+
+
+_ATOMS = [("const", 0), ("const", 1), ("x", 1), ("x", 2), ("y", 1), ("y", 2)]
+_TOKENS = ["x1", "x2", "x3", "y1", "y2", "y3", "0", "1", "!", "&", "|", "(", ")"]
+formula_texts = st.tuples(st.integers(0, 2), st.integers(0, 2)).flatmap(lambda mn: st.one_of(
+    st.recursive(st.sampled_from(_ATOMS), lambda sub: st.one_of(
+        st.tuples(st.just("not"), sub), st.tuples(st.sampled_from(["and", "or"]), sub, sub)),
+        max_leaves=8).map(lambda tree: str(BooleanFormula._trusted(*mn, tree, None))),
+    st.lists(st.sampled_from(_TOKENS), max_size=10).map(
+        lambda ts: f"m={mn[0]} n={mn[1]} " + " ".join(ts))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula_texts)
+def test_parsed_formulas_pass_the_checks(text):
+    """Well-formed formulas, some with variables out of range, and token
+    soup: every formula the reader returns passes the check fold."""
+    try:
+        f = parse_formula(text)
+    except (ParseError, ArityMismatch):
+        return
+    assert rebuilt(f) == f == parse_formula(str(f))
+
+
+def test_readers_skip_the_constructor_checks(monkeypatch):
+    def refuse(self):
+        raise AssertionError("checked twice")
+
+    monkeypatch.setattr(Mk1Element, "__post_init__", refuse)
+    monkeypatch.setattr(BooleanFormula, "__post_init__", refuse)
+    assert parse_table("k 2\nb -> a\na -> b\n").rows == (((0,), (1,)), ((1,), (0,)))
+    assert parse_formula("m=1 n=1 x1 | !y1").ast == ("or", ("x", 1), ("not", ("y", 1)))
 
 
 def test_public_constructors_still_check():
@@ -226,4 +276,27 @@ def test_only_elements_names_the_restriction():
              and "image_code_restriction" in (getattr(node, "id", None),
                                               getattr(node, "attr", None),
                                               getattr(node, "name", None))]
+    assert found == []
+
+
+def test_only_words_reads_the_header():
+    """The "k <int>" header line has one reader, ``words.parse_header``."""
+    package = Path(mk1.__file__).parent
+    found = [path.name for path in sorted(package.glob("*.py"))
+             if "k <int>" in path.read_text(encoding="utf-8")]
+    assert found == ["words.py"]
+
+
+def test_test_modules_import_only_names_they_read():
+    """An unused import hides what a test module really tests."""
+    found = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [f"{path.name}:{node.lineno}:{alias.name}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for alias in node.names
+                  if (alias.asname or alias.name).split(".")[0] not in read]
     assert found == []

@@ -15,10 +15,11 @@ from helpers import (
     reference_ideal_ess_leq,
     words,
 )
-from mk1.errors import ChildrenMissing, NotInCode, OutOfRange, ParseError
+from mk1.errors import ChildrenMissing, NotInCode, NotPrefixCode, OutOfRange, ParseError
 from mk1.kary import kq, kq_one, kq_zero, parse_krational
 from mk1.words import (
     PrefixCode,
+    check_letters,
     code_with_measure,
     complement_code,
     covered,
@@ -29,6 +30,8 @@ from mk1.words import (
     is_prefix,
     is_prefix_code,
     mu,
+    parse_code,
+    parse_header,
     parse_word,
     r2_normal_form,
     replace_r1,
@@ -55,6 +58,33 @@ def test_word_text():
         with pytest.raises(ParseError, match="^" + re.escape(
                 f"letter {bad!r} invalid for a {k}-letter alphabet") + "$"):
             parse_word(text, k)
+
+
+def test_code_text():
+    """A "k <int>" header, then one word per line; repeats count once and
+    '#' runs to the end of its line."""
+    assert parse_code("# binary\nk 2\nba\na  # note\n\nbb\na\n") == pc(2, "a", "ba", "bb")
+    assert parse_code("k 3 # ternary\n^\n") == pc(3, "^")
+    assert parse_header("k 27") == 27
+    for text, message in (("", "empty code file"), ("# k 2\n", "empty code file"),
+                          ("k\na", "expected 'k <int>' header, got 'k'"),
+                          ("k 2 2\na", "expected 'k <int>' header, got 'k 2 2'"),
+                          ("a\nb", "expected 'k <int>' header, got 'a'"),
+                          ("k 1\na", "alphabet needs at least two letters"),
+                          ("k 2\nc", "letter 'c' invalid for a 2-letter alphabet")):
+        with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+            parse_code(text)
+    with pytest.raises(ParseError, match="^missing 'k <int>' header$"):
+        parse_header("")
+    with pytest.raises(NotPrefixCode):
+        parse_code("k 2\na\nab\n")
+
+
+def test_check_letters():
+    check_letters(3, [(), (0, 2), (1,), (2, 2, 0)])
+    for words, bad in (([(0, 3)], 3), ([(), (-1,)], -1), ([(2,), (0, 5, -2)], -2)):
+        with pytest.raises(OutOfRange, match=f"^letter index {bad} out of range for k=3$"):
+            check_letters(3, words)
 
 
 def test_prefix_basics():
