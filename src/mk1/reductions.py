@@ -39,7 +39,15 @@ from .errors import (
     TooLong,
 )
 from .kary import KRational, kq
-from .words import PrefixCode, Word, _unchecked, check_cap, check_letters, words_of_length
+from .words import (
+    PrefixCode,
+    Word,
+    _unchecked,
+    check_cap,
+    check_letters,
+    parse_natural,
+    words_of_length,
+)
 
 Ast = tuple
 
@@ -146,7 +154,7 @@ def parse_formula(text: str) -> BooleanFormula:
     header = _HEADER.match(text)
     if not header:
         raise ParseError("expected a header like 'm=2 n=1' before the formula")
-    m, n = int(header.group(1)), int(header.group(2))
+    m, n = parse_natural(header.group(1)), parse_natural(header.group(2))
     body = header.group(3)
     tokens = _VAR.findall(body)
     if "".join(tokens) != "".join(body.split()):
@@ -168,7 +176,7 @@ def parse_formula(text: str) -> BooleanFormula:
         elif want_operand:
             if t in ("&", "|", ")"):
                 raise ParseError(f"unexpected token {t!r}")
-            leaves.append(("const", int(t)) if t in ("0", "1") else (t[0], int(t[1:])))
+            leaves.append(("const", int(t)) if t in ("0", "1") else (t[0], parse_natural(t[1:])))
             operands.append(leaves[-1])
             want_operand = False
         elif t in ("&", "|"):
@@ -279,8 +287,18 @@ def _chain(op: str, nodes: list, empty: Ast) -> Ast:
     return reduce(lambda a, b: (op, a, b), nodes) if nodes else empty
 
 
-def _literals(var: str, values: Word) -> list:
-    return [(var, j) if b else ("not", (var, j)) for j, b in enumerate(values, 1)]
+def _literals(var: str, count: int) -> tuple:
+    """For each assignment of ``var``1..``count`` in :func:`bits` order, its
+    literals; the 2·count literal nodes are built once and shared."""
+    pairs = [(("not", (var, j)), (var, j)) for j in range(1, count + 1)]
+    return tuple(tuple(pair[b] for pair, b in zip(pairs, values)) for values in bits(count))
+
+
+@lru_cache(maxsize=8)
+def _minterm_literals(m: int, n: int) -> tuple[tuple, tuple]:
+    """The x- and y-literals of every minterm: kept, like
+    :func:`encoding_skeleton`, for the few (m, n) shapes used last."""
+    return _literals("x", m), _literals("y", n)
 
 
 def formula_from_truth_table(m: int, n: int, table: int) -> BooleanFormula:
@@ -291,8 +309,7 @@ def formula_from_truth_table(m: int, n: int, table: int) -> BooleanFormula:
     """
     if table < 0 or table >= 1 << (1 << (m + n)):
         raise OutOfRange("truth table bitmask out of range")
-    xs = [_literals("x", x) for x in bits(m)]
-    ys = [_literals("y", y) for y in bits(n)]
+    xs, ys = _minterm_literals(m, n)
     reverse = f"{table:b}"[::-1]  # reverse[i] is bit i: one pass finds the set bits
     minterms = []
     i = reverse.find("1")
@@ -308,17 +325,25 @@ def formula_from_truth_table(m: int, n: int, table: int) -> BooleanFormula:
 def encode_formula(f: BooleanFormula) -> Mk1Element:
     """The binary table element φ_B whose noncollision measure counts
     ∀-satisfied y's.  Raises NotSurjective when some y has no satisfying x
-    (:func:`ensure_surjective` repairs that without changing the count)."""
+    (:func:`ensure_surjective` repairs that without changing the count).
+
+    For m, n >= 1 the rows are returned as built, for none of them merge:
+    - two sibling question rows differ only in x's last letter, but both
+      images end in y's last letter, so they are no family x·a -> y·a;
+    - two sibling spare rows have the same image, so they are none either;
+    - a parent can merge only after its children have, so nothing merges
+      at any level;
+    - the rows are in ``word_key`` order already: the questions, then the
+      one letter longer spares, each in dictionary order.
+    With m = 0 or n = 0 sibling question rows can merge, so they are reduced.
+    """
     table = truth_table(f)
     if not _covers(table, f.m, f.n):
         raise NotSurjective("some y has no satisfying x; ensure_surjective first")
     questions, spares = encoding_skeleton(f.m, f.n)
     answers = f"{table:0{len(questions)}b}"[::-1]  # answers[i] is bit i
-    rows = [(w, (int(a),) + y) for a, (w, y) in zip(answers, questions)]
-    rows.extend(spares)
-    # questions, then the one letter longer spares, each in dictionary
-    # order: canonical already; rows merge only when m = 0 or n = 0
-    return Mk1Element._trusted(2, reduce_rows(2, rows))
+    rows = tuple([(w, (int(a),) + y) for a, (w, y) in zip(answers, questions)]) + spares
+    return Mk1Element._trusted(2, rows if f.m and f.n else reduce_rows(2, rows))
 
 
 @lru_cache(maxsize=8)

@@ -114,26 +114,42 @@ def parse_word(text: str, k: int) -> Word:
     return tuple(text.encode().translate(_INDICES))
 
 
+def parse_natural(digits: str) -> int:
+    """The value of a decimal numeral of at most 18 digits: ``int`` refuses
+    numerals past 4300 digits, and no alphabet, variable count or index the
+    library can work with comes near 10^18."""
+    if not digits.isdecimal():
+        raise ParseError(f"expected a decimal number, got {digits!r}")
+    if len(digits) > 18:
+        raise ParseError(f"a number of {len(digits)} digits is out of reach")
+    return int(digits)
+
+
 def parse_header(line: str) -> int:
     """k >= 2 from a "k <int>" header line; "" stands for a missing header."""
     if not line:
         raise ParseError("missing 'k <int>' header")
     head = line.split()
-    if len(head) != 2 or head[0] != "k" or not head[1].isdigit():
+    if len(head) != 2 or head[0] != "k" or not head[1].isdecimal():
         raise ParseError(f"expected 'k <int>' header, got {line!r}")
-    k = int(head[1])
+    k = parse_natural(head[1])
     if k < 2:
         raise ParseError("alphabet needs at least two letters")
     return k
 
 
 def parse_code(text: str) -> PrefixCode:
-    """A "k <int>" header, then one word per line; '#' starts a comment."""
+    """A "k <int>" header, then one word per line; '#' starts a comment.
+    Each word is checked once, here, and the code is built without its
+    constructor's checks."""
     lines = [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
     if not lines:
         raise ParseError("empty code file")
     k = parse_header(lines[0])
-    return PrefixCode.make(k, (parse_word(line, k) for line in lines[1:]))
+    words = sorted({parse_word(line, k) for line in lines[1:]}, key=word_key)
+    if not is_prefix_code(words):
+        raise NotPrefixCode("not a prefix code")
+    return PrefixCode._trusted(k, tuple(words))
 
 
 def check_letters(k: int, words: Iterable[Word]) -> None:

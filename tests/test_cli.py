@@ -403,6 +403,22 @@ def test_files_that_are_not_utf8_are_a_parse_error(tmp_path, capsys, command, da
     assert err == f"error: {path} is not UTF-8 text (byte {offset})\n"
 
 
+DIGITS = "1" * 5000  # past the 4300 digits int() reads
+
+
+@pytest.mark.parametrize("command, text", [
+    ("normalize", "k \u00b2\na -> b\n"),           # '²' is a digit to isdigit, not to int
+    ("measure", f"k {DIGITS}\na\n"),
+    ("count-forallsat", f"m=1 n=1 x{DIGITS}"),
+    ("count-forallsat", f"m={DIGITS} n=1 x1"),
+], ids=["superscript-k", "long-k", "long-index", "long-m"])
+def test_digit_strings_are_a_parse_error(files, capsys, command, text):
+    code, out, err = run(capsys, command, files("in.txt", text))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_comment_rules(files, capsys):
     """Code files drop '#' to the end of the line; tables drop only whole
     '#' lines, so a trailing one is part of the row."""

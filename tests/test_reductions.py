@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mk1 import reductions
-from mk1.elements import apply, part
+from mk1.elements import Mk1Element, apply, format_table, part, reduce_rows
 from mk1.congruence import noncollision_measure
 from mk1.errors import (
     ArityMismatch,
@@ -214,16 +214,8 @@ def _forall_count(m: int, n: int, table: int) -> int:
     return sum(table >> (y << m) & block == block for y in range(1 << n))
 
 
-def test_pipeline_folds_no_formula(monkeypatch):
-    """Formulas built from truth tables carry them through the criterion-11
-    pipeline, so it folds no formula."""
-    def no_fold(*args):
-        raise AssertionError("a formula was folded")
-
-    monkeypatch.setattr(reductions, "_fold", no_fold)
-    rng = random.Random(5)
-    cases = [(2, 2, 0), (2, 2, 0xFFFF), (2, 2, 0b0110_1111_0000_1001), (3, 2, 0xFF00FF00)]
-    cases += [(3, 2, rng.getrandbits(32)) for _ in range(3)]
+def _run_pipeline(cases):
+    """The criterion-11 pipeline on each (m, n, table), counts checked."""
     for m, n, table in cases:
         f = formula_from_truth_table(m, n, table)
         want = _forall_count(m, n, table)
@@ -232,6 +224,65 @@ def test_pipeline_folds_no_formula(monkeypatch):
             f = ensure_surjective(f)
         noncoll = noncollision_measure(part(encode_formula(f)))
         assert recover_count(f.m, n, noncoll) == want
+
+
+def _pipeline_cases():
+    rng = random.Random(5)
+    cases = [(2, 2, 0), (2, 2, 0xFFFF), (2, 2, 0b0110_1111_0000_1001), (3, 2, 0xFF00FF00)]
+    cases += [(3, 2, rng.getrandbits(32)) for _ in range(3)]
+    return cases + [(1, 3, rng.getrandbits(16)) for _ in range(3)]
+
+
+def _refuse(what):
+    def refuse(*args):
+        raise AssertionError(what)
+    return refuse
+
+
+def test_pipeline_folds_no_formula(monkeypatch):
+    """Formulas built from truth tables carry them through the criterion-11
+    pipeline, so it folds no formula."""
+    monkeypatch.setattr(reductions, "_fold", _refuse("a formula was folded"))
+    _run_pipeline(_pipeline_cases())
+
+
+def test_pipeline_reduces_no_phi_b(monkeypatch):
+    """With m, n >= 1 φ_B's rows are returned as built."""
+    monkeypatch.setattr(reductions, "reduce_rows", _refuse("φ_B was reduced"))
+    _run_pipeline(_pipeline_cases())
+
+
+def _phi_bs(m, n, tables):
+    for table in tables:
+        f = formula_from_truth_table(m, n, table)
+        yield encode_formula(f if covers_every_y(f) else ensure_surjective(f))
+
+
+def test_phi_b_is_reduced_as_built():
+    """φ_B equals ``Mk1Element.make`` of its rows for every (2, 2) table and
+    a seeded sweep of (3, 2) and (1, 3) ones.  Every φ_B of one shape has the
+    same domain, so on the (2, 2) tables ``make``'s checks run once per
+    shape and the merge pass on every table."""
+    shapes = set()
+    for e in _phi_bs(2, 2, range(1 << 16)):
+        if len(e.rows) not in shapes:
+            shapes.add(len(e.rows))
+            assert e == Mk1Element.make(2, e.rows)
+        assert reduce_rows(2, e.rows) == e.rows
+    assert shapes == {3 * 2**4, 3 * 2**5}  # surjective already, and made so
+    rng = random.Random(17)
+    for m, n in ((3, 2), (1, 3)):
+        for e in _phi_bs(m, n, [rng.getrandbits(1 << (m + n)) for _ in range(300)]):
+            assert e == Mk1Element.make(2, e.rows)
+
+
+def test_phi_b_without_x_or_y_still_merges():
+    """With m = 0 sibling questions 0·y answered alike merge; with n = 0
+    sibling questions 0·x answered 0 and 1 do."""
+    e = encode_formula(formula_from_truth_table(0, 1, 0b11))
+    assert format_table(e) == "k 2\na -> b\nbaa -> aa\nbab -> aa\nbba -> ab\nbbb -> ab"
+    e = encode_formula(formula_from_truth_table(2, 0, 0b0110))
+    assert e.rows[:3] == (((0, 0), ()), ((0, 1, 0), (1,)), ((0, 1, 1), (0,)))
 
 
 def test_parse_deep():

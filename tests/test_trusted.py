@@ -34,7 +34,14 @@ from mk1.elements import (
     restrict_to_length,
     uniform_image_form,
 )
-from mk1.errors import ArityMismatch, DomainNotPrefixCode, NotAClass, OutOfRange, ParseError
+from mk1.errors import (
+    ArityMismatch,
+    DomainNotPrefixCode,
+    NotAClass,
+    NotPrefixCode,
+    OutOfRange,
+    ParseError,
+)
 from mk1.reductions import (
     BooleanFormula,
     covers_every_y,
@@ -176,8 +183,12 @@ def test_readers_skip_the_constructor_checks(monkeypatch):
 
     monkeypatch.setattr(Mk1Element, "__post_init__", refuse)
     monkeypatch.setattr(BooleanFormula, "__post_init__", refuse)
+    monkeypatch.setattr(PrefixCode, "__post_init__", refuse)
     assert parse_table("k 2\nb -> a\na -> b\n").rows == (((0,), (1,)), ((1,), (0,)))
     assert parse_formula("m=1 n=1 x1 | !y1").ast == ("or", ("x", 1), ("not", ("y", 1)))
+    assert parse_code("k 2\nb\naa\nb\nab\n").words == ((1,), (0, 0), (0, 1))
+    with pytest.raises(NotPrefixCode):
+        parse_code("k 2\na\nab\n")
 
 
 def test_public_constructors_still_check():
@@ -250,6 +261,36 @@ def test_no_private_imports_across_library_modules():
              if alias.name.startswith("_")
              and ((node.module or "").removeprefix("mk1."), alias.name) != ("words", "_unchecked")]
     assert found == []
+
+
+def _names_cache(node) -> str | None:
+    """'lru_cache' or 'cache' when ``node`` spells functools' decorator."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = getattr(node, "id", None) or getattr(node, "attr", None)
+    return name if name in ("lru_cache", "cache") else None
+
+
+def test_every_cache_is_bounded():
+    """Each cache keeps at most a fixed number of entries: an ``lru_cache``
+    with an integer ``maxsize``, never ``functools.cache``."""
+    found, caches = [], 0
+    for name, node in _library_nodes():
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"{name}:{node.lineno}:import" for a in node.names if a.name == "cache"]
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for deco in node.decorator_list:
+            kind = _names_cache(deco)
+            if kind is None:
+                continue
+            caches += 1
+            maxsize = [kw.value for kw in getattr(deco, "keywords", ()) if kw.arg == "maxsize"]
+            maxsize += getattr(deco, "args", [])[:1]
+            if kind == "cache" or not (len(maxsize) == 1 and isinstance(maxsize[0], ast.Constant)
+                                       and type(maxsize[0].value) is int):
+                found.append(f"{name}:{node.lineno}:{node.name}")
+    assert caches and found == []
 
 
 def _spells_the_cap(node) -> bool:
