@@ -106,7 +106,7 @@ class Mk1Element:
 
     @property
     def domain_code(self) -> PrefixCode:
-        return PrefixCode._trusted(self.k, tuple(x for x, _ in self.rows))
+        return PrefixCode._trusted(self.k, tuple([x for x, _ in self.rows]))
 
     @property
     def image_words(self) -> tuple[Word, ...]:
@@ -218,6 +218,15 @@ def compose(f: Mk1Element, g: Mk1Element) -> Mk1Element:
 
 # -- canonical restrictions ------------------------------------------------------
 
+def _rows_by_image(e: Mk1Element) -> dict[Word, list[Word]]:
+    """Each image of e with the domain words of its rows, in row order: the
+    groups come in the order of their first rows, each sorted."""
+    groups: dict[Word, list[Word]] = {}
+    for x, y in e.rows:
+        groups.setdefault(y, []).append(x)
+    return groups
+
+
 def fibers(e: Mk1Element) -> Iterator[tuple[Word, tuple[Row, ...]]]:
     """Each image-code word z of e, with the rows x -> y of e whose image y
     is a prefix of z: z's fiber is {x·z[|y|:]}, of lengths |x| - |y| + |z|.
@@ -234,8 +243,10 @@ def image_code_restriction(e: Mk1Element) -> Mk1Element:
     """Split rows until the image words form a prefix code (repeats allowed):
     the rows x·z[|y|:] -> z over the :func:`fibers` of e.  The returned table
     denotes the same element but is not reduced."""
-    if is_prefix_code(dict.fromkeys(e.image_words)):
-        return e
+    return e if is_prefix_code(dict.fromkeys(e.image_words)) else _split_to_image_code(e)
+
+
+def _split_to_image_code(e: Mk1Element) -> Mk1Element:
     rows = sorted([(x + z[len(y):], z) for z, path in fibers(e) for x, y in path], key=_domain_key)
     return Mk1Element._trusted(e.k, tuple(rows))
 
@@ -262,14 +273,16 @@ def part(e: Mk1Element) -> PrefixCodeCongruence:
 
     Classes group domain words with equal images; together with a common
     tail they are exactly the end pairs the map collapses.  The restriction
-    comes sorted by domain word, so each group is sorted and the groups
-    appear in the order of their first words: already canonical.
+    is e itself when the images form a prefix code (φ_B's do for m, n >= 1),
+    and is split from e otherwise.  Its domain words grouped by image are
+    canonical classes: each group is sorted, and the groups come in the
+    order of their first words.
     """
-    r = image_code_restriction(e)
-    groups: dict[Word, list[Word]] = {}
-    for x, z in r.rows:
-        groups.setdefault(z, []).append(x)
-    return PrefixCodeCongruence._trusted(r.domain_code, tuple(map(tuple, groups.values())))
+    groups = _rows_by_image(e)
+    if not is_prefix_code(groups):
+        e = _split_to_image_code(e)
+        groups = _rows_by_image(e)
+    return PrefixCodeCongruence._trusted(e.domain_code, tuple(map(tuple, groups.values())))
 
 
 def restrict_to_length(e: Mk1Element, m: int) -> Mk1Element:

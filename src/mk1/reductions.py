@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from operator import and_, or_
 
 from .congruence import noncollision_measure
@@ -282,9 +282,12 @@ def ensure_surjective(f: BooleanFormula) -> BooleanFormula:
     return BooleanFormula._trusted(f.m + 1, f.n, ("or", ("x", f.m + 1), f.ast), table)
 
 
-def _chain(op: str, nodes: list, empty: Ast) -> Ast:
+def _chain(op: str, nodes: tuple | list, empty: Ast) -> Ast:
     """The left-nested chain (op, (op, a, b), c)... of ``nodes``, or ``empty``."""
-    return reduce(lambda a, b: (op, a, b), nodes) if nodes else empty
+    chain = nodes[0] if nodes else empty
+    for node in nodes[1:]:
+        chain = (op, chain, node)
+    return chain
 
 
 def _literals(var: str, count: int) -> tuple:
@@ -296,9 +299,10 @@ def _literals(var: str, count: int) -> tuple:
 
 @lru_cache(maxsize=8)
 def _minterm_literals(m: int, n: int) -> tuple[tuple, tuple]:
-    """The x- and y-literals of every minterm: kept, like
-    :func:`encoding_skeleton`, for the few (m, n) shapes used last."""
-    return _literals("x", m), _literals("y", n)
+    """Each x-assignment's and-chain (a 1-tuple; () when m = 0) and each
+    y-assignment's literals, which a minterm chains on: kept, like
+    :func:`encoding_skeleton`, for the few small (m, n) shapes used last."""
+    return tuple(xs and (_chain("and", xs, None),) for xs in _literals("x", m)), _literals("y", n)
 
 
 def formula_from_truth_table(m: int, n: int, table: int) -> BooleanFormula:
@@ -309,7 +313,7 @@ def formula_from_truth_table(m: int, n: int, table: int) -> BooleanFormula:
     """
     if table < 0 or table >= 1 << (1 << (m + n)):
         raise OutOfRange("truth table bitmask out of range")
-    xs, ys = _minterm_literals(m, n)
+    xs, ys = _cached(_minterm_literals, m, n)
     reverse = f"{table:b}"[::-1]  # reverse[i] is bit i: one pass finds the set bits
     minterms = []
     i = reverse.find("1")
@@ -340,21 +344,28 @@ def encode_formula(f: BooleanFormula) -> Mk1Element:
     table = truth_table(f)
     if not _covers(table, f.m, f.n):
         raise NotSurjective("some y has no satisfying x; ensure_surjective first")
-    questions, spares = encoding_skeleton(f.m, f.n)
+    questions, spares = _cached(encoding_skeleton, f.m, f.n)
     answers = f"{table:0{len(questions)}b}"[::-1]  # answers[i] is bit i
-    rows = tuple([(w, (int(a),) + y) for a, (w, y) in zip(answers, questions)]) + spares
+    rows = tuple([pair[a == "1"] for a, pair in zip(answers, questions)]) + spares
     return Mk1Element._trusted(2, rows if f.m and f.n else reduce_rows(2, rows))
 
 
 @lru_cache(maxsize=8)
 def encoding_skeleton(m: int, n: int):
-    """Reusable domain scaffolding for :func:`encode_formula`: 3·2^(m+n) rows,
-    kept for the few (m, n) shapes used last."""
-    questions = tuple(((0,) + y + x, y) for y in bits(n) for x in bits(m))
+    """Reusable rows for :func:`encode_formula`: each question's row answered 0
+    and 1, then the spares; kept for the few small (m, n) shapes used last."""
+    questions = tuple(((w, (0,) + y), (w, (1,) + y))
+                      for y in bits(n) for w in [(0,) + y + x for x in bits(m)])
     spares = tuple(
         ((1,) + y + w, (0,) + y) for y in bits(n) for w in bits(m + 1)
     )
     return questions, spares
+
+
+def _cached(shape_cache, m: int, n: int):
+    """``shape_cache(m, n)``, kept in the cache only for m + n <= 12: a larger
+    shape is built anew by the same builder, so no cache holds it."""
+    return shape_cache(m, n) if m + n <= 12 else shape_cache.__wrapped__(m, n)
 
 
 def predicted_noncollision(m: int, n: int, count: int) -> KRational:

@@ -18,7 +18,6 @@ exactly when their measure is k**(-|w|).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, product
 from typing import Iterable, Iterator
@@ -33,19 +32,20 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .kary import KRational, kq, kq_one, kq_pow_sum
+from .kary import KRational, kq, kq_one
 
 Word = tuple[int, ...]
 
 EPSILON: Word = ()
+_new, _setattr = object.__new__, object.__setattr__  # looked up once, for _unchecked
 
 
 def _unchecked(cls, *values):
     """An instance of the slotted dataclass ``cls`` holding ``values`` in field
     order, built without ``__post_init__``: every ``_trusted`` class method."""
-    obj = object.__new__(cls)
+    obj = _new(cls)
     for name, value in zip(cls.__slots__, values):
-        object.__setattr__(obj, name, value)
+        _setattr(obj, name, value)
     return obj
 
 
@@ -215,7 +215,9 @@ def mu(k: int, words: Iterable[Word]) -> KRational:
 
     Input is treated as a set; duplicates do not count twice.
     """
-    return kq_pow_sum(k, Counter(map(len, set(map(tuple, words)))))
+    ws = set(map(tuple, words))
+    top = max(map(len, ws), default=0)
+    return kq(k, sum([k ** (top - len(w)) for w in ws]), top)
 
 
 def is_maximal_code(code: PrefixCode) -> bool:

@@ -282,6 +282,19 @@ def reference_image_code_restriction(e: Mk1Element) -> tuple:
     return tuple(sorted(rows, key=lambda r: word_key(r[0])))
 
 
+def reference_part(e: Mk1Element) -> PrefixCodeCongruence:
+    """The fiber partition read off the counter-loop restriction: its rows
+    grouped by image, built through the checking constructors.  The
+    restriction comes sorted by domain word, so each group is sorted and the
+    groups come in the order of their first words."""
+    rows = reference_image_code_restriction(e)
+    groups: dict[Word, list[Word]] = {}
+    for x, z in rows:
+        groups.setdefault(z, []).append(x)
+    code = PrefixCode(e.k, tuple(x for x, _ in rows))
+    return PrefixCodeCongruence(code, tuple(map(tuple, groups.values())))
+
+
 def reference_length_bound_check(k: int, tokens: list[str], factor: int = 2) -> bool:
     """The length bound from the counter-loop restriction's rows: the
     shortest domain word of each image word."""

@@ -7,12 +7,14 @@ canonical section and the length bound read lengths and offsets off it
 without building the restriction.  These properties check the walk against
 the counter-loop restriction, check that those readers build no
 restriction, and time the nested tables on which the restriction is cubic.
+The fiber partition skips the walk when the images form a prefix code; it
+is checked against the reference partition on tables of both kinds.
 """
 
 import random
 import time
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     deep_code,
@@ -21,12 +23,15 @@ from helpers import (
     nested_images,
     random_element,
     reference_image_code_restriction,
+    reference_part,
+    tables,
 )
 from mk1 import elements as elements_module
 from mk1.circuits import length_bound_check, synthesize_partial_identity
-from mk1.elements import fibers, image_code, image_code_restriction
+from mk1.elements import fibers, image_code, image_code_restriction, part
 from mk1.green import heights, section_inverse
 from mk1.kary import parse_krational
+from mk1.reductions import covers_every_y, encode_formula, ensure_surjective, formula_from_truth_table
 from mk1.words import is_prefix, word_key, words_of_length
 
 
@@ -85,3 +90,41 @@ def test_L_side_of_nested_images_is_fast():
     level = list(words_of_length(2, 10))
     back = {(0,) * j + (1,): w + (1,) for j, w in enumerate(level[:-1])}
     assert dict(s.rows) == {**back, (0,) * 1023: level[-1]}
+
+
+def _same_partition(e) -> bool:
+    got, want = part(e), reference_part(e)
+    return (got.code.words, got.classes) == (want.code.words, want.classes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(tables))
+def test_part_matches_the_reference_on_tables(e):
+    """Images that are prefixes of one another split the rows first; images
+    that form a prefix code are grouped as they stand."""
+    assert _same_partition(e)
+
+
+@st.composite
+def phi_bs(draw):
+    """φ_B of a random truth table of a shape with m, n <= 3, either or
+    both of them possibly 0, made surjective where needed."""
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    f = formula_from_truth_table(m, n, draw(st.integers(0, (1 << (1 << (m + n))) - 1)))
+    return encode_formula(f if covers_every_y(f) else ensure_surjective(f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(phi_bs())
+def test_part_matches_the_reference_on_phi_b(e):
+    assert _same_partition(e)
+
+
+def test_part_takes_both_branches():
+    """Seeded tables take both branches of ``part``: images that form a
+    prefix code, and images that must be split first."""
+    rng = random.Random(19)
+    es = [random_element(rng, k) for k in (2, 3) for _ in range(40)]
+    split = [image_code_restriction(e) is not e for e in es]
+    assert True in split and False in split
+    assert all(_same_partition(e) for e in es + [nested_images(5), deep_rotation(20)])

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mk1 import reductions
+from mk1 import elements, reductions
 from mk1.elements import Mk1Element, apply, format_table, part, reduce_rows
 from mk1.congruence import noncollision_measure
 from mk1.errors import (
@@ -250,6 +250,34 @@ def test_pipeline_reduces_no_phi_b(monkeypatch):
     """With m, n >= 1 φ_B's rows are returned as built."""
     monkeypatch.setattr(reductions, "reduce_rows", _refuse("φ_B was reduced"))
     _run_pipeline(_pipeline_cases())
+
+
+def test_pipeline_walks_no_trie(monkeypatch):
+    """With m, n >= 1 φ_B's images all have length n + 1, so they form a
+    prefix code and ``part`` reads the classes off the rows grouped by
+    image, with no walk of the image trie."""
+    monkeypatch.setattr(elements, "trie_leaves", _refuse("a trie was walked"))
+    _run_pipeline(_pipeline_cases())
+
+
+def test_large_shapes_are_built_per_call():
+    """Shapes with m + n > 12 are built anew on each call and kept in
+    neither shape cache; smaller ones are kept."""
+    caches = (reductions.encoding_skeleton, reductions._minterm_literals)
+
+    def sizes():
+        return [cache.cache_info().currsize for cache in caches]
+
+    before = sizes()
+    f = formula_from_truth_table(7, 6, (1 << (1 << 13)) - 1)
+    e = encode_formula(f)
+    assert len(e.rows) == 3 << 13 and sizes() == before
+    assert recover_count(7, 6, noncollision_measure(part(e))) == count_forall_sat(f) == 64
+    small = (1 << 4096) - 1
+    encode_formula(formula_from_truth_table(6, 6, small))
+    hits = [cache.cache_info().hits for cache in caches]
+    encode_formula(formula_from_truth_table(6, 6, small))
+    assert [cache.cache_info().hits for cache in caches] == [h + 1 for h in hits]
 
 
 def _phi_bs(m, n, tables):
