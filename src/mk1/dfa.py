@@ -10,7 +10,7 @@ of by walking word lists.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .elements import Mk1Element, fibers
@@ -108,38 +108,19 @@ def _acyclic_order(d: AcyclicDfa) -> tuple[list[int], dict[int, list[int]]]:
 def trie_dfa(code: PrefixCode) -> AcyclicDfa:
     """The minimal acyclic automaton of a prefix code.
 
-    Builds the word trie as nested dicts, then gives each node, children
-    before parents, the id of its signature (its (letter, child id) pairs);
-    nodes with equal signatures merge, and all leaves become the single
-    accept state (Revuz's bottom-up minimisation of acyclic automata).
+    The word trie merged bottom-up by signature (:func:`_hang`), all leaves
+    into the single accept state (Revuz's minimisation of acyclic automata).
     States are numbered in breadth-first order from the start, letters in
-    order, and edges come out in that order.  Cost: one sort of each node's
-    letters, so linear in the total length of the code up to those sorts.
+    order, and edges come out in that order.  Cost: one sort of the words,
+    then linear in their total length.
     """
     if not code.words:
         raise EmptyLanguage("cannot build an automaton for the empty code")
-    k = code.k
-    root: dict = {}
-    nodes = [(None, None, root)]  # (parent, letter, node), parents first
-    for w in code.words:
-        node = root
-        for a in w:
-            child = node.get(a)
-            if child is None:
-                child = node[a] = {}
-                nodes.append((node, a, child))
-            node = child
-    sig_ids: dict[tuple, int] = {}
-    # Backwards through nodes, a node's children already stand as ids in it;
-    # the node then stands in its parent as the id of its signature.
-    for parent, a, node in reversed(nodes):
-        sid = sig_ids.setdefault(tuple(sorted(node.items())), len(sig_ids))
-        if parent is not None:
-            parent[a] = sid
-    sigs = list(sig_ids)
+    sigs = [()]
+    root = _hang(((w, 0) for w in code.words), {(): 0}, sigs)
     number = [None] * len(sigs)
-    number[sid] = 0  # the root came last
-    order = [sid]
+    number[root] = 0
+    order = [root]
     edges = []
     for p, c in enumerate(order):
         for a, d in sigs[c]:
@@ -147,8 +128,66 @@ def trie_dfa(code: PrefixCode) -> AcyclicDfa:
                 number[d] = len(order)
                 order.append(d)
             edges.append((p, a, number[d]))
-    accept = number[sig_ids[()]]
-    return AcyclicDfa._trusted(k, len(order), 0, accept, tuple(edges))
+    return AcyclicDfa._trusted(code.k, len(order), 0, number[0], tuple(edges))
+
+
+def _hang(pairs: Iterable[tuple[Word, int]], ids: dict[tuple, int], sigs: list[tuple]) -> int:
+    """The state that reads each word of ``pairs``, a prefix code, into the
+    state paired with it: the words' trie, each last letter going to its
+    word's state, merged bottom-up into the signature table.
+
+    ``ids`` maps a signature, a state's (letter, child id) pairs in letter
+    order, to the state's id, and ``sigs`` lists the signatures by id; a
+    new signature gets the next id, so children have smaller ids than
+    parents.  In dictionary order, the depth at which each word parts from
+    the next is where the trie branches; only the branching nodes on the
+    current word's path stay open, on a stack, and the runs between them
+    go in as chains (Daciuk et al.'s construction from sorted words)."""
+    pairs = sorted(pairs)  # distinct words, so the states are never compared
+    if len(pairs) == 1:
+        return _chain(*pairs[0], ids, sigs)
+    stack = [(0, [])]  # (depth, edges so far) of the open branching nodes
+    for i, (w, child) in enumerate(pairs):
+        parts = 0  # where w and the next word part; the root after the last word
+        if i + 1 < len(pairs):
+            nxt = pairs[i + 1][0]
+            while w[parts] == nxt[parts]:
+                parts += 1
+        if parts > stack[-1][0]:
+            stack.append((parts, []))
+        below = len(w)
+        while True:  # hang w's run on the deepest open node; close those below parts
+            depth, edges = stack[-1]
+            if below > depth + 1:
+                child = _chain(w[depth + 1:below], child, ids, sigs)
+            edges.append((w[depth], child))
+            if depth == parts:
+                break
+            stack.pop()
+            child, below = _state(tuple(edges), ids, sigs), depth
+            if stack[-1][0] < parts:
+                stack.append((parts, []))
+    return _state(tuple(stack[0][1]), ids, sigs)
+
+
+def _state(sig: tuple, ids: dict[tuple, int], sigs: list[tuple]) -> int:
+    """The id of the state with this signature, new if need be."""
+    sid = ids.get(sig)
+    if sid is None:
+        sid = ids[sig] = len(sigs)
+        sigs.append(sig)
+    return sid
+
+
+def _chain(w: Word, end: int, ids: dict[tuple, int], sigs: list[tuple]) -> int:
+    """The state that reads the word w into the state end."""
+    for a in reversed(w):
+        sig = ((a, end),)
+        end = ids.get(sig)
+        if end is None:
+            end = ids[sig] = len(sigs)
+            sigs.append(sig)
+    return end
 
 
 def language(d: AcyclicDfa) -> list[Word]:
@@ -196,17 +235,50 @@ def counts_by_length(d: AcyclicDfa) -> dict[int, int]:
 
 
 def height_report_via_dfa(e: Mk1Element) -> HeightReport:
-    """The same report as :func:`mk1.green.heights`, but with the R-height
-    and each fiber's word lengths read off minimal automata of the image
-    code and of each fiber, both from one :func:`~mk1.elements.fibers` walk."""
-    k, zs, lengths = e.k, [], []
+    """The same report as :func:`mk1.green.heights`, with the R-height and
+    each fiber's word lengths counted on automata.
+
+    Every state of the element's automata goes into one signature table
+    (:func:`_hang`), state 0 accepting.  The image code's trie hangs on
+    state 0.  A fiber of the :func:`~mk1.elements.fibers` walk, an image-code
+    word z with its rows x -> y, gets z's suffix chain, whose state at |y|
+    reads z[|y|:], and the trie of its x's, each x going to the chain state
+    at its |y|.  Each new state counts its accepted words by length from its
+    children's counts, so a fiber's lengths are the counts at its root and
+    no fiber word is built."""
+    ids: dict[tuple, int] = {(): 0}
+    sigs: list[tuple] = [()]
+    counts: list[tuple[int, dict[int, int]]] = [(0, {0: 1})]  # (shift, {length - shift: count})
+
+    def accepted(root: int) -> dict[int, int]:
+        """{length: count} of the words read from root.  New states get
+        their counts first, in id order, so children before parents."""
+        for sig in sigs[len(counts):]:
+            if len(sig) == 1:  # one child: its counts, one letter longer
+                shift, by_length = counts[sig[0][1]]
+                counts.append((shift + 1, by_length))
+                continue
+            by_length = {}
+            for _, child in sig:
+                shift, child_counts = counts[child]
+                for n, c in child_counts.items():
+                    by_length[n + shift + 1] = by_length.get(n + shift + 1, 0) + c
+            counts.append((0, by_length))
+        shift, by_length = counts[root]
+        return {n + shift: c for n, c in by_length.items()}
+
+    zs, lengths = [], []
     for z, path in fibers(e):
         zs.append(z)
-        fiber = PrefixCode._trusted(k, tuple(sorted((x + z[len(y):] for x, y in path), key=word_key)))
-        lengths.append(sorted(Counter(counts_by_length(trie_dfa(fiber))).elements()))
-    imc = PrefixCode._trusted(k, tuple(sorted(zs, key=word_key)))
-    r = dfa_measure(trie_dfa(imc)) if zs else kq_zero(k)  # zero has no image code
-    return HeightReport.from_fibers(k, r, lengths)
+        at, q, top = {}, 0, len(z)  # z's suffix chain, from z's end down to the shortest y
+        for low in sorted({len(y) for _, y in path}, reverse=True):
+            q = at[low] = _chain(z[low:top], q, ids, sigs)
+            top = low
+        by_length = accepted(_hang([(x, at[len(y)]) for x, y in path], ids, sigs))
+        lengths.append([n for n in sorted(by_length) for _ in range(by_length[n])])
+    # zero has no image code
+    r = kq_pow_sum(e.k, accepted(_hang([(z, 0) for z in zs], ids, sigs))) if zs else kq_zero(e.k)
+    return HeightReport.from_fibers(e.k, r, lengths)
 
 
 def format_dfa(d: AcyclicDfa) -> str:

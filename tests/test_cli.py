@@ -141,6 +141,16 @@ def test_heights_on_nested_images(files, capsys):
     assert code == 0 and out.startswith("R 1\nL 0.10000000001\nLmax 0.0000000001\nLave ")
 
 
+def test_heights_dfa_on_nested_images(files, capsys):
+    """1,024 nested images through automata: the x-tries and one suffix
+    chain per fiber, no fiber word."""
+    table = files("nested.txt", format_table(nested_images(10)) + "\n")
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "heights", "--dfa", table)
+    assert time.perf_counter() - started < 20.0
+    assert code == 0 and run(capsys, "heights", table)[:2] == (0, out)
+
+
 def test_dindex(files, capsys):
     assert run(capsys, "dindex", "M", files("f.txt", PHI1)) == (0, "1\n", "")
     assert run(capsys, "dindex", "M", files("z.txt", "k 2\n"))[1] == "zero\n"

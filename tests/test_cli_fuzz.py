@@ -1,10 +1,11 @@
 """The command line on damaged inputs: every run ends in 0, 1 or 2.
 
-Formula and table files, valid to start with, get one byte or one line
-changed, and go in process through ``mk1 phi-b`` (with and without
-``--check``), ``count-forallsat``, ``dindex`` and ``heights``.  No exception
-may escape ``cli.main``, a failure is one ``error`` line on stderr, and what
-succeeds agrees with the other commands on the same file.
+Formula, table and code files, valid to start with, get one byte or one
+line changed, and go in process through ``mk1 phi-b`` (with and without
+``--check``), ``count-forallsat``, ``dindex``, ``heights``, ``measure`` and
+``dfa-mu`` (with and without ``--dump``).  No exception may escape
+``cli.main``, a failure is one ``error`` line on stderr, and what succeeds
+agrees with the other commands on the same file.
 """
 
 import contextlib
@@ -14,10 +15,11 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import tables
+from helpers import prefix_free, tables, words
 from mk1.cli import main
 from mk1.elements import format_table
 from mk1.reductions import formula_from_truth_table
+from mk1.words import format_word
 
 # bytes a one-byte change writes: formula and table syntax, digits that
 # resize a shape, separators, and bytes that are not UTF-8 text
@@ -36,6 +38,15 @@ def formula_files(draw):
 
 
 table_files = st.sampled_from((2, 3)).flatmap(tables).map(lambda e: format_table(e).encode())
+
+
+@st.composite
+def code_files(draw):
+    """A nonempty prefix code of short words, one per line, some with a comment."""
+    k = draw(st.sampled_from((2, 3)))
+    code = prefix_free(draw(st.lists(words(k, 4), min_size=1, max_size=8)))
+    lines = [format_word(w) + draw(st.sampled_from(("", "  # a word"))) for w in code]
+    return "\n".join([f"k {k}", *lines]).encode()
 
 
 @st.composite
@@ -97,5 +108,20 @@ def test_table_commands_end_in_a_named_status(data):
         report = _run("heights", path)
         if report[0] == 0:
             assert _run("heights", "--dfa", path) == report
+
+    _written(data, run)
+
+
+@settings(max_examples=150, deadline=None)
+@given(changed(code_files()))
+def test_code_commands_end_in_a_named_status(data):
+    def run(path):
+        measured = _run("measure", path)
+        plain = _run("dfa-mu", path)
+        dumped = _run("dfa-mu", "--dump", path)
+        assert plain[0] == dumped[0]
+        if plain[0] == 0:  # the empty code has a measure, 0, but no automaton
+            assert plain == measured
+            assert dumped[1].splitlines()[-1] == f"mu: {measured[1].strip()}"
 
     _written(data, run)

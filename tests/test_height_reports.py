@@ -1,14 +1,19 @@
 """Minimal automata and height reports in time linear in the code.
 
-``trie_dfa`` builds the trie once and merges it bottom-up by signature ids;
-the heights sum integer powers of k.  Both height reports read the fiber
+``trie_dfa`` merges the sorted words bottom-up by signature ids; the
+heights sum integer powers of k.  Both height reports read the fiber
 lengths and the R-height their own way and sum them through
-``HeightReport.from_fibers``.  These properties check them against the
-references in ``helpers`` and against each other, and time the inputs on
-which the old prefix-slicing trie and the per-class ``apply`` blew up.
+``HeightReport.from_fibers``: the automaton report counts lengths on one
+signature table per element, with no fiber word, ``trie_dfa`` or
+``heights``.  These properties check them against the references in
+``helpers`` and against each other, and time the inputs on which the old
+prefix-slicing trie, the per-class ``apply`` and the per-fiber automata
+blew up.
 """
 
+import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -17,17 +22,28 @@ from helpers import (
     deep_rotation,
     el,
     elements,
+    nested_images,
     prefix_free,
+    random_element,
     reference_height_report_via_dfa,
     reference_heights,
     reference_section_inverse,
     reference_trie_dfa,
     words,
 )
+from mk1 import dfa, green
 from mk1.dfa import dfa_measure, format_dfa, height_report_via_dfa, shortest_accepted, trie_dfa
 from mk1.elements import Mk1Element, format_table, identity_element, zero_element
-from mk1.green import ExponentSum, HeightReport, format_height_report, heights, section_inverse
-from mk1.kary import kq, kq_zero
+from mk1.green import (
+    ExponentSum,
+    HeightReport,
+    _ratio,
+    _rep_sum,
+    format_height_report,
+    heights,
+    section_inverse,
+)
+from mk1.kary import kq, kq_pow_sum, kq_zero
 from mk1.words import PrefixCode, words_of_length
 
 
@@ -69,11 +85,45 @@ def test_height_report_via_dfa_formats_as_heights(e):
 @example(zero_element(3))
 @example(el(2, ("a", "a"), ("b", "^")))
 @example(el(3, ("a", "^"), ("ba", "^"), ("bb", "^"), ("c", "^")))
+@example(nested_images(6))
+@example(deep_rotation(40))
 def test_height_reports_match_their_inline_references(e):
     for got, want in ((heights(e), reference_heights(e)),
                       (height_report_via_dfa(e), reference_height_report_via_dfa(e))):
         assert got == want
         assert format_height_report(got) == format_height_report(want)
+
+
+def test_height_report_via_dfa_stands_alone(monkeypatch):
+    """The automaton report calls neither ``heights`` nor the per-code
+    automaton and its forward count, so it checks ``heights`` independently."""
+    rng = random.Random(20)
+    cases = [zero_element(2), identity_element(3), nested_images(6), deep_rotation(40),
+             el(2, ("a", "a"), ("b", "^"))] + [random_element(rng, k) for k in (2, 3) * 40]
+    want = [reference_height_report_via_dfa(e) for e in cases]
+
+    def refuse(*args):
+        raise AssertionError("the automaton report reached a shared shortcut")
+
+    for module, name in ((green, "heights"), (dfa, "trie_dfa"), (dfa, "counts_by_length")):
+        monkeypatch.setattr(module, name, refuse)
+    assert [height_report_via_dfa(e) for e in cases] == want
+
+
+def _fraction_sorted_rep_sum(k, exps):
+    """The exponent sum with its terms sorted as Fractions."""
+    counts = Counter(exps)
+    if all(d == 1 for _, d in counts):
+        return kq_pow_sum(k, {n: c for (n, _), c in counts.items()})
+    return ExponentSum(k, tuple(sorted((Fraction(n, d), c) for (n, d), c in counts.items())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 7)),
+       st.lists(st.tuples(st.integers(0, 3000), st.sampled_from((1, 1, 2, 3, 7, 12, 1023, 1024)))
+                .map(lambda nd: _ratio(*nd)), max_size=40))
+def test_exponent_sums_sort_by_exact_integer_keys(k, exps):
+    assert _rep_sum(k, exps) == _fraction_sorted_rep_sum(k, exps)
 
 
 def test_height_report_from_fiber_lengths():
@@ -120,3 +170,13 @@ def test_height_report_on_a_1500_level_table():
     assert time.perf_counter() - started < 6.0
     assert format_height_report(rep) == format_height_report(heights(h)) == "\n".join(
         f"{name} 1" for name in ("R", "L", "Lmax", "Lave", "Lmed"))
+
+
+def test_height_report_on_1024_nested_images():
+    """Fiber i has i + 1 words of up to about 1,030 letters: the x-tries and one
+    suffix chain per fiber, where listing the fiber words is cubic."""
+    e = nested_images(10)
+    started = time.perf_counter()
+    rep = height_report_via_dfa(e)
+    assert time.perf_counter() - started < 20.0
+    assert format_height_report(rep) == format_height_report(heights(e))

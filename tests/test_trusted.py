@@ -320,6 +320,24 @@ def test_only_elements_names_the_restriction():
     assert found == []
 
 
+def test_the_automaton_report_takes_only_the_report_type_from_green():
+    """``dfa`` counts fiber lengths on its own automata: of ``green`` it
+    imports ``HeightReport`` alone, so the two height methods share no
+    length shortcut."""
+    tree = ast.parse((Path(mk1.__file__).parent / "dfa.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".green", "mk1.green"):
+                found += [alias.name for alias in node.names]
+            elif module in (".", "mk1"):
+                found += [alias.name for alias in node.names if alias.name == "green"]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name == "mk1.green"]
+    assert found == ["HeightReport"]
+
+
 def test_only_words_reads_the_header():
     """The "k <int>" header line has one reader, ``words.parse_header``."""
     package = Path(mk1.__file__).parent
