@@ -46,6 +46,7 @@ from .words import (
     Word,
     _unchecked,
     check_cap,
+    check_count,
     check_letters,
     format_word,
     is_prefix,
@@ -247,7 +248,12 @@ def image_code_restriction(e: Mk1Element) -> Mk1Element:
 
 
 def _split_to_image_code(e: Mk1Element) -> Mk1Element:
-    rows = sorted([(x + z[len(y):], z) for z, path in fibers(e) for x, y in path], key=_domain_key)
+    """The rows x·z[|y|:] -> z over the fibers of e, refused before any row
+    is built when there are more than 2^20."""
+    walk = list(fibers(e))
+    check_count(sum(len(path) for _, path in walk),
+                "the image-code restriction would have more than 2^20 rows")
+    rows = sorted([(x + z[len(y):], z) for z, path in walk for x, y in path], key=_domain_key)
     return Mk1Element._trusted(e.k, tuple(rows))
 
 

@@ -128,22 +128,6 @@ class EmptyLanguage(Mk1Error):
     pass
 
 
-class NotSingleAccept(Mk1Error):
-    pass
-
-
-class CyclicGraph(Mk1Error):
-    pass
-
-
-class NotDeterministic(Mk1Error, ValueError):
-    pass
-
-
-class NotTrimmed(Mk1Error, ValueError):
-    pass
-
-
 class ArityMismatch(Mk1Error):
     pass
 

@@ -86,7 +86,12 @@ def trie_leaves(k: int, tags: dict[Word, tuple]) -> Iterator[tuple[Word, tuple]]
 def check_cap(k: int, depths: Iterable[int], message: str) -> None:
     """Raise TooLarge(message) when the rows or words to be built, k**d for
     each of the depths d, are more than 2^20."""
-    if sum(k ** min(d, 21) for d in depths) > 1 << 20:  # k >= 2, so k**21 is over the cap
+    check_count(sum(k ** min(d, 21) for d in depths), message)  # k >= 2, so k**21 is over the cap
+
+
+def check_count(n: int, message: str) -> None:
+    """Raise TooLarge(message) when n, the rows or words to be built, is more than 2^20."""
+    if n > 1 << 20:
         raise TooLarge(message)
 
 

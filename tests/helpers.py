@@ -3,12 +3,13 @@ implementations shared across the test suite."""
 
 import random
 from collections import Counter, deque
+from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
 from mk1.congruence import PrefixCodeCongruence, max_congruence, noncollision_measure
 from mk1.circuits import eval_generator_word, generator_length
-from mk1.dfa import AcyclicDfa, counts_by_length, dfa_measure, trie_dfa
+from mk1.dfa import Dfa
 from mk1.elements import (
     Mk1Element,
     apply,
@@ -31,6 +32,7 @@ from mk1.plep import _require_plep
 from mk1.words import (
     PrefixCode,
     Word,
+    format_word,
     ideal_ess_leq,
     parse_word,
     word_key,
@@ -388,7 +390,116 @@ def reference_separating_context(f: Mk1Element, g: Mk1Element):
     return single_row(k, y2, y2), single_row(k, x0, x0)
 
 
-def reference_trie_dfa(code: PrefixCode) -> AcyclicDfa:
+@dataclass(frozen=True)
+class ReferenceDfa:
+    """A deterministic, acyclic, trimmed automaton with one accepting state,
+    as a checked edge list: what the library's signature tables are
+    compared against.
+
+    ``edges`` holds (state, letter, state) triples sorted by source state
+    and letter.  Every state must be reachable from ``start`` and must
+    reach ``accept``; the accept state therefore has no outgoing edges.
+    """
+
+    k: int
+    n_states: int
+    start: int
+    accept: int
+    edges: tuple[tuple[int, int, int], ...]
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise ValueError(f"alphabet size must be at least 2, got {self.k}")
+        if self.n_states < 1:
+            raise ValueError("need at least one state")
+        for q in (self.start, self.accept):
+            if not 0 <= q < self.n_states:
+                raise ValueError(f"state {q} out of range")
+        seen = set()
+        for p, a, q in self.edges:
+            if not (0 <= p < self.n_states and 0 <= q < self.n_states):
+                raise ValueError(f"edge ({p},{a},{q}) leaves the state range")
+            if not 0 <= a < self.k:
+                raise ValueError(f"letter {a} outside alphabet of size {self.k}")
+            if (p, a) in seen:
+                raise ValueError(f"two edges leave state {p} on letter {a}")
+            seen.add((p, a))
+        if self.edges != tuple(sorted(self.edges)):
+            raise ValueError("edges must be sorted")
+        reference_acyclic_order(self)
+        # In a DAG every state is reached from a state without in-edges and
+        # reaches one without out-edges, so degrees decide both closures.
+        others = set(range(self.n_states))
+        if {q for _, _, q in self.edges} != others - {self.start}:
+            raise ValueError("every state must be reachable from the start")
+        if {p for p, _ in seen} != others - {self.accept}:
+            raise ValueError("every state must reach the accept state")
+
+    @classmethod
+    def make(cls, k, n_states, start, accepts, edges) -> "ReferenceDfa":
+        accepts = sorted(set(accepts))
+        if len(accepts) != 1:
+            raise ValueError(f"need exactly one accept state, got {len(accepts)}")
+        return cls(k, n_states, start, accepts[0], tuple(sorted(edges)))
+
+
+def reference_acyclic_order(d: ReferenceDfa) -> tuple[list[int], dict[int, list[int]]]:
+    """States in a topological order (Kahn's algorithm), and the targets of
+    each state's out-edges."""
+    indeg = [0] * d.n_states
+    outs: dict[int, list[int]] = {}
+    for p, _, q in d.edges:
+        indeg[q] += 1
+        outs.setdefault(p, []).append(q)
+    todo = [q for q in range(d.n_states) if indeg[q] == 0]
+    order = []
+    while todo:
+        p = todo.pop()
+        order.append(p)
+        for q in outs.get(p, ()):
+            indeg[q] -= 1
+            if indeg[q] == 0:
+                todo.append(q)
+    if len(order) != d.n_states:
+        raise ValueError("the transition graph has a cycle")
+    return order, outs
+
+
+def reference_counts_by_length(d: ReferenceDfa) -> dict[int, int]:
+    """How many accepted words there are of each length, counted forward
+    from the start in topological order."""
+    order, outs = reference_acyclic_order(d)
+    counts: list[dict[int, int]] = [{} for _ in range(d.n_states)]
+    counts[d.start] = {0: 1}
+    for p in order:
+        for q in outs.get(p, ()):
+            into = counts[q]
+            for n, c in counts[p].items():
+                into[n + 1] = into.get(n + 1, 0) + c
+    return counts[d.accept]
+
+
+def reference_format_dfa(d: ReferenceDfa) -> str:
+    """The edge list as ``mk1 dfa-mu --dump`` prints it."""
+    lines = [f"states: {d.n_states}", f"start: {d.start}", f"accept: {d.accept}"]
+    lines.extend(f"{p} --{format_word((a,))}--> {q}" for p, a, q in d.edges)
+    return "\n".join(lines)
+
+
+def language(d: Dfa) -> list[Word]:
+    """The words the library's automaton reads from its root to state 0, in
+    canonical (length, then letters) order."""
+    found: list[Word] = []
+    stack: list[tuple[int, Word]] = [(d.root, ())]
+    while stack:
+        q, w = stack.pop()
+        if q == 0:
+            found.append(w)
+        stack.extend((child, w + (a,)) for a, child in d.sigs[q])
+    return sorted(found, key=word_key)
+
+
+def reference_trie_dfa(code: PrefixCode) -> ReferenceDfa:
     """The minimal automaton of a nonempty code from a trie keyed by word
     prefixes, merged deepest level first with sorted signatures, renumbered
     breadth-first and built through the checked constructor."""
@@ -420,7 +531,7 @@ def reference_trie_dfa(code: PrefixCode) -> AcyclicDfa:
         (number[c], a, number[d]) for c, kids in out.items() for a, d in kids.items()
     ))
     accept = number[cls[code.words[0]]]
-    return AcyclicDfa(code.k, len(number), 0, accept, edges)
+    return ReferenceDfa(code.k, len(number), 0, accept, edges)
 
 
 def reference_heights(e: Mk1Element) -> HeightReport:
@@ -466,10 +577,11 @@ def reference_height_report_via_dfa(e: Mk1Element) -> HeightReport:
         return HeightReport(zero, zero, zero, zero, zero)
     k = e.k
     imc, p = image_code(e), part(e)
-    stats = [_reference_length_stats(counts_by_length(trie_dfa(PrefixCode._trusted(k, cls))))
-             for cls in p.classes]
+    stats = [_reference_length_stats(reference_counts_by_length(
+        reference_trie_dfa(PrefixCode._trusted(k, cls)))) for cls in p.classes]
     lo, hi, ave, med = zip(*stats)
-    return HeightReport(r=dfa_measure(trie_dfa(imc)), l=kq_pow_sum(k, Counter(lo)),
+    return HeightReport(r=kq_pow_sum(k, reference_counts_by_length(reference_trie_dfa(imc))),
+                        l=kq_pow_sum(k, Counter(lo)),
                         l_max=kq_pow_sum(k, Counter(hi)), l_ave=_rep_sum(k, ave),
                         l_med=_rep_sum(k, med))
 

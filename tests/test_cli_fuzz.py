@@ -2,10 +2,13 @@
 
 Formula, table and code files, valid to start with, get one byte or one
 line changed, and go in process through ``mk1 phi-b`` (with and without
-``--check``), ``count-forallsat``, ``dindex``, ``heights``, ``measure`` and
-``dfa-mu`` (with and without ``--dump``).  No exception may escape
-``cli.main``, a failure is one ``error`` line on stderr, and what succeeds
-agrees with the other commands on the same file.
+``--check``), ``count-forallsat``, ``dindex``, ``heights`` (with and
+without ``--dfa``), ``normalize``, ``compose`` (a table with itself),
+``measure`` and ``dfa-mu`` (with and without ``--dump``).  No exception may
+escape ``cli.main``, a failure is one ``error`` line on stderr, and what
+succeeds agrees with the other commands on the same file: ``normalize``
+output reads back to itself, and ``compose`` prints the library's
+composition.
 """
 
 import contextlib
@@ -17,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import prefix_free, tables, words
 from mk1.cli import main
-from mk1.elements import format_table
+from mk1.elements import compose, format_table, parse_table
 from mk1.reductions import formula_from_truth_table
 from mk1.words import format_word
 
@@ -78,10 +81,11 @@ def _run(*argv) -> tuple[int, str]:
 
 
 def _written(data: bytes, run):
+    """What ``run`` returns on the path of a file holding ``data``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.txt"
         path.write_bytes(data)
-        run(str(path))
+        return run(str(path))
 
 
 @settings(max_examples=150, deadline=None)
@@ -108,6 +112,13 @@ def test_table_commands_end_in_a_named_status(data):
         report = _run("heights", path)
         if report[0] == 0:
             assert _run("heights", "--dfa", path) == report
+        normal = _run("normalize", path)
+        composed = _run("compose", path, path)
+        assert normal[0] == composed[0] == report[0]
+        if normal[0] == 0:
+            assert _written(normal[1].encode(), lambda again: _run("normalize", again)) == normal
+            e = parse_table(data.decode())
+            assert composed[1] == format_table(compose(e, e)) + "\n"
 
     _written(data, run)
 

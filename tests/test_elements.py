@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from helpers import random_element, random_word
+from helpers import nested_images, random_element, random_word
 from mk1.errors import (
     AlphabetMismatch,
     DomainNotPrefixCode,
@@ -28,13 +28,14 @@ from mk1.elements import (
     is_injective,
     is_partial_identity,
     parse_table,
+    part,
     partial_identity,
     restrict_to_length,
     uniform_image_form,
     zero_element,
 )
 from mk1.reductions import complete_to_length
-from mk1.words import PrefixCode, check_cap, mu, parse_word
+from mk1.words import PrefixCode, check_cap, check_count, mu, parse_word
 
 
 def el(k, *rows):
@@ -156,6 +157,20 @@ def test_level_splits_past_the_cap_are_refused_unbuilt():
     for k, depths in ((2, [20, 0]), (2, [10 ** 9]), (1025, [2]), (3, [12, 12])):
         with pytest.raises(TooLarge, match="^over it$"):
             check_cap(k, depths, "over it")
+    check_count(1 << 20, "at the cap")
+    with pytest.raises(TooLarge, match="^over it$"):
+        check_count((1 << 20) + 1, "over it")
+
+
+def test_image_code_restriction_past_the_cap_is_refused_unbuilt():
+    """2,048 nested images split into 2,098,176 rows of about 1.4 G letters;
+    the rows are counted on the fiber walk first."""
+    e = nested_images(11)
+    started = time.perf_counter()
+    for split in (part, image_code_restriction):
+        with pytest.raises(TooLarge, match="image-code restriction"):
+            split(e)
+    assert time.perf_counter() - started < 5.0
 
 
 def test_injectivity_and_inverse():

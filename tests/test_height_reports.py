@@ -22,9 +22,11 @@ from helpers import (
     deep_rotation,
     el,
     elements,
+    language,
     nested_images,
     prefix_free,
     random_element,
+    reference_format_dfa,
     reference_height_report_via_dfa,
     reference_heights,
     reference_section_inverse,
@@ -32,8 +34,15 @@ from helpers import (
     words,
 )
 from mk1 import dfa, green
-from mk1.dfa import dfa_measure, format_dfa, height_report_via_dfa, shortest_accepted, trie_dfa
-from mk1.elements import Mk1Element, format_table, identity_element, zero_element
+from mk1.dfa import dfa_measure, format_dfa, height_report_via_dfa, trie_dfa
+from mk1.elements import (
+    Mk1Element,
+    format_table,
+    identity_element,
+    image_code,
+    part,
+    zero_element,
+)
 from mk1.green import (
     ExponentSum,
     HeightReport,
@@ -55,18 +64,29 @@ def _codes(k):
     return st.one_of(st.just([()]), small, deep, shared).map(lambda ws: PrefixCode.make(k, ws))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from((2, 3, 4)).flatmap(_codes))
-def test_trie_dfa_matches_the_prefix_trie_reference(code):
-    assert format_dfa(trie_dfa(code)) == format_dfa(reference_trie_dfa(code))
+def _derived_codes(e):
+    """The nonempty codes an element derives: its domain code, its image
+    code and the classes of its fiber partition."""
+    codes = [e.domain_code, image_code(e)] + [PrefixCode.make(e.k, cls) for cls in part(e).classes]
+    return [code for code in codes if code.words]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.sampled_from((2, 3, 4)).flatmap(_codes).map(lambda code: [code]),
+                 elements.map(_derived_codes)))
+def test_trie_dfa_matches_the_prefix_trie_reference(codes):
+    """Equal to the checked reference automaton, so each automaton is
+    deterministic, acyclic and trimmed, with one accepting state."""
+    for code in codes:
+        assert format_dfa(trie_dfa(code)) == reference_format_dfa(reference_trie_dfa(code))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from((2, 3, 4)).flatmap(_codes))
-def test_automaton_measure_and_shortest_length_from_length_counts(code):
+def test_automaton_measure_and_language(code):
     d = trie_dfa(code)
     assert dfa_measure(d) == code.mu
-    assert shortest_accepted(d) == min(map(len, code.words))
+    assert language(d) == list(code.words)
 
 
 @settings(max_examples=300, deadline=None)
@@ -96,7 +116,7 @@ def test_height_reports_match_their_inline_references(e):
 
 def test_height_report_via_dfa_stands_alone(monkeypatch):
     """The automaton report calls neither ``heights`` nor the per-code
-    automaton and its forward count, so it checks ``heights`` independently."""
+    automaton and its measure, so it checks ``heights`` independently."""
     rng = random.Random(20)
     cases = [zero_element(2), identity_element(3), nested_images(6), deep_rotation(40),
              el(2, ("a", "a"), ("b", "^"))] + [random_element(rng, k) for k in (2, 3) * 40]
@@ -105,7 +125,7 @@ def test_height_report_via_dfa_stands_alone(monkeypatch):
     def refuse(*args):
         raise AssertionError("the automaton report reached a shared shortcut")
 
-    for module, name in ((green, "heights"), (dfa, "trie_dfa"), (dfa, "counts_by_length")):
+    for module, name in ((green, "heights"), (dfa, "trie_dfa"), (dfa, "dfa_measure")):
         monkeypatch.setattr(module, name, refuse)
     assert [height_report_via_dfa(e) for e in cases] == want
 

@@ -1,12 +1,16 @@
 """Checked boundaries and the unchecked results built behind them.
 
 Public constructors check their input; results the library derives from
-checked values, automata included, skip those checks.  These properties
-make sure every such result would have passed them anyway, and that the
-one-pass image-code restriction agrees with the counter-loop reference.
-Formulas built from truth tables skip the check fold and carry their
-table; φ_B skips ``make``'s sort and checks.  The text readers check their
-input once and build tables and formulas without the constructors' checks.
+checked values skip those checks.  These properties make sure every such
+result would have passed them anyway, and that the one-pass image-code
+restriction agrees with the counter-loop reference.  (Automata have no
+checked constructor: ``test_height_reports`` compares them with the
+checked reference automaton in ``helpers``.)  Formulas built from truth
+tables skip the check fold and carry their table; φ_B skips ``make``'s
+sort and checks.  The text readers check their input once and build
+tables and formulas without the constructors' checks.  Lints over the
+library's source keep out asserts, eval, recursion, unbounded caches and
+error classes nothing raises.
 """
 
 import ast
@@ -19,7 +23,6 @@ from hypothesis import example, given, settings, strategies as st
 import mk1
 from helpers import elements, reference_image_code_restriction, tables
 from mk1.congruence import PrefixCodeCongruence, max_congruence, split_class
-from mk1.dfa import AcyclicDfa, trie_dfa
 from mk1.elements import (
     Mk1Element,
     compose,
@@ -64,8 +67,6 @@ def rebuilt(value):
         return Mk1Element(value.k, value.rows)
     if isinstance(value, PrefixCode):
         return PrefixCode(value.k, value.words)
-    if isinstance(value, AcyclicDfa):
-        return AcyclicDfa(value.k, value.n_states, value.start, value.accept, value.edges)
     if isinstance(value, BooleanFormula):
         return BooleanFormula(value.m, value.n, value.ast)
     return PrefixCodeCongruence(rebuilt(value.code), value.classes)
@@ -91,16 +92,6 @@ def test_derived_values_pass_the_checks(e, extra):
         derived.append(inverse_element(e))
     for value in derived:
         assert rebuilt(value) == value
-
-
-@settings(max_examples=200, deadline=None)
-@given(elements)
-def test_automata_pass_the_checks(e):
-    codes = [e.domain_code, image_code(e)] + [PrefixCode(e.k, cls) for cls in part(e).classes]
-    for code in codes:
-        if code.words:
-            d = trie_dfa(code)
-            assert rebuilt(d) == d
 
 
 @settings(max_examples=150, deadline=None)
@@ -304,7 +295,8 @@ def _spells_the_cap(node) -> bool:
 
 
 def test_only_words_spells_the_size_cap():
-    """Every 2^20 cap on rows or words goes through ``words.check_cap``."""
+    """Every 2^20 cap on rows or words goes through ``words.check_count``,
+    alone or under ``words.check_cap``."""
     found = [name for name, node in _library_nodes() if _spells_the_cap(node)]
     assert found and set(found) == {"words.py"}
 
@@ -336,6 +328,16 @@ def test_the_automaton_report_takes_only_the_report_type_from_green():
         elif isinstance(node, ast.Import):
             found += [alias.name for alias in node.names if alias.name == "mk1.green"]
     assert found == ["HeightReport"]
+
+
+def test_every_error_class_is_named_outside_errors():
+    """An error class that no other library module names is never raised."""
+    package = Path(mk1.__file__).parent
+    tree = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    named = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+             for name, node in _library_nodes() if name != "errors.py"}
+    assert defined and sorted(defined - named) == []
 
 
 def test_only_words_reads_the_header():
