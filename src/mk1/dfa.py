@@ -12,13 +12,13 @@ the DAG instead of by walking word lists.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .elements import Mk1Element, fibers
 from .errors import EmptyLanguage
 from .green import HeightReport
-from .kary import KRational, kq, kq_pow_sum, kq_zero
+from .kary import KRational, kq, kq_zero
 from .words import PrefixCode, Word, format_word
 
 
@@ -111,64 +111,64 @@ def _chain(w: Word, end: int, ids: dict[tuple, int], sigs: list[tuple]) -> int:
 
 
 def dfa_measure(d: Dfa) -> KRational:
-    """Measure of the accepted code, in one backward pass in id order.
+    """Measure of the accepted code, in one backward pass in id order."""
+    return kq(d.k, *_weights(d.k, d.sigs)[d.root])
 
-    The words from a state to state 0 weigh num * k**-exp: (1, 0) at state
-    0, and at a parent one more than its children's largest exponent over
-    the sum of their numerators, each scaled to that exponent."""
-    k = d.k
+
+def _weights(k: int, sigs: Sequence[tuple]) -> list[tuple[int, int]]:
+    """Each state's (num, exp), in id order: its words to state 0 weigh
+    num * k**-exp, (1, 0) at state 0, and at a parent one more than its
+    children's largest exponent over the sum of their numerators, each
+    scaled to that exponent."""
     weights = [(1, 0)]
-    for sig in d.sigs[1:]:
+    for sig in sigs[1:]:
         kids = [weights[child] for _, child in sig]
         top = max(exp for _, exp in kids)
         weights.append((sum(num * k ** (top - exp) for num, exp in kids), top + 1))
-    return kq(k, *weights[d.root])
+    return weights
 
 
 def height_report_via_dfa(e: Mk1Element) -> HeightReport:
     """The same report as :func:`mk1.green.heights`, with the R-height and
     each fiber's word lengths counted on automata.
 
-    Every state of the element's automata goes into one signature table
-    (:func:`_hang`), state 0 accepting.  The image code's trie hangs on
-    state 0.  A fiber of the :func:`~mk1.elements.fibers` walk, an image-code
-    word z with its rows x -> y, gets z's suffix chain, whose state at |y|
-    reads z[|y|:], and the trie of its x's, each x going to the chain state
-    at its |y|.  Each new state counts its accepted words by length from its
-    children's counts, so a fiber's lengths are the counts at its root and
-    no fiber word is built."""
+    Every fiber's automaton goes into one signature table (:func:`_hang`),
+    state 0 accepting.  A fiber of the :func:`~mk1.elements.fibers` walk, an
+    image-code word z with its rows x -> y, gets z's suffix chain, whose
+    state at |y| reads z[|y|:], and the trie of its x's, each x going to the
+    chain state at its |y|.  Once all are hung, one backward pass counts
+    each state's accepted words by length from its children's counts, so a
+    fiber's lengths are the counts at its root and no fiber word is built.
+    R is the measure of the image code's trie, in a table of its own."""
     ids: dict[tuple, int] = {(): 0}
     sigs: list[tuple] = [()]
-    counts: list[tuple[int, dict[int, int]]] = [(0, {0: 1})]  # (shift, {length - shift: count})
-
-    def accepted(root: int) -> dict[int, int]:
-        """{length: count} of the words read from root.  New states get
-        their counts first, in id order, so children before parents."""
-        for sig in sigs[len(counts):]:
-            if len(sig) == 1:  # one child: its counts, one letter longer
-                shift, by_length = counts[sig[0][1]]
-                counts.append((shift + 1, by_length))
-                continue
-            by_length = {}
-            for _, child in sig:
-                shift, child_counts = counts[child]
-                for n, c in child_counts.items():
-                    by_length[n + shift + 1] = by_length.get(n + shift + 1, 0) + c
-            counts.append((0, by_length))
-        shift, by_length = counts[root]
-        return {n + shift: c for n, c in by_length.items()}
-
-    zs, lengths = [], []
+    zs, roots = [], []
     for z, path in fibers(e):
         zs.append(z)
         at, q, top = {}, 0, len(z)  # z's suffix chain, from z's end down to the shortest y
         for low in sorted({len(y) for _, y in path}, reverse=True):
             q = at[low] = _chain(z[low:top], q, ids, sigs)
             top = low
-        by_length = accepted(_hang([(x, at[len(y)]) for x, y in path], ids, sigs))
-        lengths.append([n for n in sorted(by_length) for _ in range(by_length[n])])
-    # zero has no image code
-    r = kq_pow_sum(e.k, accepted(_hang([(z, 0) for z in zs], ids, sigs))) if zs else kq_zero(e.k)
+        roots.append(_hang([(x, at[len(y)]) for x, y in path], ids, sigs))
+    counts: list[tuple[int, dict[int, int]]] = [(0, {0: 1})]  # (shift, {length - shift: count})
+    for sig in sigs[1:]:
+        if len(sig) == 1:  # one child: its counts, one letter longer
+            shift, by_length = counts[sig[0][1]]
+            counts.append((shift + 1, by_length))
+            continue
+        by_length = {}
+        for _, child in sig:
+            shift, child_counts = counts[child]
+            for n, c in child_counts.items():
+                by_length[n + shift + 1] = by_length.get(n + shift + 1, 0) + c
+        counts.append((0, by_length))
+    lengths = [[n + shift for n in sorted(by_length) for _ in range(by_length[n])]
+               for shift, by_length in map(counts.__getitem__, roots)]
+    r = kq_zero(e.k)  # zero has no image code
+    if zs:
+        image_sigs = [()]
+        root = _hang([(z, 0) for z in zs], {(): 0}, image_sigs)
+        r = kq(e.k, *_weights(e.k, image_sigs)[root])
     return HeightReport.from_fibers(e.k, r, lengths)
 
 

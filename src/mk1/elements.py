@@ -185,6 +185,7 @@ def apply(e: Mk1Element, w: Word):
     defined on part of w·A* but w itself is too short to determine the value.
     """
     w = tuple(w)
+    check_letters(e.k, (w,))
     partial = False
     for x, y in e.rows:
         if w[: len(x)] == x:

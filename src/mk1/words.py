@@ -233,6 +233,7 @@ def is_maximal_code(code: PrefixCode) -> bool:
 
 def covered(w: Word, code: PrefixCode) -> bool:
     """True iff the end set of w·A* is contained in that of code·A*."""
+    check_letters(code.k, (w,))
     return ideal_ess_leq(PrefixCode._trusted(code.k, (tuple(w),)), code)
 
 

@@ -4,11 +4,17 @@ Formula, table and code files, valid to start with, get one byte or one
 line changed, and go in process through ``mk1 phi-b`` (with and without
 ``--check``), ``count-forallsat``, ``dindex``, ``heights`` (with and
 without ``--dfa``), ``normalize``, ``compose`` (a table with itself),
-``measure`` and ``dfa-mu`` (with and without ``--dump``).  No exception may
-escape ``cli.main``, a failure is one ``error`` line on stderr, and what
-succeeds agrees with the other commands on the same file: ``normalize``
-output reads back to itself, and ``compose`` prints the library's
-composition.
+``measure`` and ``dfa-mu`` (with and without ``--dump``); pairs of them
+through ``green`` (all six relations), ``witness-plep`` and ``separate``.
+Drawn alphabet sizes, measure strings, words and generator tokens go
+through ``chain`` (counts below 100), ``with-heights``, ``synth-id`` and
+``eval-gen``.  No exception may escape ``cli.main``, a failure is one
+``error`` line on stderr, and what succeeds agrees with the library or
+with the other commands: ``normalize`` and ``eval-gen`` output reads back,
+``compose`` prints the library's composition, ``separate``'s contexts kill
+exactly one side, ``with-heights`` has the asked heights, ``chain``
+climbs strictly between its bounds, and ``synth-id``'s word evaluates to
+its partial identity.
 """
 
 import contextlib
@@ -19,10 +25,12 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from helpers import prefix_free, tables, words
-from mk1.cli import main
-from mk1.elements import compose, format_table, parse_table
+from mk1.cli import _RELATIONS, main
+from mk1.elements import Mk1Element, compose, format_table, parse_table
+from mk1.green import heights
+from mk1.kary import parse_krational
 from mk1.reductions import formula_from_truth_table
-from mk1.words import format_word
+from mk1.words import format_word, parse_word, words_of_length
 
 # bytes a one-byte change writes: formula and table syntax, digits that
 # resize a shape, separators, and bytes that are not UTF-8 text
@@ -41,6 +49,15 @@ def formula_files(draw):
 
 
 table_files = st.sampled_from((2, 3)).flatmap(tables).map(lambda e: format_table(e).encode())
+
+
+@st.composite
+def table_pairs(draw):
+    """Two table files over one alphabet, either possibly damaged, or now
+    and then one file twice."""
+    files = tables(draw(st.sampled_from((2, 3)))).map(lambda e: format_table(e).encode())
+    f = draw(changed(files))
+    return f, f if draw(st.integers(0, 3)) == 0 else draw(changed(files))
 
 
 @st.composite
@@ -80,12 +97,13 @@ def _run(*argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def _written(data: bytes, run):
-    """What ``run`` returns on the path of a file holding ``data``."""
+def _written(data: bytes, run, *more: bytes):
+    """What ``run`` returns on the paths of files holding ``data`` and ``more``."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "input.txt"
-        path.write_bytes(data)
-        return run(str(path))
+        paths = [Path(tmp) / f"input{i}.txt" for i in range(1 + len(more))]
+        for path, content in zip(paths, (data, *more)):
+            path.write_bytes(content)
+        return run(*map(str, paths))
 
 
 @settings(max_examples=150, deadline=None)
@@ -136,3 +154,79 @@ def test_code_commands_end_in_a_named_status(data):
             assert dumped[1].splitlines()[-1] == f"mu: {measured[1].strip()}"
 
     _written(data, run)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_pairs())
+def test_table_pair_commands_end_in_a_named_status(pair):
+    def run(f_path, g_path):
+        for relation in _RELATIONS:
+            status, out = _run("green", relation, f_path, g_path)
+            assert status or out in ("true\n", "false\n")
+        status, out = _run("witness-plep", f_path, g_path)
+        if status == 0:
+            head, b_text, bp_text = out.split("\n\n")
+            assert head in ("tlep true", "tlep false")
+            linked = compose(parse_table(bp_text), parse_table(b_text))
+            assert compose(linked, linked) == linked
+        status, out = _run("separate", f_path, g_path)
+        if status == 0:
+            c1, c2 = (parse_table(text) for text in out.split("\n\n"))
+            f, g = (parse_table(data.decode()) for data in pair)
+            assert compose(compose(c1, f), c2).is_zero != compose(compose(c1, g), c2).is_zero
+
+    _written(pair[0], run, pair[1])
+
+
+# alphabet sizes: too small, binary and ternary, the largest with digit
+# measures, and one that writes a measure's digits in brackets
+_SIZES = (-1, 0, 1, 2, 2, 3, 3, 10, 11)
+
+
+@st.composite
+def measure_texts(draw, k):
+    """A base-k measure below 2, or a damaged string."""
+    whole = draw(st.sampled_from("0001"))
+    digits = draw(st.lists(st.integers(0, max(k, 2) - 1), max_size=5))
+    if k > 10:
+        text = f"{whole}.[{','.join(map(str, digits))}]" if digits else whole
+    else:
+        text = f"{whole}.{''.join(map(str, digits))}" if digits else whole
+    return draw(st.sampled_from([text] * 8 + ["", "??", ".1", "1.2.3", "-0.1", "0.9", "0.[1]"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_SIZES).flatmap(lambda k: st.tuples(
+    st.just(k), measure_texts(k), st.one_of(measure_texts(k), st.just("1")), st.integers(0, 99))))
+def test_measure_commands_end_in_a_named_status(args):
+    k, lo, hi, count = args
+    status, out = _run("chain", str(k), lo, hi, str(count))
+    if status == 0:
+        chain = [parse_table(text) for text in out.split("\n\n")] if count else []
+        assert out == "\n" or len(chain) == count
+        bounds = [parse_krational(k, lo)] + [e.domain_code.mu for e in chain] + [parse_krational(k, hi)]
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))
+    status, out = _run("with-heights", str(k), lo, hi)
+    if status == 0:
+        report = heights(parse_table(out))
+        assert (report.r, report.l) == (parse_krational(k, lo), parse_krational(k, hi))
+
+
+_TOKENS = ("and", "or", "not", "fork", "proj2", "guard", "E0", "E1", "E3", "tau(0)", "tau(1)",
+           "tau(2)", "tau(40)", "frob", "and,not", "", "E" + "9" * 20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_SIZES[:7]),  # at most 3 letters: a gate has k**width rows
+       st.one_of(st.text("ab", min_size=1, max_size=3), st.text("abcd^ ", max_size=3)),
+       st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=4))
+def test_generator_commands_end_in_a_named_status(k, word, tokens):
+    status, out = _run("synth-id", str(k), word)
+    if status == 0:
+        target = parse_word(word, k)
+        evaluated = _run("eval-gen", str(k), *out.split())
+        want = Mk1Element.make(k, [(w, w) for w in words_of_length(k, len(target)) if w != target])
+        assert evaluated[0] == 0 and parse_table(evaluated[1]).reduced() == want.reduced()
+    status, out = _run("eval-gen", str(k), *tokens)
+    if status == 0:
+        assert format_table(parse_table(out)) + "\n" == out

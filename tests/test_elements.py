@@ -10,6 +10,7 @@ from mk1.errors import (
     AlphabetMismatch,
     DomainNotPrefixCode,
     NotInjective,
+    OutOfRange,
     ParseError,
     TooLarge,
 )
@@ -96,6 +97,16 @@ def test_apply():
     g = el(2, ("aa", "b"))
     assert apply(g, (0, 1)) is NoValue.UNDEFINED
     assert apply(g, ()) is NoValue.NEED_LONGER
+
+
+def test_apply_refuses_letters_outside_the_alphabet():
+    """A letter past k, after the row that would rewrite the word, is refused
+    and not carried into the image."""
+    swap = el(2, ("a", "b"), ("b", "a"))
+    for w in ((0, 7), (2,), (-1,), (1, 0, 2)):
+        with pytest.raises(OutOfRange):
+            apply(swap, w)
+    assert apply(swap, (0, 1)) == (1, 1)
 
 
 def test_compose_worked():

@@ -3,16 +3,18 @@
 ``trie_dfa`` merges the sorted words bottom-up by signature ids; the
 heights sum integer powers of k.  Both height reports read the fiber
 lengths and the R-height their own way and sum them through
-``HeightReport.from_fibers``: the automaton report counts lengths on one
-signature table per element, with no fiber word, ``trie_dfa`` or
-``heights``.  These properties check them against the references in
-``helpers`` and against each other, and time the inputs on which the old
-prefix-slicing trie, the per-class ``apply`` and the per-fiber automata
-blew up.
+``HeightReport.from_fibers``: the automaton report counts fiber lengths on
+one signature table per element and measures the image code's trie in a
+table of its own, with no fiber word, ``trie_dfa`` or ``heights``.  These
+properties check them against the references in ``helpers`` and against
+each other, and time and bound in memory the inputs on which the old
+prefix-slicing trie, the per-class ``apply``, the per-fiber automata and
+the image trie's length counts blew up.
 """
 
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -116,7 +118,9 @@ def test_height_reports_match_their_inline_references(e):
 
 def test_height_report_via_dfa_stands_alone(monkeypatch):
     """The automaton report calls neither ``heights`` nor the per-code
-    automaton and its measure, so it checks ``heights`` independently."""
+    automaton and its measure: it shares only their private parts, the
+    trie builder ``_hang`` and the measure pass, so it checks ``heights``
+    independently."""
     rng = random.Random(20)
     cases = [zero_element(2), identity_element(3), nested_images(6), deep_rotation(40),
              el(2, ("a", "a"), ("b", "^"))] + [random_element(rng, k) for k in (2, 3) * 40]
@@ -200,3 +204,23 @@ def test_height_report_on_1024_nested_images():
     rep = height_report_via_dfa(e)
     assert time.perf_counter() - started < 20.0
     assert format_height_report(rep) == format_height_report(heights(e))
+
+
+def _peak_mb(report, e) -> float:
+    """The most memory, in MB, that tracemalloc saw held while ``report(e)`` ran."""
+    tracemalloc.start()
+    try:
+        report(e)
+        return tracemalloc.get_traced_memory()[1] / (1 << 20)
+    finally:
+        tracemalloc.stop()
+
+
+def test_height_report_memory_budgets():
+    """On the 1000-level table, whose domain words have about 500,000
+    letters, each report's peak stays within a budget: the automaton report
+    keeps no length count on the image code's trie, whose spine alone
+    would count about 500,000 lengths, and ``heights`` stays within a
+    smaller one."""
+    assert _peak_mb(height_report_via_dfa, deep_rotation(1000)) < 4.0
+    assert _peak_mb(heights, deep_rotation(1000)) < 2.0

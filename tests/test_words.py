@@ -132,6 +132,15 @@ def test_covered():
     assert covered((1,), full)            # via the pair {ba, bb}
 
 
+def test_covered_refuses_letters_outside_the_alphabet():
+    """A word below a code word, but with a letter past k, is refused."""
+    code = pc(2, "a", "b")
+    for w in ((0, 9), (2,), (1, -1)):
+        with pytest.raises(OutOfRange):
+            covered(w, code)
+    assert covered((0, 1), code)
+
+
 def _ideal_codes(k):
     """Strategy: the empty code, {^}, prefix codes of mixed depths, and such
     codes completed to maximal ones by their complements."""
