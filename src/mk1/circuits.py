@@ -88,10 +88,14 @@ def parse_generator_word(text: str) -> list[str]:
 
 
 def eval_generator_word(k: int, tokens: list[str]) -> Mk1Element:
-    """Compose the generator tables, rightmost token acting first."""
+    """Compose the generator tables, rightmost token acting first; each
+    distinct token's table is built once."""
+    gates: dict[str, Mk1Element] = {}
     acc = identity_element(k)
     for token in tokens:
-        acc = compose(acc, gate_element(k, token))
+        if token not in gates:
+            gates[token] = gate_element(k, token)
+        acc = compose(acc, gates[token])
     return acc
 
 

@@ -27,7 +27,7 @@ identity.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -185,7 +185,8 @@ def apply(e: Mk1Element, w: Word):
     defined on part of w·A* but w itself is too short to determine the value.
     """
     w = tuple(w)
-    check_letters(e.k, (w,))
+    if w and not (0 <= min(w) and max(w) < e.k):  # check_letters names the bad letter
+        check_letters(e.k, (w,))
     partial = False
     for x, y in e.rows:
         if w[: len(x)] == x:
@@ -198,23 +199,23 @@ def compose(f: Mk1Element, g: Mk1Element) -> Mk1Element:
     """The element f∘g (g applied first), reduced.
 
     In dictionary order the domain word of f that is a prefix of an image y,
-    if any, sits just before y, and one that extends y just after it; a row
-    whose image has neither leaves f's domain ideal and dies.  Cost: one sort
-    of f's domain, then one bisect per row walked."""
+    if any, sits just before y, and the domain words w that extend y follow
+    it as one slice, ending before y·k; each gives the row x·w[|y|:] -> f(w).
+    A row whose image has neither leaves f's domain ideal and dies.  Cost:
+    one sort of f's domain, then two bisects per row of g plus one row per
+    matched domain word."""
     if f.k != g.k:
         raise AlphabetMismatch(f"cannot compose over {f.k} and {g.k} letters")
     k = f.k
     fdom = dict(f.rows)
     ws = sorted(fdom)
     out: list[Row] = []
-    stack: list[Row] = list(g.rows)
-    while stack:
-        x, y = stack.pop()
+    for x, y in g.rows:
         i = bisect_right(ws, y)
         if i and is_prefix(ws[i - 1], y):
             out.append((x, fdom[ws[i - 1]] + y[len(ws[i - 1]):]))
-        elif i < len(ws) and is_prefix(y, ws[i]):  # split until a domain word matches
-            stack.extend((x + (a,), y + (a,)) for a in range(k))
+        else:
+            out += [(x + w[len(y):], fdom[w]) for w in ws[i:bisect_left(ws, y + (k,), i)]]
     return Mk1Element._trusted(k, reduce_rows(k, out))
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from hypothesis import strategies as st
 
 from mk1.congruence import PrefixCodeCongruence, max_congruence, noncollision_measure
-from mk1.circuits import eval_generator_word, generator_length
+from mk1.circuits import eval_generator_word, gate_element, generator_length
 from mk1.dfa import Dfa
 from mk1.elements import (
     Mk1Element,
@@ -307,6 +307,14 @@ def reference_length_bound_check(k: int, tokens: list[str], factor: int = 2) -> 
         if y not in shortest or len(x) < shortest[y]:
             shortest[y] = len(x)
     return all(n <= len(y) + bound for y, n in shortest.items())
+
+
+def reference_eval_generator_word(k: int, tokens: list[str]) -> Mk1Element:
+    """The program folded with one gate table built per token, repeats and all."""
+    acc = identity_element(k)
+    for token in tokens:
+        acc = compose(acc, gate_element(k, token))
+    return acc
 
 
 def reference_ideal_ess_leq(p1: PrefixCode, p2: PrefixCode) -> bool:

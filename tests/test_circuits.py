@@ -3,8 +3,9 @@ from itertools import product
 
 import pytest
 
-from helpers import reference_length_bound_check
+from helpers import reference_eval_generator_word, reference_length_bound_check
 
+from mk1 import circuits
 from mk1.circuits import (
     eval_generator_word,
     gate_element,
@@ -142,6 +143,29 @@ def test_synthesis_ternary():
         assert eval_generator_word(3, word) == hole_identity(3, s)
     s = (2, 0, 1)
     assert eval_generator_word(3, synthesize_partial_identity(3, s)) == hole_identity(3, s)
+
+
+def test_eval_matches_the_one_gate_per_token_reference():
+    targets = [(2, s) for m in range(1, 6) for s in level(2, m)]
+    targets += [(3, s) for m in range(1, 4) for s in level(3, m)]
+    for k, s in targets:
+        word = synthesize_partial_identity(k, s)
+        assert eval_generator_word(k, word) == reference_eval_generator_word(k, word)
+
+
+def test_eval_builds_each_distinct_gate_once(monkeypatch):
+    built = []
+
+    def counting_gate(k, token):
+        built.append(token)
+        return gate_element(k, token)
+
+    monkeypatch.setattr(circuits, "gate_element", counting_gate)
+    for k, s in ((2, (0, 1, 1, 0)), (3, (2, 0, 1))):
+        built.clear()
+        word = synthesize_partial_identity(k, s)
+        eval_generator_word(k, word)
+        assert sorted(built) == sorted(set(word)) and len(word) > len(built)
 
 
 def test_synthesized_length_growth():

@@ -2,19 +2,20 @@
 
 Formula, table and code files, valid to start with, get one byte or one
 line changed, and go in process through ``mk1 phi-b`` (with and without
-``--check``), ``count-forallsat``, ``dindex``, ``heights`` (with and
-without ``--dfa``), ``normalize``, ``compose`` (a table with itself),
-``measure`` and ``dfa-mu`` (with and without ``--dump``); pairs of them
-through ``green`` (all six relations), ``witness-plep`` and ``separate``.
-Drawn alphabet sizes, measure strings, words and generator tokens go
-through ``chain`` (counts below 100), ``with-heights``, ``synth-id`` and
-``eval-gen``.  No exception may escape ``cli.main``, a failure is one
-``error`` line on stderr, and what succeeds agrees with the library or
-with the other commands: ``normalize`` and ``eval-gen`` output reads back,
-``compose`` prints the library's composition, ``separate``'s contexts kill
-exactly one side, ``with-heights`` has the asked heights, ``chain``
-climbs strictly between its bounds, and ``synth-id``'s word evaluates to
-its partial identity.
+``--check``), ``count-forallsat`` (with and without ``--via-element``),
+``dindex``, ``heights`` (with and without ``--dfa``), ``normalize``,
+``compose`` (a table with itself), ``measure`` and ``dfa-mu`` (with and
+without ``--dump``); pairs of them through ``green`` (all six
+relations), ``witness-plep`` and ``separate``.  Drawn alphabet sizes,
+measure strings, words and generator tokens go through ``chain`` (counts
+below 100), ``with-heights``, ``synth-id`` and ``eval-gen``.  No
+exception may escape ``cli.main``, a failure is one ``error`` line on
+stderr, and what succeeds agrees with the library or with the other
+commands: ``normalize`` and ``eval-gen`` output reads back, ``compose``
+prints the library's composition, both ways of counting agree,
+``separate``'s contexts kill exactly one side, ``with-heights`` has the
+asked heights, ``chain`` climbs strictly between its bounds, and
+``synth-id``'s word evaluates to its partial identity.
 """
 
 import contextlib
@@ -114,6 +115,7 @@ def test_formula_commands_end_in_a_named_status(data):
         plain = _run("phi-b", path)
         counted = _run("count-forallsat", path)
         assert plain[0] == checked[0]
+        assert _run("count-forallsat", "--via-element", path) == counted
         if checked[0] == 0:
             assert checked[1].startswith(plain[1])
             assert checked[1].splitlines()[-1] == f"count {counted[1].strip()}"

@@ -1,8 +1,9 @@
 """Prefix walks: the trie walk, compose, separating_context and leq_L.
 
 ``words.trie_leaves`` is the one trie walk; ``separating_context`` reads
-the leaves of the union trie of two domains, and ``compose`` bisects into
-f's sorted domain, instead of trying every word of the full depth or
+the leaves of the union trie of two domains, and ``compose`` takes the
+domain words of f that extend an image as one slice of f's sorted domain,
+found by two bisects, instead of trying every word of the full depth or
 scanning every domain word per row.  These properties check the walk
 against the leaves of the completed trie, check the two callers byte for
 byte against the scanning references in ``helpers``, check ``leq_L``
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (
     deep_code,
     deep_rotation,
+    el,
     reference_compose,
     reference_separating_context,
 )
@@ -75,6 +77,12 @@ def pairs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(pairs())
+# g's image a is a proper prefix of f's aa and aba; the end abb dies
+@example((el(2, ("aa", "b"), ("aba", "a"), ("b", "ab")), el(2, ("a", "^"), ("b", "a"))))
+# three letters: c is a prefix of ca and cc, cb dies; b dies; ab runs through a
+@example((el(3, ("a", "c"), ("ca", "b"), ("cc", "^")), el(3, ("a", "c"), ("b", "b"), ("c", "ab"))))
+# g's images a and b are domain words of f
+@example((el(2, ("a", "b"), ("b", "^")), el(2, ("a", "a"), ("b", "b"))))
 def test_compose_matches_the_scanning_reference(fg):
     f, g = fg
     for a, b in _partners(f, g) + [(g, f)]:
@@ -184,8 +192,8 @@ def test_separating_context_past_the_recursion_limit():
 
 
 def test_compose_splitting_into_a_wide_level_table():
-    """f∘swap splits every row of swap down to f's 2^14 level words; scanning
-    f's domain for each split row takes several seconds."""
+    """f∘swap expands each row of swap into the 2^13 level words of f under
+    its image; scanning f's domain for each split row takes several seconds."""
     rows = tuple((w, w[::-1]) for w in words_of_length(2, 14))
     f = Mk1Element(2, rows)     # reversal does not merge: already reduced
     swap = Mk1Element.make(2, [((0,), (1,)), ((1,), (0,))])
