@@ -12,8 +12,10 @@ Equality on :class:`Mk1Element` is structural, so monoid equality is
 structural equality of reduced elements; every public constructor here
 except :func:`image_code_restriction` and the uniform-level restrictions
 returns reduced tables.  The restrictions deliberately return equivalent
-*split* tables, since their whole point is reshaping the rows.  Fibers have
-one source, :func:`fibers`, which the restriction and the L side all read.
+*split* tables, since their whole point is reshaping the rows; the
+restriction's one builder is :func:`image_code_restriction`, which
+:func:`part` calls when it must split.  Fibers have one source,
+:func:`fibers`, which the restriction and the L side all read.
 
 Inputs are checked once, where they enter: direct construction,
 :meth:`Mk1Element.make` and :func:`parse_table`.  Tables, codes and
@@ -244,14 +246,12 @@ def fibers(e: Mk1Element) -> Iterator[tuple[Word, tuple[Row, ...]]]:
 
 def image_code_restriction(e: Mk1Element) -> Mk1Element:
     """Split rows until the image words form a prefix code (repeats allowed):
-    the rows x·z[|y|:] -> z over the :func:`fibers` of e.  The returned table
-    denotes the same element but is not reduced."""
-    return e if is_prefix_code(dict.fromkeys(e.image_words)) else _split_to_image_code(e)
-
-
-def _split_to_image_code(e: Mk1Element) -> Mk1Element:
-    """The rows x·z[|y|:] -> z over the fibers of e, refused before any row
-    is built when there are more than 2^20."""
+    the rows x·z[|y|:] -> z over the :func:`fibers` of e, sorted by domain,
+    refused before any is built when there are more than 2^20.  The table
+    denotes the same element but is not reduced; it is e when the images
+    already form a prefix code."""
+    if is_prefix_code(dict.fromkeys(e.image_words)):
+        return e
     walk = list(fibers(e))
     check_count(sum(len(path) for _, path in walk),
                 "the image-code restriction would have more than 2^20 rows")
@@ -282,13 +282,14 @@ def part(e: Mk1Element) -> PrefixCodeCongruence:
     Classes group domain words with equal images; together with a common
     tail they are exactly the end pairs the map collapses.  The restriction
     is e itself when the images form a prefix code (φ_B's do for m, n >= 1),
-    and is split from e otherwise.  Its domain words grouped by image are
-    canonical classes: each group is sorted, and the groups come in the
-    order of their first words.
+    whose rows are grouped once, and :func:`image_code_restriction`'s table
+    otherwise.  Its domain words grouped by image are canonical classes:
+    each group is sorted, and the groups come in the order of their first
+    words.
     """
     groups = _rows_by_image(e)
     if not is_prefix_code(groups):
-        e = _split_to_image_code(e)
+        e = image_code_restriction(e)
         groups = _rows_by_image(e)
     return PrefixCodeCongruence._trusted(e.domain_code, tuple(map(tuple, groups.values())))
 

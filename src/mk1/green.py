@@ -44,7 +44,7 @@ from .errors import (
     NotDistinct,
     OutOfRange,
 )
-from .kary import KRational, kq, kq_pow_sum
+from .kary import KRational, kq, kq_one, kq_pow_sum
 from .words import Word, code_with_measure, ideal_ess_eq, ideal_ess_leq, trie_leaves, word_key
 
 
@@ -206,7 +206,7 @@ def dense_chain(k: int, lo: KRational, hi: KRational, count: int) -> list[Mk1Ele
 
 def iter_dense_chain(k: int, lo: KRational, hi: KRational, count: int) -> Iterator[Mk1Element]:
     """:func:`dense_chain` one element at a time, in bounded memory; the
-    arguments are checked before the first element is asked for."""
+    arguments and the largest measure are checked before the first element."""
     if lo.base != k or hi.base != k:
         raise BaseMismatch("measures must be in base k")
     if not lo < hi:
@@ -217,6 +217,8 @@ def iter_dense_chain(k: int, lo: KRational, hi: KRational, count: int) -> Iterat
     t = 0
     while k ** t <= count:
         t += 1
+    if count and lo + kq(k, diff.num * count, diff.exp + t) > kq_one(k):  # the largest measure
+        raise OutOfRange("measures above 1 have no prefix code")
     return (partial_identity(code_with_measure(k, lo + kq(k, diff.num * i, diff.exp + t)))
             for i in range(1, count + 1))
 

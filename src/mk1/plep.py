@@ -17,12 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elements import (
-    Mk1Element,
-    image_ideal,
-    restrict_to_length,
-    uniform_image_form,
-)
+from .elements import Mk1Element, Row, image_ideal, restrict_to_length
 from .errors import (
     AlphabetMismatch,
     CrossCheckFailed,
@@ -80,10 +75,7 @@ def eta_idempotent(q: PrefixCode, q0: Word) -> Mk1Element:
         raise RepNotInCode("representative must belong to the code")
     (n,) = lengths
     _check_level(q.k, n)
-    members = set(q.words)
-    rows = [(w, w) for w in q.words]
-    rows.extend((w, q0) for w in words_of_length(q.k, n) if w not in members)
-    return Mk1Element.make(q.k, rows)
+    return Mk1Element.make(q.k, [(w, w) for w in q.words] + _level_rest(q.k, q.words, q0))
 
 
 def plep_element_with_index(k: int, i: int) -> Mk1Element:
@@ -105,10 +97,18 @@ def _check_level(k: int, n: int) -> None:
     check_cap(k, [n], f"a level of {n} letters over {k} letters has more than 2^20 words")
 
 
+def _level_rest(k: int, code: tuple[Word, ...], filler: Word) -> list[Row]:
+    """The rows sending each word of the fixed-length code's level that is
+    not in the code to filler; the caller has checked the level's size."""
+    members = set(code)
+    return [(w, filler) for w in words_of_length(k, len(code[0])) if w not in members]
+
+
 def common_image_refinement(e1: Mk1Element, e2: Mk1Element) -> tuple[Mk1Element, Mk1Element]:
     """Split two plep tables until their image codes are fixed-length and
     equally large.  Possible exactly when the D-indices agree; the two image
-    word lengths still differ unless the R-heights were equal."""
+    word lengths still differ unless the R-heights were equal.  Each side is
+    split once, both counted against the 2^20 cap before either is split."""
     if e1.k != e2.k:
         raise AlphabetMismatch("different alphabets")
     _require_plep(e1)
@@ -117,15 +117,14 @@ def common_image_refinement(e1: Mk1Element, e2: Mk1Element) -> tuple[Mk1Element,
     if h1.num != h2.num:
         raise IndexMismatch(f"D-indices differ: {h1.num} vs {h2.num}")
     # with images of length L the code has h·k^L = h.num·k^(L - h.exp) words
-    j1 = max(len(y) for _, y in e1.rows) - h1.exp
-    j2 = max(len(y) for _, y in e2.rows) - h2.exp
-    big = max(j1, j2)
-    for e, h in ((e1, h1), (e2, h2)):  # a row's image y is split to length h.exp + big
-        check_cap(e.k, (h.exp + big - len(y) for _, y in e.rows),
+    big = max(max(len(y) for _, y in e.rows) - h.exp for e, h in ((e1, h1), (e2, h2)))
+    sides = ((e1, h1.exp + big), (e2, h2.exp + big))
+    for e, level in sides:  # a row's image y is split to length level
+        check_cap(e.k, (level - len(y) for _, y in e.rows),
                   "the refined tables would have more than 2^20 rows")
-    r1, r2 = uniform_image_form(e1), uniform_image_form(e2)
-    r1 = restrict_to_length(r1, max(len(x) for x, _ in r1.rows) + (big - j1))
-    r2 = restrict_to_length(r2, max(len(x) for x, _ in r2.rows) + (big - j2))
+    # and its domain word to level less the shift |y| - |x| all rows share
+    r1, r2 = (restrict_to_length(e, level - len(e.rows[0][1]) + len(e.rows[0][0]))
+              for e, level in sides)
     return r1, r2
 
 
@@ -154,21 +153,16 @@ def plep_d_witness(e1: Mk1Element, e2: Mk1Element) -> PlepWitness:
     ext1, ext2 = (tuple(sorted({y for _, y in r.rows})) for r in (r1, r2))
     if len(ext1) != len(ext2):
         raise CrossCheckFailed(f"extended image codes differ in size: {len(ext1)} vs {len(ext2)}")
-    q1 = PrefixCode._trusted(k, ext1)
-    q2 = PrefixCode._trusted(k, ext2)
-    pairing = list(zip(ext1, ext2))
     total = is_tlep(e1) and is_tlep(e2)
-    rows_b = list(pairing)
-    rows_bp = [(y, x) for x, y in pairing]
+    rows_b, rows_bp = list(zip(ext1, ext2)), list(zip(ext2, ext1))
     if total:
         _check_level(k, max(len(ext1[0]), len(ext2[0])))
-        members1, members2 = set(ext1), set(ext2)
-        rows_b.extend((w, ext2[0]) for w in words_of_length(k, len(ext1[0])) if w not in members1)
-        rows_bp.extend((w, ext1[0]) for w in words_of_length(k, len(ext2[0])) if w not in members2)
+        rows_b += _level_rest(k, ext1, ext2[0])
+        rows_bp += _level_rest(k, ext2, ext1[0])
     return PlepWitness(
         b=Mk1Element.make(k, rows_b),
         b_prime=Mk1Element.make(k, rows_bp),
-        q1=q1,
-        q2=q2,
+        q1=PrefixCode._trusted(k, ext1),
+        q2=PrefixCode._trusted(k, ext2),
         tlep=total,
     )

@@ -772,7 +772,8 @@ def _k_free(k: int, n: int) -> tuple[int, int]:
 
 def reference_common_image_refinement(e1: Mk1Element, e2: Mk1Element):
     """Both tables split to uniform image codes through the restriction, then
-    compared and levelled by the k-free parts of the code sizes."""
+    compared and levelled by the k-free parts of the code sizes: two splits
+    of each side, where the library splits each side once."""
     if e1.k != e2.k:
         raise AlphabetMismatch("different alphabets")
     _require_plep(e1)

@@ -188,6 +188,16 @@ def test_chain_prints_the_tables_of_dense_chain(capsys):
         assert run(capsys, "chain", "3", "0.01", "0.2", str(count)) == (0, want, "")
 
 
+def test_chain_past_1_fails_before_printing(capsys):
+    """A chain whose largest measure is above 1 prints nothing; one whose
+    largest measure is exactly 1 prints all its tables, the last the
+    identity."""
+    assert run(capsys, "chain", "2", "0.1", "10", "5") == (
+        2, "", "error OutOfRange: measures above 1 have no prefix code\n")
+    code, out, _ = run(capsys, "chain", "2", "0", "10", "4")
+    assert code == 0 and out.split("\n\n")[-1] == "k 2\n^ -> ^\n" and out.count("k 2") == 4
+
+
 def test_chain_streams_its_tables():
     """The first table of a chain of 10^11 idempotents is printed within
     seconds, long before the whole chain could be built."""

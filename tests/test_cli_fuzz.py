@@ -7,23 +7,27 @@ line changed, and go in process through ``mk1 phi-b`` (with and without
 ``compose`` (a table with itself), ``measure`` and ``dfa-mu`` (with and
 without ``--dump``); pairs of them through ``green`` (all six
 relations), ``witness-plep`` and ``separate``.  Drawn alphabet sizes,
-measure strings, words and generator tokens go through ``chain`` (counts
-below 100), ``with-heights``, ``synth-id`` and ``eval-gen``.  No
-exception may escape ``cli.main``, a failure is one ``error`` line on
-stderr, and what succeeds agrees with the library or with the other
-commands: ``normalize`` and ``eval-gen`` output reads back, ``compose``
-prints the library's composition, both ways of counting agree,
-``separate``'s contexts kill exactly one side, ``with-heights`` has the
-asked heights, ``chain`` climbs strictly between its bounds, and
-``synth-id``'s word evaluates to its partial identity.
+measure strings (some above 1), words and generator tokens go through
+``chain`` (counts below 100), ``with-heights``, ``synth-id`` and
+``eval-gen``, and so do tokens starting with '-' in place of a word, a
+generator token or a measure.  No exception may escape ``cli.main``; a
+failure prints nothing to stdout and one ``error`` line on stderr, after
+argparse's usage when argparse refuses a token; and what succeeds agrees
+with the library or with the other commands: ``normalize`` and
+``eval-gen`` output reads back, ``compose`` prints the library's
+composition, both ways of counting agree, ``separate``'s contexts kill
+exactly one side, ``with-heights`` has the asked heights, ``chain`` climbs
+strictly between its bounds, and ``synth-id``'s word evaluates to its
+partial identity.
 """
 
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import prefix_free, tables, words
 from mk1.cli import _RELATIONS, main
@@ -86,15 +90,20 @@ def changed(draw, files):
     return b"\n".join(lines)
 
 
-def _run(*argv) -> tuple[int, str]:
-    """Exit code and stdout of ``mk1 argv``; a failure must leave exactly one
-    ``error`` line on stderr."""
+def _run(*argv, usage=False) -> tuple[int, str]:
+    """Exit code and stdout of ``mk1 argv``.  A failure prints nothing to
+    stdout and ends stderr in its one ``error`` line, which comes alone
+    unless ``usage`` allows argparse's usage lines before it (status 1)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     assert code in (0, 1, 2)
     if code:
-        assert err.getvalue().startswith("error") and err.getvalue().count("\n") == 1
+        assert out.getvalue() == ""
+        *head, last = err.getvalue().splitlines() or [""]
+        assert err.getvalue().endswith("\n") and last.startswith("error")
+        assert not head or (usage and code == 1 and head[0].startswith("usage: mk1")
+                            and not any("error" in line for line in head))
     return code, out.getvalue()
 
 
@@ -199,7 +208,10 @@ def measure_texts(draw, k):
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(_SIZES).flatmap(lambda k: st.tuples(
-    st.just(k), measure_texts(k), st.one_of(measure_texts(k), st.just("1")), st.integers(0, 99))))
+    st.just(k), measure_texts(k), st.one_of(measure_texts(k), st.sampled_from(("1", "2", "10"))),
+    st.integers(0, 99))))
+@example((2, "0.1", "10", 5))  # the fifth measure is above 1
+@example((2, "0", "10", 4))    # the fourth measure is exactly 1
 def test_measure_commands_end_in_a_named_status(args):
     k, lo, hi, count = args
     status, out = _run("chain", str(k), lo, hi, str(count))
@@ -232,3 +244,35 @@ def test_generator_commands_end_in_a_named_status(k, word, tokens):
     status, out = _run("eval-gen", str(k), *tokens)
     if status == 0:
         assert format_table(parse_table(out)) + "\n" == out
+
+
+# each command with its arguments after k, of which the first ``free`` may
+# be dashed: never k or chain's count, where a negative number is a domain error
+_DASHABLE = ((2, "synth-id", ("ab",), 1), (3, "eval-gen", ("and", "not"), 2),
+             (2, "chain", ("0.01", "0.1", "3"), 2), (3, "with-heights", ("0.1", "0.1"), 2))
+
+
+@st.composite
+def dashed_argv(draw):
+    """A command line with one word, generator token or measure replaced by
+    a token starting with '-' (but not '--' alone, which ends the options)."""
+    k, name, args, free = draw(st.sampled_from(_DASHABLE))
+    args = list(args)
+    args[draw(st.integers(0, free - 1))] = "-" + draw(st.text("-ax0.1", max_size=3).filter(
+        lambda rest: rest != "-"))
+    return [name, str(k), *args]
+
+
+@settings(max_examples=100, deadline=None)
+@given(dashed_argv())
+@example(["eval-gen", "2", "-x"])
+@example(["synth-id", "2", "-a"])
+@example(["chain", "2", "-1", "0.1", "3"])
+def test_dashed_tokens_are_refused(argv):
+    """argparse refuses a token it reads as an option, printing its usage
+    before the error line (status 1).  It passes '-' and negative numbers
+    on as arguments: the readers refuse those (status 1), and ``eval-gen``
+    names them unknown gates (status 2)."""
+    dashed = next(a for a in argv[2:] if a.startswith("-"))
+    argument = re.fullmatch(r"-|-\d+|-\d*\.\d+", dashed)  # argparse's own rule
+    assert _run(*argv, usage=True)[0] == (2 if argument and argv[0] == "eval-gen" else 1)

@@ -7,8 +7,9 @@ canonical section and the length bound read lengths and offsets off it
 without building the restriction.  These properties check the walk against
 the counter-loop restriction, check that those readers build no
 restriction, and time the nested tables on which the restriction is cubic.
-The fiber partition skips the walk when the images form a prefix code; it
-is checked against the reference partition on tables of both kinds.
+The fiber partition skips the walk when the images form a prefix code and
+otherwise splits through ``image_code_restriction``; it is checked against
+the reference partition on tables of both kinds.
 """
 
 import random
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     deep_code,
     deep_rotation,
+    el,
     elements,
     nested_images,
     random_element,
@@ -128,3 +130,25 @@ def test_part_takes_both_branches():
     split = [image_code_restriction(e) is not e for e in es]
     assert True in split and False in split
     assert all(_same_partition(e) for e in es + [nested_images(5), deep_rotation(20)])
+
+
+def test_part_splits_through_the_one_restriction_builder(monkeypatch):
+    """``part`` gets its split table from ``image_code_restriction``, which
+    a wrapper sees, and calls nothing when φ_B's images (m, n >= 1) form a
+    prefix code as they stand."""
+    built = []
+    build = elements_module.image_code_restriction
+
+    def counted(e):
+        r = build(e)
+        built.append(len(r.rows))
+        return r
+
+    monkeypatch.setattr(elements_module, "image_code_restriction", counted)
+    part(el(2, ("aa", "a"), ("ab", "aa"), ("b", "aaa")))  # PHI1
+    assert built == [6]
+    built.clear()
+    for m, n, table in ((1, 1, 0b0110), (2, 1, 0xB4), (1, 2, 0x5A), (2, 2, 0xF0F0)):
+        f = formula_from_truth_table(m, n, table)
+        part(encode_formula(f if covers_every_y(f) else ensure_surjective(f)))
+    assert built == []

@@ -27,6 +27,7 @@ from mk1.green import (
     eq_R,
     format_height_report,
     heights,
+    iter_dense_chain,
     leq_L,
     leq_R,
     section_inverse,
@@ -218,6 +219,18 @@ def test_dense_chain():
         assert leq_L(a, b) and not leq_L(b, a)
     with pytest.raises(OutOfRange):
         dense_chain(2, hi, hi, 3)
+
+
+def test_dense_chain_past_1_is_refused_before_the_first_element():
+    """The largest measure, lo + (hi - lo)·count/k^t, is checked up front:
+    the call raises before any element is asked for.  A largest measure of
+    exactly 1 is the identity's code."""
+    lo, hi = parse_krational(2, "0.1"), parse_krational(2, "10")
+    with pytest.raises(OutOfRange, match="measures above 1 have no prefix code"):
+        iter_dense_chain(2, lo, hi, 5)
+    chain = dense_chain(2, kq_zero(2), hi, 4)
+    assert [e.domain_code.mu for e in chain] == [kq(2, i, 2) for i in range(1, 5)]
+    assert dense_chain(2, lo, hi, 0) == []
 
 
 def test_element_with_heights():

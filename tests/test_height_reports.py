@@ -39,6 +39,7 @@ from mk1 import dfa, green
 from mk1.dfa import dfa_measure, format_dfa, height_report_via_dfa, trie_dfa
 from mk1.elements import (
     Mk1Element,
+    compose,
     format_table,
     identity_element,
     image_code,
@@ -52,6 +53,7 @@ from mk1.green import (
     _rep_sum,
     format_height_report,
     heights,
+    leq_L,
     section_inverse,
 )
 from mk1.kary import kq, kq_pow_sum, kq_zero
@@ -224,3 +226,11 @@ def test_height_report_memory_budgets():
     smaller one."""
     assert _peak_mb(height_report_via_dfa, deep_rotation(1000)) < 4.0
     assert _peak_mb(heights, deep_rotation(1000)) < 2.0
+
+
+def test_compose_and_leq_L_memory_budgets():
+    """On the same table, composing it with itself and ``leq_L`` of it with
+    itself each peaked at 4.2 MB, about the size of one table's words (some
+    500,000 letters); a budget of 6 MB catches a second copy of them."""
+    assert _peak_mb(lambda e: compose(e, e), deep_rotation(1000)) < 6.0
+    assert _peak_mb(lambda e: leq_L(e, e), deep_rotation(1000)) < 6.0

@@ -11,10 +11,11 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     deep_rotation,
+    el,
     elements,
     elements_over,
     nested_images,
@@ -43,7 +44,13 @@ from mk1.elements import (
 )
 from mk1.errors import Mk1Error, NotInjective
 from mk1.green import d_index_M, eq_R, leq_R
-from mk1.plep import common_image_refinement, d_index_plep, eq_D_plep, plep_d_witness
+from mk1.plep import (
+    common_image_refinement,
+    d_index_plep,
+    eq_D_plep,
+    plep_d_witness,
+    plep_element_with_index,
+)
 from mk1.words import PrefixCode, ideal_ess_eq, is_prefix
 
 
@@ -132,9 +139,15 @@ def test_plep_index_matches_the_restriction_reference(e):
     assert d_index_plep(e) == image_code(e).mu.num
 
 
+# images of one length on each side: the uniform step splits nothing
+@example((el(2, ("a", "b"), ("b", "a")), plep_element_with_index(2, 1)))
+# uniform images on a common level already: the level step splits nothing
+@example((el(2, ("a", "a"), ("ba", "ba")),) * 2)
 @settings(max_examples=400, deadline=None)
 @given(plep_pairs)
 def test_common_image_refinement_matches_the_restriction_reference(pair):
+    """One split of each side to its level gives the rows of the two-step
+    reference: a split to uniform images, then to a common level."""
     e1, e2 = pair
     want = outcome(reference_common_image_refinement, e1, e2)
     got = outcome(common_image_refinement, e1, e2)

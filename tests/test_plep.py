@@ -35,6 +35,7 @@ from mk1.plep import (
 from mk1.words import PrefixCode, parse_word
 
 from helpers import el, random_element, random_level_plep
+from mk1 import elements
 
 
 def pc(k, *texts):
@@ -141,6 +142,17 @@ def test_common_image_refinement():
         common_image_refinement(PHI1, SWAP)
     with pytest.raises(ZeroElement):
         common_image_refinement(zero_element(2), SWAP)
+
+
+def test_common_image_refinement_splits_each_side_once(monkeypatch):
+    """Each side goes to its level in one split of its rows."""
+    calls = []
+    split = elements._split_rows
+    e2 = plep_element_with_index(2, 1)
+    monkeypatch.setattr(elements, "_split_rows", lambda *args: calls.append(args) or split(*args))
+    r1, r2 = common_image_refinement(SWAP, e2)
+    assert len(calls) == 2
+    assert (r1.reduced(), r2.reduced()) == (SWAP, e2)
 
 
 def _check_witness(e1, e2, expect_tlep):
