@@ -16,8 +16,9 @@ of its input, leaving the tail alone:
 * ``tau(i)`` — swap input positions i and i+1 (1-based).
 
 A generator word is a list of such tokens, applied right to left like
-function composition.  Its length charges 1 per gate and i+1 per tau(i),
-matching the widths of the underlying tables.
+function composition.  Its length charges 1 per gate and i+1 per tau(i).
+That is the width of the gate's table, the letters it reads, except for
+``and``, ``or`` and ``proj2``, which read two letters but charge 1.
 
 :func:`synthesize_partial_identity` compiles, for any target word s, a
 generator word evaluating to the partial identity on all length-|s| words

@@ -91,7 +91,8 @@ def _hang(pairs: Iterable[tuple[Word, int]], ids: dict[tuple, int], sigs: list[t
 
 
 def _state(sig: tuple, ids: dict[tuple, int], sigs: list[tuple]) -> int:
-    """The id of the state with this signature, new if need be."""
+    """The id of the state with this signature, new if need be: the one
+    place that adds states to a signature table."""
     sid = ids.get(sig)
     if sid is None:
         sid = ids[sig] = len(sigs)
@@ -102,11 +103,7 @@ def _state(sig: tuple, ids: dict[tuple, int], sigs: list[tuple]) -> int:
 def _chain(w: Word, end: int, ids: dict[tuple, int], sigs: list[tuple]) -> int:
     """The state that reads the word w into the state end."""
     for a in reversed(w):
-        sig = ((a, end),)
-        end = ids.get(sig)
-        if end is None:
-            end = ids[sig] = len(sigs)
-            sigs.append(sig)
+        end = _state(((a, end),), ids, sigs)
     return end
 
 

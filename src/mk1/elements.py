@@ -130,29 +130,28 @@ class Mk1Element:
 def reduce_rows(k: int, rows: Iterable[Row]) -> tuple[Row, ...]:
     """Merge full sibling row families x·a -> y·a to the unique fixpoint.
 
-    One pass from the deepest parents up: a family can only become whole
-    through merges one level below it, so once that level is done each
-    parent needs one look.  A merge puts its own parent on the next level.
+    One stack pass over the distinct rows (words may be any sequences) in
+    dictionary order: each row is pushed, and while the top k rows are
+    p·a -> s·a for a = 0..k-1 they give way to p -> s.  Once the rows below
+    each member have merged, a family's rows sit next to each other in that
+    order, the last member on top, so each merge is made as soon as it can
+    be.  The stack stays in dictionary order, and a stable sort by domain
+    length gives the canonical order.  Repeated rows are dropped and the
+    rest keep the input's order, so the sort reuses the input's sorted runs.
     """
-    table = {tuple(x): tuple(y) for x, y in rows}
-    parents: list[set[Word]] = [set() for _ in range(max(map(len, table), default=0))]
-    for x in table:
-        if x:
-            parents[len(x) - 1].add(x[:-1])
-    for depth in range(len(parents) - 1, -1, -1):
-        for p in parents[depth]:
-            y = table.get(p + (0,))
-            if not y or y[-1] != 0:
-                continue
-            stem = y[:-1]
-            if any(table.get(p + (a,)) != stem + (a,) for a in range(1, k)):
-                continue
-            for a in range(k):
-                del table[p + (a,)]
-            table[p] = stem
-            if depth:
-                parents[depth - 1].add(p[:-1])
-    return tuple(sorted(table.items(), key=_domain_key))
+    stack: list[Row] = []
+    for x, y in sorted(dict.fromkeys((tuple(x), tuple(y)) for x, y in rows)):
+        # last letters before stems: comparing stems costs their length
+        while (x[-1:] == y[-1:] == (k - 1,) and len(stack) >= k - 1
+               and stack[-1][0][-1:] == stack[-1][1][-1:] == (k - 2,)):
+            p, s = x[:-1], y[:-1]
+            if any(stack[a - k + 1] != (p + (a,), s + (a,)) for a in range(k - 1)):
+                break
+            del stack[1 - k:]
+            x, y = p, s
+        stack.append((x, y))
+    stack.sort(key=lambda row: len(row[0]))
+    return tuple(stack)
 
 
 def _domain_key(row: Row):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator, Sequence, Union
 
 from .congruence import noncollision_measure
@@ -78,9 +78,8 @@ def _rep_sum(k: int, exps: Sequence[tuple[int, int]]) -> Height:
     counts = Counter(exps)
     if all(d == 1 for _, d in counts):
         return kq_pow_sum(k, {n: c for (n, _), c in counts.items()})
-    common = lcm(*(d for _, d in counts))  # n/d sorts as the integer n * (common // d)
-    terms = sorted(counts.items(), key=lambda term: term[0][0] * (common // term[0][1]))
-    return ExponentSum(k, tuple((Fraction(n, d), c) for (n, d), c in terms))
+    terms = ((Fraction(n, d), c) for (n, d), c in counts.items())
+    return ExponentSum(k, tuple(sorted(terms, key=lambda term: term[0])))
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,7 +8,7 @@ which the old loops were quadratic and about cubic.
 
 import time
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     deep_code,
@@ -30,7 +30,7 @@ from mk1.elements import (
     restrict_to_length,
 )
 from mk1.green import leq_L
-from mk1.words import PrefixCode, r2_normal_form, words_of_length
+from mk1.words import PrefixCode, parse_word, r2_normal_form, words_of_length
 
 
 def _deeper(e, extra):
@@ -38,13 +38,29 @@ def _deeper(e, extra):
     return restrict_to_length(e, max((len(x) for x, _ in e.rows), default=0) + extra)
 
 
+def _table(k, *rows):
+    return Mk1Element(k, tuple((parse_word(x, k), parse_word(y, k)) for x, y in rows))
+
+
 @settings(max_examples=300, deadline=None)
 @given(elements, st.integers(0, 2))
+# a merge that completes its parent's family: aa, ab -> a, then a, b -> ^
+@example(_table(2, ("b", "bb"), ("aa", "baa"), ("ab", "bab")), 0)
+@example(_table(3, ("a", "ba"), ("b", "bb"), ("ca", "bca"), ("cb", "bcb"), ("cc", "bcc")), 1)
+# one subtree merges, its sibling subtree stays split
+@example(_table(2, ("aa", "ba"), ("ab", "bb"), ("ba", "ba"), ("bb", "a")), 0)
+@example(_table(2, ("aa", "ba"), ("ab", "a"), ("ba", "bba"), ("bb", "bbb")), 0)
+@example(_table(2, ("a", "^"), ("b", "^")), 1)  # images ^ never merge
+@example(_table(2, ("^", "^")), 0)
 def test_reduce_rows_matches_the_reference(e, extra):
+    """Each row list also goes in twice over with its words as lists:
+    repeated identical rows count once, and any word sequences will do."""
     split = _deeper(e, extra).rows
     for rows in (e.rows, image_code_restriction(e).rows, split,
                  [(x, x) for x, _ in split], [(x, y[:1]) for x, y in split]):
-        assert reduce_rows(e.k, rows) == reference_reduce_rows(e.k, rows)
+        want = reference_reduce_rows(e.k, rows)
+        assert reduce_rows(e.k, rows) == want
+        assert reduce_rows(e.k, [(list(x), list(y)) for x, y in rows] * 2) == want
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from mk1 import dfa
 from mk1.dfa import Dfa, dfa_measure, format_dfa, height_report_via_dfa, trie_dfa
 from mk1.errors import EmptyLanguage
 from mk1.green import heights
@@ -92,6 +93,28 @@ def test_language_roundtrip_random():
         d = trie_dfa(code)
         assert language(d) == sorted(code.words, key=word_key)
         assert trie_dfa(code) == d
+
+
+def test_every_state_is_added_through_one_place(monkeypatch):
+    """Each state a signature table gets beyond the accept state comes from
+    ``dfa._state``, the chains of one-word codes and long runs included."""
+    added = []
+    state = dfa._state
+
+    def counted(sig, ids, sigs):
+        before = len(sigs)
+        sid = state(sig, ids, sigs)
+        added.append(len(sigs) - before)
+        return sid
+
+    monkeypatch.setattr(dfa, "_state", counted)
+    rng = random.Random(25)
+    codes = [PrefixCode.make(2, [(0, 1) * 30]), PrefixCode.make(3, [(2,) * 40, (0,)])]
+    codes += [random_nonempty_code(rng, rng.choice((2, 3)), rng.choice((4, 12))) for _ in range(150)]
+    for code in codes:
+        added.clear()
+        n_states = trie_dfa(code).n_states
+        assert sum(added) == n_states - 1
 
 
 def test_dfa_measure():

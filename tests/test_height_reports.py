@@ -230,7 +230,14 @@ def test_height_report_memory_budgets():
 
 def test_compose_and_leq_L_memory_budgets():
     """On the same table, composing it with itself and ``leq_L`` of it with
-    itself each peaked at 4.2 MB, about the size of one table's words (some
-    500,000 letters); a budget of 6 MB catches a second copy of them."""
-    assert _peak_mb(lambda e: compose(e, e), deep_rotation(1000)) < 6.0
-    assert _peak_mb(lambda e: leq_L(e, e), deep_rotation(1000)) < 6.0
+    itself each peak at about 0.15 MB.  They peaked at 4.2 MB while the
+    reduction kept its parents in one set per depth: the slices x[:-1], a
+    copy of every domain word but its last letter.  A budget of 1 MB
+    catches any copy of the table's words (some 500,000 letters).
+
+    On 1,024 nested images, ``compose`` peaks at about 4.8 MB, most of it
+    the composite's own long images, and ``leq_L`` at about 0.12 MB."""
+    assert _peak_mb(lambda e: compose(e, e), deep_rotation(1000)) < 1.0
+    assert _peak_mb(lambda e: leq_L(e, e), deep_rotation(1000)) < 1.0
+    assert _peak_mb(lambda e: compose(e, e), nested_images(10)) < 8.0
+    assert _peak_mb(lambda e: leq_L(e, e), nested_images(10)) < 1.0
