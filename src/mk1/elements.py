@@ -10,7 +10,7 @@ iterates this to its unique fixpoint.
 
 Equality on :class:`Mk1Element` is structural, so monoid equality is
 structural equality of reduced elements; every public constructor here
-except :func:`image_code_restriction` and the uniform-level restrictions
+except :func:`image_code_restriction` and :func:`restrict_to_length`
 returns reduced tables.  The restrictions deliberately return equivalent
 *split* tables, since their whole point is reshaping the rows; the
 restriction's one builder is :func:`image_code_restriction`, which
@@ -18,9 +18,12 @@ restriction's one builder is :func:`image_code_restriction`, which
 :func:`fibers`, which the restriction and the L side all read.
 
 Inputs are checked once, where they enter: direct construction,
-:meth:`Mk1Element.make` and :func:`parse_table`.  Tables, codes and
-partitions that this module derives from a checked element are valid and
-canonically ordered by construction, so they are built without checks.
+:meth:`Mk1Element.make` and :func:`parse_table`.  ``make`` sorts its rows
+once, in dictionary order, checks them in one pass over adjacent pairs and
+hands them to the merge pass; :func:`compose` sorts its distinct rows and
+does the same.  Tables, codes and partitions that this module derives from
+a checked element are valid and canonically ordered by construction, so
+they are built without checks.
 
 The empty table is the zero element (nowhere-defined map); {^ -> ^} is the
 identity.
@@ -31,6 +34,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .congruence import PrefixCodeCongruence
@@ -93,9 +97,27 @@ class Mk1Element:
 
     @classmethod
     def make(cls, k: int, rows: Iterable[Row]) -> "Mk1Element":
-        """Canonical reduced element from an arbitrary (valid) row iterable."""
-        canon = tuple(sorted({(tuple(x), tuple(y)) for x, y in rows}, key=_domain_key))
-        return cls(k, canon).reduced()
+        """Canonical reduced element from an arbitrary (valid) row iterable.
+
+        The constructor's checks, in its order, over one sort: the distinct
+        rows (words may be any sequences) in dictionary order, where a
+        repeated domain word sits next to its twin and a word next to its
+        first extension, so one pass over adjacent pairs finds both.  The
+        sorted rows then go straight to the merge pass of :func:`reduce_rows`.
+        """
+        if k < 2:
+            raise BaseTooSmall("alphabet needs at least two letters")
+        rows = sorted(dict.fromkeys((tuple(x), tuple(y)) for x, y in rows))
+        check_letters(k, chain.from_iterable(rows))
+        prefixed = False
+        for (u, _), (v, _) in zip(rows, rows[1:]):
+            if v[:len(u)] == u:
+                if u == v:
+                    raise NotCanonical("rows must be sorted by domain word, without repeats")
+                prefixed = True
+        if prefixed:
+            raise DomainNotPrefixCode("domain words must form a prefix code")
+        return cls._trusted(k, _merge_rows(k, rows))
 
     # _trusted(k, rows): rows sorted by domain word, whose domain words form a prefix code
     _trusted = classmethod(_unchecked)
@@ -130,17 +152,27 @@ class Mk1Element:
 def reduce_rows(k: int, rows: Iterable[Row]) -> tuple[Row, ...]:
     """Merge full sibling row families x·a -> y·a to the unique fixpoint.
 
-    One stack pass over the distinct rows (words may be any sequences) in
-    dictionary order: each row is pushed, and while the top k rows are
+    Any iterable of rows will do, with words as any sequences; repeated
+    rows count once.  The rows are made tuples, repeats dropped (the rest
+    keep the input's order, so the sort reuses its sorted runs) and sorted
+    into dictionary order for the merge pass, :func:`_merge_rows`.
+    """
+    return _merge_rows(k, sorted(dict.fromkeys((tuple(x), tuple(y)) for x, y in rows)))
+
+
+def _merge_rows(k: int, rows: Iterable[Row]) -> tuple[Row, ...]:
+    """The reduced table of distinct tuple rows already in dictionary order,
+    whose domain words form a prefix code.
+
+    One stack pass: each row is pushed, and while the top k rows are
     p·a -> s·a for a = 0..k-1 they give way to p -> s.  Once the rows below
     each member have merged, a family's rows sit next to each other in that
     order, the last member on top, so each merge is made as soon as it can
     be.  The stack stays in dictionary order, and a stable sort by domain
-    length gives the canonical order.  Repeated rows are dropped and the
-    rest keep the input's order, so the sort reuses the input's sorted runs.
+    length gives the canonical order.
     """
     stack: list[Row] = []
-    for x, y in sorted(dict.fromkeys((tuple(x), tuple(y)) for x, y in rows)):
+    for x, y in rows:
         # last letters before stems: comparing stems costs their length
         while (x[-1:] == y[-1:] == (k - 1,) and len(stack) >= k - 1
                and stack[-1][0][-1:] == stack[-1][1][-1:] == (k - 2,)):
@@ -202,9 +234,11 @@ def compose(f: Mk1Element, g: Mk1Element) -> Mk1Element:
     In dictionary order the domain word of f that is a prefix of an image y,
     if any, sits just before y, and the domain words w that extend y follow
     it as one slice, ending before y·k; each gives the row x·w[|y|:] -> f(w).
-    A row whose image has neither leaves f's domain ideal and dies.  Cost:
-    one sort of f's domain, then two bisects per row of g plus one row per
-    matched domain word."""
+    A row whose image has neither leaves f's domain ideal and dies.  The
+    rows are distinct, since g's domain is a prefix code, so one sort puts
+    them in order for the merge pass of :func:`reduce_rows`.  Cost: one sort
+    of f's domain, then two bisects per row of g plus one row per matched
+    domain word, then that sort and pass."""
     if f.k != g.k:
         raise AlphabetMismatch(f"cannot compose over {f.k} and {g.k} letters")
     k = f.k
@@ -217,7 +251,8 @@ def compose(f: Mk1Element, g: Mk1Element) -> Mk1Element:
             out.append((x, fdom[ws[i - 1]] + y[len(ws[i - 1]):]))
         else:
             out += [(x + w[len(y):], fdom[w]) for w in ws[i:bisect_left(ws, y + (k,), i)]]
-    return Mk1Element._trusted(k, reduce_rows(k, out))
+    out.sort()
+    return Mk1Element._trusted(k, _merge_rows(k, out))
 
 
 # -- canonical restrictions ------------------------------------------------------
@@ -304,13 +339,6 @@ def restrict_to_length(e: Mk1Element, m: int) -> Mk1Element:
         raise LengthTooSmall(f"cannot shorten domain words of length {longest} to {m}")
     return _split_rows(e, [m - len(x) for x, _ in e.rows],
                        f"restricting to length {m} would give more than 2^20 rows")
-
-
-def uniform_image_form(e: Mk1Element) -> Mk1Element:
-    """Split rows until all image words share the maximal image length."""
-    target = max((len(y) for _, y in e.rows), default=0)
-    return _split_rows(e, [target - len(y) for _, y in e.rows],
-                       "the uniform image form would have more than 2^20 rows")
 
 
 def _split_rows(e: Mk1Element, depths: list[int], message: str) -> Mk1Element:

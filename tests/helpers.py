@@ -12,6 +12,7 @@ from mk1.circuits import eval_generator_word, gate_element, generator_length
 from mk1.dfa import Dfa
 from mk1.elements import (
     Mk1Element,
+    _split_rows,
     apply,
     compose,
     identity_element,
@@ -22,7 +23,6 @@ from mk1.elements import (
     reduce_rows,
     restrict_to_length,
     single_row,
-    uniform_image_form,
     zero_element,
 )
 from mk1.errors import AlphabetMismatch, CrossCheckFailed, IndexMismatch, NotDistinct, NotInjective
@@ -606,6 +606,13 @@ def reference_section_inverse(e: Mk1Element) -> Mk1Element:
     return Mk1Element.make(e.k, rows)
 
 
+def reference_make(k: int, rows) -> Mk1Element:
+    """``Mk1Element.make`` by three sorts: a set of the rows sorted by
+    domain word, checked by the constructor, then reduced."""
+    canon = tuple(sorted({(tuple(x), tuple(y)) for x, y in rows}, key=lambda r: word_key(r[0])))
+    return Mk1Element(k, canon).reduced()
+
+
 def reference_reduce_rows(k: int, rows) -> tuple:
     """Reduction from a stack of parents sorted deepest last, each merge
     pushing its own parent back on top."""
@@ -754,6 +761,13 @@ def reference_inverse_element(e: Mk1Element) -> Mk1Element:
 def reference_d_index_M(e: Mk1Element):
     """The D-index from the size of the restriction's image code."""
     return None if e.is_zero else (len(image_code(e)) - 1) % (e.k - 1) + 1
+
+
+def uniform_image_form(e: Mk1Element) -> Mk1Element:
+    """Split rows until all image words share the maximal image length."""
+    target = max((len(y) for _, y in e.rows), default=0)
+    return _split_rows(e, [target - len(y) for _, y in e.rows],
+                       "the uniform image form would have more than 2^20 rows")
 
 
 def _uniform_image_code(e: Mk1Element) -> tuple[Mk1Element, int]:

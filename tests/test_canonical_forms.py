@@ -14,13 +14,16 @@ from helpers import (
     deep_code,
     elements,
     elements_over,
+    reference_make,
     reference_max_congruence,
     reference_r2_normal_form,
     reference_reduce_rows,
+    words,
 )
 from mk1.congruence import max_congruence, split_class
 from mk1.elements import (
     Mk1Element,
+    _merge_rows,
     compose,
     image_code,
     image_code_restriction,
@@ -29,6 +32,7 @@ from mk1.elements import (
     reduce_rows,
     restrict_to_length,
 )
+from mk1.errors import Mk1Error
 from mk1.green import leq_L
 from mk1.words import PrefixCode, parse_word, r2_normal_form, words_of_length
 
@@ -40,6 +44,15 @@ def _deeper(e, extra):
 
 def _table(k, *rows):
     return Mk1Element(k, tuple((parse_word(x, k), parse_word(y, k)) for x, y in rows))
+
+
+def _row_lists(e, extra):
+    """Distinct rows whose domain words form a prefix code: e's, its
+    restriction's, e split ``extra`` letters deeper, and that split with
+    images that merge more often and less often."""
+    split = _deeper(e, extra).rows
+    return (e.rows, image_code_restriction(e).rows, split,
+            [(x, x) for x, _ in split], [(x, y[:1]) for x, y in split])
 
 
 @settings(max_examples=300, deadline=None)
@@ -55,12 +68,71 @@ def _table(k, *rows):
 def test_reduce_rows_matches_the_reference(e, extra):
     """Each row list also goes in twice over with its words as lists:
     repeated identical rows count once, and any word sequences will do."""
-    split = _deeper(e, extra).rows
-    for rows in (e.rows, image_code_restriction(e).rows, split,
-                 [(x, x) for x, _ in split], [(x, y[:1]) for x, y in split]):
+    for rows in _row_lists(e, extra):
         want = reference_reduce_rows(e.k, rows)
         assert reduce_rows(e.k, rows) == want
         assert reduce_rows(e.k, [(list(x), list(y)) for x, y in rows] * 2) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements, st.integers(0, 2))
+@example(_table(2, ("^", "^")), 3)  # a cascade: eight rows merge level by level
+@example(_table(3, ("^", "^")), 2)
+@example(_table(3, ("a", "ba"), ("b", "bb"), ("ca", "bca"), ("cb", "bcb"), ("cc", "bcc")), 0)
+@example(_table(2, ("^", "^")), 0)
+@example(_table(2, ("a", "ba"), ("b", "ab")), 0)  # last letters fit, stems differ
+def test_merge_pass_matches_the_reference(e, extra):
+    """The pass that ``make`` and ``compose`` call on rows they have sorted."""
+    for rows in _row_lists(e, extra):
+        assert _merge_rows(e.k, sorted(rows)) == reference_reduce_rows(e.k, rows)
+
+
+def _outcome(make, k, rows):
+    """The element ``make`` builds, or the class and message it raises."""
+    try:
+        return make(k, rows)
+    except Mk1Error as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def faulty_rows(draw):
+    """(k, rows): a table's rows for k = 1, 2 or 3 letters in any order,
+    with any of a letter out of range, a second image for a domain word, and
+    a prefix or an extension of a domain word added."""
+    k = draw(st.integers(1, 3))
+    word = words(max(k, 2), 3)
+    rows = list(draw(elements_over(max(k, 2))).rows)
+    if draw(st.booleans()):
+        bad = draw(word) + (draw(st.sampled_from((-1, k))),)
+        rows.append((bad, draw(word)) if draw(st.booleans()) else (draw(word), bad))
+    x = draw(st.sampled_from(rows))[0] if rows and draw(st.booleans()) else draw(word)
+    if draw(st.booleans()):
+        rows.append((x, draw(word)))  # a second image, or a repeated row
+    if draw(st.booleans()):
+        z = x[:draw(st.integers(0, len(x)))] if draw(st.booleans()) else x + draw(word)
+        rows.append((z, draw(word)))
+    return k, draw(st.permutations(rows))
+
+
+@settings(max_examples=500, deadline=None)
+@given(faulty_rows())
+# each pair of faults: BaseTooSmall, then OutOfRange, then NotCanonical,
+# then DomainNotPrefixCode
+@example((1, [((0,), (1,))]))
+@example((1, [((0,), ()), ((0,), (0,))]))
+@example((1, [((), ()), ((0,), ())]))
+@example((2, [((0,), ()), ((0,), (1,)), ((1,), (2,))]))
+@example((2, [((0,), ()), ((0, 1), ()), ((1,), (-1,))]))
+@example((2, [((0,), ()), ((0, 1), ()), ((1,), ()), ((1,), (0,))]))  # the prefix pair sorts first
+@example((3, [((0,), ()), ((0,), (2,)), ((0, 2), (1,))]))
+def test_make_matches_the_reference(case):
+    """Each row list also goes in as a generator, and twice over with its
+    words as lists."""
+    k, rows = case
+    want = _outcome(reference_make, k, rows)
+    for feed in (rows, (row for row in rows), [(list(x), list(y)) for x, y in rows] * 2):
+        assert _outcome(Mk1Element.make, k, feed) == want
 
 
 @settings(max_examples=300, deadline=None)

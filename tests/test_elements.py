@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from helpers import nested_images, random_element, random_word
+from helpers import nested_images, random_element, random_word, uniform_image_form
 from mk1.errors import (
     AlphabetMismatch,
     DomainNotPrefixCode,
@@ -32,7 +32,6 @@ from mk1.elements import (
     part,
     partial_identity,
     restrict_to_length,
-    uniform_image_form,
     zero_element,
 )
 from mk1.reductions import complete_to_length

@@ -89,7 +89,7 @@ def _eval_naive(ast, x, y):
         return ast[1]
     if op == "not":
         return 1 - _eval_naive(ast[1], x, y)
-    a, b = (_eval_naive(s, x, y) for s in ast[1:])
+    a, b = _eval_naive(ast[1], x, y), _eval_naive(ast[2], x, y)
     return a & b if op == "and" else a | b
 
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mk1
-from helpers import elements, reference_image_code_restriction, tables
+from helpers import elements, reference_image_code_restriction, tables, uniform_image_form
 from mk1.congruence import PrefixCodeCongruence, max_congruence, split_class
 from mk1.elements import (
     Mk1Element,
@@ -35,7 +35,6 @@ from mk1.elements import (
     parse_table,
     part,
     restrict_to_length,
-    uniform_image_form,
 )
 from mk1.errors import (
     ArityMismatch,
