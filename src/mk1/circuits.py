@@ -35,8 +35,8 @@ from .elements import Mk1Element, compose, fibers, identity_element
 from .errors import BaseTooSmall, EmptyTarget, TooLarge, UnknownGate
 from .words import Word, check_cap, check_letters, words_of_length
 
-_TAU = re.compile(r"^tau\((\d+)\)$")
-_PROBE = re.compile(r"^E(\d{1,18})$")
+_TAU = re.compile(r"^tau\(([0-9]+)\)$")
+_PROBE = re.compile(r"^E([0-9]{1,18})$")
 
 
 def gate_element(k: int, token: str) -> Mk1Element:

@@ -61,12 +61,6 @@ class PrefixCodeCongruence:
         """The shortest (then dictionary-first) representative of each class."""
         return tuple(cls[0] for cls in self.classes)
 
-    def class_of(self, w: Word) -> tuple[Word, ...]:
-        for cls in self.classes:
-            if w in cls:
-                return cls
-        raise NotAClass("word not in any class")
-
     def __str__(self) -> str:
         from .words import format_word
         parts = ("{" + ", ".join(format_word(w) for w in cls) + "}" for cls in self.classes)
@@ -86,8 +80,7 @@ def collision_measure(c: PrefixCodeCongruence) -> KRational:
     against the complement form.
     """
     k = c.k
-    covered = c.code.mu
-    direct = (kq_one(k) - covered) + (covered - mu(k, c.min_reps()))
+    direct = (kq_one(k) - c.code.mu) + mu(k, [w for cls in c.classes for w in cls[1:]])
     dual = kq_one(k) - noncollision_measure(c)
     if direct != dual:
         raise CrossCheckFailed(f"collision measure {direct} differs from 1 - noncollision {dual}")

@@ -369,10 +369,6 @@ def is_idempotent(e: Mk1Element) -> bool:
     return compose(e, e) == e
 
 
-def is_partial_identity(e: Mk1Element) -> bool:
-    return all(x == y for x, y in e.rows)
-
-
 # -- text format -----------------------------------------------------------------
 
 def format_table(e: Mk1Element) -> str:

@@ -4,16 +4,20 @@ A value is stored as ``num * base**(-exp)`` with ``num, exp >= 0``.  The
 canonical form keeps ``num`` coprime to ``base`` whenever ``exp > 0`` (so
 7/8 in base 2 is ``(7, 3)``), stores zero as ``(0, 0)``, and leaves plain
 integers with ``exp == 0``.  Everything is integer arithmetic; no floats.
+Values print as base-k strings of ASCII digits (:func:`format_krational`),
+and :func:`parse_krational` reads both shapes of that form by one path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 
 from .errors import (BaseMismatch, BaseTooSmall, NegativeResult, NotCanonical, OutOfRange,
                      ParseError, ZeroValue)
 
 
+@total_ordering
 @dataclass(frozen=True, slots=True)
 class KRational:
     """A non-negative element of Z[1/k], kept in canonical form.
@@ -98,29 +102,14 @@ class KRational:
             raise NegativeResult(f"{self} - {other} would be negative")
         return kq(self.base, a - b, e)
 
-    def cmp(self, other: "KRational") -> int:
+    def __lt__(self, other: "KRational") -> bool:
         a, b, _ = self._aligned(other)
-        return (a > b) - (a < b)
-
-    def __lt__(self, other):
-        return self.cmp(other) < 0
-
-    def __le__(self, other):
-        return self.cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self.cmp(other) > 0
-
-    def __ge__(self, other):
-        return self.cmp(other) >= 0
+        return a < b
 
     # -- text -----------------------------------------------------------------
 
     def __str__(self) -> str:
         return format_krational(self)
-
-    def __repr__(self) -> str:
-        return f"KRational(base={self.base}, num={self.num}, exp={self.exp})"
 
 
 def kq(base: int, num: int, exp: int = 0) -> KRational:
@@ -193,36 +182,29 @@ def format_krational(x: KRational) -> str:
 
 
 def parse_krational(base: int, text: str) -> KRational:
-    """Inverse of :func:`format_krational` for the given base."""
+    """Inverse of :func:`format_krational` for the given base.
+
+    One path for both forms: the text splits at its first point, and above
+    base 10 a non-empty fraction must be ``[d,...]``, whose items are the
+    digits.  Every piece is ASCII digits, and every digit is below k (the
+    integer part is decimal above base 10).  Trailing zeros are dropped.
+    """
     if base < 2:
         raise BaseTooSmall(f"base must be at least 2, got {base}")
     text = text.strip()
     if not text:
         raise ParseError("empty k-ary rational")
-    ip_text, _, frac_text = text.partition(".")
+    ip_text, _, frac = text.partition(".")
     try:
-        if base <= 10:
-            if not ip_text.isdigit():
+        if base > 10 and frac:
+            if frac[0] != "[" or frac[-1] != "]":
                 raise ValueError
-            int_part = int(ip_text, base)
-            frac = tuple(int(c) for c in frac_text)
-            if any(d >= base for d in frac):
-                raise ValueError
-        else:
-            int_part = int(ip_text)
-            if frac_text:
-                if not (frac_text.startswith("[") and frac_text.endswith("]")):
-                    raise ValueError
-                frac = tuple(int(p) for p in frac_text[1:-1].split(","))
-                if any(not 0 <= d < base for d in frac):
-                    raise ValueError
-            else:
-                frac = ()
-    except ValueError:
+            frac = frac[1:-1].split(",")
+        if not all(p.isascii() and p.isdigit() for p in (ip_text, *frac)):
+            raise ValueError
+        return kq_from_digits(base, int(ip_text, min(base, 10)), map(int, frac))
+    except ValueError:  # the ParseError of a digit out of range is one too
         raise ParseError(f"bad base-{base} rational: {text!r}") from None
-    if int_part < 0:
-        raise ParseError(f"bad base-{base} rational: {text!r}")
-    return kq_from_digits(base, int_part, frac)
 
 
 def _int_to_base(value: int, base: int) -> str:

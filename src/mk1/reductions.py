@@ -215,14 +215,11 @@ def evaluate(f: BooleanFormula, x: tuple, y: tuple) -> int:
     return _bitwise(f.ast, x, y, 1)
 
 
-def bits(n: int):
-    return words_of_length(2, n)
-
-
 def truth_table(f: BooleanFormula) -> int:
     """All 2^(m+n) values of ``f`` in one integer, capped at 24 variables: bit
-    i is the value at the i-th (y, x) pair of :func:`bits`, y varying slowest.
-    Formulas built from truth tables return theirs; others are folded."""
+    i is the value at the i-th (y, x) pair, y varying slowest, with each in
+    ``words_of_length(2, ·)`` order.  Formulas built from truth tables return
+    theirs; others are folded."""
     count = f.m + f.n
     if count > 24:
         raise TooLarge("brute force capped at 24 variables")
@@ -291,10 +288,12 @@ def _chain(op: str, nodes: tuple | list, empty: Ast) -> Ast:
 
 
 def _literals(var: str, count: int) -> tuple:
-    """For each assignment of ``var``1..``count`` in :func:`bits` order, its
-    literals; the 2·count literal nodes are built once and shared."""
+    """For each assignment of ``var``1..``count`` in ``words_of_length(2,
+    count)`` order, its literals; the 2·count literal nodes are built once
+    and shared."""
     pairs = [(("not", (var, j)), (var, j)) for j in range(1, count + 1)]
-    return tuple(tuple(pair[b] for pair, b in zip(pairs, values)) for values in bits(count))
+    return tuple(tuple(pair[b] for pair, b in zip(pairs, values))
+                 for values in words_of_length(2, count))
 
 
 @lru_cache(maxsize=8)
@@ -309,7 +308,7 @@ def formula_from_truth_table(m: int, n: int, table: int) -> BooleanFormula:
     """The DNF whose truth table is the given bitmask.
 
     Bit i of ``table`` is the value at the i-th pair in the (y, x)
-    enumeration by :func:`bits`, y varying slowest.
+    enumeration by ``words_of_length(2, ·)``, y varying slowest.
     """
     if table < 0 or table >= 1 << (1 << (m + n)):
         raise OutOfRange("truth table bitmask out of range")
@@ -355,9 +354,10 @@ def encoding_skeleton(m: int, n: int):
     """Reusable rows for :func:`encode_formula`: each question's row answered 0
     and 1, then the spares; kept for the few small (m, n) shapes used last."""
     questions = tuple(((w, (0,) + y), (w, (1,) + y))
-                      for y in bits(n) for w in [(0,) + y + x for x in bits(m)])
+                      for y in words_of_length(2, n)
+                      for w in [(0,) + y + x for x in words_of_length(2, m)])
     spares = tuple(
-        ((1,) + y + w, (0,) + y) for y in bits(n) for w in bits(m + 1)
+        ((1,) + y + w, (0,) + y) for y in words_of_length(2, n) for w in words_of_length(2, m + 1)
     )
     return questions, spares
 

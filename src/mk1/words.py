@@ -120,10 +120,10 @@ def parse_word(text: str, k: int) -> Word:
 
 
 def parse_natural(digits: str) -> int:
-    """The value of a decimal numeral of at most 18 digits: ``int`` refuses
-    numerals past 4300 digits, and no alphabet, variable count or index the
-    library can work with comes near 10^18."""
-    if not digits.isdecimal():
+    """The value of an ASCII decimal numeral of at most 18 digits: ``int``
+    refuses numerals past 4300 digits, and no alphabet, variable count or
+    index the library can work with comes near 10^18."""
+    if not (digits.isascii() and digits.isdigit()):
         raise ParseError(f"expected a decimal number, got {digits!r}")
     if len(digits) > 18:
         raise ParseError(f"a number of {len(digits)} digits is out of reach")
@@ -135,7 +135,7 @@ def parse_header(line: str) -> int:
     if not line:
         raise ParseError("missing 'k <int>' header")
     head = line.split()
-    if len(head) != 2 or head[0] != "k" or not head[1].isdecimal():
+    if len(head) != 2 or head[0] != "k" or not (head[1].isascii() and head[1].isdigit()):
         raise ParseError(f"expected 'k <int>' header, got {line!r}")
     k = parse_natural(head[1])
     if k < 2:

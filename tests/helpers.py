@@ -25,9 +25,18 @@ from mk1.elements import (
     single_row,
     zero_element,
 )
-from mk1.errors import AlphabetMismatch, CrossCheckFailed, IndexMismatch, NotDistinct, NotInjective
+from mk1.errors import (
+    AlphabetMismatch,
+    BaseTooSmall,
+    CrossCheckFailed,
+    IndexMismatch,
+    NotAClass,
+    NotDistinct,
+    NotInjective,
+    ParseError,
+)
 from mk1.green import HeightReport, _ratio, _rep_sum
-from mk1.kary import KRational, kq_pow_sum, kq_zero
+from mk1.kary import KRational, kq_from_digits, kq_pow_sum, kq_zero
 from mk1.plep import _require_plep
 from mk1.words import (
     PrefixCode,
@@ -763,6 +772,18 @@ def reference_d_index_M(e: Mk1Element):
     return None if e.is_zero else (len(image_code(e)) - 1) % (e.k - 1) + 1
 
 
+def is_partial_identity(e: Mk1Element) -> bool:
+    return all(x == y for x, y in e.rows)
+
+
+def class_of(c: PrefixCodeCongruence, w: Word) -> tuple[Word, ...]:
+    """The class of ``c`` that holds the code word ``w``."""
+    for cls in c.classes:
+        if w in cls:
+            return cls
+    raise NotAClass("word not in any class")
+
+
 def uniform_image_form(e: Mk1Element) -> Mk1Element:
     """Split rows until all image words share the maximal image length."""
     target = max((len(y) for _, y in e.rows), default=0)
@@ -815,3 +836,37 @@ def reference_digit_sum_mod(x: KRational) -> int:
     if x.base == 2:
         return 1
     return (total - 1) % (x.base - 1) + 1
+
+
+def reference_parse_krational(base: int, text: str) -> KRational:
+    """The reader with one branch per text form: digit characters up to base
+    10, ``int`` on the integer part and on each bracketed item above."""
+    if base < 2:
+        raise BaseTooSmall(f"base must be at least 2, got {base}")
+    text = text.strip()
+    if not text:
+        raise ParseError("empty k-ary rational")
+    ip_text, _, frac_text = text.partition(".")
+    try:
+        if base <= 10:
+            if not ip_text.isdigit():
+                raise ValueError
+            int_part = int(ip_text, base)
+            frac = tuple(int(c) for c in frac_text)
+            if any(d >= base for d in frac):
+                raise ValueError
+        else:
+            int_part = int(ip_text)
+            if frac_text:
+                if not (frac_text.startswith("[") and frac_text.endswith("]")):
+                    raise ValueError
+                frac = tuple(int(p) for p in frac_text[1:-1].split(","))
+                if any(not 0 <= d < base for d in frac):
+                    raise ValueError
+            else:
+                frac = ()
+    except ValueError:
+        raise ParseError(f"bad base-{base} rational: {text!r}") from None
+    if int_part < 0:
+        raise ParseError(f"bad base-{base} rational: {text!r}")
+    return kq_from_digits(base, int_part, frac)

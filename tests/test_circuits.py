@@ -61,7 +61,7 @@ def test_structural_gates():
 
 
 def test_unknown_gates():
-    for bad in ("nand", "E0", "tau(0)", "tau(x)", "Tau(1)", ""):
+    for bad in ("nand", "E0", "tau(0)", "tau(x)", "Tau(1)", "", "tau(\u0661)", "E\u0662"):
         with pytest.raises(UnknownGate):
             gate_element(2, bad)
     with pytest.raises(UnknownGate):

@@ -408,6 +408,10 @@ MALFORMED_FILES = {
     (["eval-gen", "2", "frob"], 2),
     (["measure", "missing.txt"], 1),
     (["eval-gen", "2", "E0"], 2),
+    (["eval-gen", "2", "tau(\u0661)"], 2),
+    (["eval-gen", "2", "E\u0662"], 2),
+    (["chain", "11", "0.[+1]", "0.[ 2]", "1"], 1),
+    (["with-heights", "5", "0.\u0663", "0.1"], 1),
 ])
 def test_malformed_input_is_a_named_error(tmp_path, capsys, argv, status):
     for name, text in MALFORMED_FILES.items():
@@ -437,10 +441,12 @@ DIGITS = "1" * 5000  # past the 4300 digits int() reads
 
 @pytest.mark.parametrize("command, text", [
     ("normalize", "k \u00b2\na -> b\n"),           # '²' is a digit to isdigit, not to int
+    ("measure", "k \u0663\na\n"),                  # '٣' is a digit to int, not ASCII
+    ("count-forallsat", "m=1 n=1 x\u0661 | y\u0661"),
     ("measure", f"k {DIGITS}\na\n"),
     ("count-forallsat", f"m=1 n=1 x{DIGITS}"),
     ("count-forallsat", f"m={DIGITS} n=1 x1"),
-], ids=["superscript-k", "long-k", "long-index", "long-m"])
+], ids=["superscript-k", "arabic-k", "arabic-index", "long-k", "long-index", "long-m"])
 def test_digit_strings_are_a_parse_error(files, capsys, command, text):
     code, out, err = run(capsys, command, files("in.txt", text))
     assert (code, out) == (1, "")

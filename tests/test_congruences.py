@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import random_congruence
+from helpers import class_of, random_congruence
 from mk1.congruence import (
     PrefixCodeCongruence,
     collision_measure,
@@ -13,7 +13,7 @@ from mk1.congruence import (
     split_class,
 )
 from mk1.elements import Mk1Element, part
-from mk1.errors import NotAClass
+from mk1.errors import CrossCheckFailed, NotAClass
 from mk1.kary import kq, kq_one, kq_zero
 from mk1.words import PrefixCode, parse_word
 
@@ -41,7 +41,7 @@ def test_part_of_worked_table():
         ((0, 0, 1),),                      # fiber of image ab
         ((0, 1, 1), (0, 0, 0, 1)),         # fiber of image aab
     )
-    fiber = p.class_of((0, 1, 0))
+    fiber = class_of(p, (0, 1, 0))
     assert kq(2, 11, 4) == sum(
         (kq(2, 1, len(w)) for w in fiber), kq_zero(2))
     assert noncollision_measure(p) == kq(2, 3, 2)
@@ -58,6 +58,12 @@ def test_measures_simple():
     # an undefined region counts toward collision
     hole = cong(2, ["aa"])
     assert collision_measure(hole) == kq(2, 3, 2)
+    # bb in no class: uncovered plus non-representative mass is 0, while
+    # 1 - noncollision is 1/4
+    stray = PrefixCodeCongruence._trusted(PrefixCode.make(2, [(0,), (1, 0), (1, 1)]),
+                                          (((0,),), ((1, 0),)))
+    with pytest.raises(CrossCheckFailed):
+        collision_measure(stray)
 
 
 def test_split_class_keeps_measures(seed=11):

@@ -5,7 +5,13 @@ import time
 
 import pytest
 
-from helpers import nested_images, random_element, random_word, uniform_image_form
+from helpers import (
+    is_partial_identity,
+    nested_images,
+    random_element,
+    random_word,
+    uniform_image_form,
+)
 from mk1.errors import (
     AlphabetMismatch,
     DomainNotPrefixCode,
@@ -27,7 +33,6 @@ from mk1.elements import (
     inverse_element,
     is_idempotent,
     is_injective,
-    is_partial_identity,
     parse_table,
     part,
     partial_identity,

@@ -1,9 +1,11 @@
 """Exact k-ary rational arithmetic: canonical forms, digits, laws."""
 
-import pytest
-from hypothesis import given, strategies as st
+import operator
 
-from helpers import reference_digit_sum_mod
+import pytest
+from hypothesis import example, given, strategies as st
+
+from helpers import reference_digit_sum_mod, reference_parse_krational
 from mk1.errors import BaseMismatch, BaseTooSmall, NegativeResult, ParseError, ZeroValue
 from mk1.kary import (
     KRational,
@@ -97,6 +99,13 @@ def test_comparisons():
     assert kq(2, 1, 1) <= kq(2, 2, 2)
     assert kq(2, 1, 1) == kq(2, 2, 2)
     assert not kq(2, 1, 1) < kq(2, 2, 2)
+    assert kq(3, 2, 1) > kq(3, 1, 1) >= kq(3, 1, 1)
+    assert repr(kq(2, 1, 1)) == "KRational(base=2, num=1, exp=1)"
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(BaseMismatch):
+            op(kq(2, 1, 1), kq(3, 1, 1))
+        with pytest.raises(TypeError):
+            op(kq(2, 1, 1), 1)
 
 
 def test_scale_pow():
@@ -137,6 +146,43 @@ def test_parse():
         parse_krational(12, "1.[0,12]")
     with pytest.raises(ParseError):
         parse_krational(2, "1.5e-1")
+    # only ASCII digits, and above base 10 only bare digits between the commas
+    for k, text in [(11, "0.[+1]"), (11, "0.[ 1 ]"), (11, "1_0"), (11, "+0"),
+                    (5, "\u0663"), (5, "0.\u0663"), (11, "\u0663"), (11, "0.[\u0663]")]:
+        with pytest.raises(ParseError, match="^bad base-"):
+            parse_krational(k, text)
+
+
+_NUMERAL_CHARS = "0123456789.[],"
+_DIGITS = st.text("0123456789", min_size=1, max_size=3)
+# an integer part, a point and a fraction, bracketed or not
+_NUMERALS = st.tuples(_DIGITS, st.lists(_DIGITS, max_size=3), st.booleans()).map(
+    lambda t: t[0] + "." + (f"[{','.join(t[1])}]" if t[2] else "".join(t[1])))
+
+
+@given(st.sampled_from([2, 5, 10, 11, 16]),
+       _NUMERALS | st.text(_NUMERAL_CHARS, max_size=12)
+       | st.text(_NUMERAL_CHARS + "+_ \u0663", max_size=12))
+@example(2, "0.12")
+@example(11, "1.5")
+@example(11, "1.[0,10]")
+@example(11, "0.[+1]")
+@example(5, "12.")
+@example(16, "3.[]")
+def test_parse_matches_the_reference_on_ascii_numerals(k, text):
+    """The one-path reader agrees with the two-branch reference, value or
+    message, on text of digits, point, brackets and commas, and refuses
+    any other text."""
+    def read(parse):
+        try:
+            return parse(k, text)
+        except ParseError as err:
+            return str(err)
+    if text.strip() and not set(text.strip()) <= set(_NUMERAL_CHARS):
+        with pytest.raises(ParseError):
+            parse_krational(k, text)
+    else:
+        assert read(parse_krational) == read(reference_parse_krational)
 
 
 @given(st.integers(2, 14), st.integers(0, 10**9), st.integers(0, 20))

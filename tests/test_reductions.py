@@ -22,7 +22,6 @@ from mk1.errors import (
 from mk1.kary import kq, kq_one
 from mk1.reductions import (
     BooleanFormula,
-    bits,
     complete_to_length,
     count_forall_sat,
     count_via_element,
@@ -38,7 +37,7 @@ from mk1.reductions import (
     recover_count,
     truth_table,
 )
-from mk1.words import PrefixCode
+from mk1.words import PrefixCode, words_of_length
 
 from helpers import random_nonempty_code
 
@@ -61,6 +60,8 @@ def test_parse_errors():
         "m=1 n=1 x1 x1",              # missing operator
         "m=1 n=1 x1 ^ y1",            # stray character
         "m=1 n=1",                    # empty body
+        "m=1 n=1 x\u0661 | y\u0661",    # Arabic-Indic digits are not ASCII
+        "m=\u0661 n=1 x1",
     ):
         with pytest.raises(ParseError):
             parse_formula(bad)
@@ -98,8 +99,8 @@ def test_compiled_matches_naive():
     for _ in range(50):
         m, n = rng.randint(0, 2), rng.randint(1, 2)
         f = formula_from_truth_table(m, n, rng.getrandbits(1 << (m + n)))
-        for y in bits(n):
-            for x in bits(m):
+        for y in words_of_length(2, n):
+            for x in words_of_length(2, m):
                 assert evaluate(f, x, y) == _eval_naive(f.ast, x, y)
 
 
@@ -141,7 +142,7 @@ def formulas(draw):
 def test_truth_table_and_evaluate_match_naive(f):
     table = truth_table(f)
     with _recursion_limit(10_000):
-        for i, (y, x) in enumerate(product(bits(f.n), bits(f.m))):
+        for i, (y, x) in enumerate(product(words_of_length(2, f.n), words_of_length(2, f.m))):
             want = _eval_naive(f.ast, x, y)
             assert evaluate(f, x, y) == want
             assert (table >> i) & 1 == want

@@ -71,6 +71,7 @@ def test_code_text():
                           ("k 2 2\na", "expected 'k <int>' header, got 'k 2 2'"),
                           ("a\nb", "expected 'k <int>' header, got 'a'"),
                           ("k 1\na", "alphabet needs at least two letters"),
+                          ("k \u0663\na", "expected 'k <int>' header, got 'k \u0663'"),
                           ("k 2\nc", "letter 'c' invalid for a 2-letter alphabet")):
         with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
             parse_code(text)
