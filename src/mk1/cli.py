@@ -18,7 +18,7 @@ from .congruence import noncollision_measure
 from .elements import compose, format_table, parse_table, part
 from .errors import CrossCheckFailed, Mk1Error, ParseError
 from .kary import parse_krational
-from .words import parse_code, parse_word
+from .words import parse_code, parse_natural, parse_word
 
 
 def _read(path: str, parse):
@@ -28,6 +28,12 @@ def _read(path: str, parse):
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text (byte {exc.start})") from None
     return parse(text)
+
+
+def integer(text: str) -> int:
+    """An ASCII decimal numeral with at most one leading '-', read by
+    :func:`~mk1.words.parse_natural`; argparse names it in its refusal."""
+    return -parse_natural(text[1:]) if text.startswith("-") else parse_natural(text)
 
 
 def _cmd_normalize(args):
@@ -190,25 +196,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dindex)
 
     p = sub.add_parser("chain", help="idempotents strictly between two measures")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=integer)
     p.add_argument("lo")
     p.add_argument("hi")
-    p.add_argument("count", type=int)
+    p.add_argument("count", type=integer)
     p.set_defaults(func=_cmd_chain)
 
     p = sub.add_parser("with-heights", help="an element with prescribed heights")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=integer)
     p.add_argument("r")
     p.add_argument("l")
     p.set_defaults(func=_cmd_with_heights)
 
     p = sub.add_parser("synth-id", help="generator word for a one-hole identity")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=integer)
     p.add_argument("word")
     p.set_defaults(func=_cmd_synth_id)
 
     p = sub.add_parser("eval-gen", help="evaluate a generator word to a table")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=integer)
     p.add_argument("tokens", nargs="+")
     p.set_defaults(func=_cmd_eval_gen)
 

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .errors import CrossCheckFailed, NotAClass, NotCanonical
 from .kary import KRational, kq_one
-from .words import PrefixCode, Word, _unchecked, mu, word_key
+from .words import PrefixCode, Word, _unchecked, format_word, mu, word_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,7 +62,6 @@ class PrefixCodeCongruence:
         return tuple(cls[0] for cls in self.classes)
 
     def __str__(self) -> str:
-        from .words import format_word
         parts = ("{" + ", ".join(format_word(w) for w in cls) + "}" for cls in self.classes)
         return " | ".join(parts)
 

@@ -45,7 +45,7 @@ from .errors import (
     OutOfRange,
 )
 from .kary import KRational, kq, kq_one, kq_pow_sum
-from .words import Word, code_with_measure, ideal_ess_eq, ideal_ess_leq, trie_leaves, word_key
+from .words import Word, code_with_measure, ideal_ess_eq, ideal_ess_leq, replace_r1, trie_leaves
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,19 +222,14 @@ def iter_dense_chain(k: int, lo: KRational, hi: KRational, count: int) -> Iterat
             for i in range(1, count + 1))
 
 
-def _corner_split(k: int, words: list[Word]) -> list[Word]:
-    corner = max(words, key=word_key)
-    rest = [w for w in words if w != corner]
-    rest.extend(corner + (a,) for a in range(k))
-    return rest
-
-
 def element_with_heights(k: int, h_r: KRational, h_l: KRational) -> Mk1Element:
     """An injective element with R-height h_r and L-height h_l.
 
     Possible exactly when both are zero or both are nonzero with equal digit
-    sums modulo k-1 (their codes can then be split, corner by corner, to a
-    common cardinality and zipped into a bijection).
+    sums modulo k-1.  Then the canonical codes of the two heights are split
+    (:func:`~mk1.words.replace_r1`), each at its last word in canonical
+    order, until they are equally large, and zipped in that order into a
+    bijection from the domain code onto the image code.
     """
     if h_r.base != k or h_l.base != k:
         raise BaseMismatch("heights must be in base k")
@@ -246,14 +241,11 @@ def element_with_heights(k: int, h_r: KRational, h_l: KRational) -> Mk1Element:
         raise IndexMismatch(
             f"digit sums differ mod {k - 1}: "
             f"{h_r.digit_sum_mod()} vs {h_l.digit_sum_mod()}")
-    image = list(code_with_measure(k, h_r).words)
-    domain = list(code_with_measure(k, h_l).words)
+    image, domain = code_with_measure(k, h_r), code_with_measure(k, h_l)
     while len(image) < len(domain):
-        image = _corner_split(k, image)
+        image = replace_r1(image, image.words[-1])
     while len(domain) < len(image):
-        domain = _corner_split(k, domain)
-    domain.sort(key=word_key)
-    image.sort(key=word_key)
+        domain = replace_r1(domain, domain.words[-1])
     return Mk1Element.make(k, zip(domain, image))
 
 

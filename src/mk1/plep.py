@@ -147,22 +147,27 @@ class PlepWitness:
 
 
 def plep_d_witness(e1: Mk1Element, e2: Mk1Element) -> PlepWitness:
+    """Conjugators linking two plep elements of equal D-index.
+
+    q1 and q2 are the image codes (:func:`~mk1.elements.image_ideal`) of the
+    two tables of :func:`common_image_refinement`: every refined image has
+    one length, so each code holds all of its table's distinct images, and
+    b zips q1 onto q2 in canonical order."""
     r1, r2 = common_image_refinement(e1, e2)
     k = e1.k
-    # the refined images all have one length, so dictionary order is canonical
-    ext1, ext2 = (tuple(sorted({y for _, y in r.rows})) for r in (r1, r2))
-    if len(ext1) != len(ext2):
-        raise CrossCheckFailed(f"extended image codes differ in size: {len(ext1)} vs {len(ext2)}")
+    q1, q2 = image_ideal(r1), image_ideal(r2)
+    if len(q1) != len(q2):
+        raise CrossCheckFailed(f"extended image codes differ in size: {len(q1)} vs {len(q2)}")
     total = is_tlep(e1) and is_tlep(e2)
-    rows_b, rows_bp = list(zip(ext1, ext2)), list(zip(ext2, ext1))
+    rows_b, rows_bp = list(zip(q1, q2)), list(zip(q2, q1))
     if total:
-        _check_level(k, max(len(ext1[0]), len(ext2[0])))
-        rows_b += _level_rest(k, ext1, ext2[0])
-        rows_bp += _level_rest(k, ext2, ext1[0])
+        _check_level(k, max(len(q1.words[0]), len(q2.words[0])))
+        rows_b += _level_rest(k, q1.words, q2.words[0])
+        rows_bp += _level_rest(k, q2.words, q1.words[0])
     return PlepWitness(
         b=Mk1Element.make(k, rows_b),
         b_prime=Mk1Element.make(k, rows_bp),
-        q1=PrefixCode._trusted(k, ext1),
-        q2=PrefixCode._trusted(k, ext2),
+        q1=q1,
+        q2=q2,
         tlep=total,
     )

@@ -231,12 +231,6 @@ def is_maximal_code(code: PrefixCode) -> bool:
 
 # -- essential containment by measure ------------------------------------------
 
-def covered(w: Word, code: PrefixCode) -> bool:
-    """True iff the end set of w·A* is contained in that of code·A*."""
-    check_letters(code.k, (w,))
-    return ideal_ess_leq(PrefixCode._trusted(code.k, (tuple(w),)), code)
-
-
 def ideal_ess_leq(p1: PrefixCode, p2: PrefixCode) -> bool:
     """Essential containment of right ideals: ends(P1 A*) within ends(P2 A*).
 

@@ -27,6 +27,7 @@ from mk1.elements import (
 )
 from mk1.errors import (
     AlphabetMismatch,
+    BaseMismatch,
     BaseTooSmall,
     CrossCheckFailed,
     IndexMismatch,
@@ -41,6 +42,8 @@ from mk1.plep import _require_plep
 from mk1.words import (
     PrefixCode,
     Word,
+    check_letters,
+    code_with_measure,
     format_word,
     ideal_ess_leq,
     parse_word,
@@ -782,6 +785,44 @@ def class_of(c: PrefixCodeCongruence, w: Word) -> tuple[Word, ...]:
         if w in cls:
             return cls
     raise NotAClass("word not in any class")
+
+
+def covered(w: Word, code: PrefixCode) -> bool:
+    """True iff the end set of w·A* is contained in that of code·A*."""
+    check_letters(code.k, (w,))
+    return ideal_ess_leq(PrefixCode._trusted(code.k, (tuple(w),)), code)
+
+
+def _corner_split(k: int, words: list[Word]) -> list[Word]:
+    corner = max(words, key=word_key)
+    rest = [w for w in words if w != corner]
+    rest.extend(corner + (a,) for a in range(k))
+    return rest
+
+
+def reference_element_with_heights(k: int, h_r: KRational, h_l: KRational) -> Mk1Element:
+    """The canonical codes of the two heights as word lists, each split at
+    its longest (then dictionary-last) word until they are equally large,
+    then both sorted canonically and zipped."""
+    if h_r.base != k or h_l.base != k:
+        raise BaseMismatch("heights must be in base k")
+    if h_r.is_zero() or h_l.is_zero():
+        if h_r.is_zero() and h_l.is_zero():
+            return zero_element(k)
+        raise IndexMismatch("zero height pairs only with zero height")
+    if h_r.digit_sum_mod() != h_l.digit_sum_mod():
+        raise IndexMismatch(
+            f"digit sums differ mod {k - 1}: "
+            f"{h_r.digit_sum_mod()} vs {h_l.digit_sum_mod()}")
+    image = list(code_with_measure(k, h_r).words)
+    domain = list(code_with_measure(k, h_l).words)
+    while len(image) < len(domain):
+        image = _corner_split(k, image)
+    while len(domain) < len(image):
+        domain = _corner_split(k, domain)
+    domain.sort(key=word_key)
+    image.sort(key=word_key)
+    return Mk1Element.make(k, zip(domain, image))
 
 
 def uniform_image_form(e: Mk1Element) -> Mk1Element:

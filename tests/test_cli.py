@@ -471,6 +471,19 @@ def test_large_alphabet_is_a_named_error(capsys):
     assert err.startswith("error OutOfRange: ")
 
 
+def test_integer_arguments_are_ascii_decimals(capsys):
+    """k and chain's count are read like every other number, as ASCII
+    digits, here after at most one '-': argparse refuses anything else
+    after its usage line, and a negative count stays a domain error."""
+    for argv in (("chain", "٣", "0.1", "0.2", "1"), ("chain", "2", "0.01", "0.1", "١"),
+                 ("eval-gen", "1_0", "and"), ("synth-id", " 2", "a"), ("chain", "2", "0.1", "0.11", "-")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage: mk1 {argv[0]} ") and "invalid integer value" in err
+    code, _, err = run(capsys, "chain", "2", "0.1", "0.11", "-1")
+    assert (code, err) == (2, "error OutOfRange: count must be at least 0, got -1\n")
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, "frobnicate")[0] == 1
     assert run(capsys)[0] == 1

@@ -5,18 +5,21 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import deep_rotation, random_element
+from helpers import deep_rotation, random_element, reference_element_with_heights
+from mk1 import green
 from mk1.elements import (
     Mk1Element,
     apply,
     compose,
+    format_table,
     identity_element,
     is_injective,
     partial_identity,
     zero_element,
 )
-from mk1.errors import IndexMismatch, NotDistinct, OutOfRange
+from mk1.errors import CrossCheckFailed, IndexMismatch, Mk1Error, NotDistinct, OutOfRange
 from mk1.green import (
     ExponentSum,
     dense_chain,
@@ -264,6 +267,51 @@ def test_element_with_heights_random(seed=11):
         e = element_with_heights(k, a, b)
         rep = heights(e)
         assert (rep.r, rep.l) == (a, b)
+
+
+def height_pairs(k):
+    """Strategy: (k, h_r, h_l) with heights in [0, 1] at depth at most 4 (3
+    for k = 5): nonzero pairs with equal digit sums, pairs with a zero, and
+    pairs drawn apart, which mostly mismatch."""
+    depth = 4 if k < 5 else 3
+    values = [kq(k, n, depth) for n in range(k ** depth + 1)]
+    zero, nonzero = values[0], values[1:]
+    return st.tuples(st.just(k), st.one_of(
+        st.sampled_from(nonzero).flatmap(lambda a: st.tuples(st.just(a), st.sampled_from(
+            [b for b in nonzero if b.digit_sum_mod() == a.digit_sum_mod()]))),
+        st.sampled_from(values).flatmap(lambda h: st.sampled_from([(zero, h), (h, zero)])),
+        st.tuples(st.sampled_from(values), st.sampled_from(values))))
+
+
+def _outcome(build, k, h_r, h_l):
+    """The printed table, or the error's class and message."""
+    try:
+        return format_table(build(k, h_r, h_l))
+    except Mk1Error as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 5)).flatmap(height_pairs))
+def test_element_with_heights_matches_the_reference(args):
+    k, (h_r, h_l) = args
+    assert _outcome(element_with_heights, k, h_r, h_l) == \
+        _outcome(reference_element_with_heights, k, h_r, h_l)
+
+
+def test_d_index_M_cross_check_survives_python_O(monkeypatch):
+    """An L-height whose digit sum misses the index from the image code
+    raises, with or without asserts."""
+    monkeypatch.setattr(green, "noncollision_measure", lambda c: kq(3, 2, 1))
+    with pytest.raises(CrossCheckFailed, match="L-height digit sum 2 differs from index 1"):
+        d_index_M(identity_element(3))
+
+
+def test_separating_context_cross_check_survives_python_O(monkeypatch):
+    """Distinct tables whose union trie shows no difference raise."""
+    monkeypatch.setattr(green, "trie_leaves", lambda k, tags: iter(()))
+    with pytest.raises(CrossCheckFailed, match="agree at full depth"):
+        separating_context(el(2, ("a", "a")), el(2, ("a", "b")))
 
 
 def _check_separation(f, g):

@@ -12,6 +12,7 @@ from mk1.elements import (
     zero_element,
 )
 from mk1.errors import (
+    CrossCheckFailed,
     DivisibleIndex,
     IndexMismatch,
     NotFixedLength,
@@ -35,7 +36,7 @@ from mk1.plep import (
 from mk1.words import PrefixCode, parse_word
 
 from helpers import el, random_element, random_level_plep
-from mk1 import elements
+from mk1 import elements, plep
 
 
 def pc(k, *texts):
@@ -159,6 +160,8 @@ def _check_witness(e1, e2, expect_tlep):
     w = plep_d_witness(e1, e2)
     assert w.tlep is expect_tlep
     assert len(w.q1) == len(w.q2)
+    r1, r2 = common_image_refinement(e1, e2)
+    assert (w.q1, w.q2) == tuple(PrefixCode.make(e1.k, {y for _, y in r.rows}) for r in (r1, r2))
     for q in (w.q1, w.q2):  # built unchecked: they must pass the checks
         assert PrefixCode(q.k, q.words) == q
         assert len({len(word) for word in q.words}) == 1
@@ -178,6 +181,14 @@ def _check_witness(e1, e2, expect_tlep):
     # the idempotents sit in the right R-classes
     assert eq_R(e1, id1) and eq_R(e2, id2)
     return w
+
+
+def test_witness_cross_check_survives_python_O(monkeypatch):
+    """Refined tables whose image codes differ in size raise, with or
+    without asserts."""
+    monkeypatch.setattr(plep, "common_image_refinement", lambda e1, e2: (SWAP, identity_element(2)))
+    with pytest.raises(CrossCheckFailed, match="extended image codes differ in size: 2 vs 1"):
+        plep_d_witness(SWAP, SWAP)
 
 
 def test_long_levels_are_refused_before_they_are_built():

@@ -9,8 +9,10 @@ checked reference automaton in ``helpers``.)  Formulas built from truth
 tables skip the check fold and carry their table; φ_B skips ``make``'s
 sort and checks.  The text readers check their input once and build
 tables and formulas without the constructors' checks.  Lints over the
-library's source keep out asserts, eval, recursion, unbounded caches and
-error classes nothing raises.
+library's source keep out asserts, eval, recursion, unbounded caches,
+error classes nothing raises and imports inside functions, and keep the
+canonical word order in the modules that build codes, tables and
+congruences.
 """
 
 import ast
@@ -337,6 +339,26 @@ def test_every_error_class_is_named_outside_errors():
     named = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
              for name, node in _library_nodes() if name != "errors.py"}
     assert defined and sorted(defined - named) == []
+
+
+def test_functions_import_only_to_break_the_one_cycle():
+    """Imports sit at module level.  ``elements`` imports ``words``, so
+    ``words.r2_normal_form`` alone imports, when called, from ``elements``."""
+    found = [(name, fn.name, alias.name) for name, fn in _library_nodes()
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names]
+    assert found == [("words.py", "r2_normal_form", "reduce_rows")]
+
+
+def test_only_words_elements_and_congruence_name_the_word_order():
+    """The canonical (length, then dictionary) order is spelled by
+    ``word_key`` in the modules that build codes, tables and congruences;
+    the others take words already in that order from them."""
+    found = {name for name, node in _library_nodes()
+             if "word_key" in (getattr(node, "id", None), getattr(node, "attr", None),
+                               getattr(node, "name", None))}
+    assert found == {"words.py", "elements.py", "congruence.py"}
 
 
 def test_only_words_reads_the_header():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    covered,
     deep_code,
     prefix_free,
     random_code,
@@ -22,7 +23,6 @@ from mk1.words import (
     check_letters,
     code_with_measure,
     complement_code,
-    covered,
     format_word,
     ideal_ess_eq,
     ideal_ess_leq,
