@@ -27,6 +27,7 @@ from .elements import (
     parse_table,
     part,
     partial_identity,
+    r2_normal_form,
     single_row,
     zero_element,
 )
@@ -65,7 +66,6 @@ from .words import (
     mu,
     parse_code,
     parse_word,
-    r2_normal_form,
 )
 
 __version__ = "0.1.0"

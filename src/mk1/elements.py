@@ -6,7 +6,8 @@ map sending x·t to y·t for every tail t — a morphism of right ideals of the
 free monoid.  Tables denote the same monoid element exactly when they merge
 to the same *reduced* form: whenever all k rows x·a -> y·a (one per letter a)
 are present they collapse into the single row x -> y, and :func:`reduce_rows`
-iterates this to its unique fixpoint.
+iterates this to its unique fixpoint; :func:`r2_normal_form` is the domain
+of a code's reduced partial identity.  No other module reduces or splits rows.
 
 Equality on :class:`Mk1Element` is structural, so monoid equality is
 structural equality of reduced elements; every public constructor here
@@ -209,6 +210,13 @@ def partial_identity(code: PrefixCode) -> Mk1Element:
     return Mk1Element.make(code.k, ((w, w) for w in code.words))
 
 
+def r2_normal_form(code: PrefixCode) -> PrefixCode:
+    """Merge sibling families until none remain (the minimal representative):
+    the domain of the reduced partial identity on the code."""
+    rows = reduce_rows(code.k, ((w, w) for w in code.words))
+    return PrefixCode._trusted(code.k, tuple(x for x, _ in rows))
+
+
 # -- applying and composing ------------------------------------------------------
 
 def apply(e: Mk1Element, w: Word):
@@ -329,23 +337,16 @@ def part(e: Mk1Element) -> PrefixCodeCongruence:
 
 
 def restrict_to_length(e: Mk1Element, m: int) -> Mk1Element:
-    """Split every row until all domain words have length exactly m.
-
-    Requires m at least the longest current domain word; the result denotes
-    the same element (not reduced).
-    """
+    """Split each row x -> y into the rows x·s -> y·s over the words s of
+    length m - |x|, refused before any row past 2^20 is built.  Requires m at
+    least the longest domain word; the result denotes the same element (not
+    reduced)."""
     longest = max((len(x) for x, _ in e.rows), default=0)
     if m < longest:
         raise LengthTooSmall(f"cannot shorten domain words of length {longest} to {m}")
-    return _split_rows(e, [m - len(x) for x, _ in e.rows],
-                       f"restricting to length {m} would give more than 2^20 rows")
-
-
-def _split_rows(e: Mk1Element, depths: list[int], message: str) -> Mk1Element:
-    """Each row x -> y split into the rows x·s -> y·s over the words s of its
-    depth, refused with ``message`` before any row past 2^20 is built."""
-    check_cap(e.k, depths, message)
-    rows = [(x + s, y + s) for (x, y), d in zip(e.rows, depths) for s in words_of_length(e.k, d)]
+    check_cap(e.k, [m - len(x) for x, _ in e.rows],
+              f"restricting to length {m} would give more than 2^20 rows")
+    rows = [(x + s, y + s) for x, y in e.rows for s in words_of_length(e.k, m - len(x))]
     return Mk1Element._trusted(e.k, tuple(sorted(rows, key=_domain_key)))
 
 

@@ -45,7 +45,7 @@ from .errors import (
     OutOfRange,
 )
 from .kary import KRational, kq, kq_one, kq_pow_sum
-from .words import Word, code_with_measure, ideal_ess_eq, ideal_ess_leq, replace_r1, trie_leaves
+from .words import Word, code_with_measure, ideal_ess_eq, ideal_ess_leq, trie_leaves
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,9 +226,9 @@ def element_with_heights(k: int, h_r: KRational, h_l: KRational) -> Mk1Element:
     """An injective element with R-height h_r and L-height h_l.
 
     Possible exactly when both are zero or both are nonzero with equal digit
-    sums modulo k-1.  Then the canonical codes of the two heights are split
-    (:func:`~mk1.words.replace_r1`), each at its last word in canonical
-    order, until they are equally large, and zipped in that order into a
+    sums modulo k-1.  Then the canonical codes of the two heights are split,
+    each at its last word in canonical order (a longest one, so its k children
+    go last), until they are equally large, and zipped in that order into a
     bijection from the domain code onto the image code.
     """
     if h_r.base != k or h_l.base != k:
@@ -241,11 +241,10 @@ def element_with_heights(k: int, h_r: KRational, h_l: KRational) -> Mk1Element:
         raise IndexMismatch(
             f"digit sums differ mod {k - 1}: "
             f"{h_r.digit_sum_mod()} vs {h_l.digit_sum_mod()}")
-    image, domain = code_with_measure(k, h_r), code_with_measure(k, h_l)
-    while len(image) < len(domain):
-        image = replace_r1(image, image.words[-1])
-    while len(domain) < len(image):
-        domain = replace_r1(domain, domain.words[-1])
+    image, domain = (list(code_with_measure(k, h).words) for h in (h_r, h_l))
+    for short, other in ((image, domain), (domain, image)):
+        while len(short) < len(other):
+            short += [w + (a,) for w in [short.pop()] for a in range(k)]
     return Mk1Element.make(k, zip(domain, image))
 
 

@@ -89,8 +89,7 @@ def plep_element_with_index(k: int, i: int) -> Mk1Element:
         n += 1
     _check_level(k, n)
     level = list(words_of_length(k, n))
-    q = PrefixCode.make(k, level[:i])
-    return eta_idempotent(q, level[0])
+    return Mk1Element.make(k, [(w, w) for w in level[:i]] + [(w, level[0]) for w in level[i:]])
 
 
 def _check_level(k: int, n: int) -> None:

@@ -28,7 +28,7 @@ from functools import lru_cache
 from operator import and_, or_
 
 from .congruence import noncollision_measure
-from .elements import Mk1Element, part, reduce_rows
+from .elements import Mk1Element, part
 from .errors import (
     ArityMismatch,
     LengthTooSmall,
@@ -346,7 +346,8 @@ def encode_formula(f: BooleanFormula) -> Mk1Element:
     questions, spares = _cached(encoding_skeleton, f.m, f.n)
     answers = f"{table:0{len(questions)}b}"[::-1]  # answers[i] is bit i
     rows = tuple([pair[a == "1"] for a, pair in zip(answers, questions)]) + spares
-    return Mk1Element._trusted(2, rows if f.m and f.n else reduce_rows(2, rows))
+    e = Mk1Element._trusted(2, rows)
+    return e if f.m and f.n else e.reduced()
 
 
 @lru_cache(maxsize=8)

@@ -289,14 +289,6 @@ def replace_r2(code: PrefixCode, c: Word) -> PrefixCode:
     return PrefixCode.make(code.k, rest)
 
 
-def r2_normal_form(code: PrefixCode) -> PrefixCode:
-    """Merge sibling families until none remain (the minimal representative):
-    the domain of the reduced partial identity on the code."""
-    from .elements import reduce_rows  # elements imports this module
-    rows = reduce_rows(code.k, ((w, w) for w in code.words))
-    return PrefixCode._trusted(code.k, tuple(x for x, _ in rows))
-
-
 # -- codes of prescribed measure ------------------------------------------------
 
 def code_with_measure(k: int, h: KRational) -> PrefixCode:

@@ -12,7 +12,6 @@ from mk1.circuits import eval_generator_word, gate_element, generator_length
 from mk1.dfa import Dfa
 from mk1.elements import (
     Mk1Element,
-    _split_rows,
     apply,
     compose,
     identity_element,
@@ -42,6 +41,7 @@ from mk1.plep import _require_plep
 from mk1.words import (
     PrefixCode,
     Word,
+    check_cap,
     check_letters,
     code_with_measure,
     format_word,
@@ -828,8 +828,10 @@ def reference_element_with_heights(k: int, h_r: KRational, h_l: KRational) -> Mk
 def uniform_image_form(e: Mk1Element) -> Mk1Element:
     """Split rows until all image words share the maximal image length."""
     target = max((len(y) for _, y in e.rows), default=0)
-    return _split_rows(e, [target - len(y) for _, y in e.rows],
-                       "the uniform image form would have more than 2^20 rows")
+    check_cap(e.k, [target - len(y) for _, y in e.rows],
+              "the uniform image form would have more than 2^20 rows")
+    rows = [(x + s, y + s) for x, y in e.rows for s in words_of_length(e.k, target - len(y))]
+    return Mk1Element(e.k, tuple(sorted(rows, key=lambda r: word_key(r[0]))))
 
 
 def _uniform_image_code(e: Mk1Element) -> tuple[Mk1Element, int]:

@@ -46,6 +46,7 @@ from mk1.elements import (
     is_injective,
     part,
     partial_identity,
+    r2_normal_form,
     zero_element,
 )
 from mk1.errors import IndexMismatch, NotDistinct
@@ -89,7 +90,6 @@ from mk1.words import (
     ideal_ess_leq,
     mu,
     parse_word,
-    r2_normal_form,
     replace_r1,
     replace_r2,
     word_key,

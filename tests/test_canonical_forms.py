@@ -29,12 +29,13 @@ from mk1.elements import (
     image_code_restriction,
     part,
     partial_identity,
+    r2_normal_form,
     reduce_rows,
     restrict_to_length,
 )
 from mk1.errors import Mk1Error
 from mk1.green import leq_L
-from mk1.words import PrefixCode, parse_word, r2_normal_form, words_of_length
+from mk1.words import PrefixCode, parse_word, words_of_length
 
 
 def _deeper(e, extra):

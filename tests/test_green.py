@@ -348,3 +348,13 @@ def test_separating_context_random(seed=99):
             continue
         _check_separation(f, g)
         done += 1
+
+
+def test_element_with_heights_is_fast_on_1000_digits():
+    """Each split replaces the last, longest word by its children at the
+    end of the list, with no search and no check of the code."""
+    h_r = parse_krational(2, "0." + "1" * 1000)
+    started = time.perf_counter()
+    e = element_with_heights(2, h_r, parse_krational(2, "0.1"))
+    assert time.perf_counter() - started < 2.0
+    assert len(e.rows) == 1000 and is_injective(e)

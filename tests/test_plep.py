@@ -33,10 +33,10 @@ from mk1.plep import (
     plep_d_witness,
     plep_element_with_index,
 )
-from mk1.words import PrefixCode, parse_word
+from mk1.words import PrefixCode, parse_word, words_of_length
 
 from helpers import el, random_element, random_level_plep
-from mk1 import elements, plep
+from mk1 import plep
 
 
 def pc(k, *texts):
@@ -129,6 +129,18 @@ def test_plep_element_with_index():
         plep_element_with_index(2, 0)
 
 
+def test_plep_element_with_index_is_the_eta_idempotent_of_its_level():
+    """The element built straight from its level is ``eta_idempotent`` of
+    the level's first i words, sending the rest to the first word."""
+    for k in (2, 3, 5):
+        for i in range(1, 200):
+            if i % k:
+                n = next(n for n in range(1, 9) if k ** n > i)
+                level = list(words_of_length(k, n))
+                want = eta_idempotent(PrefixCode.make(k, level[:i]), level[0])
+                assert plep_element_with_index(k, i) == want
+
+
 def test_common_image_refinement():
     r1, r2 = common_image_refinement(SWAP, plep_element_with_index(2, 1))
     q1 = {y for _, y in r1.rows}
@@ -148,9 +160,9 @@ def test_common_image_refinement():
 def test_common_image_refinement_splits_each_side_once(monkeypatch):
     """Each side goes to its level in one split of its rows."""
     calls = []
-    split = elements._split_rows
     e2 = plep_element_with_index(2, 1)
-    monkeypatch.setattr(elements, "_split_rows", lambda *args: calls.append(args) or split(*args))
+    monkeypatch.setattr(plep, "restrict_to_length",
+                        lambda *args: calls.append(args) or restrict_to_length(*args))
     r1, r2 = common_image_refinement(SWAP, e2)
     assert len(calls) == 2
     assert (r1.reduced(), r2.reduced()) == (SWAP, e2)

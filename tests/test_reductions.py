@@ -249,7 +249,7 @@ def test_pipeline_folds_no_formula(monkeypatch):
 
 def test_pipeline_reduces_no_phi_b(monkeypatch):
     """With m, n >= 1 φ_B's rows are returned as built."""
-    monkeypatch.setattr(reductions, "reduce_rows", _refuse("φ_B was reduced"))
+    monkeypatch.setattr(reductions.Mk1Element, "reduced", _refuse("φ_B was reduced"))
     _run_pipeline(_pipeline_cases())
 
 

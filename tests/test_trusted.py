@@ -10,9 +10,9 @@ tables skip the check fold and carry their table; φ_B skips ``make``'s
 sort and checks.  The text readers check their input once and build
 tables and formulas without the constructors' checks.  Lints over the
 library's source keep out asserts, eval, recursion, unbounded caches,
-error classes nothing raises and imports inside functions, and keep the
-canonical word order in the modules that build codes, tables and
-congruences.
+error classes nothing raises, imports inside functions and import cycles,
+keep the canonical word order in the modules that build codes, tables and
+congruences, and keep row reduction in ``elements``.
 """
 
 import ast
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mk1
-from helpers import elements, reference_image_code_restriction, tables, uniform_image_form
+from helpers import elements, reference_image_code_restriction, tables
 from mk1.congruence import PrefixCodeCongruence, max_congruence, split_class
 from mk1.elements import (
     Mk1Element,
@@ -85,7 +85,7 @@ def test_derived_values_pass_the_checks(e, extra):
     r = image_code_restriction(e)
     p = part(e)
     derived = [e.reduced(), r, image_code(e), p, p.code, e.domain_code,
-               max_congruence(p), uniform_image_form(e),
+               max_congruence(p),
                restrict_to_length(e, max((len(x) for x, _ in e.rows), default=0) + extra)]
     if p.classes:
         derived.append(split_class(p, extra % len(p.classes)))
@@ -341,14 +341,39 @@ def test_every_error_class_is_named_outside_errors():
     assert defined and sorted(defined - named) == []
 
 
-def test_functions_import_only_to_break_the_one_cycle():
-    """Imports sit at module level.  ``elements`` imports ``words``, so
-    ``words.r2_normal_form`` alone imports, when called, from ``elements``."""
+def test_functions_import_nothing():
+    """Imports sit at module level, where the layering lint below sees them."""
     found = [(name, fn.name, alias.name) for name, fn in _library_nodes()
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
              for alias in node.names]
-    assert found == [("words.py", "r2_normal_form", "reduce_rows")]
+    assert found == []
+
+
+# each module imports only from the layers before its own
+LAYERS = (("errors",), ("kary",), ("words",), ("congruence",), ("elements",),
+          ("green", "plep", "circuits", "reductions"), ("dfa",), ("cli", "__init__"))
+
+
+def test_imports_run_one_way_through_the_layers():
+    """No import cycle: every relative import goes to an earlier layer."""
+    layer = {module: i for i, modules in enumerate(LAYERS) for module in modules}
+    found = []
+    for name, node in _library_nodes():
+        if isinstance(node, ast.ImportFrom) and node.level:
+            targets = [alias.name for alias in node.names] if node.module is None \
+                else [node.module.split(".")[0]]
+            found += [(name[:-3], t) for t in targets if layer[t] >= layer[name[:-3]]]
+    assert found == []
+
+
+def test_only_elements_reduces_rows():
+    """Other modules reduce through ``Mk1Element.make`` or ``reduced``."""
+    found = {name for name, node in _library_nodes()
+             if {"reduce_rows", "_merge_rows"} & {getattr(node, "id", None),
+                                                  getattr(node, "attr", None),
+                                                  getattr(node, "name", None)}}
+    assert found == {"elements.py"}
 
 
 def test_only_words_elements_and_congruence_name_the_word_order():

@@ -16,6 +16,7 @@ from helpers import (
     reference_ideal_ess_leq,
     words,
 )
+from mk1.elements import r2_normal_form
 from mk1.errors import ChildrenMissing, NotInCode, NotPrefixCode, OutOfRange, ParseError
 from mk1.kary import kq, kq_one, kq_zero, parse_krational
 from mk1.words import (
@@ -33,7 +34,6 @@ from mk1.words import (
     parse_code,
     parse_header,
     parse_word,
-    r2_normal_form,
     replace_r1,
     replace_r2,
     word_key,
