@@ -33,42 +33,41 @@ import re
 
 from .elements import Mk1Element, compose, fibers, identity_element
 from .errors import BaseTooSmall, EmptyTarget, TooLarge, UnknownGate
-from .words import Word, check_cap, check_letters, words_of_length
+from .words import Word, check_letters, words_of_length
 
 _TAU = re.compile(r"^tau\(([0-9]+)\)$")
 _PROBE = re.compile(r"^E([0-9]{1,18})$")
 
 
 def gate_element(k: int, token: str) -> Mk1Element:
-    """A generator's table: k**width rows for the letters it reads (2 for
-    and/or/proj2, i+1 for tau(i), else 1), refused unbuilt past 2^20."""
-    width = 2 if token in ("and", "or", "proj2") else token_length(token)
+    """A generator's table: one row for each word of the level it reads (2
+    letters for and/or/proj2, i+1 for tau(i), else 1), listed by
+    ``words_of_length``, which refuses a level past 2^20 words unbuilt."""
     if token == "and":
-        rows = (((i, j), (0,) if i == 0 and j == 0 else (1,)) for i in range(k) for j in range(k))
+        rows = ((w, (0,) if w == (0, 0) else (1,)) for w in words_of_length(k, 2))
     elif token == "or":
-        rows = (((i, j), (0,) if i == 0 or j == 0 else (1,)) for i in range(k) for j in range(k))
+        rows = ((w, (0,) if 0 in w else (1,)) for w in words_of_length(k, 2))
     elif token == "not":
-        rows = (((i,), (1,) if i == 0 else (0,)) for i in range(k))
+        rows = ((w, (1,) if w == (0,) else (0,)) for w in words_of_length(k, 1))
     elif token == "fork":
-        rows = (((i,), (i, i)) for i in range(k))
+        rows = ((w, w + w) for w in words_of_length(k, 1))
     elif token == "proj2":
-        rows = (((i, j), (j,)) for i in range(k) for j in range(k))
+        rows = ((w, w[1:]) for w in words_of_length(k, 2))
     elif token == "guard":
-        rows = (((i,), (i,)) for i in range(1, k))
+        rows = ((w, w) for w in words_of_length(k, 1) if w != (0,))
     elif m := _PROBE.match(token):
         c = int(m.group(1))
         if not 1 <= c <= k:
             raise UnknownGate(f"probe {token} needs an alphabet of at least {c} letters"
                               if c else f"probes count from 1, got {token}")
-        rows = (((i,), (1,) if i == c - 1 else (0,)) for i in range(k))
+        rows = ((w, (1,) if w == (c - 1,) else (0,)) for w in words_of_length(k, 1))
     elif _TAU.match(token):
-        i = width - 1
+        i = token_length(token) - 1
         if i < 1:
             raise UnknownGate("tau positions are 1-based")
         rows = ((w, w[: i - 1] + (w[i], w[i - 1])) for w in words_of_length(k, i + 1))
     else:
         raise UnknownGate(f"unknown generator {token!r}")
-    check_cap(k, [width], f"{token} over {k} letters would need more than 2^20 rows")
     return Mk1Element.make(k, rows)
 
 

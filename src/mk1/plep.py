@@ -73,8 +73,6 @@ def eta_idempotent(q: PrefixCode, q0: Word) -> Mk1Element:
         raise NotFixedLength("code words must all have the same length")
     if q0 not in q:
         raise RepNotInCode("representative must belong to the code")
-    (n,) = lengths
-    _check_level(q.k, n)
     return Mk1Element.make(q.k, [(w, w) for w in q.words] + _level_rest(q.k, q.words, q0))
 
 
@@ -87,18 +85,13 @@ def plep_element_with_index(k: int, i: int) -> Mk1Element:
     n = 1
     while k ** n <= i:
         n += 1
-    _check_level(k, n)
     level = list(words_of_length(k, n))
     return Mk1Element.make(k, [(w, w) for w in level[:i]] + [(w, level[0]) for w in level[i:]])
 
 
-def _check_level(k: int, n: int) -> None:
-    check_cap(k, [n], f"a level of {n} letters over {k} letters has more than 2^20 words")
-
-
 def _level_rest(k: int, code: tuple[Word, ...], filler: Word) -> list[Row]:
     """The rows sending each word of the fixed-length code's level that is
-    not in the code to filler; the caller has checked the level's size."""
+    not in the code to filler."""
     members = set(code)
     return [(w, filler) for w in words_of_length(k, len(code[0])) if w not in members]
 
@@ -160,7 +153,6 @@ def plep_d_witness(e1: Mk1Element, e2: Mk1Element) -> PlepWitness:
     total = is_tlep(e1) and is_tlep(e2)
     rows_b, rows_bp = list(zip(q1, q2)), list(zip(q2, q1))
     if total:
-        _check_level(k, max(len(q1.words[0]), len(q2.words[0])))
         rows_b += _level_rest(k, q1.words, q2.words[0])
         rows_bp += _level_rest(k, q2.words, q1.words[0])
     return PlepWitness(

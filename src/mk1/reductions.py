@@ -220,15 +220,20 @@ def truth_table(f: BooleanFormula) -> int:
     i is the value at the i-th (y, x) pair, y varying slowest, with each in
     ``words_of_length(2, ·)`` order.  Formulas built from truth tables return
     theirs; others are folded."""
-    count = f.m + f.n
-    if count > 24:
-        raise TooLarge("brute force capped at 24 variables")
     if f._table is not None:
         return f._table
+    count = _check_variables(f.m + f.n)
     size = 1 << count
     # mask[p] has bit i set iff bit p of i is set; x1 and y1 are the high bits
     mask = [_repeat(((1 << (1 << p)) - 1) << (1 << p), 2 << p, size) for p in range(count)]
     return _bitwise(f.ast, mask[:f.m][::-1], mask[f.m:][::-1], (1 << size) - 1)
+
+
+def _check_variables(count: int) -> int:
+    """``count``, a truth table's variables, unless past the cap of 24."""
+    if count > 24:
+        raise TooLarge("brute force capped at 24 variables")
+    return count
 
 
 def _repeat(pattern: int, width: int, size: int) -> int:
@@ -290,7 +295,7 @@ def _chain(op: str, nodes: tuple | list, empty: Ast) -> Ast:
 def _literals(var: str, count: int) -> tuple:
     """For each assignment of ``var``1..``count`` in ``words_of_length(2,
     count)`` order, its literals; the 2·count literal nodes are built once
-    and shared."""
+    and shared.  Past 20 variables the level refuses with TooLarge."""
     pairs = [(("not", (var, j)), (var, j)) for j in range(1, count + 1)]
     return tuple(tuple(pair[b] for pair, b in zip(pairs, values))
                  for values in words_of_length(2, count))
@@ -308,9 +313,10 @@ def formula_from_truth_table(m: int, n: int, table: int) -> BooleanFormula:
     """The DNF whose truth table is the given bitmask.
 
     Bit i of ``table`` is the value at the i-th pair in the (y, x)
-    enumeration by ``words_of_length(2, ·)``, y varying slowest.
+    enumeration by ``words_of_length(2, ·)``, y varying slowest.  Capped at
+    24 variables, and at 20 x- or y-variables by the levels it lists.
     """
-    if table < 0 or table >= 1 << (1 << (m + n)):
+    if table < 0 or table >= 1 << (1 << _check_variables(m + n)):
         raise OutOfRange("truth table bitmask out of range")
     xs, ys = _cached(_minterm_literals, m, n)
     reverse = f"{table:b}"[::-1]  # reverse[i] is bit i: one pass finds the set bits
@@ -328,7 +334,8 @@ def formula_from_truth_table(m: int, n: int, table: int) -> BooleanFormula:
 def encode_formula(f: BooleanFormula) -> Mk1Element:
     """The binary table element φ_B whose noncollision measure counts
     ∀-satisfied y's.  Raises NotSurjective when some y has no satisfying x
-    (:func:`ensure_surjective` repairs that without changing the count).
+    (:func:`ensure_surjective` repairs that without changing the count), and
+    TooLarge past m + n = 19, where its spares would pass 2^20 rows.
 
     For m, n >= 1 the rows are returned as built, for none of them merge:
     - two sibling question rows differ only in x's last letter, but both
@@ -352,14 +359,13 @@ def encode_formula(f: BooleanFormula) -> Mk1Element:
 
 @lru_cache(maxsize=8)
 def encoding_skeleton(m: int, n: int):
-    """Reusable rows for :func:`encode_formula`: each question's row answered 0
-    and 1, then the spares; kept for the few small (m, n) shapes used last."""
-    questions = tuple(((w, (0,) + y), (w, (1,) + y))
-                      for y in words_of_length(2, n)
-                      for w in [(0,) + y + x for x in words_of_length(2, m)])
-    spares = tuple(
-        ((1,) + y + w, (0,) + y) for y in words_of_length(2, n) for w in words_of_length(2, m + 1)
-    )
+    """Reusable rows for :func:`encode_formula`: each question 0·y·x's row
+    answered 0 and 1, then the spares 1·y·w; kept for the few small (m, n)
+    shapes used last.  The spares' level, listed first, caps m + n at 19."""
+    spare_level = words_of_length(2, n + m + 1)
+    questions = tuple(((w, w[:n + 1]), (w, (1,) + v[:n]))
+                      for v in words_of_length(2, n + m) for w in [(0,) + v])
+    spares = tuple(((1,) + v, (0,) + v[:n]) for v in spare_level)
     return questions, spares
 
 

@@ -36,7 +36,6 @@ from .kary import KRational, kq, kq_one
 
 Word = tuple[int, ...]
 
-EPSILON: Word = ()
 _new, _setattr = object.__new__, object.__setattr__  # looked up once, for _unchecked
 
 
@@ -60,7 +59,9 @@ def word_key(w: Word) -> tuple[int, Word]:
 
 
 def words_of_length(k: int, n: int) -> Iterator[Word]:
-    """Every word of length n over k letters, in dictionary order."""
+    """Every word of length n over k letters, in dictionary order; a level of
+    more than 2^20 words is refused with TooLarge at the call, unlisted."""
+    check_cap(k, [n], f"a level of {n} letters over {k} letters has more than 2^20 words")
     return product(range(k), repeat=n)
 
 

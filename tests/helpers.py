@@ -129,22 +129,6 @@ def random_code(rng: random.Random, k: int, max_depth: int = 4) -> PrefixCode:
     return PrefixCode.make(k, words)
 
 
-def random_maximal_code(rng: random.Random, k: int, max_depth: int = 4,
-                        p_leaf: float = 0.5) -> PrefixCode:
-    """A random maximal prefix code (measure exactly 1)."""
-    words: list[Word] = []
-
-    def build(prefix: Word, depth: int):
-        if depth >= max_depth or rng.random() < p_leaf:
-            words.append(prefix)
-            return
-        for j in range(k):
-            build(prefix + (j,), depth + 1)
-
-    build((), 0)
-    return PrefixCode.make(k, words)
-
-
 def random_nonempty_code(rng: random.Random, k: int, max_depth: int = 4) -> PrefixCode:
     while True:
         code = random_code(rng, k, max_depth)
@@ -832,6 +816,17 @@ def uniform_image_form(e: Mk1Element) -> Mk1Element:
               "the uniform image form would have more than 2^20 rows")
     rows = [(x + s, y + s) for x, y in e.rows for s in words_of_length(e.k, target - len(y))]
     return Mk1Element(e.k, tuple(sorted(rows, key=lambda r: word_key(r[0]))))
+
+
+def reference_encoding_skeleton(m: int, n: int):
+    """φ_B's question and spare rows as nested loops over y, then x or w."""
+    questions = tuple(((w, (0,) + y), (w, (1,) + y))
+                      for y in words_of_length(2, n)
+                      for w in [(0,) + y + x for x in words_of_length(2, m)])
+    spares = tuple(
+        ((1,) + y + w, (0,) + y) for y in words_of_length(2, n) for w in words_of_length(2, m + 1)
+    )
+    return questions, spares
 
 
 def _uniform_image_code(e: Mk1Element) -> tuple[Mk1Element, int]:

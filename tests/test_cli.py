@@ -280,6 +280,21 @@ def test_gate_tables_are_refused_before_they_are_built(capsys):
     assert (code, out) == (2, "") and err.startswith("error TooLarge:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval-gen", "2", "tau(999999999999999999)"],
+    ["count-forallsat", "--via-element", "f.txt"],
+    ["phi-b", "f.txt"],
+])
+def test_levels_past_the_cap_are_refused_before_they_are_listed(files, capsys, argv):
+    """A gate's input level, and φ_B's questions for 24 variables, would each
+    hold more than 2^20 words: refused at the listing, not out of memory."""
+    argv = [files(a, "m=12 n=12 x1 | y1") if a == "f.txt" else a for a in argv]
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (2, "") and err.startswith("error TooLarge:") and err.count("\n") == 1
+
+
 PHI_B = (
     "k 2\n"
     "aaa -> aa\n"

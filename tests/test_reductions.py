@@ -39,7 +39,7 @@ from mk1.reductions import (
 )
 from mk1.words import PrefixCode, words_of_length
 
-from helpers import random_nonempty_code
+from helpers import random_nonempty_code, reference_encoding_skeleton
 
 
 def test_parse_and_precedence():
@@ -157,6 +157,25 @@ def test_count_forall_sat():
         count_forall_sat(BooleanFormula(20, 5, ("const", 1)))
 
 
+def test_phi_b_is_refused_past_19_variables_before_its_rows_are_built():
+    f = BooleanFormula(10, 10, ("or", ("x", 1), ("not", ("x", 1))))
+    started = time.perf_counter()
+    with pytest.raises(TooLarge, match="a level of 21 letters"):
+        encode_formula(f)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_encoding_skeleton_matches_the_nested_loops():
+    """One level each for the questions and the spares gives the rows, in
+    the order, of the loops over y and then x; a question's domain word is
+    one object in both of its rows."""
+    for m in range(7):
+        for n in range(7):
+            questions, spares = reductions.encoding_skeleton.__wrapped__(m, n)
+            assert (questions, spares) == reference_encoding_skeleton(m, n)
+            assert all(zero[0] is one[0] for zero, one in questions)
+
+
 def test_truth_table_roundtrip():
     for table in range(16):
         f = formula_from_truth_table(1, 1, table)
@@ -180,6 +199,16 @@ def test_one_size_cap():
         for f in (big, ensure_surjective(edge)):
             with pytest.raises(TooLarge):
                 fn(f)
+    # formula_from_truth_table refuses past 24 variables before its range
+    # check builds a 2^(m+n)-bit bound, and at 21 x-variables through the
+    # level of x-assignments whose literals it lists
+    for m in (25, 64):
+        started = time.perf_counter()
+        with pytest.raises(TooLarge, match="24 variables"):
+            formula_from_truth_table(m, 0, 0)
+        assert time.perf_counter() - started < 1.0
+    with pytest.raises(TooLarge, match="a level of 21 letters"):
+        formula_from_truth_table(21, 0, 0)
     wide = BooleanFormula(20, 20, ("and", ("x", 20), ("not", ("y", 1))))
     assert evaluate(wide, (0,) * 19 + (1,), (0,) * 20) == 1
     assert evaluate(wide, (0,) * 20, (0,) * 20) == 0

@@ -302,6 +302,17 @@ def test_only_words_spells_the_size_cap():
     assert found and set(found) == {"words.py"}
 
 
+def test_only_words_caps_a_single_level():
+    """A level is capped where it is listed: ``words_of_length`` refuses more
+    than 2^20 words, so no other module calls ``check_cap`` on one depth."""
+    found = [name for name, node in _library_nodes()
+             if isinstance(node, ast.Call) and len(node.args) > 1
+             and "check_cap" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+             and isinstance(node.args[1], (ast.List, ast.Tuple, ast.Set))
+             and len(node.args[1].elts) == 1]
+    assert found == ["words.py"]
+
+
 def test_only_elements_names_the_restriction():
     """Fibers are worked out in one module; the others read ``fibers``,
     ``part`` or ``image_code``.  The package re-exports the restriction."""

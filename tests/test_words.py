@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +18,7 @@ from helpers import (
     words,
 )
 from mk1.elements import r2_normal_form
-from mk1.errors import ChildrenMissing, NotInCode, NotPrefixCode, OutOfRange, ParseError
+from mk1.errors import ChildrenMissing, NotInCode, NotPrefixCode, OutOfRange, ParseError, TooLarge
 from mk1.kary import kq, kq_one, kq_zero, parse_krational
 from mk1.words import (
     PrefixCode,
@@ -37,6 +38,7 @@ from mk1.words import (
     replace_r1,
     replace_r2,
     word_key,
+    words_of_length,
 )
 
 
@@ -86,6 +88,23 @@ def test_check_letters():
     for words, bad in (([(0, 3)], 3), ([(), (-1,)], -1), ([(2,), (0, 5, -2)], -2)):
         with pytest.raises(OutOfRange, match=f"^letter index {bad} out of range for k=3$"):
             check_letters(3, words)
+
+
+def test_words_of_length_lists_a_level_of_at_most_2_20_words():
+    level = words_of_length(2, 20)
+    assert next(level) == (0,) * 20
+    assert sum(1 for _ in level) == (1 << 20) - 1
+    assert list(words_of_length(3, 2))[:4] == [(0, 0), (0, 1), (0, 2), (1, 0)]
+    assert list(words_of_length(2, 0)) == [()]
+
+
+@pytest.mark.parametrize("k, n", [(2, 21), (1025, 2), (2, 10**18)])
+def test_words_of_length_refuses_a_larger_level_at_the_call(k, n):
+    """Refused before a word is listed or a pool built: the call raises."""
+    started = time.perf_counter()
+    with pytest.raises(TooLarge, match=f"a level of {n} letters over {k} letters"):
+        words_of_length(k, n)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_prefix_basics():
