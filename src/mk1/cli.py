@@ -140,18 +140,13 @@ def _cmd_dfa_mu(args):
 
 def _cmd_witness_plep(args):
     w = plep.plep_d_witness(_read(args.f, parse_table), _read(args.g, parse_table))
-    print(f"tlep {'true' if w.tlep else 'false'}")
-    print()
-    print(format_table(w.b))
-    print()
-    print(format_table(w.b_prime))
+    tlep = "true" if w.tlep else "false"
+    print(f"tlep {tlep}\n\n{format_table(w.b)}\n\n{format_table(w.b_prime)}")
 
 
 def _cmd_separate(args):
     c1, c2 = green.separating_context(_read(args.f, parse_table), _read(args.g, parse_table))
-    print(format_table(c1))
-    print()
-    print(format_table(c2))
+    print(f"{format_table(c1)}\n\n{format_table(c2)}")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -383,6 +383,13 @@ def test_witness_plep_refuses_long_levels_before_building_them(files, capsys, te
     assert (code, out) == (2, "") and err.startswith("error TooLarge:")
 
 
+def test_witness_plep_prints_nothing_when_a_table_cannot_be_shown(files, capsys):
+    # b shows, but b_prime lists all 27 one-letter words and letter 26 has no name
+    f, g = files("f.txt", "k 27\n^ -> ^\n"), files("g.txt", "k 27\n^ -> a\n")
+    code, out, err = run(capsys, "witness-plep", f, g)
+    assert (code, out) == (2, "") and err.startswith("error OutOfRange:")
+
+
 def test_separate(files, capsys):
     code, out, _ = run(capsys, "separate", files("f.txt", PHI1), files("g.txt", SWAP))
     assert code == 0
