@@ -7,7 +7,8 @@ free monoid.  Tables denote the same monoid element exactly when they merge
 to the same *reduced* form: whenever all k rows x·a -> y·a (one per letter a)
 are present they collapse into the single row x -> y, and :func:`reduce_rows`
 iterates this to its unique fixpoint; :func:`r2_normal_form` is the domain
-of a code's reduced partial identity.  No other module reduces or splits rows.
+of a code's reduced partial identity.  No other module reduces rows, or
+splits rows or code words to a level.
 
 Equality on :class:`Mk1Element` is structural, so monoid equality is
 structural equality of reduced elements; every public constructor here
@@ -340,14 +341,18 @@ def restrict_to_length(e: Mk1Element, m: int) -> Mk1Element:
     """Split each row x -> y into the rows x·s -> y·s over the words s of
     length m - |x|, refused before any row past 2^20 is built.  Requires m at
     least the longest domain word; the result denotes the same element (not
-    reduced)."""
+    reduced).  The library's one splitter to a level, of rows and (through
+    :func:`~mk1.reductions.complete_to_length`) of code words: each distinct
+    depth is listed once, and in dictionary order a domain word's splits
+    follow it at once, so the rows come out in order."""
     longest = max((len(x) for x, _ in e.rows), default=0)
     if m < longest:
         raise LengthTooSmall(f"cannot shorten domain words of length {longest} to {m}")
-    check_cap(e.k, [m - len(x) for x, _ in e.rows],
-              f"restricting to length {m} would give more than 2^20 rows")
-    rows = [(x + s, y + s) for x, y in e.rows for s in words_of_length(e.k, m - len(x))]
-    return Mk1Element._trusted(e.k, tuple(sorted(rows, key=_domain_key)))
+    depths = [m - len(x) for x, _ in e.rows]
+    check_cap(e.k, depths, f"restricting to length {m} would give more than 2^20 rows")
+    tails = {d: tuple(words_of_length(e.k, d)) for d in set(depths)}
+    rows = [(x + s, y + s) for x, y in sorted(e.rows) for s in tails[m - len(x)]]
+    return Mk1Element._trusted(e.k, tuple(rows))
 
 
 # -- predicates and inverses -----------------------------------------------------

@@ -28,10 +28,9 @@ from functools import lru_cache
 from operator import and_, or_
 
 from .congruence import noncollision_measure
-from .elements import Mk1Element, part
+from .elements import Mk1Element, part, restrict_to_length
 from .errors import (
     ArityMismatch,
-    LengthTooSmall,
     NotSurjective,
     OutOfRange,
     ParseError,
@@ -43,7 +42,6 @@ from .words import (
     PrefixCode,
     Word,
     _unchecked,
-    check_cap,
     check_letters,
     parse_natural,
     words_of_length,
@@ -430,10 +428,9 @@ def pad_decode(k: int, u: Word) -> Word:
 
 def complete_to_length(code: PrefixCode, p: int) -> PrefixCode:
     """Replace every word by all its length-p extensions: same measure,
-    fixed length, k^p * measure many words."""
-    if any(len(w) > p for w in code.words):
-        raise LengthTooSmall(f"code has words longer than {p}")
-    check_cap(code.k, (p - len(w) for w in code.words),
-              f"completing to length {p} would give more than 2^20 words")
-    words = [w + t for w in code.words for t in words_of_length(code.k, p - len(w))]
-    return PrefixCode.make(code.k, words)
+    fixed length, k^p * measure many words.  The domain of the code's
+    identity rows, unreduced, split by
+    :func:`~mk1.elements.restrict_to_length`, which raises LengthTooSmall
+    below the longest word and TooLarge past 2^20 words."""
+    rows = tuple((w, w) for w in code.words)
+    return restrict_to_length(Mk1Element._trusted(code.k, rows), p).domain_code

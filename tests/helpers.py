@@ -30,6 +30,7 @@ from mk1.errors import (
     BaseTooSmall,
     CrossCheckFailed,
     IndexMismatch,
+    LengthTooSmall,
     NotAClass,
     NotDistinct,
     NotInjective,
@@ -827,6 +828,17 @@ def reference_encoding_skeleton(m: int, n: int):
         ((1,) + y + w, (0,) + y) for y in words_of_length(2, n) for w in words_of_length(2, m + 1)
     )
     return questions, spares
+
+
+def reference_complete_to_length(code: PrefixCode, p: int) -> PrefixCode:
+    """Every word's length-p extensions, listed word by word and sorted by
+    ``PrefixCode.make``, with a length check and a cap of its own."""
+    if any(len(w) > p for w in code.words):
+        raise LengthTooSmall(f"code has words longer than {p}")
+    check_cap(code.k, (p - len(w) for w in code.words),
+              f"completing to length {p} would give more than 2^20 words")
+    words = [w + t for w in code.words for t in words_of_length(code.k, p - len(w))]
+    return PrefixCode.make(code.k, words)
 
 
 def _uniform_image_code(e: Mk1Element) -> tuple[Mk1Element, int]:

@@ -20,6 +20,7 @@ from mk1.errors import (
     ParseError,
     TooLarge,
 )
+from mk1 import elements
 from mk1.kary import kq
 from mk1.elements import (
     Mk1Element,
@@ -40,7 +41,15 @@ from mk1.elements import (
     zero_element,
 )
 from mk1.reductions import complete_to_length
-from mk1.words import PrefixCode, check_cap, check_count, mu, parse_word
+from mk1.words import (
+    PrefixCode,
+    check_cap,
+    check_count,
+    mu,
+    parse_word,
+    word_key,
+    words_of_length,
+)
 
 
 def el(k, *rows):
@@ -155,6 +164,27 @@ def test_restrict_to_length():
     u = uniform_image_form(PHI1)
     assert {len(y) for _, y in u.rows} == {3}
     assert u.reduced() == PHI1
+
+
+def test_restrict_to_length_lists_each_depth_once(monkeypatch):
+    """16 rows at three depths list three levels, and give the rows of
+    splitting each row by its own listing, in canonical order."""
+    dom = ([(0,) + w for w in words_of_length(2, 2)] + [(1, 0) + w for w in words_of_length(2, 2)]
+           + [(1, 1) + w for w in words_of_length(2, 3)])
+    e = Mk1Element.make(2, [(x, x[::-1][:2]) for x in dom])
+    assert len(e.rows) == 16
+    listed = []
+
+    def counted(k, n):
+        listed.append(n)
+        return words_of_length(k, n)
+
+    monkeypatch.setattr(elements, "words_of_length", counted)
+    r = restrict_to_length(e, 6)
+    assert sorted(listed) == [1, 2, 3]
+    assert r.rows == tuple(sorted(((x + s, y + s) for x, y in e.rows
+                                   for s in words_of_length(2, 6 - len(x))),
+                                  key=lambda row: word_key(row[0])))
 
 
 def test_level_splits_past_the_cap_are_refused_unbuilt():

@@ -39,7 +39,11 @@ from mk1.reductions import (
 )
 from mk1.words import PrefixCode, words_of_length
 
-from helpers import random_nonempty_code, reference_encoding_skeleton
+from helpers import (
+    random_nonempty_code,
+    reference_complete_to_length,
+    reference_encoding_skeleton,
+)
 
 
 def test_parse_and_precedence():
@@ -522,3 +526,35 @@ def test_complete_to_length():
         done = complete_to_length(code, p)
         assert done.mu == code.mu
         assert len(done) == code.mu.scale_pow(p).as_integer()
+    with pytest.raises(LengthTooSmall):  # a negative length, as for the zero element
+        complete_to_length(PrefixCode.make(2, []), -1)
+    assert complete_to_length(PrefixCode.make(2, []), 0) == PrefixCode.make(2, [])
+
+
+def test_complete_to_length_matches_the_word_by_word_loop():
+    """Splitting the code's identity rows gives the code, and the refusals,
+    of listing each word's extensions and sorting them."""
+    rng = random.Random(31)
+    for _ in range(200):
+        k = rng.choice((2, 3))
+        code = random_nonempty_code(rng, k)
+        longest = max(map(len, code.words))
+        for p in range(longest, longest + 3):
+            assert complete_to_length(code, p) == reference_complete_to_length(code, p)
+        for complete in (complete_to_length, reference_complete_to_length):
+            with pytest.raises(LengthTooSmall):
+                complete(code, longest - 1)
+    for complete in (complete_to_length, reference_complete_to_length):
+        with pytest.raises(TooLarge):
+            complete(PrefixCode.make(3, [(0,), (1, 1)]), 10 ** 6)
+
+
+def test_complete_to_length_lists_no_level_of_its_own(monkeypatch):
+    def unlisted(k, n):
+        raise AssertionError("complete_to_length splits through restrict_to_length")
+
+    monkeypatch.setattr(reductions, "words_of_length", unlisted)
+    code = PrefixCode.make(2, [(0,), (1, 0)])
+    assert complete_to_length(code, 3).words == tuple(
+        w for w in words_of_length(2, 3) if w[:2] != (1, 1))
+    assert complete_to_length(code, 2).words == ((0, 0), (0, 1), (1, 0))
