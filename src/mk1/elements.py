@@ -55,6 +55,7 @@ from .words import (
     _unchecked,
     check_cap,
     check_count,
+    check_letter_count,
     check_letters,
     format_word,
     is_prefix,
@@ -290,14 +291,17 @@ def fibers(e: Mk1Element) -> Iterator[tuple[Word, tuple[Row, ...]]]:
 def image_code_restriction(e: Mk1Element) -> Mk1Element:
     """Split rows until the image words form a prefix code (repeats allowed):
     the rows x·z[|y|:] -> z over the :func:`fibers` of e, sorted by domain,
-    refused before any is built when there are more than 2^20.  The table
-    denotes the same element but is not reduced; it is e when the images
-    already form a prefix code."""
+    refused before any is built when there are more than 2^20 or their
+    domain words have more than 2^25 letters, both counted on the walk.  The
+    table denotes the same element but is not reduced; it is e when the
+    images already form a prefix code."""
     if is_prefix_code(dict.fromkeys(e.image_words)):
         return e
     walk = list(fibers(e))
     check_count(sum(len(path) for _, path in walk),
                 "the image-code restriction would have more than 2^20 rows")
+    check_letter_count(sum(len(x) - len(y) + len(z) for z, path in walk for x, y in path),
+                       "the image-code restriction would have more than 2^25 domain letters")
     rows = sorted([(x + z[len(y):], z) for z, path in walk for x, y in path], key=_domain_key)
     return Mk1Element._trusted(e.k, tuple(rows))
 

@@ -7,7 +7,10 @@ summing k**(-length) of one representative per fiber, where the
 representative length is the class minimum (the plain L-height, equal to
 1 - collision), the maximum, the average, or the median.  Averages and
 medians can have fractional exponents, in which case the value is returned
-symbolically as an :class:`ExponentSum` rather than rounded.
+symbolically as an :class:`ExponentSum` rather than rounded.  The fiber
+lengths are read off :func:`~mk1.elements.fibers`, so neither the heights
+nor the D-index, whose L-height cross-check comes from the same walk,
+build a fiber word or the image-code restriction.
 
 The partial orders: f <=_R g iff the image ideal of f essentially sits
 inside that of g; f <=_L g iff f = u∘g for some u, decided by one section s
@@ -24,14 +27,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Sequence, Union
 
-from .congruence import noncollision_measure
 from .elements import (
     Mk1Element,
     compose,
     fibers,
     identity_element,
     image_ideal,
-    part,
     partial_identity,
     single_row,
     zero_element,
@@ -126,13 +127,18 @@ def d_index_M(e: Mk1Element):
 
     Cross-checked three ways: from the number of minimal image words and
     from the digit sums of both heights, which always agree modulo k-1.
+    The L-height is read off the fiber walk, as in :func:`heights`: each
+    fiber charges k**(-n) for its shortest length n, and no fiber word or
+    restriction is built.
     """
     if e.is_zero:
         return None
     k = e.k
     ideal = image_ideal(e)
     idx = (len(ideal) - 1) % (k - 1) + 1
-    for name, height in (("R", ideal.mu), ("L", noncollision_measure(part(e)))):
+    l_height = kq_pow_sum(k, Counter(min(len(x) - len(y) for x, y in path) + len(z)
+                                     for z, path in fibers(e)))
+    for name, height in (("R", ideal.mu), ("L", l_height)):
         if height.digit_sum_mod() != idx:
             raise CrossCheckFailed(
                 f"{name}-height digit sum {height.digit_sum_mod()} differs from index {idx}")

@@ -96,6 +96,13 @@ def check_count(n: int, message: str) -> None:
         raise TooLarge(message)
 
 
+def check_letter_count(n: int, message: str) -> None:
+    """Raise TooLarge(message) when n, the letters of the words to be built,
+    is more than 2^25."""
+    if n > 1 << 25:
+        raise TooLarge(message)
+
+
 def format_word(w: Word) -> str:
     if not w:
         return "^"

@@ -45,6 +45,7 @@ from mk1.words import (
     PrefixCode,
     check_cap,
     check_count,
+    check_letter_count,
     mu,
     parse_word,
     word_key,
@@ -216,6 +217,21 @@ def test_image_code_restriction_past_the_cap_is_refused_unbuilt():
         with pytest.raises(TooLarge, match="image-code restriction"):
             split(e)
     assert time.perf_counter() - started < 5.0
+
+
+def test_image_code_restriction_past_the_letter_cap_is_refused_unbuilt():
+    """1,024 nested images split into 524,800 rows, under the row cap, but
+    their domain words hold about 185 M letters.  The cap of 2^25 letters
+    still lets 512 nested images (about 24 M letters) be split."""
+    e = nested_images(10)
+    started = time.perf_counter()
+    for split in (part, image_code_restriction):
+        with pytest.raises(TooLarge, match="image-code restriction.*2\\^25 domain letters"):
+            split(e)
+    assert time.perf_counter() - started < 1.0
+    check_letter_count(1 << 25, "at the cap")
+    with pytest.raises(TooLarge, match="^over it$"):
+        check_letter_count((1 << 25) + 1, "over it")
 
 
 def test_injectivity_and_inverse():

@@ -3,10 +3,11 @@
 :func:`mk1.elements.fibers` yields each image-code word z with the rows
 whose images are prefixes of z.  The image code, the fiber partition and
 the image-code restriction are read off it, and the L-heights, the
-canonical section and the length bound read lengths and offsets off it
-without building the restriction.  These properties check the walk against
-the counter-loop restriction, check that those readers build no
-restriction, and time the nested tables on which the restriction is cubic.
+D-index's L-height cross-check, the canonical section and the length
+bound read lengths and offsets off it without building the restriction.
+These properties check the walk against the counter-loop restriction,
+check that those readers build no restriction, and time the nested
+tables on which the restriction is cubic.
 The fiber partition skips the walk when the images form a prefix code and
 otherwise splits through ``image_code_restriction``; it is checked against
 the reference partition on tables of both kinds.
@@ -14,6 +15,7 @@ the reference partition on tables of both kinds.
 
 import random
 import time
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,7 @@ from helpers import (
     deep_rotation,
     el,
     elements,
+    elements_over,
     nested_images,
     random_element,
     reference_image_code_restriction,
@@ -30,8 +33,9 @@ from helpers import (
 )
 from mk1 import elements as elements_module
 from mk1.circuits import length_bound_check, synthesize_partial_identity
+from mk1.congruence import noncollision_measure
 from mk1.elements import fibers, image_code, image_code_restriction, part
-from mk1.green import heights, section_inverse
+from mk1.green import d_index_M, eq_D_M, heights, section_inverse
 from mk1.kary import parse_krational
 from mk1.reductions import covers_every_y, encode_formula, ensure_surjective, formula_from_truth_table
 from mk1.words import is_prefix, word_key, words_of_length
@@ -92,6 +96,49 @@ def test_L_side_of_nested_images_is_fast():
     level = list(words_of_length(2, 10))
     back = {(0,) * j + (1,): w + (1,) for j, w in enumerate(level[:-1])}
     assert dict(s.rows) == {**back, (0,) * 1023: level[-1]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 4)).flatmap(elements_over))
+def test_d_index_M_matches_the_noncollision_measure_of_the_partition(e):
+    """The walk's L-height has the digit sum of the fiber partition's
+    noncollision measure, the route that builds the restriction."""
+    want = None if e.is_zero else noncollision_measure(part(e)).digit_sum_mod()
+    assert d_index_M(e) == want
+
+
+def test_d_index_M_builds_no_restriction(monkeypatch):
+    """The D-index, and with it the D-relation, reads its L-height off the
+    walk, never the restriction's rows."""
+    rng = random.Random(32)
+    es = [random_element(rng, k) for k in (2, 3, 4) for _ in range(60)]
+    es += [nested_images(4), deep_rotation(30)]
+    assert sum(image_code_restriction(e) is not e for e in es) > 20
+    want = [d_index_M(e) for e in es]
+
+    def no_restriction(e):
+        raise AssertionError("an image-code restriction was built")
+
+    monkeypatch.setattr(elements_module, "image_code_restriction", no_restriction)
+    assert [d_index_M(e) for e in es] == want
+    same_k = [(f, g, a, b) for f, g, a, b in zip(es, es[1:], want, want[1:]) if f.k == g.k]
+    assert [eq_D_M(f, g) for f, g, _, _ in same_k] == [a == b for _, _, a, b in same_k]
+
+
+def test_d_index_M_of_nested_images_is_fast_and_small():
+    """1,024 nested images: the restriction would have 524,800 rows and
+    about 185 M letters, the walk one path per image-code word."""
+    e = nested_images(10)
+    started = time.perf_counter()
+    assert d_index_M(e) == 1 and eq_D_M(e, e)
+    assert time.perf_counter() - started < 1.0
+    tracemalloc.start()
+    try:
+        eq_D_M(e, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 << 20
 
 
 def _same_partition(e) -> bool:

@@ -324,6 +324,18 @@ def test_only_elements_names_the_restriction():
     assert found == []
 
 
+def test_only_phi_b_paths_call_part():
+    """The fiber partition expands fiber words, splitting through the
+    restriction unless the images form a prefix code.  Heights and the
+    D-index read the walk instead; only ``count_via_element`` and
+    ``phi-b --check`` call ``part``, on φ_B's images, which form a prefix
+    code for m, n >= 1."""
+    found = sorted({name for name, node in _library_nodes()
+                    if isinstance(node, ast.Call)
+                    and "part" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))})
+    assert found == ["cli.py", "reductions.py"]
+
+
 def test_the_automaton_report_takes_only_the_report_type_from_green():
     """``dfa`` counts fiber lengths on its own automata: of ``green`` it
     imports ``HeightReport`` alone, so the two height methods share no
