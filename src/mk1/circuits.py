@@ -19,6 +19,9 @@ A generator word is a list of such tokens, applied right to left like
 function composition.  Its length charges 1 per gate and i+1 per tau(i).
 That is the width of the gate's table, the letters it reads, except for
 ``and``, ``or`` and ``proj2``, which read two letters but charge 1.
+:func:`eval_generator_word` builds each distinct gate's table once, then
+folds the word from the right, pushing the product of the tokens that act
+first through one short gate table at a time.
 
 :func:`synthesize_partial_identity` compiles, for any target word s, a
 generator word evaluating to the partial identity on all length-|s| words
@@ -88,14 +91,21 @@ def parse_generator_word(text: str) -> list[str]:
 
 
 def eval_generator_word(k: int, tokens: list[str]) -> Mk1Element:
-    """Compose the generator tables, rightmost token acting first; each
-    distinct token's table is built once."""
+    """Compose the generator tables, rightmost token acting first.
+
+    Each distinct token's table is built once, in token order, before any
+    is composed, so the first bad token raises.  The program is then folded
+    from the right, ``acc = gate ∘ acc``: each step sorts only the short
+    gate's domain and pushes the product of the tokens that act first
+    through it, and those products stay smaller than the prefix products
+    on synthesized programs."""
     gates: dict[str, Mk1Element] = {}
-    acc = identity_element(k)
     for token in tokens:
         if token not in gates:
             gates[token] = gate_element(k, token)
-        acc = compose(acc, gates[token])
+    acc = identity_element(k)
+    for token in reversed(tokens):
+        acc = compose(gates[token], acc)
     return acc
 
 

@@ -174,11 +174,13 @@ def _merge_rows(k: int, rows: Iterable[Row]) -> tuple[Row, ...]:
     be.  The stack stays in dictionary order, and a stable sort by domain
     length gives the canonical order.
     """
+    last, before = k - 1, k - 2
     stack: list[Row] = []
     for x, y in rows:
-        # last letters before stems: comparing stems costs their length
-        while (x[-1:] == y[-1:] == (k - 1,) and len(stack) >= k - 1
-               and stack[-1][0][-1:] == stack[-1][1][-1:] == (k - 2,)):
+        # last letters before stems: comparing stems costs their length; the
+        # row below x has a nonempty domain word, but its image may be empty
+        while (x and y and x[-1] == y[-1] == last and len(stack) >= k - 1
+               and stack[-1][1] and stack[-1][0][-1] == stack[-1][1][-1] == before):
             p, s = x[:-1], y[:-1]
             if any(stack[a - k + 1] != (p + (a,), s + (a,)) for a in range(k - 1)):
                 break
@@ -257,8 +259,8 @@ def compose(f: Mk1Element, g: Mk1Element) -> Mk1Element:
     out: list[Row] = []
     for x, y in g.rows:
         i = bisect_right(ws, y)
-        if i and is_prefix(ws[i - 1], y):
-            out.append((x, fdom[ws[i - 1]] + y[len(ws[i - 1]):]))
+        if i and y[:len(w := ws[i - 1])] == w:
+            out.append((x, fdom[w] + y[len(w):]))
         else:
             out += [(x + w[len(y):], fdom[w]) for w in ws[i:bisect_left(ws, y + (k,), i)]]
     out.sort()

@@ -65,7 +65,14 @@ def _row_lists(e, extra):
 @example(_table(2, ("aa", "ba"), ("ab", "bb"), ("ba", "ba"), ("bb", "a")), 0)
 @example(_table(2, ("aa", "ba"), ("ab", "a"), ("ba", "bba"), ("bb", "bbb")), 0)
 @example(_table(2, ("a", "^"), ("b", "^")), 1)  # images ^ never merge
+@example(_table(3, ("a", "^"), ("b", "^"), ("c", "^")), 0)
 @example(_table(2, ("^", "^")), 0)
+@example(_table(3, ("^", "^")), 0)
+# empty words where the pass reads last letters: stems ^, and an image ^
+# on the row below the last member of a family
+@example(_table(3, ("a", "a"), ("b", "b"), ("c", "c")), 0)
+@example(_table(2, ("a", "^"), ("b", "b")), 0)
+@example(_table(3, ("a", "a"), ("b", "^"), ("c", "c")), 0)
 def test_reduce_rows_matches_the_reference(e, extra):
     """Each row list also goes in twice over with its words as lists:
     repeated identical rows count once, and any word sequences will do."""

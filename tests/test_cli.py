@@ -270,6 +270,15 @@ def test_synth_and_eval(files, capsys):
     assert (code, out) == (2, "") and err.startswith("error TooLarge:")
 
 
+def test_eval_gen_reports_the_first_bad_token(capsys):
+    """Every gate is built, left to right, before the program is composed."""
+    code, out, err = run(capsys, "eval-gen", "2", "foo", "tau(30)")
+    assert (code, out, err) == (2, "", "error UnknownGate: unknown generator 'foo'\n")
+    code, out, err = run(capsys, "eval-gen", "2", "tau(30)", "foo")
+    assert (code, out) == (2, "")
+    assert err == "error TooLarge: a level of 31 letters over 2 letters has more than 2^20 words\n"
+
+
 def test_gate_tables_are_refused_before_they_are_built(capsys):
     """One rule for every gate: k^width rows, at most 2^20, checked first."""
     started = time.perf_counter()
