@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 
-from .elements import Mk1Element, compose, fibers, identity_element
+from .elements import Mk1Element, compose, fiber_offsets, identity_element
 from .errors import BaseTooSmall, EmptyTarget, TooLarge, UnknownGate
 from .words import Word, check_letters, words_of_length
 
@@ -137,5 +137,5 @@ def length_bound_check(k: int, tokens: list[str], factor: int = 2) -> bool:
     """Every image word has a preimage within |image| + factor*word-length."""
     e = eval_generator_word(k, tokens)
     bound = factor * generator_length(tokens)
-    # z's shortest preimage has length |z| + min(|x| - |y|) over its fiber
-    return all(min(len(x) - len(y) for x, y in path) <= bound for _, path in fibers(e))
+    # z's shortest preimage has length |z| + its fiber's least offset |x| - |y|
+    return all(min(offsets) <= bound for _, offsets in fiber_offsets(e))

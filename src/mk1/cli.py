@@ -16,7 +16,7 @@ import sys
 from . import circuits, dfa, green, plep, reductions
 from .congruence import noncollision_measure
 from .elements import compose, format_table, parse_table, part
-from .errors import CrossCheckFailed, Mk1Error, ParseError
+from .errors import CrossCheckFailed, Mk1Error, OutOfRange, ParseError
 from .kary import parse_krational
 from .words import parse_code, parse_natural, parse_word
 
@@ -45,14 +45,29 @@ def _cmd_compose(args):
     print(format_table(compose(f, g)))
 
 
+def _checked(check, answer, other, what: str) -> str:
+    """answer(), the text to print; with ``check`` also other(), the same
+    text by a second method, and CrossCheckFailed before anything is
+    printed if the two differ."""
+    text = answer()
+    if check and other() != text:
+        raise CrossCheckFailed(f"{what} disagree")
+    return text
+
+
 def _cmd_measure(args):
-    print(_read(args.code, parse_code).mu)
+    code = _read(args.code, parse_code)  # the empty code has no automaton to check against
+    print(_checked(args.check and code.words, lambda: str(code.mu),
+                   lambda: str(dfa.dfa_measure(dfa.trie_dfa(code))), "mu and dfa_measure"))
 
 
 def _cmd_heights(args):
     e = _read(args.table, parse_table)
-    report = dfa.height_report_via_dfa(e) if args.dfa else green.heights(e)
-    print(green.format_height_report(report))
+    reports = (green.heights, dfa.height_report_via_dfa)
+    first, second = reversed(reports) if args.dfa else reports
+    print(_checked(args.check, lambda: green.format_height_report(first(e)),
+                   lambda: green.format_height_report(second(e)),
+                   "heights and height_report_via_dfa"))
 
 
 _RELATIONS = {
@@ -79,10 +94,59 @@ def _cmd_dindex(args):
         print(plep.d_index_plep(e))
 
 
+def _least(a: int, m: int, lo: int, hi: int):
+    """The least x >= 0 with lo <= a·x mod m <= hi, for 0 <= lo <= hi < m,
+    or None.  If no multiple of a lies in [lo, hi], the least x comes from
+    the least y with m·y mod a in [-hi mod a, -lo mod a], a problem in
+    (m mod a, a): Euclid's steps, unwound at the end."""
+    steps = []
+    while lo:
+        a %= m
+        if not a:
+            return None
+        x = -(-lo // a)
+        if a * x <= hi:
+            break
+        steps.append((a, m, lo))
+        a, m, lo, hi = m % a, a, -hi % a, -lo % a
+    else:
+        x = 0
+    for a, m, lo in reversed(steps):
+        x = -(-(lo + m * x) // a)
+    return x
+
+
+def _chain_past_z(k: int, lo, hi, count: int) -> bool:
+    """Whether a table of the chain would need a letter past 'z', read off
+    its measures alone.  They are N_i / k^e for N_i = b + i·a, i = 1..count,
+    as :func:`~mk1.green.iter_dense_chain` spaces them, and the code of
+    measure 0.d_1 d_2 ... uses the letters below each digit and each digit
+    with a nonzero digit after it.  So N_i's table needs letter 26 or later
+    iff N_i mod k^(p+1) > 26·k^p at some place p: for each place, one
+    search for the least i that puts N_i mod k^(p+1) there."""
+    diff, t = hi - lo, 0
+    while k ** t <= count:
+        t += 1
+    e = max(lo.exp, diff.exp + t)
+    a, b = diff.num * k ** (e - diff.exp - t), lo.num * k ** (e - lo.exp)
+    for p in range(e):
+        m, low = k ** (p + 1), 26 * k ** p + 1
+        if low >= m:  # the last place over 27 letters: a last digit 26 uses letters to 'z'
+            continue
+        first = (a + b) % m  # N_1 mod m; N_i mod m moves on by a
+        x = 0 if first >= low else _least(a % m, m, low - first, m - 1 - first)
+        if x is not None and x < count:
+            return True
+    return False
+
+
 def _cmd_chain(args):
     lo = parse_krational(args.k, args.lo)
     hi = parse_krational(args.k, args.hi)
-    tables = (format_table(e) for e in green.iter_dense_chain(args.k, lo, hi, args.count))
+    chain = green.iter_dense_chain(args.k, lo, hi, args.count)
+    if args.k > 26 and _chain_past_z(args.k, lo, hi, args.count):
+        raise OutOfRange("letter display supports alphabets up to 26 letters")
+    tables = (format_table(e) for e in chain)
     print(next(tables, ""))  # an empty chain prints one empty line
     for text in tables:
         print("\n" + text)
@@ -171,12 +235,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="measure of a prefix code")
     p.add_argument("code")
+    p.add_argument("--check", action="store_true",
+                   help="also measure it through its minimal automaton")
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("heights", help="R/L height report of a table")
     p.add_argument("table")
     p.add_argument("--dfa", action="store_true",
                    help="compute via minimal automata instead of word lists")
+    p.add_argument("--check", action="store_true",
+                   help="also compute it the other way, and fail if the two differ")
     p.set_defaults(func=_cmd_heights)
 
     p = sub.add_parser("green", help="compare two tables in a Green order")

@@ -159,7 +159,7 @@ def height_report_via_dfa(e: Mk1Element) -> HeightReport:
             for n, c in child_counts.items():
                 by_length[n + shift + 1] = by_length.get(n + shift + 1, 0) + c
         counts.append((0, by_length))
-    lengths = [[n + shift for n in sorted(by_length) for _ in range(by_length[n])]
+    lengths = [(shift, [n for n in sorted(by_length) for _ in range(by_length[n])])
                for shift, by_length in map(counts.__getitem__, roots)]
     r = kq_zero(e.k)  # zero has no image code
     if zs:

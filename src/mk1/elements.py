@@ -16,8 +16,10 @@ except :func:`image_code_restriction` and :func:`restrict_to_length`
 returns reduced tables.  The restrictions deliberately return equivalent
 *split* tables, since their whole point is reshaping the rows; the
 restriction's one builder is :func:`image_code_restriction`, which
-:func:`part` calls when it must split.  Fibers have one source,
-:func:`fibers`, which the restriction and the L side all read.
+:func:`part` calls when it must split.  Fibers have one source, one walk
+of the image trie: :func:`fibers` tags each image with its rows, for the
+restriction and the section, and :func:`fiber_offsets` with their offsets
+|x| - |y|, for heights and the D-index, which read only lengths.
 
 Inputs are checked once, where they enter: direct construction,
 :meth:`Mk1Element.make` and :func:`parse_table`.  ``make`` sorts its rows
@@ -58,7 +60,6 @@ from .words import (
     check_letter_count,
     check_letters,
     format_word,
-    is_prefix,
     is_prefix_code,
     parse_header,
     parse_word,
@@ -139,7 +140,7 @@ class Mk1Element:
     @property
     def image_words(self) -> tuple[Word, ...]:
         """Right-hand words in row order (repeats preserved)."""
-        return tuple(y for _, y in self.rows)
+        return tuple([y for _, y in self.rows])
 
     def reduced(self) -> "Mk1Element":
         rows = reduce_rows(self.k, self.rows)
@@ -278,7 +279,7 @@ def _rows_by_image(e: Mk1Element) -> dict[Word, list[Word]]:
     return groups
 
 
-def fibers(e: Mk1Element) -> Iterator[tuple[Word, tuple[Row, ...]]]:
+def fibers(e: Mk1Element) -> Iterator[tuple[Word, list[Row]]]:
     """Each image-code word z of e, with the rows x -> y of e whose image y
     is a prefix of z: z's fiber is {x·z[|y|:]}, of lengths |x| - |y| + |z|.
 
@@ -287,7 +288,17 @@ def fibers(e: Mk1Element) -> Iterator[tuple[Word, tuple[Row, ...]]]:
     rows_of: dict[Word, list[Row]] = {}
     for row in e.rows:
         rows_of.setdefault(row[1], []).append(row)
-    return trie_leaves(e.k, {y: tuple(rows) for y, rows in rows_of.items()})
+    return trie_leaves(e.k, rows_of)
+
+
+def fiber_offsets(e: Mk1Element) -> Iterator[tuple[Word, list[int]]]:
+    """The :func:`fibers` walk with each image y tagged by the offsets
+    |x| - |y| of its rows instead, in a list: z's fiber has the lengths
+    |z| + offset, which is all that heights and length bounds read."""
+    offsets: dict[Word, list[int]] = {}
+    for x, y in e.rows:
+        offsets.setdefault(y, []).append(len(x) - len(y))
+    return trie_leaves(e.k, offsets)
 
 
 def image_code_restriction(e: Mk1Element) -> Mk1Element:
@@ -309,20 +320,27 @@ def image_code_restriction(e: Mk1Element) -> Mk1Element:
 
 
 def image_code(e: Mk1Element) -> PrefixCode:
-    """The prefix code generating the image ideal (empty for zero)."""
-    return PrefixCode._trusted(e.k, tuple(sorted((z for z, _ in fibers(e)), key=word_key)))
+    """The prefix code generating the image ideal (empty for zero): the
+    leaves of the image trie, which the walk gives in dictionary order, so
+    a stable sort by length puts them in canonical order."""
+    leaves = (z for z, _ in trie_leaves(e.k, dict.fromkeys(e.image_words, ())))
+    return PrefixCode._trusted(e.k, tuple(sorted(leaves, key=len)))
 
 
 def image_ideal(e: Mk1Element) -> PrefixCode:
     """The minimal image words, which generate the image ideal (empty for zero).
 
     In dictionary order every word between a word and its extension extends
-    it too, so a word is minimal iff the last kept word is not its prefix."""
+    it too, so a word is minimal iff the last kept word is not its prefix;
+    the kept words stay in that order, so a stable sort by length puts them
+    in canonical order."""
     kept: list[Word] = []
-    for y in sorted(dict.fromkeys(e.image_words)):
-        if not kept or not is_prefix(kept[-1], y):
+    last = None
+    for y in sorted(set(e.image_words)):
+        if last is None or y[:len(last)] != last:
             kept.append(y)
-    return PrefixCode._trusted(e.k, tuple(sorted(kept, key=word_key)))
+            last = y
+    return PrefixCode._trusted(e.k, tuple(sorted(kept, key=len)))
 
 
 def part(e: Mk1Element) -> PrefixCodeCongruence:

@@ -8,9 +8,11 @@ representative length is the class minimum (the plain L-height, equal to
 1 - collision), the maximum, the average, or the median.  Averages and
 medians can have fractional exponents, in which case the value is returned
 symbolically as an :class:`ExponentSum` rather than rounded.  The fiber
-lengths are read off :func:`~mk1.elements.fibers`, so neither the heights
-nor the D-index, whose L-height cross-check comes from the same walk,
-build a fiber word or the image-code restriction.
+lengths are read off :func:`~mk1.elements.fiber_offsets`: the fiber of an
+image-code word z has the lengths |z| plus its rows' offsets |x| - |y|.
+So neither the heights nor the D-index, whose L-height cross-check comes
+from the same walk, build a fiber word, a row or the image-code
+restriction.
 
 The partial orders: f <=_R g iff the image ideal of f essentially sits
 inside that of g; f <=_L g iff f = u∘g for some u, decided by one section s
@@ -24,12 +26,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterator, Sequence, Union
+from math import gcd, lcm
+from typing import Iterable, Iterator, Sequence, Union
 
 from .elements import (
     Mk1Element,
     compose,
+    fiber_offsets,
     fibers,
     identity_element,
     image_ideal,
@@ -67,20 +70,20 @@ class ExponentSum:
 Height = Union[KRational, ExponentSum]
 
 
-def _ratio(num: int, den: int) -> tuple[int, int]:
-    """num/den as a gcd-reduced integer pair."""
-    g = gcd(num, den)
-    return num // g, den // g
-
-
-def _rep_sum(k: int, exps: Sequence[tuple[int, int]]) -> Height:
-    """Sum of k**(-n/d) over exponents given as reduced (n, d) pairs: a
-    KRational when every exponent is an integer, else an ExponentSum."""
-    counts = Counter(exps)
+def _rep_sum(k: int, exps: Iterable[tuple[int, int]]) -> Height:
+    """Sum of k**(-n/d) over exponents given as (n, d) pairs, each distinct
+    pair reduced by its gcd once: a KRational when every exponent is an
+    integer, else an ExponentSum, its terms ordered by the integers
+    n·(lcm/d)."""
+    counts: dict[tuple[int, int], int] = {}
+    for (n, d), c in Counter(exps).items():
+        g = gcd(n, d)
+        counts[n // g, d // g] = counts.get((n // g, d // g), 0) + c
     if all(d == 1 for _, d in counts):
         return kq_pow_sum(k, {n: c for (n, _), c in counts.items()})
-    terms = ((Fraction(n, d), c) for (n, d), c in counts.items())
-    return ExponentSum(k, tuple(sorted(terms, key=lambda term: term[0])))
+    den = lcm(*(d for _, d in counts))
+    terms = sorted(counts.items(), key=lambda term: term[0][0] * (den // term[0][1]))
+    return ExponentSum(k, tuple([(Fraction(n, d), c) for (n, d), c in terms]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,24 +95,31 @@ class HeightReport:
     l_med: Height
 
     @classmethod
-    def from_fibers(cls, k: int, r: KRational, lengths: Sequence[Sequence[int]]) -> "HeightReport":
-        """The report of an element with R-height r whose fibers have these
-        word lengths, each fiber's sorted: every L-height charges a fiber
-        k**(-n) for its shortest, longest, average or median length n.  The
-        shortest words of distinct fibers are distinct, so L is the
+    def from_fibers(cls, k: int, r: KRational,
+                    fibers: Iterable[tuple[int, Sequence[int]]]) -> "HeightReport":
+        """The report of an element with R-height r and these fibers, each
+        a pair (s, offsets) whose word lengths are s plus the sorted
+        offsets: every L-height charges a fiber k**(-n) for its shortest,
+        longest, average or median length n, so it reads each fiber once.
+        The shortest words of distinct fibers are distinct, so L is the
         noncollision measure.  With no fibers every L-height is 0."""
-        med = [(ls[len(ls) // 2], 1) if len(ls) % 2
-               else _ratio(ls[len(ls) // 2 - 1] + ls[len(ls) // 2], 2) for ls in lengths]
-        return cls(r=r, l=kq_pow_sum(k, Counter(ls[0] for ls in lengths)),
-                   l_max=kq_pow_sum(k, Counter(ls[-1] for ls in lengths)),
-                   l_ave=_rep_sum(k, [_ratio(sum(ls), len(ls)) for ls in lengths]),
-                   l_med=_rep_sum(k, med))
+        lo, hi, ave, med = [], [], [], []
+        for n, ls in fibers:
+            m = len(ls)
+            lo.append(ls[0] + n)
+            hi.append(ls[-1] + n)
+            ave.append((sum(ls) + m * n, m))
+            h = m // 2
+            med.append((ls[h] + n, 1) if m % 2 else (ls[h - 1] + ls[h] + 2 * n, 2))
+        return cls(r=r, l=kq_pow_sum(k, Counter(lo)), l_max=kq_pow_sum(k, Counter(hi)),
+                   l_ave=_rep_sum(k, ave), l_med=_rep_sum(k, med))
 
 
 def heights(e: Mk1Element) -> HeightReport:
-    """All exact heights of e (zero element: everything is 0)."""
-    return HeightReport.from_fibers(e.k, image_ideal(e).mu, [
-        sorted(len(x) - len(y) + len(z) for x, y in path) for z, path in fibers(e)])
+    """All exact heights of e (zero element: everything is 0): R from the
+    minimal image words, the L-heights from the offsets of the fiber walk."""
+    return HeightReport.from_fibers(e.k, image_ideal(e).mu, (
+        (len(z), sorted(offsets)) for z, offsets in fiber_offsets(e)))
 
 
 def format_height_report(rep: HeightReport) -> str:
@@ -127,7 +137,7 @@ def d_index_M(e: Mk1Element):
 
     Cross-checked three ways: from the number of minimal image words and
     from the digit sums of both heights, which always agree modulo k-1.
-    The L-height is read off the fiber walk, as in :func:`heights`: each
+    The L-height is read off the offset walk, as in :func:`heights`: each
     fiber charges k**(-n) for its shortest length n, and no fiber word or
     restriction is built.
     """
@@ -136,8 +146,7 @@ def d_index_M(e: Mk1Element):
     k = e.k
     ideal = image_ideal(e)
     idx = (len(ideal) - 1) % (k - 1) + 1
-    l_height = kq_pow_sum(k, Counter(min(len(x) - len(y) for x, y in path) + len(z)
-                                     for z, path in fibers(e)))
+    l_height = kq_pow_sum(k, Counter(min(offsets) + len(z) for z, offsets in fiber_offsets(e)))
     for name, height in (("R", ideal.mu), ("L", l_height)):
         if height.digit_sum_mod() != idx:
             raise CrossCheckFailed(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BaseTooSmall,
@@ -65,23 +65,34 @@ def words_of_length(k: int, n: int) -> Iterator[Word]:
     return product(range(k), repeat=n)
 
 
-def trie_leaves(k: int, tags: dict[Word, tuple]) -> Iterator[tuple[Word, tuple]]:
+def trie_leaves(k: int, tags: dict[Word, Sequence]) -> Iterator[tuple[Word, Sequence]]:
     """The leaves, in dictionary order, of the trie below the minimal words
     where each inner node has all k children, each with the tags of the
-    words on its path added up, shortest first.  The library's one trie
-    walk: a word's extensions follow it at once in dictionary order, so one
-    pointer into the sorted words tells if a node is a word and if it is
-    inner.  Cost: one sort, one look per node and one path copy per word."""
-    ws, i, stack = sorted(tags), 0, []
-    while stack or i < len(ws):
-        p, path = stack.pop() if stack else (ws[i], ())  # the first word left is minimal
-        if i < len(ws) and ws[i] == p:
-            path = path + tags[p]
-            i += 1
-        if i < len(ws) and ws[i][:len(p)] == p:  # the next word extends p
-            stack += [(p + (a,), path) for a in reversed(range(k))]
-        else:
-            yield p, path
+    words on its path (tuples, or lists, all alike) added up, shortest
+    first.  The library's one trie walk: a word's extensions follow it at
+    once in dictionary order, so one pointer into the sorted words tells if
+    a node is a word and if it is inner, and a minimal word that nothing
+    extends is a leaf at once.  Cost: one sort, one look per node and one
+    path copy per word below another."""
+    ws, i, n = sorted(tags), 0, len(tags)
+    ws.append((-1,))  # after the last word; below the root it is no node and extends none
+    children = [(a,) for a in reversed(range(k))]
+    while i < n:
+        p = ws[i]  # the first word left is minimal
+        i += 1
+        if i == n or ws[i][:len(p)] != p:
+            yield p, tags[p]
+            continue
+        stack = [(p + a, tags[p]) for a in children]
+        while stack:
+            p, path = stack.pop()
+            if ws[i] == p:
+                path = path + tags[p]
+                i += 1
+            if ws[i][:len(p)] == p:  # the next word extends p
+                stack += [(p + a, path) for a in children]
+            else:
+                yield p, path
 
 
 def check_cap(k: int, depths: Iterable[int], message: str) -> None:

@@ -4,6 +4,8 @@ implementations shared across the test suite."""
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 
 from hypothesis import strategies as st
 
@@ -36,7 +38,7 @@ from mk1.errors import (
     NotInjective,
     ParseError,
 )
-from mk1.green import HeightReport, _ratio, _rep_sum
+from mk1.green import ExponentSum, HeightReport, _rep_sum
 from mk1.kary import KRational, kq_from_digits, kq_pow_sum, kq_zero
 from mk1.plep import _require_plep
 from mk1.words import (
@@ -279,6 +281,46 @@ def reference_image_code_restriction(e: Mk1Element) -> tuple:
                 ext[child[:i]] = ext.get(child[:i], 0) + 1
             stack.append((x + (a,), child))
     return tuple(sorted(rows, key=lambda r: word_key(r[0])))
+
+
+def reference_trie_leaves(k: int, tags: dict[Word, tuple]):
+    """The trie walk as it was before its leaf shortcut and end marker:
+    every node, a minimal word included, goes through the stack."""
+    ws, i, stack = sorted(tags), 0, []
+    while stack or i < len(ws):
+        p, path = stack.pop() if stack else (ws[i], ())  # the first word left is minimal
+        if i < len(ws) and ws[i] == p:
+            path = path + tags[p]
+            i += 1
+        if i < len(ws) and ws[i][:len(p)] == p:  # the next word extends p
+            stack += [(p + (a,), path) for a in reversed(range(k))]
+        else:
+            yield p, path
+
+
+def heights_from_restriction(e: Mk1Element) -> tuple[HeightReport, object]:
+    """The height report and the D-index from the explicit rows of the
+    image-code restriction, grouped by image, with Fraction exponents:
+    R is the measure of the restriction's distinct images, the image code."""
+    k = e.k
+    groups: dict[Word, list[int]] = {}
+    for x, z in image_code_restriction(e).rows:
+        groups.setdefault(z, []).append(len(x))
+    lens = [sorted(ls) for ls in groups.values()]
+
+    def charged(exps):
+        counts = Counter(exps)
+        if all(q.denominator == 1 for q in counts):
+            return kq_pow_sum(k, {int(q): c for q, c in counts.items()})
+        return ExponentSum(k, tuple(sorted(counts.items())))
+
+    report = HeightReport(
+        r=kq_pow_sum(k, Counter(len(z) for z in groups)),
+        l=kq_pow_sum(k, Counter(ls[0] for ls in lens)),
+        l_max=kq_pow_sum(k, Counter(ls[-1] for ls in lens)),
+        l_ave=charged(Fraction(sum(ls), len(ls)) for ls in lens),
+        l_med=charged(Fraction(ls[(len(ls) - 1) // 2] + ls[len(ls) // 2], 2) for ls in lens))
+    return report, (None if e.is_zero else (len(groups) - 1) % (k - 1) + 1)
 
 
 def reference_part(e: Mk1Element) -> PrefixCodeCongruence:
@@ -537,6 +579,12 @@ def reference_trie_dfa(code: PrefixCode) -> ReferenceDfa:
     ))
     accept = number[cls[code.words[0]]]
     return ReferenceDfa(code.k, len(number), 0, accept, edges)
+
+
+def _ratio(num: int, den: int) -> tuple[int, int]:
+    """num/den as a gcd-reduced integer pair."""
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def reference_heights(e: Mk1Element) -> HeightReport:

@@ -9,11 +9,11 @@ import pytest
 
 import mk1
 from helpers import deep_code, deep_rotation, nested_images
-from mk1 import reductions
+from mk1 import dfa, reductions
 from mk1.cli import main
 from mk1.elements import compose, format_table, parse_table
 from mk1.green import dense_chain, heights, iter_dense_chain
-from mk1.kary import parse_krational
+from mk1.kary import kq, parse_krational
 from mk1.words import format_word
 
 PHI1 = "k 2\naa -> a\nab -> aa\nb -> aaa\n"
@@ -331,6 +331,39 @@ def test_phi_b(files, capsys):
     assert code == 2 and err.startswith("error NotSurjective:")
 
 
+def test_heights_and_measure_check_print_what_the_plain_commands_print(files, capsys):
+    """On correct input ``--check`` prints the plain command's bytes once;
+    the empty code, which has no automaton, still measures 0."""
+    for text in (PHI1, SWAP, "k 2\n", "k 3\na -> ^\nb -> ^\nca -> ^\n"):
+        table = files("t.txt", text)
+        plain = run(capsys, "heights", table)
+        assert plain[0] == 0
+        for flags in (["--check"], ["--dfa", "--check"], ["--dfa"]):
+            assert run(capsys, "heights", *flags, table) == plain
+    for text, mu in ((CODE, "1"), ("k 2\na\nba\n", "0.11"), ("k 3\n", "0")):
+        code = files("c.txt", text)
+        assert run(capsys, "measure", code) == run(capsys, "measure", "--check", code) == (
+            0, mu + "\n", "")
+
+
+def test_heights_and_measure_check_catch_a_wrong_method(files, capsys, monkeypatch):
+    """One method answering wrong fails the check with status 2 and one
+    error line, before anything is printed."""
+    table, code = files("t.txt", PHI1), files("c.txt", CODE)
+    swap = parse_table(SWAP)
+    monkeypatch.setattr(dfa, "height_report_via_dfa", lambda e: heights(swap))
+    for flags in (["--check"], ["--dfa", "--check"]):
+        status, out, err = run(capsys, "heights", *flags, table)
+        assert (status, out) == (2, "")
+        assert err.startswith("error CrossCheckFailed: ") and err.count("\n") == 1
+    assert run(capsys, "heights", table)[0] == 0
+    monkeypatch.setattr(dfa, "dfa_measure", lambda d: kq(2, 1, 1))
+    status, out, err = run(capsys, "measure", "--check", code)
+    assert (status, out) == (2, "")
+    assert err.startswith("error CrossCheckFailed: ") and err.count("\n") == 1
+    assert run(capsys, "measure", code) == (0, "1\n", "")
+
+
 def test_phi_b_check_catches_a_wrong_count(files, capsys, monkeypatch):
     """A φ_B sending aaa to ba instead of aa: its noncollision measure gives
     count 2, where the formula's ∀-count is 1."""
@@ -500,6 +533,19 @@ def test_large_alphabet_is_a_named_error(capsys):
     code, out, err = run(capsys, "chain", "30", "0.[1]", "0.[29]", "3")
     assert (code, out) == (2, "")
     assert err.startswith("error OutOfRange: ")
+
+
+def test_chain_past_z_fails_before_printing(capsys):
+    """In 900ths from 0 to 1, the 27th measure 0.[0,27] needs letter 26, so
+    the chain prints none of the 26 tables before it; a chain whose
+    tables need no letter past 'z' prints them over 30 letters too."""
+    code, out, err = run(capsys, "chain", "30", "0", "1", "40")
+    assert (code, out) == (2, "")
+    assert err.startswith("error OutOfRange: ")
+    want = "\n\n".join(map(format_table, dense_chain(30, parse_krational(30, "0"),
+                                                    parse_krational(30, "0.[1]"), 2)))
+    assert run(capsys, "chain", "30", "0", "0.[1]", "2") == (0, want + "\n", "")
+    assert want == "k 30\naa -> aa\n\nk 30\naa -> aa\nab -> ab"
 
 
 def test_integer_arguments_are_ascii_decimals(capsys):

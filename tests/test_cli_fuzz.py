@@ -3,9 +3,9 @@
 Formula, table and code files, valid to start with, get one byte or one
 line changed, and go in process through ``mk1 phi-b`` (with and without
 ``--check``), ``count-forallsat`` (with and without ``--via-element``),
-``dindex``, ``heights`` (with and without ``--dfa``), ``normalize``,
-``compose`` (a table with itself), ``measure`` and ``dfa-mu`` (with and
-without ``--dump``); pairs of them through ``green`` (all six
+``dindex``, ``heights`` (plain, ``--check`` and ``--dfa``), ``normalize``,
+``compose`` (a table with itself), ``measure`` (with and without
+``--check``) and ``dfa-mu`` (with and without ``--dump``); pairs of them through ``green`` (all six
 relations), ``witness-plep`` and ``separate``.  Drawn alphabet sizes,
 measure strings (some above 1), words and generator tokens go through
 ``chain`` (counts below 100), ``with-heights``, ``synth-id`` and
@@ -15,7 +15,8 @@ failure prints nothing to stdout and one ``error`` line on stderr, after
 argparse's usage when argparse refuses a token; and what succeeds agrees
 with the library or with the other commands: ``normalize`` and
 ``eval-gen`` output reads back, ``compose`` prints the library's
-composition, both ways of counting agree, ``separate``'s contexts kill
+composition, both ways of counting agree, ``--check`` prints what the
+plain ``heights`` and ``measure`` print, ``separate``'s contexts kill
 exactly one side, ``with-heights`` has the asked heights, ``chain`` climbs
 strictly between its bounds, and ``synth-id``'s word evaluates to its
 partial identity.
@@ -32,7 +33,8 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import prefix_free, tables, words
 from mk1.cli import _RELATIONS, main
 from mk1.elements import Mk1Element, compose, format_table, parse_table
-from mk1.green import heights
+from mk1.errors import Mk1Error
+from mk1.green import dense_chain, heights
 from mk1.kary import parse_krational
 from mk1.reductions import formula_from_truth_table
 from mk1.words import format_word, parse_word, words_of_length
@@ -139,6 +141,7 @@ def test_table_commands_end_in_a_named_status(data):
         for kind in ("M", "plep"):
             _run("dindex", kind, path)
         report = _run("heights", path)
+        assert _run("heights", "--check", path) == report
         if report[0] == 0:
             assert _run("heights", "--dfa", path) == report
         normal = _run("normalize", path)
@@ -157,6 +160,7 @@ def test_table_commands_end_in_a_named_status(data):
 def test_code_commands_end_in_a_named_status(data):
     def run(path):
         measured = _run("measure", path)
+        assert _run("measure", "--check", path) == measured
         plain = _run("dfa-mu", path)
         dumped = _run("dfa-mu", "--dump", path)
         assert plain[0] == dumped[0]
@@ -224,6 +228,29 @@ def test_measure_commands_end_in_a_named_status(args):
     if status == 0:
         report = heights(parse_table(out))
         assert (report.r, report.l) == (parse_krational(k, lo), parse_krational(k, hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(27, 40).flatmap(lambda k: st.tuples(
+    st.just(k), *[st.lists(st.integers(0, k - 1), max_size=3)] * 2, st.integers(0, 60))))
+@example((30, [], [29], 40))       # 0 to 1 in 900ths: the 27th needs letter 26
+@example((27, [19, 10], [19, 11], 30))   # a last digit 26 needs no letter past 'z'
+@example((28, [], [27], 0))        # the first measure would need one, but none is printed
+def test_chains_past_z_fail_before_printing(args):
+    """Over more than 26 letters a chain prints its tables when none needs
+    a letter past 'z', and otherwise nothing."""
+    k, lo_digits, hi_digits, count = args
+    lo, hi = (f"0.[{','.join(map(str, ds))}]" if ds else "0" for ds in (lo_digits, hi_digits))
+    status, out = _run("chain", str(k), lo, hi, str(count))
+    try:
+        chain = dense_chain(k, parse_krational(k, lo), parse_krational(k, hi), count)
+    except Mk1Error:
+        assert status == 2
+        return
+    if any(a >= 26 for e in chain for row in e.rows for w in row for a in w):
+        assert status == 2
+    else:
+        assert (status, out) == (0, "\n\n".join(map(format_table, chain)) + "\n")
 
 
 _TOKENS = ("and", "or", "not", "fork", "proj2", "guard", "E0", "E1", "E3", "tau(0)", "tau(1)",

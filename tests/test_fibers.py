@@ -1,13 +1,15 @@
 """The fiber walk: one walk of the image trie feeds every fiber reader.
 
 :func:`mk1.elements.fibers` yields each image-code word z with the rows
-whose images are prefixes of z.  The image code, the fiber partition and
-the image-code restriction are read off it, and the L-heights, the
-D-index's L-height cross-check, the canonical section and the length
-bound read lengths and offsets off it without building the restriction.
-These properties check the walk against the counter-loop restriction,
-check that those readers build no restriction, and time the nested
-tables on which the restriction is cubic.
+whose images are prefixes of z.  The fiber partition, the image-code
+restriction and the canonical section are read off it.  The same walk
+with each image tagged by its rows' offsets, ``fiber_offsets``, feeds the
+L-heights, the D-index's L-height cross-check and the length bound, and
+the image code is the walk of the bare images; none of them builds the
+restriction.  These properties check the walk against the counter-loop
+restriction, check the heights and the D-index against the restriction's
+explicit rows, check that those readers build no restriction and read
+no rows, and time the nested tables on which the restriction is cubic.
 The fiber partition skips the walk when the images form a prefix code and
 otherwise splits through ``image_code_restriction``; it is checked against
 the reference partition on tables of both kinds.
@@ -17,7 +19,7 @@ import random
 import time
 import tracemalloc
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     deep_code,
@@ -25,17 +27,18 @@ from helpers import (
     el,
     elements,
     elements_over,
+    heights_from_restriction,
     nested_images,
     random_element,
     reference_image_code_restriction,
     reference_part,
     tables,
 )
-from mk1 import elements as elements_module
+from mk1 import elements as elements_module, green
 from mk1.circuits import length_bound_check, synthesize_partial_identity
 from mk1.congruence import noncollision_measure
-from mk1.elements import fibers, image_code, image_code_restriction, part
-from mk1.green import d_index_M, eq_D_M, heights, section_inverse
+from mk1.elements import fibers, image_code, image_code_restriction, part, zero_element
+from mk1.green import d_index_M, eq_D_M, format_height_report, heights, section_inverse
 from mk1.kary import parse_krational
 from mk1.reductions import covers_every_y, encode_formula, ensure_surjective, formula_from_truth_table
 from mk1.words import is_prefix, word_key, words_of_length
@@ -79,6 +82,37 @@ def test_L_side_readers_build_no_restriction(monkeypatch):
 
     monkeypatch.setattr(elements_module, "image_code_restriction", no_restriction)
     assert answers() == want
+
+
+def test_heights_and_d_index_M_read_only_the_offset_walk(monkeypatch):
+    """Heights and the D-index read the offset walk: with the row walk and
+    the restriction refused, they give the same answers."""
+    rng = random.Random(34)
+    es = [random_element(rng, k) for k in (2, 3, 4) for _ in range(40)]
+    es += [nested_images(4), deep_rotation(30), nested_images(1)]
+    want = [(heights(e), d_index_M(e)) for e in es]
+
+    def refuse(e):
+        raise AssertionError("the row walk or the restriction was read")
+
+    for module, name in ((elements_module, "fibers"), (green, "fibers"),
+                         (elements_module, "image_code_restriction")):
+        monkeypatch.setattr(module, name, refuse)
+    assert [(heights(e), d_index_M(e)) for e in es] == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements)
+@example(nested_images(6))
+@example(deep_rotation(40))
+@example(zero_element(3))
+def test_heights_and_d_index_M_match_the_restriction_rows(e):
+    """Both read off the offset walk equal the values summed from the
+    explicit rows of the image-code restriction, grouped by image."""
+    report, index = heights_from_restriction(e)
+    assert heights(e) == report
+    assert format_height_report(heights(e)) == format_height_report(report)
+    assert d_index_M(e) == index
 
 
 def test_L_side_of_nested_images_is_fast():

@@ -301,10 +301,10 @@ def test_element_with_heights_matches_the_reference(args):
 
 def test_d_index_M_cross_check_survives_python_O(monkeypatch):
     """An L-height whose digit sum misses the index from the image code
-    raises, with or without asserts: here a fiber walk giving the identity
-    two fibers of length 1, so L = 2/3."""
-    walk = [((a,), (((), ()),)) for a in (0, 1)]
-    monkeypatch.setattr(green, "fibers", lambda e: iter(walk))
+    raises, with or without asserts: here an offset walk giving the
+    identity two fibers of length 1, so L = 2/3."""
+    walk = [((a,), [0]) for a in (0, 1)]
+    monkeypatch.setattr(green, "fiber_offsets", lambda e: iter(walk))
     with pytest.raises(CrossCheckFailed, match="L-height digit sum 2 differs from index 1"):
         d_index_M(identity_element(3))
 

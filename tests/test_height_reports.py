@@ -21,6 +21,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    _ratio,
     deep_rotation,
     el,
     elements,
@@ -49,7 +50,6 @@ from mk1.elements import (
 from mk1.green import (
     ExponentSum,
     HeightReport,
-    _ratio,
     _rep_sum,
     format_height_report,
     heights,
@@ -146,17 +146,19 @@ def _fraction_sorted_rep_sum(k, exps):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from((2, 3, 7)),
-       st.lists(st.tuples(st.integers(0, 3000), st.sampled_from((1, 1, 2, 3, 7, 12, 1023, 1024)))
-                .map(lambda nd: _ratio(*nd)), max_size=40))
+       st.lists(st.tuples(st.integers(0, 3000), st.sampled_from((1, 1, 2, 3, 7, 12, 1023, 1024))),
+                max_size=40))
 def test_exponent_sums_sort_by_exact_integer_keys(k, exps):
-    assert _rep_sum(k, exps) == _fraction_sorted_rep_sum(k, exps)
+    """Pairs go in as drawn, so 4/2 and 2/1 are one exponent once reduced."""
+    assert _rep_sum(k, exps) == _fraction_sorted_rep_sum(k, [_ratio(*nd) for nd in exps])
 
 
 def test_height_report_from_fiber_lengths():
-    """Fibers of lengths {1, 2}, {2, 3, 5} and {3} over two letters: the even
-    fiber has median 3/2, the odd one median 3."""
+    """Fibers of lengths {1, 2}, {2, 3, 5} and {3} over two letters, each
+    given as a shift and its lengths less the shift: the even fiber has
+    median 3/2, the odd one median 3."""
     r = kq(2, 3, 2)
-    rep = HeightReport.from_fibers(2, r, [[1, 2], [2, 3, 5], [3]])
+    rep = HeightReport.from_fibers(2, r, [(0, [1, 2]), (2, [0, 1, 3]), (3, [0])])
     assert rep.r == r
     assert rep.l == kq(2, 7, 3)                   # 2^-1 + 2^-2 + 2^-3
     assert rep.l_max == kq(2, 13, 5)              # 2^-2 + 2^-5 + 2^-3
@@ -167,7 +169,7 @@ def test_height_report_from_fiber_lengths():
         "R 0.11", "L 0.111", "Lmax 0.01101",
         "Lave 2^(-3/2) + 2^(-3) + 2^(-10/3)", "Lmed 2^(-3/2) + 2*2^(-3)"])
     # an even fiber with a whole median and average: 3^-3 each
-    rep = HeightReport.from_fibers(3, r, [[2, 4]])
+    rep = HeightReport.from_fibers(3, r, [(1, [1, 3])])
     assert rep.l_ave == rep.l_med == kq(3, 1, 3)
     zero = kq_zero(2)
     assert HeightReport.from_fibers(2, zero, []) == HeightReport(zero, zero, zero, zero, zero)

@@ -22,6 +22,7 @@ from helpers import (
     el,
     reference_compose,
     reference_separating_context,
+    reference_trie_leaves,
 )
 from mk1.elements import (
     Mk1Element,
@@ -168,6 +169,39 @@ def _brute_leaves(k, tags):
 def test_trie_leaves_match_the_completed_trie(ktags):
     k, tags = ktags
     assert list(trie_leaves(k, tags)) == _brute_leaves(k, tags)
+
+
+@st.composite
+def _walk_tags(draw):
+    """(k, tags) for k in {2, 3, 5}: a few words, often with ^ and with a
+    chain over 30 letters deep below one of them, some sharing one tag."""
+    k = draw(st.sampled_from((2, 3, 5)))
+    letters = st.integers(0, k - 1)
+    ws = draw(st.lists(st.lists(letters, max_size=6).map(tuple), max_size=10))
+    if draw(st.booleans()):
+        ws.append(())
+    if ws and draw(st.booleans()):
+        base = draw(st.sampled_from(ws))
+        chain = base + tuple(draw(st.lists(letters, min_size=31, max_size=40)))
+        ws += [chain[:i] for i in range(len(base) + 1, len(chain) + 1, draw(st.integers(1, 12)))]
+    shared = draw(st.lists(st.integers(0, 9), max_size=2).map(tuple))
+    tag = st.one_of(st.just(shared), st.lists(st.integers(0, 9), max_size=2).map(tuple))
+    return k, {w: draw(tag) for w in ws}
+
+
+@settings(max_examples=500, deadline=None)
+@given(_walk_tags())
+@example((5, {}))
+@example((2, {(): (1,)}))
+@example((3, {(): (), (0,) * 35: (7,), (0,) * 36 + (2,): (7,), (1,): (7,)}))
+def test_trie_leaves_match_the_reference_walk(ktags):
+    """The walk gives the same leaves and paths as its stack-only reference,
+    with its tags as tuples or as lists."""
+    k, tags = ktags
+    want = list(reference_trie_leaves(k, tags))
+    assert list(trie_leaves(k, tags)) == want
+    as_lists = {w: list(tag) for w, tag in tags.items()}
+    assert [(p, tuple(path)) for p, path in trie_leaves(k, as_lists)] == want
 
 
 # -- worst cases: the scanning references take far longer on these -----------

@@ -314,8 +314,10 @@ def test_only_words_caps_a_single_level():
 
 
 def test_only_elements_names_the_restriction():
-    """Fibers are worked out in one module; the others read ``fibers``,
-    ``part`` or ``image_code``.  The package re-exports the restriction."""
+    """Fibers are worked out in one module, on one trie walk; the others
+    read ``fiber_offsets`` (heights, the D-index, the length bound),
+    ``fibers`` (the section, the automaton report), ``part`` or
+    ``image_code``.  The package re-exports the restriction."""
     found = [f"{name}:{node.lineno}" for name, node in _library_nodes()
              if name not in ("elements.py", "__init__.py")
              and "image_code_restriction" in (getattr(node, "id", None),
@@ -327,7 +329,7 @@ def test_only_elements_names_the_restriction():
 def test_only_phi_b_paths_call_part():
     """The fiber partition expands fiber words, splitting through the
     restriction unless the images form a prefix code.  Heights and the
-    D-index read the walk instead; only ``count_via_element`` and
+    D-index read the offset walk instead; only ``count_via_element`` and
     ``phi-b --check`` call ``part``, on φ_B's images, which form a prefix
     code for m, n >= 1."""
     found = sorted({name for name, node in _library_nodes()
