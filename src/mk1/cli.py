@@ -1,10 +1,10 @@
-"""Command-line front end.
-
-Every command reads exact inputs (table files, code files, formula files,
-digit strings) and writes exact, byte-deterministic output.  Exit status:
-0 on success (also when the reader closes the output pipe early), 1 for
-unparseable input or bad usage, 2 for a domain error (reported on stderr as
-``error <Reason>: <message>``).
+"""Command-line front end: each command parses, calls the library and
+prints, with no arithmetic of its own (chain's test for letters past 'z' is
+:func:`~mk1.green.chain_uses_letter`).  Every command reads exact inputs
+(table files, code files, formula files, digit strings) and writes exact,
+byte-deterministic output.  Exit status: 0 on success (also when the
+reader closes the output pipe early), 1 for unparseable input or bad usage,
+2 for a domain error (reported on stderr as ``error <Reason>: <message>``).
 """
 
 from __future__ import annotations
@@ -94,57 +94,11 @@ def _cmd_dindex(args):
         print(plep.d_index_plep(e))
 
 
-def _least(a: int, m: int, lo: int, hi: int):
-    """The least x >= 0 with lo <= a·x mod m <= hi, for 0 <= lo <= hi < m,
-    or None.  If no multiple of a lies in [lo, hi], the least x comes from
-    the least y with m·y mod a in [-hi mod a, -lo mod a], a problem in
-    (m mod a, a): Euclid's steps, unwound at the end."""
-    steps = []
-    while lo:
-        a %= m
-        if not a:
-            return None
-        x = -(-lo // a)
-        if a * x <= hi:
-            break
-        steps.append((a, m, lo))
-        a, m, lo, hi = m % a, a, -hi % a, -lo % a
-    else:
-        x = 0
-    for a, m, lo in reversed(steps):
-        x = -(-(lo + m * x) // a)
-    return x
-
-
-def _chain_past_z(k: int, lo, hi, count: int) -> bool:
-    """Whether a table of the chain would need a letter past 'z', read off
-    its measures alone.  They are N_i / k^e for N_i = b + i·a, i = 1..count,
-    as :func:`~mk1.green.iter_dense_chain` spaces them, and the code of
-    measure 0.d_1 d_2 ... uses the letters below each digit and each digit
-    with a nonzero digit after it.  So N_i's table needs letter 26 or later
-    iff N_i mod k^(p+1) > 26·k^p at some place p: for each place, one
-    search for the least i that puts N_i mod k^(p+1) there."""
-    diff, t = hi - lo, 0
-    while k ** t <= count:
-        t += 1
-    e = max(lo.exp, diff.exp + t)
-    a, b = diff.num * k ** (e - diff.exp - t), lo.num * k ** (e - lo.exp)
-    for p in range(e):
-        m, low = k ** (p + 1), 26 * k ** p + 1
-        if low >= m:  # the last place over 27 letters: a last digit 26 uses letters to 'z'
-            continue
-        first = (a + b) % m  # N_1 mod m; N_i mod m moves on by a
-        x = 0 if first >= low else _least(a % m, m, low - first, m - 1 - first)
-        if x is not None and x < count:
-            return True
-    return False
-
-
 def _cmd_chain(args):
     lo = parse_krational(args.k, args.lo)
     hi = parse_krational(args.k, args.hi)
     chain = green.iter_dense_chain(args.k, lo, hi, args.count)
-    if args.k > 26 and _chain_past_z(args.k, lo, hi, args.count):
+    if args.k > 26 and green.chain_uses_letter(args.k, lo, hi, args.count, 26):
         raise OutOfRange("letter display supports alphabets up to 26 letters")
     tables = (format_table(e) for e in chain)
     print(next(tables, ""))  # an empty chain prints one empty line

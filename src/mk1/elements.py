@@ -126,9 +126,6 @@ class Mk1Element:
     # _trusted(k, rows): rows sorted by domain word, whose domain words form a prefix code
     _trusted = classmethod(_unchecked)
 
-    def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows)
-
     @property
     def is_zero(self) -> bool:
         return not self.rows

@@ -48,7 +48,7 @@ from .errors import (
     NotDistinct,
     OutOfRange,
 )
-from .kary import KRational, kq, kq_one, kq_pow_sum
+from .kary import KRational, kq, kq_pow_sum
 from .words import Word, code_with_measure, ideal_ess_eq, ideal_ess_leq, trie_leaves
 
 
@@ -219,22 +219,69 @@ def dense_chain(k: int, lo: KRational, hi: KRational, count: int) -> list[Mk1Ele
 
 
 def iter_dense_chain(k: int, lo: KRational, hi: KRational, count: int) -> Iterator[Mk1Element]:
-    """:func:`dense_chain` one element at a time, in bounded memory; the
-    arguments and the largest measure are checked before the first element."""
+    """:func:`dense_chain` one element at a time, in bounded memory: the i-th
+    at measure (b + i·a)/k^e, for :func:`_chain_spacing`'s integers, which
+    checks the arguments and the largest measure before the first element."""
+    a, b, e = _chain_spacing(k, lo, hi, count)
+    return (partial_identity(code_with_measure(k, kq(k, b + i * a, e)))
+            for i in range(1, count + 1))
+
+
+def _chain_spacing(k: int, lo: KRational, hi: KRational, count: int) -> tuple[int, int, int]:
+    """The integers (a, b, e) with (b + i·a)/k^e = lo + i·(hi - lo)/k^t, i = 1..count,
+    for the least k^t above count; OutOfRange if the last is above 1."""
     if lo.base != k or hi.base != k:
         raise BaseMismatch("measures must be in base k")
     if not lo < hi:
         raise OutOfRange("need lo < hi")
     if count < 0:
         raise OutOfRange(f"count must be at least 0, got {count}")
-    diff = hi - lo
-    t = 0
+    diff, t = hi - lo, 0
     while k ** t <= count:
         t += 1
-    if count and lo + kq(k, diff.num * count, diff.exp + t) > kq_one(k):  # the largest measure
+    e = max(lo.exp, diff.exp + t)
+    a, b = diff.num * k ** (e - diff.exp - t), lo.num * k ** (e - lo.exp)
+    if count and b + count * a > k ** e:  # the largest measure
         raise OutOfRange("measures above 1 have no prefix code")
-    return (partial_identity(code_with_measure(k, lo + kq(k, diff.num * i, diff.exp + t)))
-            for i in range(1, count + 1))
+    return a, b, e
+
+
+def chain_uses_letter(k: int, lo: KRational, hi: KRational, count: int, letter: int) -> bool:
+    """Whether a table of :func:`dense_chain` has a letter >= ``letter``, read
+    off its measures N_i/k^e, N_i = b + i·a (:func:`_chain_spacing`).  The code
+    of 0.d_1 d_2 ... uses the letters below each digit and each digit with a
+    nonzero digit after it, so N_i's table has one iff N_i mod k^(p+1) >
+    letter·k^p at some place p: one search per place for the least such i."""
+    a, b, e = _chain_spacing(k, lo, hi, count)
+    for p in range(e):
+        m, low = k ** (p + 1), letter * k ** p + 1
+        if low >= m:  # no residue below m exceeds letter·k^p
+            continue
+        first = (a + b) % m  # N_1 mod m; N_i mod m moves on by a
+        x = 0 if first >= low else _least(a % m, m, low - first, m - 1 - first)
+        if x is not None and x < count:
+            return True
+    return False
+
+
+def _least(a: int, m: int, lo: int, hi: int) -> int | None:
+    """The least x >= 0 with lo <= a·x mod m <= hi, for 1 <= lo <= hi < m,
+    or None.  If no multiple of a lies in [lo, hi], the least x comes from
+    the least y with m·y mod a in [-hi mod a, -lo mod a], a problem in
+    (m mod a, a) with lower end >= 1 again: Euclid's steps, unwound at the end."""
+    steps = []
+    while True:
+        a %= m
+        if not a:
+            return None
+        x = -(-lo // a)
+        if a * x <= hi:
+            break
+        steps.append((a, m, lo))
+        a, m, lo, hi = m % a, a, -hi % a, -lo % a
+    for a, m, lo in reversed(steps):
+        x = -(-(lo + m * x) // a)
+    return x
 
 
 def element_with_heights(k: int, h_r: KRational, h_l: KRational) -> Mk1Element:

@@ -1,4 +1,6 @@
+import io
 import os
+import runpy
 import select
 import subprocess
 import sys
@@ -245,6 +247,39 @@ def test_closed_stdout_pipe_is_not_a_failure(tmp_path, count, take, unbuffered):
     assert (tmp_path / "err.txt").read_text() == ""
 
 
+def test_closed_stdout_pipe_in_process(monkeypatch):
+    """The same exit in this process: the final flush fails, and the command
+    points its output descriptor at the null device, which closes the
+    pipe's write end, and returns 0."""
+    read_end, write_end = os.pipe()
+
+    class ClosedPipe(io.StringIO):
+        def fileno(self):
+            return write_end
+
+        def flush(self):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        assert main(["chain", "2", "0.1", "0.11", "3"]) == 0
+        os.set_blocking(read_end, False)
+        assert os.read(read_end, 1) == b""  # no writer is left on the pipe
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
+def test_module_run_as_a_script_exits_with_the_status_of_main(monkeypatch, capsys):
+    """``python -m mk1.cli``, run in this process."""
+    monkeypatch.setattr(sys, "argv", ["mk1", "chain", "2", "0.1", "10", "5"])
+    monkeypatch.delitem(sys.modules, "mk1.cli")  # runpy warns when the module is already loaded
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("mk1.cli", run_name="__main__")
+    assert stop.value.code == 2
+    assert capsys.readouterr() == ("", "error OutOfRange: measures above 1 have no prefix code\n")
+
+
 def test_with_heights(files, capsys):
     code, out, _ = run(capsys, "with-heights", "2", "0.1", "0.11")
     assert code == 0
@@ -441,6 +476,14 @@ def test_separate(files, capsys):
     killed_g = compose(compose(c1, g), c2).is_zero
     assert killed_f != killed_g
     assert run(capsys, "separate", files("h.txt", PHI1), files("i.txt", PHI1))[0] == 2
+
+
+def test_two_tables_over_different_alphabets_are_a_named_error(files, capsys):
+    two, three = files("two.txt", SWAP), files("three.txt", "k 3\na -> b\nb -> a\nc -> c\n")
+    for command in (["separate"], ["witness-plep"],
+                    *(["green", r] for r in ("leqR", "leqL", "eqR", "eqL", "eqD-M", "eqD-plep"))):
+        assert run(capsys, *command, two, three) == (
+            2, "", "error AlphabetMismatch: different alphabets\n"), command
 
 
 def test_bad_input_exits_1(files, capsys):

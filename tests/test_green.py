@@ -19,7 +19,14 @@ from mk1.elements import (
     partial_identity,
     zero_element,
 )
-from mk1.errors import CrossCheckFailed, IndexMismatch, Mk1Error, NotDistinct, OutOfRange
+from mk1.errors import (
+    BaseMismatch,
+    CrossCheckFailed,
+    IndexMismatch,
+    Mk1Error,
+    NotDistinct,
+    OutOfRange,
+)
 from mk1.green import (
     ExponentSum,
     dense_chain,
@@ -222,6 +229,8 @@ def test_dense_chain():
         assert leq_L(a, b) and not leq_L(b, a)
     with pytest.raises(OutOfRange):
         dense_chain(2, hi, hi, 3)
+    with pytest.raises(BaseMismatch):
+        dense_chain(2, parse_krational(3, "0.01"), hi, 3)
 
 
 def test_dense_chain_past_1_is_refused_before_the_first_element():
@@ -236,6 +245,38 @@ def test_dense_chain_past_1_is_refused_before_the_first_element():
     assert dense_chain(2, lo, hi, 0) == []
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda k: st.tuples(
+    st.just(k), *[st.lists(st.integers(0, k - 1), max_size=3)] * 2, st.integers(0, 1),
+    st.integers(0, 40), st.integers(1, k))))
+def test_chain_uses_letter_matches_the_tables(args):
+    """chain_uses_letter reads off the measures alone whether some table of
+    the chain has a letter at or past ``letter``, and refuses what
+    dense_chain refuses.  lo is below 1, hi below 2."""
+    k, lo_digits, hi_digits, whole, count, letter = args
+    lo, hi = (kq(k, int(f"{w}{''.join(map(str, ds))}", k), len(ds))
+              for w, ds in ((0, lo_digits), (whole, hi_digits)))
+    try:
+        chain = dense_chain(k, lo, hi, count)
+    except Mk1Error as exc:
+        with pytest.raises(type(exc), match=str(exc)):
+            green.chain_uses_letter(k, lo, hi, count, letter)
+        return
+    uses = any(a >= letter for e in chain for row in e.rows for w in row for a in w)
+    assert green.chain_uses_letter(k, lo, hi, count, letter) == uses
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(2, 60).flatmap(lambda m: st.tuples(
+    st.just(m), st.integers(0, 2 * m), st.integers(1, m - 1).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(lo, m - 1))))))
+def test_least_multiple_in_a_window_matches_brute_force(args):
+    """The least x with a·x mod m in [lo, hi], by Euclid's steps."""
+    m, a, (lo, hi) = args
+    assert green._least(a, m, lo, hi) == next(
+        (x for x in range(m) if lo <= a * x % m <= hi), None)
+
+
 def test_element_with_heights():
     e = element_with_heights(2, parse_krational(2, "0.101"),
                              parse_krational(2, "0.0011"))
@@ -248,6 +289,8 @@ def test_element_with_heights():
         element_with_heights(2, kq_zero(2), kq_one(2))
     with pytest.raises(IndexMismatch):
         element_with_heights(3, parse_krational(3, "0.1"), parse_krational(3, "0.2"))
+    with pytest.raises(BaseMismatch):
+        element_with_heights(2, parse_krational(3, "0.1"), parse_krational(2, "0.1"))
     e5 = element_with_heights(5, parse_krational(5, "0.0031042"),
                               parse_krational(5, "0.2"))
     assert heights(e5).r == parse_krational(5, "0.0031042")

@@ -24,6 +24,10 @@ def test_canonicalization():
     assert kq(3, 0, 5) == KRational(3, 0, 0)
     assert kq(2, 3, -2) == KRational(2, 12, 0)     # 3 * 2**2
     assert kq(5, 2022, 7) == KRational(5, 2022, 7)  # already reduced
+    with pytest.raises(BaseTooSmall):
+        kq(1, 1)
+    with pytest.raises(NegativeResult):
+        kq(2, -1)
 
 
 def test_direct_construction_rejects_noncanonical():
@@ -49,6 +53,8 @@ def test_digits_roundtrip():
     for x in [kq(2, 11, 3), kq(3, 7, 4), kq(7, 100, 3), kq(12, 145, 2)]:
         i, frac = x.digits()
         assert kq_from_digits(x.base, i, frac) == x
+    with pytest.raises(NegativeResult):
+        kq_from_digits(2, -1, (1,))
 
 
 def test_digit_sum_mod():

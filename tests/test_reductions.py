@@ -71,8 +71,10 @@ def test_parse_errors():
             parse_formula(bad)
     with pytest.raises(ArityMismatch):
         parse_formula("m=1 n=1 x2")
-    with pytest.raises(ArityMismatch):
-        BooleanFormula(1, 0, ("nand", ("x", 1), ("x", 1)))
+    for m, ast in ((1, ("nand", ("x", 1), ("x", 1))), (1, ("not", ("x", 1), ("x", 1))),
+                   (-1, ("const", 1)), (0, ("const", 2))):
+        with pytest.raises(ArityMismatch):
+            BooleanFormula(m, 0, ast)
 
 
 def test_evaluate():
@@ -487,6 +489,7 @@ def test_pad_decode():
         (0, 1, 1),                # odd length
         (1, 0, 0, 0),             # marker letter with wrong tag
         (0, 0, 1, 1),             # data after padding started
+        (2, 1),                   # letter outside the alphabet
     ):
         with pytest.raises(ParseError):
             pad_decode(2, bad)

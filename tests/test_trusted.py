@@ -12,7 +12,8 @@ tables and formulas without the constructors' checks.  Lints over the
 library's source keep out asserts, eval, recursion, unbounded caches,
 error classes nothing raises, imports inside functions and import cycles,
 keep the canonical word order in the modules that build codes, tables and
-congruences, and keep row reduction in ``elements``.
+congruences, keep row reduction in ``elements``, and keep ``cli`` to
+command plumbing.
 """
 
 import ast
@@ -40,8 +41,10 @@ from mk1.elements import (
 )
 from mk1.errors import (
     ArityMismatch,
+    BaseTooSmall,
     DomainNotPrefixCode,
     NotAClass,
+    NotCanonical,
     NotPrefixCode,
     OutOfRange,
     ParseError,
@@ -192,9 +195,16 @@ def test_public_constructors_still_check():
         Mk1Element.make(2, [((0,), (0,)), ((0,), (1,))])  # one word, two images
     with pytest.raises(ValueError):
         PrefixCode(2, ((0, 0), (1,)))                     # not canonically sorted
+    with pytest.raises(BaseTooSmall):
+        PrefixCode(1, ())
     code = PrefixCode.make(2, [(0,), (1,)])
     with pytest.raises(ValueError):
         PrefixCodeCongruence(code, (((1,),), ((0,),)))    # classes out of order
+    for classes, error, match in ((((),), NotAClass, "empty class"),
+                                  ((((1,), (0,)),), NotCanonical, "class not canonically sorted"),
+                                  ((((0,),), ((0,), (1,))), NotAClass, "classes overlap")):
+        with pytest.raises(error, match=match):
+            PrefixCodeCongruence(code, classes)
     with pytest.raises(NotAClass):
         PrefixCodeCongruence.make(code, [[(0,), (1,)], []])
 
@@ -409,6 +419,19 @@ def test_only_words_elements_and_congruence_name_the_word_order():
              if "word_key" in (getattr(node, "id", None), getattr(node, "attr", None),
                                getattr(node, "name", None))}
     assert found == {"words.py", "elements.py", "congruence.py"}
+
+
+def test_cli_keeps_only_command_plumbing():
+    """The command line parses, calls the library and prints: every
+    computation, such as chain's letter test, sits in a library module."""
+    tree = ast.parse((Path(mk1.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    plumbing = {"_read", "integer", "_checked", "build_parser", "main", "_Parser.error"}
+    owner = {id(fn): f"{c.name}." for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+             for fn in c.body}
+    found = [name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for name in [owner.get(id(fn), "") + fn.name]
+             if not name.startswith("_cmd_") and name not in plumbing]
+    assert found == []
 
 
 def test_only_words_reads_the_header():
