@@ -282,7 +282,8 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         # devnull takes what is left for the interpreter's final flush
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(null := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.close(null)
         return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,7 +47,7 @@ def trie_dfa(code: PrefixCode) -> Dfa:
     if not code.words:
         raise EmptyLanguage("cannot build an automaton for the empty code")
     sigs = [()]
-    root = _hang(((w, 0) for w in code.words), {(): 0}, sigs)
+    root = _hang(((w, 0) for w in code.words), {}, sigs)
     return Dfa(code.k, root, tuple(sigs))
 
 
@@ -57,7 +57,8 @@ def _hang(pairs: Iterable[tuple[Word, int]], ids: dict[tuple, int], sigs: list[t
     word's state, merged bottom-up into the signature table.
 
     ``ids`` maps a signature, a state's (letter, child id) pairs in letter
-    order, to the state's id, and ``sigs`` lists the signatures by id; a
+    order, to the state's id (state 0's empty one needs no entry: every
+    state added has an edge), and ``sigs`` lists the signatures by id; a
     new signature gets the next id, so children have smaller ids than
     parents.  In dictionary order, the depth at which each word parts from
     the next is where the trie branches; only the branching nodes on the
@@ -137,7 +138,7 @@ def height_report_via_dfa(e: Mk1Element) -> HeightReport:
     each state's accepted words by length from its children's counts, so a
     fiber's lengths are the counts at its root and no fiber word is built.
     R is the measure of the image code's trie, in a table of its own."""
-    ids: dict[tuple, int] = {(): 0}
+    ids: dict[tuple, int] = {}
     sigs: list[tuple] = [()]
     zs, roots = [], []
     for z, path in fibers(e):
@@ -164,7 +165,7 @@ def height_report_via_dfa(e: Mk1Element) -> HeightReport:
     r = kq_zero(e.k)  # zero has no image code
     if zs:
         image_sigs = [()]
-        root = _hang([(z, 0) for z in zs], {(): 0}, image_sigs)
+        root = _hang([(z, 0) for z in zs], {}, image_sigs)
         r = kq(e.k, *_weights(e.k, image_sigs)[root])
     return HeightReport.from_fibers(e.k, r, lengths)
 

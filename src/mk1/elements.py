@@ -5,10 +5,10 @@ prefix code and the right-hand words are arbitrary.  It denotes the partial
 map sending x·t to y·t for every tail t — a morphism of right ideals of the
 free monoid.  Tables denote the same monoid element exactly when they merge
 to the same *reduced* form: whenever all k rows x·a -> y·a (one per letter a)
-are present they collapse into the single row x -> y, and :func:`reduce_rows`
-iterates this to its unique fixpoint; :func:`r2_normal_form` is the domain
-of a code's reduced partial identity.  No other module reduces rows, or
-splits rows or code words to a level.
+are present they collapse into the single row x -> y, and the merge pass
+behind :meth:`Mk1Element.make` iterates this to its unique fixpoint;
+:func:`r2_normal_form` is the domain of a code's reduced partial identity.
+No other module reduces rows, or splits rows or code words to a level.
 
 Equality on :class:`Mk1Element` is structural, so monoid equality is
 structural equality of reduced elements; every public constructor here
@@ -27,7 +27,8 @@ once, in dictionary order, checks them in one pass over adjacent pairs and
 hands them to the merge pass; :func:`compose` sorts its distinct rows and
 does the same.  Tables, codes and partitions that this module derives from
 a checked element are valid and canonically ordered by construction, so
-they are built without checks.
+they are built without checks, and rows from checked values that need
+reducing go through :meth:`Mk1Element._trusted_make`.
 
 The empty table is the zero element (nowhere-defined map); {^ -> ^} is the
 identity.
@@ -107,7 +108,7 @@ class Mk1Element:
         rows (words may be any sequences) in dictionary order, where a
         repeated domain word sits next to its twin and a word next to its
         first extension, so one pass over adjacent pairs finds both.  The
-        sorted rows then go straight to the merge pass of :func:`reduce_rows`.
+        sorted rows then go straight to the merge pass, :func:`_merge_rows`.
         """
         if k < 2:
             raise BaseTooSmall("alphabet needs at least two letters")
@@ -126,6 +127,11 @@ class Mk1Element:
     # _trusted(k, rows): rows sorted by domain word, whose domain words form a prefix code
     _trusted = classmethod(_unchecked)
 
+    @classmethod
+    def _trusted_make(cls, k: int, rows: Iterable[Row]) -> "Mk1Element":
+        """``make`` unchecked: distinct tuple rows, domain words a prefix code."""
+        return cls._trusted(k, _merge_rows(k, sorted(rows)))
+
     @property
     def is_zero(self) -> bool:
         return not self.rows
@@ -140,25 +146,14 @@ class Mk1Element:
         return tuple([y for _, y in self.rows])
 
     def reduced(self) -> "Mk1Element":
-        rows = reduce_rows(self.k, self.rows)
-        return self if rows == self.rows else Mk1Element._trusted(self.k, rows)
+        e = Mk1Element._trusted_make(self.k, self.rows)
+        return self if e.rows == self.rows else e
 
     def __matmul__(self, other: "Mk1Element") -> "Mk1Element":
         return compose(self, other)
 
     def __str__(self) -> str:
         return format_table(self)
-
-
-def reduce_rows(k: int, rows: Iterable[Row]) -> tuple[Row, ...]:
-    """Merge full sibling row families x·a -> y·a to the unique fixpoint.
-
-    Any iterable of rows will do, with words as any sequences; repeated
-    rows count once.  The rows are made tuples, repeats dropped (the rest
-    keep the input's order, so the sort reuses its sorted runs) and sorted
-    into dictionary order for the merge pass, :func:`_merge_rows`.
-    """
-    return _merge_rows(k, sorted(dict.fromkeys((tuple(x), tuple(y)) for x, y in rows)))
 
 
 def _merge_rows(k: int, rows: Iterable[Row]) -> tuple[Row, ...]:
@@ -209,14 +204,13 @@ def single_row(k: int, x: Word, y: Word) -> Mk1Element:
 
 def partial_identity(code: PrefixCode) -> Mk1Element:
     """The idempotent fixing code·A* pointwise and undefined elsewhere."""
-    return Mk1Element.make(code.k, ((w, w) for w in code.words))
+    return Mk1Element._trusted_make(code.k, [(w, w) for w in code.words])
 
 
 def r2_normal_form(code: PrefixCode) -> PrefixCode:
     """Merge sibling families until none remain (the minimal representative):
     the domain of the reduced partial identity on the code."""
-    rows = reduce_rows(code.k, ((w, w) for w in code.words))
-    return PrefixCode._trusted(code.k, tuple(x for x, _ in rows))
+    return partial_identity(code).domain_code
 
 
 # -- applying and composing ------------------------------------------------------
@@ -246,9 +240,9 @@ def compose(f: Mk1Element, g: Mk1Element) -> Mk1Element:
     it as one slice, ending before y·k; each gives the row x·w[|y|:] -> f(w).
     A row whose image has neither leaves f's domain ideal and dies.  The
     rows are distinct, since g's domain is a prefix code, so one sort puts
-    them in order for the merge pass of :func:`reduce_rows`.  Cost: one sort
-    of f's domain, then two bisects per row of g plus one row per matched
-    domain word, then that sort and pass."""
+    them in order for the merge pass behind :meth:`Mk1Element.make`.  Cost:
+    one sort of f's domain, then two bisects per row of g plus one row per
+    matched domain word, then that sort and pass."""
     if f.k != g.k:
         raise AlphabetMismatch(f"cannot compose over {f.k} and {g.k} letters")
     k = f.k
@@ -388,7 +382,7 @@ def inverse_element(e: Mk1Element) -> Mk1Element:
     code, so the flipped table is again valid)."""
     if not is_injective(e):
         raise NotInjective("element collapses distinct ends")
-    return Mk1Element._trusted(e.k, reduce_rows(e.k, ((y, x) for x, y in e.rows)))
+    return Mk1Element._trusted_make(e.k, [(y, x) for x, y in e.rows])
 
 
 def is_idempotent(e: Mk1Element) -> bool:

@@ -73,7 +73,7 @@ def eta_idempotent(q: PrefixCode, q0: Word) -> Mk1Element:
         raise NotFixedLength("code words must all have the same length")
     if q0 not in q:
         raise RepNotInCode("representative must belong to the code")
-    return Mk1Element.make(q.k, [(w, w) for w in q.words] + _level_rest(q.k, q.words, q0))
+    return Mk1Element._trusted_make(q.k, [(w, w) for w in q.words] + _level_rest(q.k, q.words, q0))
 
 
 def plep_element_with_index(k: int, i: int) -> Mk1Element:
@@ -156,8 +156,8 @@ def plep_d_witness(e1: Mk1Element, e2: Mk1Element) -> PlepWitness:
         rows_b += _level_rest(k, q1.words, q2.words[0])
         rows_bp += _level_rest(k, q2.words, q1.words[0])
     return PlepWitness(
-        b=Mk1Element.make(k, rows_b),
-        b_prime=Mk1Element.make(k, rows_bp),
+        b=Mk1Element._trusted_make(k, rows_b),
+        b_prime=Mk1Element._trusted_make(k, rows_bp),
         q1=q1,
         q2=q2,
         tlep=total,

@@ -23,6 +23,7 @@ from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    AlphabetMismatch,
     BaseTooSmall,
     ChildrenMissing,
     NotCanonical,
@@ -258,6 +259,8 @@ def ideal_ess_leq(p1: PrefixCode, p2: PrefixCode) -> bool:
     w·A^ω iff its measure is k**(-|w|).  Each w costs two bisects and its own
     run, so the cost is linear in the codes after one sort.
     """
+    if p1.k != p2.k:
+        raise AlphabetMismatch("different alphabets")
     k = p2.k
     ws = sorted(p2.words)
     for w in p1.words:
@@ -294,7 +297,7 @@ def replace_r1(code: PrefixCode, c: Word) -> PrefixCode:
         raise NotInCode(f"{format_word(c)} is not in the code")
     rest = [w for w in code.words if w != c]
     rest.extend(c + (j,) for j in range(code.k))
-    return PrefixCode.make(code.k, rest)
+    return PrefixCode._trusted(code.k, tuple(sorted(rest, key=word_key)))
 
 
 def replace_r2(code: PrefixCode, c: Word) -> PrefixCode:
@@ -305,7 +308,7 @@ def replace_r2(code: PrefixCode, c: Word) -> PrefixCode:
         raise ChildrenMissing(f"code lacks the full sibling family of {format_word(c)}")
     rest = [w for w in code.words if w not in children]
     rest.append(c)
-    return PrefixCode.make(code.k, rest)
+    return PrefixCode._trusted(code.k, tuple(sorted(rest, key=word_key)))
 
 
 # -- codes of prescribed measure ------------------------------------------------
@@ -317,7 +320,8 @@ def code_with_measure(k: int, h: KRational) -> PrefixCode:
     p_i · {first d_i letters} where p_i is the length-(i-1) prefix built by
     appending, at step j, the letter with index d_j.  The code has exactly
     d1 + ... + dn words; h = 0 gives the empty code and h = 1 gives {^}.
-    Measures g < h yield nested ideals: P_g lies inside P_h · A*.
+    Measures g < h yield nested ideals: P_g lies inside P_h · A*.  The
+    words come out in canonical order, so the code is built unchecked.
     """
     if h.base != k:
         raise OutOfRange(f"measure is in base {h.base}, expected {k}")
@@ -325,11 +329,11 @@ def code_with_measure(k: int, h: KRational) -> PrefixCode:
     if h > one:
         raise OutOfRange("measures above 1 have no prefix code")
     if h == one:
-        return PrefixCode.make(k, [()])
+        return PrefixCode._trusted(k, ((),))
     _, frac = h.digits()
     words = []
     prefix: Word = ()
     for d in frac:
         words.extend(prefix + (j,) for j in range(d))
         prefix = prefix + (d,)
-    return PrefixCode.make(k, words)
+    return PrefixCode._trusted(k, tuple(words))

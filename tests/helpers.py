@@ -21,7 +21,6 @@ from mk1.elements import (
     image_code_restriction,
     image_ideal,
     part,
-    reduce_rows,
     restrict_to_length,
     single_row,
     zero_element,
@@ -402,7 +401,7 @@ def reference_compose(f: Mk1Element, g: Mk1Element) -> Mk1Element:
             out.append((x, fdom[y[:hit]] + y[hit:]))
         elif any(x2[: len(y)] == y for x2 in fdom):
             stack.extend((x + (a,), y + (a,)) for a in range(k))
-    return Mk1Element(k, reduce_rows(k, out))
+    return Mk1Element.make(k, out)
 
 
 def reference_separating_context(f: Mk1Element, g: Mk1Element):
@@ -800,7 +799,7 @@ def reference_inverse_element(e: Mk1Element) -> Mk1Element:
     r = image_code_restriction(e)
     if len({y for _, y in r.rows}) != len(r.rows):
         raise NotInjective("element collapses distinct ends")
-    return Mk1Element(e.k, reduce_rows(e.k, ((y, x) for x, y in r.rows)))
+    return Mk1Element.make(e.k, ((y, x) for x, y in r.rows))
 
 
 def reference_d_index_M(e: Mk1Element):

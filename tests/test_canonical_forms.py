@@ -30,7 +30,6 @@ from mk1.elements import (
     part,
     partial_identity,
     r2_normal_form,
-    reduce_rows,
     restrict_to_length,
 )
 from mk1.errors import Mk1Error
@@ -73,13 +72,13 @@ def _row_lists(e, extra):
 @example(_table(3, ("a", "a"), ("b", "b"), ("c", "c")), 0)
 @example(_table(2, ("a", "^"), ("b", "b")), 0)
 @example(_table(3, ("a", "a"), ("b", "^"), ("c", "c")), 0)
-def test_reduce_rows_matches_the_reference(e, extra):
+def test_make_reduces_as_the_reference(e, extra):
     """Each row list also goes in twice over with its words as lists:
     repeated identical rows count once, and any word sequences will do."""
     for rows in _row_lists(e, extra):
         want = reference_reduce_rows(e.k, rows)
-        assert reduce_rows(e.k, rows) == want
-        assert reduce_rows(e.k, [(list(x), list(y)) for x, y in rows] * 2) == want
+        assert Mk1Element.make(e.k, rows).rows == want
+        assert Mk1Element.make(e.k, [(list(x), list(y)) for x, y in rows] * 2).rows == want
 
 
 @settings(max_examples=300, deadline=None)

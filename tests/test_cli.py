@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import runpy
@@ -247,10 +248,11 @@ def test_closed_stdout_pipe_is_not_a_failure(tmp_path, count, take, unbuffered):
     assert (tmp_path / "err.txt").read_text() == ""
 
 
-def test_closed_stdout_pipe_in_process(monkeypatch):
-    """The same exit in this process: the final flush fails, and the command
-    points its output descriptor at the null device, which closes the
-    pipe's write end, and returns 0."""
+@contextlib.contextmanager
+def closed_stdout(monkeypatch):
+    """``sys.stdout`` on a pipe whose flush fails as if its reader had gone;
+    gives the pipe's read end.  (Not a fixture: pytest's capture resets
+    ``sys.stdout`` between a fixture's setup and the test.)"""
     read_end, write_end = os.pipe()
 
     class ClosedPipe(io.StringIO):
@@ -262,12 +264,35 @@ def test_closed_stdout_pipe_in_process(monkeypatch):
 
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     try:
-        assert main(["chain", "2", "0.1", "0.11", "3"]) == 0
-        os.set_blocking(read_end, False)
-        assert os.read(read_end, 1) == b""  # no writer is left on the pipe
+        yield read_end
     finally:
         os.close(read_end)
         os.close(write_end)
+
+
+def test_closed_stdout_pipe_in_process(monkeypatch):
+    """The same exit in this process: the final flush fails, and the command
+    points its output descriptor at the null device, which closes the
+    pipe's write end, and returns 0."""
+    with closed_stdout(monkeypatch) as read_end:
+        assert main(["chain", "2", "0.1", "0.11", "3"]) == 0
+        os.set_blocking(read_end, False)
+        assert os.read(read_end, 1) == b""  # no writer is left on the pipe
+
+
+def _lowest_free_descriptor():
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+
+
+def test_closed_stdout_pipe_leaves_no_descriptor_open(monkeypatch):
+    """The descriptor that opened the null device is closed once the null
+    device stands in for the pipe, so an exit in process keeps none."""
+    with closed_stdout(monkeypatch):
+        before = _lowest_free_descriptor()
+        assert main(["chain", "2", "0.1", "0.11", "3"]) == 0
+        assert _lowest_free_descriptor() == before
 
 
 def test_module_run_as_a_script_exits_with_the_status_of_main(monkeypatch, capsys):

@@ -12,8 +12,8 @@ tables and formulas without the constructors' checks.  Lints over the
 library's source keep out asserts, eval, recursion, unbounded caches,
 error classes nothing raises, imports inside functions and import cycles,
 keep the canonical word order in the modules that build codes, tables and
-congruences, keep row reduction in ``elements``, and keep ``cli`` to
-command plumbing.
+congruences, keep row reduction in ``elements`` and ``make`` to input no
+check has seen, and keep ``cli`` to command plumbing.
 """
 
 import ast
@@ -25,6 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import mk1
 from helpers import elements, reference_image_code_restriction, tables
+from mk1 import elements as elements_module, words as words_module
 from mk1.congruence import PrefixCodeCongruence, max_congruence, split_class
 from mk1.elements import (
     Mk1Element,
@@ -37,6 +38,8 @@ from mk1.elements import (
     is_injective,
     parse_table,
     part,
+    partial_identity,
+    r2_normal_form,
     restrict_to_length,
 )
 from mk1.errors import (
@@ -58,7 +61,16 @@ from mk1.reductions import (
     parse_formula,
     truth_table,
 )
-from mk1.words import PrefixCode, format_word, parse_code
+from mk1.green import element_with_heights, heights, section_inverse
+from mk1.plep import eta_idempotent, plep_d_witness
+from mk1.words import (
+    PrefixCode,
+    code_with_measure,
+    format_word,
+    parse_code,
+    replace_r1,
+    replace_r2,
+)
 
 
 pairs = st.sampled_from((2, 3)).flatmap(lambda k: st.tuples(
@@ -82,6 +94,30 @@ def test_restriction_matches_counter_loop(e):
     assert image_code_restriction(e).rows == reference_image_code_restriction(e)
 
 
+def _built_unchecked(e, extra):
+    """The values that builders in four modules make from e without
+    checks: partial identities, R1/R2 rewrites and normal forms of
+    its image code, codes of its measures, its section, an element with its
+    heights, an idempotent on a level of its domain, and plep conjugators
+    between idempotents of equal index, total ones included."""
+    code = image_code(e)
+    rep = heights(e)
+    built = [partial_identity(code), r2_normal_form(code), code_with_measure(e.k, code.mu),
+             code_with_measure(e.k, e.domain_code.mu), section_inverse(e),
+             element_with_heights(e.k, rep.r, rep.l)]
+    if code.words:
+        c = code.words[extra % len(code)]
+        r1 = replace_r1(code, c)
+        w = plep_d_witness(partial_identity(code), partial_identity(r1))
+        built += [r1, replace_r2(r1, c), r2_normal_form(r1), w.b, w.b_prime]
+    level = restrict_to_length(e, max((len(x) for x, _ in e.rows), default=0) + extra)
+    if level.rows:
+        eta = eta_idempotent(level.domain_code, level.rows[extra % len(level.rows)][0])
+        w = plep_d_witness(eta, eta)
+        built += [eta, w.b, w.b_prime]
+    return built
+
+
 @settings(max_examples=200, deadline=None)
 @given(elements, st.integers(0, 2))
 def test_derived_values_pass_the_checks(e, extra):
@@ -94,8 +130,28 @@ def test_derived_values_pass_the_checks(e, extra):
         derived.append(split_class(p, extra % len(p.classes)))
     if is_injective(e):
         derived.append(inverse_element(e))
-    for value in derived:
+    for value in derived + _built_unchecked(e, extra):
         assert rebuilt(value) == value
+
+
+@settings(max_examples=50, deadline=None)
+@given(elements, st.integers(0, 2))
+def test_derived_values_skip_the_letter_check(e, extra):
+    """No builder above reaches ``check_letters``, which every checked
+    constructor of codes and tables runs."""
+    calls = []
+
+    def record(k, words):
+        calls.append(k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(words_module, "check_letters", record)
+        patch.setattr(elements_module, "check_letters", record)
+        _built_unchecked(e, extra)
+        if is_injective(e):
+            inverse_element(e)
+        e.reduced()
+    assert calls == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -403,12 +459,28 @@ def test_imports_run_one_way_through_the_layers():
 
 
 def test_only_elements_reduces_rows():
-    """Other modules reduce through ``Mk1Element.make`` or ``reduced``."""
+    """Other modules reduce through ``make``, ``_trusted_make`` or ``reduced``."""
     found = {name for name, node in _library_nodes()
-             if {"reduce_rows", "_merge_rows"} & {getattr(node, "id", None),
-                                                  getattr(node, "attr", None),
-                                                  getattr(node, "name", None)}}
+             if "_merge_rows" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                  getattr(node, "name", None))}
     assert found == {"elements.py"}
+
+
+def test_make_is_called_only_on_unchecked_input():
+    """Rows and words derived from checked values are built through
+    ``_trusted_make`` or ``_trusted``; a ``make`` is called only where a
+    base ``k`` arrives that no check has seen."""
+    found = set()
+    for path in sorted(Path(mk1.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions come first
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(id(node), fn.name)
+        found |= {f"{path.stem}.{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "make"}
+    assert found == {"circuits.gate_element", "plep.plep_element_with_index"}
 
 
 def test_only_words_elements_and_congruence_name_the_word_order():

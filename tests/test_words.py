@@ -18,7 +18,15 @@ from helpers import (
     words,
 )
 from mk1.elements import r2_normal_form
-from mk1.errors import ChildrenMissing, NotInCode, NotPrefixCode, OutOfRange, ParseError, TooLarge
+from mk1.errors import (
+    AlphabetMismatch,
+    ChildrenMissing,
+    NotInCode,
+    NotPrefixCode,
+    OutOfRange,
+    ParseError,
+    TooLarge,
+)
 from mk1.kary import kq, kq_one, kq_zero, parse_krational
 from mk1.words import (
     PrefixCode,
@@ -239,6 +247,16 @@ def test_ideal_essential_containment():
     assert not ideal_ess_leq(pc(2, "a"), pc(2, "aa"))
     assert ideal_ess_eq(pc(2), pc(2))
     assert not ideal_ess_leq(pc(2, "b"), pc(2, "aa", "ab"))
+
+
+def test_codes_over_different_alphabets_are_refused():
+    """{a, b} covers every end over two letters but not over three, so
+    containment across alphabets has no answer."""
+    two, three = pc(2, "a", "b"), pc(3, "a", "b", "c")
+    for p1, p2 in ((two, three), (three, two)):
+        for relation in (ideal_ess_leq, ideal_ess_eq):
+            with pytest.raises(AlphabetMismatch, match="different alphabets"):
+                relation(p1, p2)
 
 
 def _all_codes(k, depth):
