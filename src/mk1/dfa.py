@@ -3,16 +3,25 @@
 A trimmed acyclic automaton with one accepting state can only accept an
 antichain of words — a comparable pair would force a path from the accept
 state back to itself — so these automata are exactly compressed prefix
-codes.  Each is a signature table: a state's signature is its (letter,
-child id) pairs, children have smaller ids than parents and state 0
-accepts, so one backward pass in id order computes the measure of a code,
-and the length statistics of congruence classes, by dynamic programming on
-the DAG instead of by walking word lists.
+codes.  Each is a signature table: a state's signature is its edges,
+children have smaller ids than parents and state 0 accepts, so one
+backward pass in id order computes the measure of a code, and the length
+statistics of congruence classes, by dynamic programming on the DAG
+instead of by walking word lists.
+
+One trie builder, :func:`_hang`, hangs sorted words as runs: an edge
+(letter, tail, child) reads a letter and then the rest of its run, so a
+node is made only where words part (a compacted acyclic automaton, as in
+Blumer et al.).  :func:`trie_dfa` expands each node's edges into one state
+per letter, the public :class:`Dfa`; :func:`height_report_via_dfa` keeps
+the run edges as its signatures, so its cost grows with the nodes where
+words part, plus one copy of the letters into tails, not with one state
+per letter.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from .elements import Mk1Element, fibers
@@ -40,55 +49,62 @@ class Dfa:
 def trie_dfa(code: PrefixCode) -> Dfa:
     """The minimal acyclic automaton of a prefix code.
 
-    The word trie merged bottom-up by signature (:func:`_hang`), all leaves
-    into the single accept state (Revuz's minimisation of acyclic automata).
+    The words' run trie (:func:`_hang`), each node's edges expanded into
+    letter states and merged bottom-up by signature, all leaves into the
+    single accept state (Revuz's minimisation of acyclic automata).
     Cost: one sort of the words, then linear in their total length.
     """
     if not code.words:
         raise EmptyLanguage("cannot build an automaton for the empty code")
-    sigs = [()]
-    root = _hang(((w, 0) for w in code.words), {}, sigs)
-    return Dfa(code.k, root, tuple(sigs))
+    ids, sigs = {}, [()]
+
+    def node(edges):
+        return _state(tuple([(a, _chain(tail, child, ids, sigs) if tail else child)
+                             for a, tail, child in edges]), ids, sigs)
+
+    edges = _hang(((w, 0) for w in code.words), node)
+    return Dfa(code.k, node(edges) if edges else 0, tuple(sigs))
 
 
-def _hang(pairs: Iterable[tuple[Word, int]], ids: dict[tuple, int], sigs: list[tuple]) -> int:
-    """The state that reads each word of ``pairs``, a prefix code, into the
-    state paired with it: the words' trie, each last letter going to its
-    word's state, merged bottom-up into the signature table.
+def _hang(pairs: Iterable[tuple[Word, int]], node: Callable[[list], int]) -> list:
+    """The edges of the root of the trie that reads each word of ``pairs``,
+    a prefix code, into the node paired with it: the words' trie with its
+    runs compressed, its other nodes built bottom-up through ``node``,
+    which takes a node's edges and returns its id.
 
-    ``ids`` maps a signature, a state's (letter, child id) pairs in letter
-    order, to the state's id (state 0's empty one needs no entry: every
-    state added has an edge), and ``sigs`` lists the signatures by id; a
-    new signature gets the next id, so children have smaller ids than
-    parents.  In dictionary order, the depth at which each word parts from
-    the next is where the trie branches; only the branching nodes on the
-    current word's path stay open, on a stack, and the runs between them
-    go in as chains (Daciuk et al.'s construction from sorted words)."""
-    pairs = sorted(pairs)  # distinct words, so the states are never compared
-    if len(pairs) == 1:
-        return _chain(*pairs[0], ids, sigs)
+    An edge is (letter, tail, child): it reads the letter, then the rest of
+    the run, up to the child: the next node where words part, or the node
+    paired with the word.  The lone empty word gives no edges: its root is
+    its own node, which must then be state 0, the one node without edges.
+    In dictionary order, the depth at which each word parts from the next
+    is where the trie branches; only the branching nodes on the current
+    word's path stay open, on a stack, each closed by one ``node`` call
+    once the words below it are hung (Daciuk et al.'s construction from
+    sorted words).  So a node is made only where words part, and the cost
+    is one sort, one look at each letter a word shares with the next and
+    one copy of the other letters into tails."""
+    pairs = sorted(pairs)  # distinct words, so the nodes are never compared
+    if not pairs[0][0]:
+        return []
+    pairs.append(((-1,), 0))  # after the last word; no letter is -1, so they part at the root
     stack = [(0, [])]  # (depth, edges so far) of the open branching nodes
-    for i, (w, child) in enumerate(pairs):
-        parts = 0  # where w and the next word part; the root after the last word
-        if i + 1 < len(pairs):
-            nxt = pairs[i + 1][0]
-            while w[parts] == nxt[parts]:
-                parts += 1
+    for (w, child), (nxt, _) in zip(pairs, pairs[1:]):
+        parts = 0  # where w and the next word part
+        while w[parts] == nxt[parts]:
+            parts += 1
         if parts > stack[-1][0]:
             stack.append((parts, []))
         below = len(w)
         while True:  # hang w's run on the deepest open node; close those below parts
             depth, edges = stack[-1]
-            if below > depth + 1:
-                child = _chain(w[depth + 1:below], child, ids, sigs)
-            edges.append((w[depth], child))
+            edges.append((w[depth], w[depth + 1:below], child))
             if depth == parts:
                 break
             stack.pop()
-            child, below = _state(tuple(edges), ids, sigs), depth
+            child, below = node(edges), depth
             if stack[-1][0] < parts:
                 stack.append((parts, []))
-    return _state(tuple(stack[0][1]), ids, sigs)
+    return stack[0][1]
 
 
 def _state(sig: tuple, ids: dict[tuple, int], sigs: list[tuple]) -> int:
@@ -101,6 +117,13 @@ def _state(sig: tuple, ids: dict[tuple, int], sigs: list[tuple]) -> int:
     return sid
 
 
+def _run_table() -> tuple[list[tuple], Callable[[list], int]]:
+    """A new signature table of run edges, state 0 accepting, and the
+    ``node`` callback of :func:`_hang` that adds states to it."""
+    ids, sigs = {}, [()]
+    return sigs, lambda edges: _state(tuple(edges), ids, sigs)
+
+
 def _chain(w: Word, end: int, ids: dict[tuple, int], sigs: list[tuple]) -> int:
     """The state that reads the word w into the state end."""
     for a in reversed(w):
@@ -110,63 +133,82 @@ def _chain(w: Word, end: int, ids: dict[tuple, int], sigs: list[tuple]) -> int:
 
 def dfa_measure(d: Dfa) -> KRational:
     """Measure of the accepted code, in one backward pass in id order."""
-    return kq(d.k, *_weights(d.k, d.sigs)[d.root])
+    return kq(d.k, *_weights(d.k, [[(a, (), q) for a, q in sig] for sig in d.sigs])[d.root])
 
 
 def _weights(k: int, sigs: Sequence[tuple]) -> list[tuple[int, int]]:
-    """Each state's (num, exp), in id order: its words to state 0 weigh
-    num * k**-exp, (1, 0) at state 0, and at a parent one more than its
-    children's largest exponent over the sum of their numerators, each
-    scaled to that exponent."""
+    """Each state's :func:`_weight`, in id order, (1, 0) at state 0."""
     weights = [(1, 0)]
     for sig in sigs[1:]:
-        kids = [weights[child] for _, child in sig]
-        top = max(exp for _, exp in kids)
-        weights.append((sum(num * k ** (top - exp) for num, exp in kids), top + 1))
+        weights.append(_weight(k, sig, weights))
     return weights
+
+
+def _weight(k: int, edges: Sequence[tuple], weights: list[tuple[int, int]]) -> tuple[int, int]:
+    """(num, exp) of the node with these edges (letter, tail, child): its
+    words to state 0 weigh num * k**-exp, one more than the largest of its
+    children's exponents, each lengthened by its edge's tail, over the sum
+    of their numerators, each scaled to that exponent."""
+    kids = [(weights[child][0], weights[child][1] + len(tail)) for _, tail, child in edges]
+    top = max(exp for _, exp in kids)
+    return sum(num * k ** (top - exp) for num, exp in kids), top + 1
+
+
+def _count(edges: Sequence[tuple], counts: list[tuple]) -> tuple[int, dict[int, int]]:
+    """(shift, {length - shift: count}) of the words of the node with these
+    edges (letter, tail, child), from its children's counts, each shifted
+    by its edge's letter and tail: a node with one child shares its dict."""
+    if len(edges) == 1:
+        _, tail, child = edges[0]
+        shift, by_length = counts[child]
+        return shift + 1 + len(tail), by_length
+    by_length: dict[int, int] = {}
+    for _, tail, child in edges:
+        shift, child_counts = counts[child]
+        shift += 1 + len(tail)
+        for n, c in child_counts.items():
+            by_length[n + shift] = by_length.get(n + shift, 0) + c
+    return 0, by_length
 
 
 def height_report_via_dfa(e: Mk1Element) -> HeightReport:
     """The same report as :func:`mk1.green.heights`, with the R-height and
     each fiber's word lengths counted on automata.
 
-    Every fiber's automaton goes into one signature table (:func:`_hang`),
-    state 0 accepting.  A fiber of the :func:`~mk1.elements.fibers` walk, an
-    image-code word z with its rows x -> y, gets z's suffix chain, whose
-    state at |y| reads z[|y|:], and the trie of its x's, each x going to the
-    chain state at its |y|.  Once all are hung, one backward pass counts
-    each state's accepted words by length from its children's counts, so a
-    fiber's lengths are the counts at its root and no fiber word is built.
-    R is the measure of the image code's trie, in a table of its own."""
-    ids: dict[tuple, int] = {}
-    sigs: list[tuple] = [()]
-    zs, roots = [], []
+    Every fiber's automaton goes into one signature table of run edges
+    (letter, tail, child) (:func:`_hang`), state 0 accepting.  A fiber of
+    the :func:`~mk1.elements.fibers` walk, an image-code word z with its
+    rows x -> y, gets z's suffix segments, one single-edge state
+    (z[low], z[low + 1:top], q) between each two neighbouring lengths
+    low < top among |z| and its rows' |y|, so the state at |y| reads
+    z[|y|:], and the run trie of its x's, each x going to the segment state
+    at its |y|.  Each state's words are counted by length from its
+    children's counts once it is added (:func:`_count`), and a fiber's
+    lengths are the counts of its root's edges, which no state keeps, so no
+    fiber word is built.  The cost grows with the nodes where a fiber's x's
+    part and the image lengths on each path, plus the letters of the tails.
+    R is the measure of the image code's run trie, in a table of its own."""
+    sigs, node = _run_table()
+    counts: list[tuple[int, dict[int, int]]] = [(0, {0: 1})]
+    zs, lengths = [], []
     for z, path in fibers(e):
         zs.append(z)
-        at, q, top = {}, 0, len(z)  # z's suffix chain, from z's end down to the shortest y
-        for low in sorted({len(y) for _, y in path}, reverse=True):
-            q = at[low] = _chain(z[low:top], q, ids, sigs)
-            top = low
-        roots.append(_hang([(x, at[len(y)]) for x, y in path], ids, sigs))
-    counts: list[tuple[int, dict[int, int]]] = [(0, {0: 1})]  # (shift, {length - shift: count})
-    for sig in sigs[1:]:
-        if len(sig) == 1:  # one child: its counts, one letter longer
-            shift, by_length = counts[sig[0][1]]
-            counts.append((shift + 1, by_length))
-            continue
-        by_length = {}
-        for _, child in sig:
-            shift, child_counts = counts[child]
-            for n, c in child_counts.items():
-                by_length[n + shift + 1] = by_length.get(n + shift + 1, 0) + c
-        counts.append((0, by_length))
-    lengths = [(shift, [n for n in sorted(by_length) for _ in range(by_length[n])])
-               for shift, by_length in map(counts.__getitem__, roots)]
+        pairs, q, top = [], 0, len(z)
+        for x, y in reversed(path):  # longest y first: the segments from z's end down
+            if len(y) < top:
+                q = node([(z[len(y)], z[len(y) + 1:top], q)])
+                top = len(y)
+            pairs.append((x, q))
+        edges = _hang(pairs, node)  # x = () only when z = y, so q = 0
+        for sig in sigs[len(counts):]:
+            counts.append(_count(sig, counts))
+        shift, by_length = _count(edges, counts) if edges else counts[0]
+        lengths.append((shift, [n for n in sorted(by_length) for _ in range(by_length[n])]))
     r = kq_zero(e.k)  # zero has no image code
     if zs:
-        image_sigs = [()]
-        root = _hang([(z, 0) for z in zs], {}, image_sigs)
-        r = kq(e.k, *_weights(e.k, image_sigs)[root])
+        image_sigs, image_node = _run_table()
+        edges = _hang([(z, 0) for z in zs], image_node)
+        r = kq(e.k, *(_weight(e.k, edges, _weights(e.k, image_sigs)) if edges else (1, 0)))
     return HeightReport.from_fibers(e.k, r, lengths)
 
 

@@ -34,10 +34,8 @@ from .elements import (
     compose,
     fiber_offsets,
     fibers,
-    identity_element,
     image_ideal,
     partial_identity,
-    single_row,
 )
 from .errors import (
     AlphabetMismatch,
@@ -323,9 +321,9 @@ def separating_context(f: Mk1Element, g: Mk1Element) -> tuple[Mk1Element, Mk1Ele
     if f.is_zero or g.is_zero:
         survivor = g if f.is_zero else f
         if len(survivor.rows) == 1:
-            return identity_element(k), identity_element(k)
+            return _pinned(k, ()), _pinned(k, ())
         x0 = survivor.rows[0][0]
-        return identity_element(k), single_row(k, x0, x0)
+        return _pinned(k, ()), _pinned(k, x0)
     tags: dict[Word, tuple] = {}  # each domain word with its rows, by side
     for side, e in enumerate((f, g)):
         for x, y in e.rows:
@@ -337,7 +335,7 @@ def separating_context(f: Mk1Element, g: Mk1Element) -> tuple[Mk1Element, Mk1Ele
         w = p + (0,) * (depth - len(p))  # f and g each treat all of p's subtree alike
         fv, gv = ([y + w[len(x):] for s, x, y in path if s == side] for side in (0, 1))
         if bool(fv) != bool(gv):
-            return identity_element(k), single_row(k, w, w)
+            return _pinned(k, ()), _pinned(k, w)
         if fv != gv and diff_value is None:
             diff_value = (w, fv[0], gv[0])
     if diff_value is None:
@@ -346,8 +344,14 @@ def separating_context(f: Mk1Element, g: Mk1Element) -> tuple[Mk1Element, Mk1Ele
     short, long_ = (y0, y1) if len(y0) <= len(y1) else (y1, y0)
     if long_[: len(short)] != short:
         # prefix-incomparable values: pin f's value
-        return single_row(k, y0, y0), single_row(k, x0, x0)
+        return _pinned(k, y0), _pinned(k, x0)
     # one value extends the other: step off the longer one just past the fork
     a = (long_[len(short)] + 1) % k
     y2 = short + (a,)
-    return single_row(k, y2, y2), single_row(k, x0, x0)
+    return _pinned(k, y2), _pinned(k, x0)
+
+
+def _pinned(k: int, w: Word) -> Mk1Element:
+    """The one-row table w -> w, the identity for w = (), built unchecked
+    from a word of checked tables."""
+    return Mk1Element._trusted(k, ((w, w),))

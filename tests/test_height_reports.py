@@ -4,12 +4,13 @@
 heights sum integer powers of k.  Both height reports read the fiber
 lengths and the R-height their own way and sum them through
 ``HeightReport.from_fibers``: the automaton report counts fiber lengths on
-one signature table per element and measures the image code's trie in a
-table of its own, with no fiber word, ``trie_dfa`` or ``heights``.  These
-properties check them against the references in ``helpers`` and against
-each other, and time and bound in memory the inputs on which the old
-prefix-slicing trie, the per-class ``apply``, the per-fiber automata and
-the image trie's length counts blew up.
+one signature table of run edges per element and measures the image
+code's run trie in a table of its own, with no fiber word, ``trie_dfa`` or
+``heights``.  These properties check them against the references in
+``helpers`` and against each other, on tables whose words share long runs
+too; they count the states the report adds, and time and bound in memory
+the inputs on which the old prefix-slicing trie, the per-class ``apply``,
+the per-fiber automata and the image trie's length counts blew up.
 """
 
 import random
@@ -60,12 +61,38 @@ from mk1.kary import kq, kq_pow_sum, kq_zero
 from mk1.words import PrefixCode, words_of_length
 
 
-def _codes(k):
+def _code_words(k):
+    """Strategies for the words of three shapes of prefix codes over k
+    letters: small ones, one deep word, and P·S for small P and S."""
     small = st.lists(words(k, 5), min_size=1, max_size=10).map(prefix_free)
     deep = st.lists(st.integers(0, k - 1), min_size=20, max_size=200).map(lambda w: [tuple(w)])
     # P·S for prefix codes P and S: every p's subtrie is a copy of S's
     shared = st.tuples(small, small).map(lambda ps: [p + s for p in ps[0] for s in ps[1]])
-    return st.one_of(st.just([()]), small, deep, shared).map(lambda ws: PrefixCode.make(k, ws))
+    return small, deep, shared
+
+
+def _codes(k):
+    return st.one_of(st.just([()]), *_code_words(k)).map(lambda ws: PrefixCode.make(k, ws))
+
+
+def _long_run_tables(k):
+    """Strategy: tables over k letters whose domain words share long runs
+    (one deep word, P·S, or P·d·S for a deep word d, whose trie parts after
+    the run d), each sent to a prefix of one of two stems of up to 12
+    letters, so images nest and fibers hang their x's on suffix segments of
+    several lengths."""
+    small, deep, shared = _code_words(k)
+    domains = st.one_of(deep, shared, st.tuples(small, deep, small).map(
+        lambda pds: [p + pds[1][0] + s for p in pds[0] for s in pds[2]]))
+
+    @st.composite
+    def build(draw):
+        domain = draw(domains)
+        stems = draw(st.lists(words(k, 12), min_size=1, max_size=2))
+        images = sorted({s[:i] for s in stems for i in range(len(s) + 1)})
+        return Mk1Element.make(k, [(x, draw(st.sampled_from(images))) for x in domain])
+
+    return build()
 
 
 def _derived_codes(e):
@@ -116,6 +143,40 @@ def test_height_reports_match_their_inline_references(e):
                       (height_report_via_dfa(e), reference_height_report_via_dfa(e))):
         assert got == want
         assert format_height_report(got) == format_height_report(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(_long_run_tables))
+@example(nested_images(7))
+@example(deep_rotation(60))
+def test_height_report_via_dfa_on_long_runs(e):
+    """Run edges with long tails, suffix segments and nested images: the
+    automaton report equals its reference and ``heights``."""
+    rep = height_report_via_dfa(e)
+    assert rep == reference_height_report_via_dfa(e) == heights(e)
+
+
+def test_the_report_adds_a_state_only_where_words_part(monkeypatch):
+    """On ``deep_rotation(n)`` the automaton report adds n - 1 states (3n
+    when it added one state per letter).  Each fiber is one row x -> z, a
+    run trie whose root keeps its one edge outside the table; the image
+    code deep_code(n) parts at 0^i for each i < n, and its root is kept
+    outside its table too.  A count, unlike the time budgets below, does
+    not move with the machine's speed."""
+    added = []
+    state = dfa._state
+
+    def counted(sig, ids, sigs):
+        before = len(sigs)
+        sid = state(sig, ids, sigs)
+        added.append(len(sigs) - before)
+        return sid
+
+    monkeypatch.setattr(dfa, "_state", counted)
+    for n in (50, 200):
+        added.clear()
+        height_report_via_dfa(deep_rotation(n))
+        assert sum(added) == n - 1
 
 
 def test_height_report_via_dfa_stands_alone(monkeypatch):

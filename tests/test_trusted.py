@@ -12,8 +12,10 @@ tables and formulas without the constructors' checks.  Lints over the
 library's source keep out asserts, eval, recursion, unbounded caches,
 error classes nothing raises, imports inside functions and import cycles,
 keep the canonical word order in the modules that build codes, tables and
-congruences, keep row reduction in ``elements`` and ``make`` to input no
-check has seen, and keep ``cli`` to command plumbing.
+congruences, keep row reduction in ``elements``, ``make`` and the checked
+identity, zero and one-row constructors to input no check has seen, keep
+``dfa``'s signature tables growing in ``_state`` alone, and keep ``cli``
+to command plumbing.
 """
 
 import ast
@@ -41,6 +43,7 @@ from mk1.elements import (
     partial_identity,
     r2_normal_form,
     restrict_to_length,
+    zero_element,
 )
 from mk1.errors import (
     ArityMismatch,
@@ -61,7 +64,7 @@ from mk1.reductions import (
     parse_formula,
     truth_table,
 )
-from mk1.green import element_with_heights, heights, section_inverse
+from mk1.green import element_with_heights, heights, section_inverse, separating_context
 from mk1.plep import eta_idempotent, plep_d_witness
 from mk1.words import (
     PrefixCode,
@@ -94,12 +97,16 @@ def test_restriction_matches_counter_loop(e):
     assert image_code_restriction(e).rows == reference_image_code_restriction(e)
 
 
+ENDS = {k: (zero_element(k), identity_element(k)) for k in (2, 3)}  # built before any patch
+
+
 def _built_unchecked(e, extra):
     """The values that builders in four modules make from e without
     checks: partial identities, R1/R2 rewrites and normal forms of
     its image code, codes of its measures, its section, an element with its
-    heights, an idempotent on a level of its domain, and plep conjugators
-    between idempotents of equal index, total ones included."""
+    heights, an idempotent on a level of its domain, plep conjugators
+    between idempotents of equal index, total ones included, and contexts
+    separating it from the zero and the identity."""
     code = image_code(e)
     rep = heights(e)
     built = [partial_identity(code), r2_normal_form(code), code_with_measure(e.k, code.mu),
@@ -115,6 +122,9 @@ def _built_unchecked(e, extra):
         eta = eta_idempotent(level.domain_code, level.rows[extra % len(level.rows)][0])
         w = plep_d_witness(eta, eta)
         built += [eta, w.b, w.b_prime]
+    for other in ENDS[e.k]:
+        if other != e.reduced():
+            built += separating_context(e, other)
     return built
 
 
@@ -466,10 +476,9 @@ def test_only_elements_reduces_rows():
     assert found == {"elements.py"}
 
 
-def test_make_is_called_only_on_unchecked_input():
-    """Rows and words derived from checked values are built through
-    ``_trusted_make`` or ``_trusted``; a ``make`` is called only where a
-    base ``k`` arrives that no check has seen."""
+def _callers(name: str) -> set[str]:
+    """``module.function`` of each call in the library to a function or
+    method called ``name``, the outermost function holding it."""
     found = set()
     for path in sorted(Path(mk1.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -479,8 +488,46 @@ def test_make_is_called_only_on_unchecked_input():
                 for node in ast.walk(fn):
                     owner.setdefault(id(node), fn.name)
         found |= {f"{path.stem}.{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "make"}
-    assert found == {"circuits.gate_element", "plep.plep_element_with_index"}
+                  if isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    return found
+
+
+def test_make_is_called_only_on_unchecked_input():
+    """Rows and words derived from checked values are built through
+    ``_trusted_make`` or ``_trusted``; a ``make`` is called only where a
+    base ``k`` arrives that no check has seen."""
+    assert _callers("make") == {"circuits.gate_element", "plep.plep_element_with_index"}
+
+
+def test_checked_small_tables_are_built_only_on_unchecked_input():
+    """The identity, the zero and one-row tables run the constructor's
+    checks; the library builds them from checked values through
+    ``_trusted``, and calls them only where ``k`` arrives unchecked."""
+    for name in ("identity_element", "single_row", "zero_element"):
+        assert _callers(name) <= {"circuits.eval_generator_word"}, name
+
+
+def test_only_state_adds_to_a_signature_table():
+    """In ``dfa`` a signature table grows only in ``_state``, which
+    ``test_every_state_is_added_through_one_place`` and the state counts in
+    ``test_height_reports`` wrap: no other function appends, extends or
+    inserts into a list named ``sigs`` or ``*_sigs``, or adds to one."""
+    tree = ast.parse((Path(mk1.__file__).parent / "dfa.py").read_text(encoding="utf-8"))
+    owner = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                owner[id(node)] = fn.name  # inner functions come later, so they win
+    grown = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("append", "extend", "insert") and _names_sigs(node.func.value)
+             or isinstance(node, ast.AugAssign) and _names_sigs(node.target)]
+    assert grown and {owner.get(id(node)) for node in grown} == {"_state"}
+
+
+def _names_sigs(node) -> bool:
+    return isinstance(node, ast.Name) and (node.id == "sigs" or node.id.endswith("_sigs"))
 
 
 def test_only_words_elements_and_congruence_name_the_word_order():
