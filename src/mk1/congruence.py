@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .errors import CrossCheckFailed, NotAClass, NotCanonical
 from .kary import KRational, kq_one
-from .words import PrefixCode, Word, _unchecked, format_word, mu, word_key
+from .words import PrefixCode, Word, _unchecked, format_word, mu, word_key, words_of_length
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,45 +90,40 @@ def split_class(c: PrefixCodeCongruence, index: int) -> PrefixCodeCongruence:
     """Refine one class into its k letter-children classes.
 
     The class {c1, ..., cr} becomes the k classes {c1·a, ..., cr·a}, one per
-    letter a.  The underlying code is refined accordingly, and the
-    noncollision measure is unchanged.
+    letter a, the letters listed by :func:`~mk1.words.words_of_length`
+    (TooLarge past 2^20).  The underlying code is refined accordingly, and
+    the noncollision measure is unchanged.
     """
     k = c.k
     target = c.classes[index]
     groups = [cls for i, cls in enumerate(c.classes) if i != index]
-    groups.extend(tuple(w + (a,) for w in target) for a in range(k))  # stays sorted
+    groups.extend(tuple(w + a for w in target) for a in words_of_length(k, 1))  # stays sorted
     return _canonical(k, groups)
 
 
 def max_congruence(c: PrefixCodeCongruence) -> PrefixCodeCongruence:
     """Coarsen to the unique maximal form.
 
-    Whenever k classes are S·a1, ..., S·ak for a common stem set S and the k
-    distinct last letters, they encode the same end identifications as the
-    single class S over the coarser code; merge, and look again only at S.
-    Classes wait under their stem set until their family is whole.  The
-    result is the canonical coarsest presentation of the end relation.
+    Whenever k classes are S·0, ..., S·(k-1) for a common stem set S, they
+    encode the same end identifications as the single class S over the
+    coarser code.  The stack pass that reduces rows merges them: each class,
+    a list in dictionary order, is pushed in the order of its least word,
+    and while the top k classes are S·0, ..., S·(k-1) they give way to S.
+    No least word lies between min(S)·a and min(S)·(a+1), so a family sits
+    on top once its members' own merges are made.  The result is the
+    canonical coarsest presentation of the end relation.
     """
-    k = c.k
-    classes = set(map(frozenset, c.classes))
-    families: dict[frozenset, dict[int, frozenset]] = {}
-    todo = list(classes)
-    while todo:
-        cls = todo.pop()
-        if () in cls:
-            continue
-        lasts = {w[-1] for w in cls}
-        if len(lasts) != 1:
-            continue
-        strip = frozenset(w[:-1] for w in cls)
-        fam = families.setdefault(strip, {})
-        fam[lasts.pop()] = cls
-        if len(fam) == k:
-            classes.difference_update(fam.values())
-            del families[strip]
-            classes.add(strip)
-            todo.append(strip)
-    return _canonical(k, [tuple(sorted(cls, key=word_key)) for cls in classes])
+    k, last = c.k, c.k - 1
+    stack: list[list[Word]] = []
+    for cls in sorted(sorted(cls) for cls in c.classes):  # least words are distinct
+        while len(stack) >= k - 1 and all(w and w[-1] == last for w in cls):
+            stem = [w[:-1] for w in cls]
+            if any(stack[a - k + 1] != [s + (a,) for s in stem] for a in range(k - 1)):
+                break
+            del stack[1 - k:]
+            cls = stem
+        stack.append(cls)
+    return _canonical(k, [tuple(sorted(cls, key=word_key)) for cls in stack])
 
 
 def _canonical(k: int, groups: list[tuple[Word, ...]]) -> PrefixCodeCongruence:

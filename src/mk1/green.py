@@ -46,7 +46,8 @@ from .errors import (
     OutOfRange,
 )
 from .kary import KRational, kq, kq_pow_sum
-from .words import Word, code_with_measure, ideal_ess_eq, ideal_ess_leq, trie_leaves
+from .words import (Word, code_with_measure, ideal_ess_eq, ideal_ess_leq, trie_leaves,
+                    words_of_length)
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,7 +298,7 @@ def element_with_heights(k: int, h_r: KRational, h_l: KRational) -> Mk1Element:
     image, domain = (list(code_with_measure(k, h).words) for h in (h_r, h_l))
     for short, other in ((image, domain), (domain, image)):
         while len(short) < len(other):
-            short += [w + (a,) for w in [short.pop()] for a in range(k)]
+            short += [w + a for w in [short.pop()] for a in words_of_length(k, 1)]
     return Mk1Element._trusted_make(k, zip(domain, image))
 
 

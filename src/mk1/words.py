@@ -73,17 +73,21 @@ def trie_leaves(k: int, tags: dict[Word, Sequence]) -> Iterator[tuple[Word, Sequ
     first.  The library's one trie walk: a word's extensions follow it at
     once in dictionary order, so one pointer into the sorted words tells if
     a node is a word and if it is inner, and a minimal word that nothing
-    extends is a leaf at once.  Cost: one sort, one look per node and one
-    path copy per word below another."""
+    extends is a leaf at once.  The k child letters are listed once, by
+    :func:`words_of_length`, at the first inner node: a walk with none
+    costs nothing in k, and one with an inner node past 2^20 letters is
+    refused with TooLarge.  Cost: one sort, one look per node and one path
+    copy per word below another."""
     ws, i, n = sorted(tags), 0, len(tags)
     ws.append((-1,))  # after the last word; below the root it is no node and extends none
-    children = [(a,) for a in reversed(range(k))]
+    children = None
     while i < n:
         p = ws[i]  # the first word left is minimal
         i += 1
         if i == n or ws[i][:len(p)] != p:
             yield p, tags[p]
             continue
+        children = children or [*words_of_length(k, 1)][::-1]  # listed at the first inner node
         stack = [(p + a, tags[p]) for a in children]
         while stack:
             p, path = stack.pop()
@@ -291,19 +295,20 @@ def complement_code(code: PrefixCode) -> PrefixCode:
 # -- measure-preserving rewriting ---------------------------------------------
 
 def replace_r1(code: PrefixCode, c: Word) -> PrefixCode:
-    """Replace the code word c by its k children c·a. Preserves the measure."""
+    """Replace the code word c by its k children c·a, listed by
+    :func:`words_of_length`. Preserves the measure."""
     c = tuple(c)
     if c not in code:
         raise NotInCode(f"{format_word(c)} is not in the code")
     rest = [w for w in code.words if w != c]
-    rest.extend(c + (j,) for j in range(code.k))
+    rest.extend(c + a for a in words_of_length(code.k, 1))
     return PrefixCode._trusted(code.k, tuple(sorted(rest, key=word_key)))
 
 
 def replace_r2(code: PrefixCode, c: Word) -> PrefixCode:
     """Inverse step: merge the full sibling family c·A back into c."""
     c = tuple(c)
-    children = {c + (j,) for j in range(code.k)}
+    children = {c + a for a in words_of_length(code.k, 1)}
     if not children <= set(code.words):
         raise ChildrenMissing(f"code lacks the full sibling family of {format_word(c)}")
     rest = [w for w in code.words if w not in children]
@@ -319,7 +324,8 @@ def code_with_measure(k: int, h: KRational) -> PrefixCode:
     Reading h = 0.d1 d2 ... dn in base k, block i contributes the words
     p_i · {first d_i letters} where p_i is the length-(i-1) prefix built by
     appending, at step j, the letter with index d_j.  The code has exactly
-    d1 + ... + dn words; h = 0 gives the empty code and h = 1 gives {^}.
+    d1 + ... + dn words, a count checked against the 2^20 cap before any
+    word is built; h = 0 gives the empty code and h = 1 gives {^}.
     Measures g < h yield nested ideals: P_g lies inside P_h · A*.  The
     words come out in canonical order, so the code is built unchecked.
     """
@@ -331,6 +337,7 @@ def code_with_measure(k: int, h: KRational) -> PrefixCode:
     if h == one:
         return PrefixCode._trusted(k, ((),))
     _, frac = h.digits()
+    check_count(sum(frac), "a code of this measure would have more than 2^20 words")
     words = []
     prefix: Word = ()
     for d in frac:

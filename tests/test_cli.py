@@ -125,6 +125,53 @@ def test_dfa_mu_over_a_billion_letters(files, capsys):
     assert time.perf_counter() - started < 1.0
 
 
+def _run_capped(argv):
+    """``python -m mk1.cli argv`` in a child process whose address space is
+    capped at 1 GiB, where a listing of 10^9 letters ends in MemoryError."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+
+    return subprocess.run([sys.executable, "-m", "mk1.cli", *argv], capture_output=True,
+                          text=True, timeout=60, env=subprocess_env(), preexec_fn=cap)
+
+
+@pytest.mark.parametrize("argv", [
+    ["heights", "ID"], ["heights", "--dfa", "ID"], ["heights", "--check", "ID"],
+    ["dindex", "M", "ID"], ["green", "eqD-M", "ID", "ID"], ["separate", "ID", "ONE"]])
+def test_a_walk_with_no_inner_node_answers_over_a_billion_letters(files, argv):
+    """The identity's image trie has no inner node, so no walk lists the
+    letters: over 10^9 letters the commands print what they print over 2,
+    the tables' k header lines aside."""
+    outs = []
+    for k in (2, 10**9):
+        paths = {"ID": files(f"id{k}.txt", f"k {k}\n^ -> ^\n"),
+                 "ONE": files(f"one{k}.txt", f"k {k}\n^ -> a\n")}
+        started = time.perf_counter()
+        done = _run_capped([paths.get(arg, arg) for arg in argv])
+        assert time.perf_counter() - started < 10.0
+        assert done.returncode == 0 and "Traceback" not in done.stderr
+        outs.append([line for line in done.stdout.splitlines() if not line.startswith("k ")])
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["heights", "INNER"],
+    ["with-heights", "1000000000", "0.[999999999]", "0.[999999999]"],
+    ["with-heights", "3000000", "0.[2999999]", "0.[2999999]"]])
+def test_listing_more_than_2_20_letters_is_refused(files, argv):
+    """A walk that reaches an inner node lists the k letters, and a code of
+    a given measure counts its words first: both are refused at once."""
+    table = files("inner.txt", "k 1000000000\na -> a\nb -> ab\n")
+    started = time.perf_counter()
+    done = _run_capped([table if arg == "INNER" else arg for arg in argv])
+    assert time.perf_counter() - started < 10.0
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error TooLarge:") and "Traceback" not in done.stderr
+
+
 def test_green_L_on_nested_images(files, capsys):
     """1,024 nested images: two compositions, where the fiber walk is cubic."""
     table = files("nested.txt", format_table(nested_images(10)) + "\n")

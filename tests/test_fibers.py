@@ -9,7 +9,9 @@ the image code is the walk of the bare images; none of them builds the
 restriction.  These properties check the walk against the counter-loop
 restriction, check the heights and the D-index against the restriction's
 explicit rows, check that those readers build no restriction and read
-no rows, and time the nested tables on which the restriction is cubic.
+no rows, and time the nested tables on which the restriction is cubic;
+on the identity over 2^21 letters, whose walk has no inner node, the
+readers list no letter.
 The fiber partition skips the walk when the images form a prefix code and
 otherwise splits through ``image_code_restriction``; it is checked against
 the reference partition on tables of both kinds.
@@ -19,6 +21,7 @@ import random
 import time
 import tracemalloc
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
@@ -37,7 +40,15 @@ from helpers import (
 from mk1 import elements as elements_module, green
 from mk1.circuits import length_bound_check, synthesize_partial_identity
 from mk1.congruence import noncollision_measure
-from mk1.elements import fibers, image_code, image_code_restriction, part, zero_element
+from mk1.dfa import height_report_via_dfa
+from mk1.elements import (
+    fibers,
+    identity_element,
+    image_code,
+    image_code_restriction,
+    part,
+    zero_element,
+)
 from mk1.green import d_index_M, eq_D_M, format_height_report, heights, section_inverse
 from mk1.kary import parse_krational
 from mk1.reductions import covers_every_y, encode_formula, ensure_surjective, formula_from_truth_table
@@ -173,6 +184,22 @@ def test_d_index_M_of_nested_images_is_fast_and_small():
     finally:
         tracemalloc.stop()
     assert peak <= 64 << 20
+
+
+@pytest.mark.parametrize("reader", [heights, d_index_M, image_code, section_inverse,
+                                    height_report_via_dfa])
+def test_a_walk_with_no_inner_node_lists_no_letter(reader):
+    """The identity over 2^21 letters has one image and no inner node, so
+    the walk lists none of the letters (listing them all up front takes
+    about 176 MB)."""
+    e = identity_element(1 << 21)
+    tracemalloc.start()
+    try:
+        reader(e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _same_partition(e) -> bool:

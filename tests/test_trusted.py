@@ -14,8 +14,9 @@ error classes nothing raises, imports inside functions and import cycles,
 keep the canonical word order in the modules that build codes, tables and
 congruences, keep row reduction in ``elements``, ``make`` and the checked
 identity, zero and one-row constructors to input no check has seen, keep
-``dfa``'s signature tables growing in ``_state`` alone, and keep ``cli``
-to command plumbing.
+``dfa``'s signature tables growing in ``_state`` alone, keep the listing
+of an alphabet's letters in ``words_of_length``, and keep ``cli`` to
+command plumbing.
 """
 
 import ast
@@ -387,6 +388,23 @@ def test_only_words_caps_a_single_level():
              and isinstance(node.args[1], (ast.List, ast.Tuple, ast.Set))
              and len(node.args[1].elts) == 1]
     assert found == ["words.py"]
+
+
+def _lists_an_alphabet(node) -> bool:
+    """A call ``range(k)`` or ``range(<name>.k)``."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range"
+            and len(node.args) == 1 and not node.keywords):
+        return False
+    arg = node.args[0]
+    return getattr(arg, "id", None) == "k" or getattr(arg, "attr", None) == "k"
+
+
+def test_only_words_of_length_lists_an_alphabet():
+    """A node's k children, like every level, come from ``words_of_length``,
+    which refuses more than 2^20 words; nothing else ranges over k."""
+    found = {f"{name}:{fn.name}" for name, fn in _library_nodes()
+             if isinstance(fn, ast.FunctionDef) and any(map(_lists_an_alphabet, ast.walk(fn)))}
+    assert found == {"words.py:words_of_length"}
 
 
 def test_only_elements_names_the_restriction():

@@ -17,6 +17,7 @@ from helpers import (
     reference_ideal_ess_leq,
     words,
 )
+from mk1.congruence import PrefixCodeCongruence, split_class
 from mk1.elements import r2_normal_form
 from mk1.errors import (
     AlphabetMismatch,
@@ -45,6 +46,7 @@ from mk1.words import (
     parse_word,
     replace_r1,
     replace_r2,
+    trie_leaves,
     word_key,
     words_of_length,
 )
@@ -319,6 +321,26 @@ def test_replace_preserves_measure(seed=99):
         form = r2_normal_form(code)
         assert form.mu == m
         assert ideal_ess_eq(form, code)
+
+
+BIG = (1 << 20) + 1  # an alphabet of more letters than a level may have words
+ROOT = PrefixCode(BIG, ((),))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: replace_r1(ROOT, ()),
+    lambda: replace_r2(PrefixCode(BIG, ((0,),)), ()),
+    lambda: split_class(PrefixCodeCongruence(ROOT, (((),),)), 0),
+    lambda: list(trie_leaves(BIG, {(): (), (0,): ()})),
+    lambda: code_with_measure(BIG + 1, kq(BIG + 1, BIG, 1)),
+], ids=["replace_r1", "replace_r2", "split_class", "trie_leaves", "code_with_measure"])
+def test_more_than_2_20_children_are_refused_unlisted(build):
+    """A node's children are listed by ``words_of_length``, and a code of
+    a given measure counts its words first: past 2^20, TooLarge at once."""
+    started = time.perf_counter()
+    with pytest.raises(TooLarge):
+        build()
+    assert time.perf_counter() - started < 1.0
 
 
 def test_code_with_measure_worked_example():
