@@ -7,9 +7,10 @@ summing k**(-length) of one representative per fiber, where the
 representative length is the class minimum (the plain L-height, equal to
 1 - collision), the maximum, the average, or the median.  Averages and
 medians can have fractional exponents, in which case the value is returned
-symbolically as an :class:`ExponentSum` rather than rounded.  The fiber
-lengths are read off :func:`~mk1.elements.fiber_offsets`: the fiber of an
-image-code word z has the lengths |z| plus its rows' offsets |x| - |y|.
+symbolically as an :class:`ExponentSum` rather than rounded: its exponents
+are integer pairs (n, d), reduced once, never a float or a Fraction.  The
+fiber lengths are read off :func:`~mk1.elements.fiber_offsets`: the fiber of
+an image-code word z has the lengths |z| plus its rows' offsets |x| - |y|.
 So neither the heights nor the D-index, whose L-height cross-check comes
 from the same walk, build a fiber word, a row or the image-code
 restriction.
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -46,22 +46,23 @@ from .errors import (
     OutOfRange,
 )
 from .kary import KRational, kq, kq_pow_sum
-from .words import (Word, code_with_measure, ideal_ess_eq, ideal_ess_leq, trie_leaves,
-                    words_of_length)
+from .words import (Word, check_letter_count, code_with_measure, ideal_ess_eq, ideal_ess_leq,
+                    trie_leaves, words_of_length)
 
 
 @dataclass(frozen=True, slots=True)
 class ExponentSum:
-    """Exact value sum(count * base**(-exp)) with fractional exponents."""
+    """Exact value sum(count * base**(-n/d)) with fractional exponents, each
+    term ((n, d), count) with n/d in lowest terms, ascending by n/d."""
 
     base: int
-    terms: tuple[tuple[Fraction, int], ...]   # (exponent, count), ascending
+    terms: tuple[tuple[tuple[int, int], int], ...]
 
     def __str__(self) -> str:
         parts = []
-        for e, c in self.terms:
+        for (n, d), c in self.terms:
             head = f"{c}*" if c != 1 else ""
-            parts.append(f"{head}{self.base}^(-{e})")
+            parts.append(f"{head}{self.base}^(-{n}{f'/{d}' if d != 1 else ''})")
         return " + ".join(parts)
 
 
@@ -81,7 +82,7 @@ def _rep_sum(k: int, exps: Iterable[tuple[int, int]]) -> Height:
         return kq_pow_sum(k, {n: c for (n, _), c in counts.items()})
     den = lcm(*(d for _, d in counts))
     terms = sorted(counts.items(), key=lambda term: term[0][0] * (den // term[0][1]))
-    return ExponentSum(k, tuple([(Fraction(n, d), c) for (n, d), c in terms]))
+    return ExponentSum(k, tuple(terms))
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,7 +209,9 @@ def section_inverse(e: Mk1Element) -> Mk1Element:
 def dense_chain(k: int, lo: KRational, hi: KRational, count: int) -> list[Mk1Element]:
     """count idempotents strictly between lo and hi in both the R- and
     L-order, with strictly increasing heights.  Witnesses the density of the
-    ordering: the canonical codes of intermediate measures are nested."""
+    ordering: the canonical codes of intermediate measures are nested.  Each
+    code is refused with TooLarge by :func:`~mk1.words.code_with_measure`
+    before it is built, over 2^20 words or 2^25 letters."""
     return list(iter_dense_chain(k, lo, hi, count))
 
 
@@ -285,7 +288,9 @@ def element_with_heights(k: int, h_r: KRational, h_l: KRational) -> Mk1Element:
     sums modulo k-1.  Then the canonical codes of the two heights are split,
     each at its last word in canonical order (a longest one, so its k children
     go last), until they are equally large, and zipped in that order into a
-    bijection from the domain code onto the image code.
+    bijection from the domain code onto the image code.  The t splits of a
+    last word of L letters add t((k-1)L + k) + (k-1)t(t-1)/2 letters; with
+    the two codes' own letters they are refused over 2^25 before the first.
     """
     if h_r.base != k or h_l.base != k:
         raise BaseMismatch("heights must be in base k")
@@ -296,9 +301,13 @@ def element_with_heights(k: int, h_r: KRational, h_l: KRational) -> Mk1Element:
             f"digit sums differ mod {k - 1}: "
             f"{h_r.digit_sum_mod()} vs {h_l.digit_sum_mod()}")
     image, domain = (list(code_with_measure(k, h).words) for h in (h_r, h_l))
-    for short, other in ((image, domain), (domain, image)):
-        while len(short) < len(other):
-            short += [w + a for w in [short.pop()] for a in words_of_length(k, 1)]
+    short, other = sorted((image, domain), key=len)
+    t, last = (len(other) - len(short)) // (k - 1), len(short[-1]) if short else 0
+    check_letter_count(sum(map(len, image + domain)) + t * ((k - 1) * last + k)
+                       + (k - 1) * t * (t - 1) // 2,
+                       "the element of these heights would have more than 2^25 letters")
+    for _ in range(t):
+        short += [w + a for w in [short.pop()] for a in words_of_length(k, 1)]
     return Mk1Element._trusted_make(k, zip(domain, image))
 
 

@@ -16,10 +16,12 @@ codes; :func:`plep_element_with_index` realizes any admissible index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .elements import Mk1Element, Row, image_ideal, restrict_to_length
 from .errors import (
     AlphabetMismatch,
+    BaseTooSmall,
     CrossCheckFailed,
     DivisibleIndex,
     IndexMismatch,
@@ -77,7 +79,11 @@ def eta_idempotent(q: PrefixCode, q0: Word) -> Mk1Element:
 
 
 def plep_element_with_index(k: int, i: int) -> Mk1Element:
-    """A total plep idempotent whose D-index is i (i must be prime to k)."""
+    """A total plep idempotent whose D-index is i (i must be prime to k):
+    :func:`eta_idempotent` of the first i words of the least level with more
+    than i words, the first word the representative."""
+    if k < 2:
+        raise BaseTooSmall(f"alphabet size must be at least 2, got {k}")
     if i < 1:
         raise OutOfRange("index must be positive")
     if i % k == 0:
@@ -85,8 +91,8 @@ def plep_element_with_index(k: int, i: int) -> Mk1Element:
     n = 1
     while k ** n <= i:
         n += 1
-    level = list(words_of_length(k, n))
-    return Mk1Element.make(k, [(w, w) for w in level[:i]] + [(w, level[0]) for w in level[i:]])
+    code = PrefixCode._trusted(k, tuple(islice(words_of_length(k, n), i)))
+    return eta_idempotent(code, code.words[0])
 
 
 def _level_rest(k: int, code: tuple[Word, ...], filler: Word) -> list[Row]:

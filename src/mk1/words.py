@@ -324,8 +324,9 @@ def code_with_measure(k: int, h: KRational) -> PrefixCode:
     Reading h = 0.d1 d2 ... dn in base k, block i contributes the words
     p_i · {first d_i letters} where p_i is the length-(i-1) prefix built by
     appending, at step j, the letter with index d_j.  The code has exactly
-    d1 + ... + dn words, a count checked against the 2^20 cap before any
-    word is built; h = 0 gives the empty code and h = 1 gives {^}.
+    d1 + ... + dn words of 1·d1 + ... + n·dn letters, counted against the
+    2^20 and 2^25 caps before any word is built; h = 0 gives the empty code
+    and h = 1 gives {^}.
     Measures g < h yield nested ideals: P_g lies inside P_h · A*.  The
     words come out in canonical order, so the code is built unchecked.
     """
@@ -338,9 +339,8 @@ def code_with_measure(k: int, h: KRational) -> PrefixCode:
         return PrefixCode._trusted(k, ((),))
     _, frac = h.digits()
     check_count(sum(frac), "a code of this measure would have more than 2^20 words")
-    words = []
-    prefix: Word = ()
-    for d in frac:
-        words.extend(prefix + (j,) for j in range(d))
-        prefix = prefix + (d,)
-    return PrefixCode._trusted(k, tuple(words))
+    check_letter_count(sum(i * d for i, d in enumerate(frac, 1)),
+                       "a code of this measure would have more than 2^25 letters")
+    # a block's prefix is the digits before it, so a zero digit costs no word or copy
+    return PrefixCode._trusted(k, tuple([frac[:i] + (j,) for i, d in enumerate(frac)
+                                         for j in range(d)]))

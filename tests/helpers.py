@@ -299,8 +299,9 @@ def reference_trie_leaves(k: int, tags: dict[Word, tuple]):
 
 def heights_from_restriction(e: Mk1Element) -> tuple[HeightReport, object]:
     """The height report and the D-index from the explicit rows of the
-    image-code restriction, grouped by image, with Fraction exponents:
-    R is the measure of the restriction's distinct images, the image code."""
+    image-code restriction, grouped by image, with Fraction exponents
+    spelled as (numerator, denominator) pairs only in the report: R is the
+    measure of the restriction's distinct images, the image code."""
     k = e.k
     groups: dict[Word, list[int]] = {}
     for x, z in image_code_restriction(e).rows:
@@ -311,7 +312,8 @@ def heights_from_restriction(e: Mk1Element) -> tuple[HeightReport, object]:
         counts = Counter(exps)
         if all(q.denominator == 1 for q in counts):
             return kq_pow_sum(k, {int(q): c for q, c in counts.items()})
-        return ExponentSum(k, tuple(sorted(counts.items())))
+        return ExponentSum(k, tuple(((q.numerator, q.denominator), c)
+                                    for q, c in sorted(counts.items())))
 
     report = HeightReport(
         r=kq_pow_sum(k, Counter(len(z) for z in groups)),

@@ -160,16 +160,32 @@ def test_a_walk_with_no_inner_node_answers_over_a_billion_letters(files, argv):
 @pytest.mark.parametrize("argv", [
     ["heights", "INNER"],
     ["with-heights", "1000000000", "0.[999999999]", "0.[999999999]"],
-    ["with-heights", "3000000", "0.[2999999]", "0.[2999999]"]])
+    ["with-heights", "3000000", "0.[2999999]", "0.[2999999]"],
+    ["with-heights", "2", "0." + "1" * 20000, "0." + "1" * 20000],
+    ["with-heights", "2", "0." + "0" * 7999 + "1", "0." + "1" * 8000]])
 def test_listing_more_than_2_20_letters_is_refused(files, argv):
     """A walk that reaches an inner node lists the k letters, and a code of
-    a given measure counts its words first: both are refused at once."""
+    a given measure counts its words first: both are refused at once.  So
+    are codes of more than 2^25 letters (20,000 ones make about 2·10^8),
+    and splitting 2^-8000's one word 7,999 times against 8,000 ones, which
+    would add about 9.6·10^7 letters: TooLarge, not a MemoryError."""
     table = files("inner.txt", "k 1000000000\na -> a\nb -> ab\n")
     started = time.perf_counter()
     done = _run_capped([table if arg == "INNER" else arg for arg in argv])
     assert time.perf_counter() - started < 10.0
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error TooLarge:") and "Traceback" not in done.stderr
+
+
+def test_starting_the_cli_loads_no_numeric_tower():
+    """Nothing that ``mk1.cli`` imports pulls in ``fractions``, ``decimal``
+    or ``numbers``: checked in an interpreter started with -S, so that no
+    site module loads them first."""
+    code = ("import sys, mk1.cli; "
+            "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60, env=subprocess_env())
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_green_L_on_nested_images(files, capsys):

@@ -2,7 +2,6 @@
 
 import random
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +25,7 @@ from mk1.errors import (
     Mk1Error,
     NotDistinct,
     OutOfRange,
+    TooLarge,
 )
 from mk1.green import (
     ExponentSum,
@@ -44,7 +44,7 @@ from mk1.green import (
     separating_context,
 )
 from mk1.kary import kq, kq_one, kq_zero, parse_krational
-from mk1.words import PrefixCode, parse_word
+from mk1.words import PrefixCode, check_letter_count, parse_word
 
 
 def el(k, *rows):
@@ -59,9 +59,8 @@ def test_heights_worked():
     assert rep.r == kq(2, 1, 1)
     assert rep.l == kq(2, 3, 2)
     assert rep.l_max == kq(2, 1, 2)
-    assert rep.l_ave == ExponentSum(2, ((Fraction(8, 3), 1), (Fraction(3), 1),
-                                        (Fraction(7, 2), 1)))
-    assert rep.l_med == ExponentSum(2, ((Fraction(3), 2), (Fraction(7, 2), 1)))
+    assert rep.l_ave == ExponentSum(2, (((8, 3), 1), ((3, 1), 1), ((7, 2), 1)))
+    assert rep.l_med == ExponentSum(2, (((3, 1), 2), ((7, 2), 1)))
     assert str(rep.l_ave) == "2^(-8/3) + 2^(-3) + 2^(-7/2)"
     assert str(rep.l_med) == "2*2^(-3) + 2^(-7/2)"
     assert format_height_report(rep).splitlines()[0] == "R 0.1"
@@ -245,6 +244,19 @@ def test_dense_chain_past_1_is_refused_before_the_first_element():
     assert dense_chain(2, lo, hi, 0) == []
 
 
+def test_dense_chain_refuses_a_code_of_more_than_2_25_letters():
+    """Over two letters, the one measure between 0 and 0.1…1 (8,192 ones)
+    is 0.01…1, whose code has words of 2 to 8,193 letters, 33,566,720 in
+    all: both chains refuse it before building a word."""
+    hi = parse_krational(2, "0." + "1" * 8192)
+    started = time.perf_counter()
+    with pytest.raises(TooLarge, match="more than 2\\^25 letters"):
+        dense_chain(2, kq_zero(2), hi, 1)
+    with pytest.raises(TooLarge, match="more than 2\\^25 letters"):
+        next(iter_dense_chain(2, kq_zero(2), hi, 1))
+    assert time.perf_counter() - started < 1.0
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 7).flatmap(lambda k: st.tuples(
     st.just(k), *[st.lists(st.integers(0, k - 1), max_size=3)] * 2, st.integers(0, 1),
@@ -295,6 +307,31 @@ def test_element_with_heights():
                               parse_krational(5, "0.2"))
     assert heights(e5).r == parse_krational(5, "0.0031042")
     assert heights(e5).l == parse_krational(5, "0.2")
+
+
+def test_element_with_heights_counts_its_letters_first(monkeypatch):
+    """The letters counted before the first split are the letters of the
+    element built; past 2^25 the splitting is refused before it starts.
+    One word of 2^16 letters against 600 domain words takes 599 splits,
+    which would add about 39 million letters."""
+    counted = []
+
+    def record(n, message):
+        counted.append(n)
+        return check_letter_count(n, message)
+
+    monkeypatch.setattr(green, "check_letter_count", record)
+    rng = random.Random(7)
+    for _ in range(200):
+        k = rng.randint(2, 5)
+        h_r, h_l = (kq(k, rng.randint(1, k ** 4), 4) for _ in range(2))
+        if h_r.digit_sum_mod() == h_l.digit_sum_mod():
+            e = element_with_heights(k, h_r, h_l)
+            assert counted.pop() == sum(len(x) + len(y) for x, y in e.rows)
+    started = time.perf_counter()
+    with pytest.raises(TooLarge, match="more than 2\\^25 letters"):
+        element_with_heights(2, kq(2, 1, 1 << 16), parse_krational(2, "0." + "1" * 600))
+    assert time.perf_counter() - started < 1.0
 
 
 def test_element_with_heights_random(seed=11):

@@ -12,6 +12,7 @@ from mk1.elements import (
     zero_element,
 )
 from mk1.errors import (
+    BaseTooSmall,
     CrossCheckFailed,
     DivisibleIndex,
     IndexMismatch,
@@ -127,6 +128,14 @@ def test_plep_element_with_index():
             assert d_index_plep(e) == i
     with pytest.raises(OutOfRange):
         plep_element_with_index(2, 0)
+
+
+def test_plep_element_with_index_checks_the_base_first():
+    """A base below 2 is refused before the index is read: 0 would divide
+    by zero, and every index is divisible by 1."""
+    for k in (0, 1):
+        with pytest.raises(BaseTooSmall):
+            plep_element_with_index(k, 1)
 
 
 def test_plep_element_with_index_is_the_eta_idempotent_of_its_level():

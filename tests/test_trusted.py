@@ -460,6 +460,17 @@ def test_every_error_class_is_named_outside_errors():
     assert defined and sorted(defined - named) == []
 
 
+def test_no_library_module_imports_fractions():
+    """Height exponents are reduced integer pairs, so the library builds no
+    Fraction, and starting it loads no numeric tower."""
+    found = [name for name, node in _library_nodes()
+             if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "fractions"
+                                                     for alias in node.names)
+             or isinstance(node, ast.ImportFrom) and not node.level
+             and (node.module or "").split(".")[0] == "fractions"]
+    assert found == []
+
+
 def test_functions_import_nothing():
     """Imports sit at module level, where the layering lint below sees them."""
     found = [(name, fn.name, alias.name) for name, fn in _library_nodes()
@@ -515,7 +526,7 @@ def test_make_is_called_only_on_unchecked_input():
     """Rows and words derived from checked values are built through
     ``_trusted_make`` or ``_trusted``; a ``make`` is called only where a
     base ``k`` arrives that no check has seen."""
-    assert _callers("make") == {"circuits.gate_element", "plep.plep_element_with_index"}
+    assert _callers("make") == {"circuits.gate_element"}
 
 
 def test_checked_small_tables_are_built_only_on_unchecked_input():

@@ -31,6 +31,7 @@ from mk1.errors import (
 from mk1.kary import kq, kq_one, kq_zero, parse_krational
 from mk1.words import (
     PrefixCode,
+    check_letter_count,
     check_letters,
     code_with_measure,
     complement_code,
@@ -340,6 +341,30 @@ def test_more_than_2_20_children_are_refused_unlisted(build):
     started = time.perf_counter()
     with pytest.raises(TooLarge):
         build()
+    assert time.perf_counter() - started < 1.0
+
+
+def test_code_with_measure_counts_its_letters_first(monkeypatch):
+    """The letters counted before any word is built, 1·d1 + ... + n·dn, are
+    the code's letters.  Past 2^25 the code is refused at once: 8,192 ones
+    over two letters would make words of 1 to 8,192 letters.  A run of zero
+    digits builds no word, so 2^-131072 is one word, built in linear time."""
+    counted = []
+
+    def record(n, message):
+        counted.append(n)
+        return check_letter_count(n, message)
+
+    monkeypatch.setattr("mk1.words.check_letter_count", record)
+    rng = random.Random(3)
+    for _ in range(200):
+        k = rng.randint(2, 5)
+        code = code_with_measure(k, kq(k, rng.randint(1, k ** 6 - 1), 6))
+        assert counted.pop() == sum(map(len, code))
+    started = time.perf_counter()
+    with pytest.raises(TooLarge, match="more than 2\\^25 letters"):
+        code_with_measure(2, parse_krational(2, "0." + "1" * 8192))
+    assert code_with_measure(2, kq(2, 1, 1 << 17)) == PrefixCode(2, ((0,) * (1 << 17),))
     assert time.perf_counter() - started < 1.0
 
 
