@@ -3,71 +3,50 @@
 Everything is exact: measures are k-ary rationals, heights may carry
 fractional exponents symbolically, and every predicate is decided by
 finite table manipulation — no floating point anywhere.
+
+The package's names resolve on first use (PEP 562): ``mk1.heights``
+imports ``mk1.green`` then, and a program that imports one module of the
+package loads only that module and the layers under it.
 """
 
-from .congruence import (
-    PrefixCodeCongruence,
-    collision_measure,
-    max_congruence,
-    noncollision_measure,
-    split_class,
-)
-from .elements import (
-    Mk1Element,
-    NoValue,
-    apply,
-    compose,
-    format_table,
-    identity_element,
-    image_code,
-    image_code_restriction,
-    inverse_element,
-    is_idempotent,
-    is_injective,
-    parse_table,
-    part,
-    partial_identity,
-    r2_normal_form,
-    single_row,
-    zero_element,
-)
-from .errors import Mk1Error, ParseError
-from .green import (
-    HeightReport,
-    dense_chain,
-    d_index_M,
-    element_with_heights,
-    eq_D_M,
-    eq_L,
-    eq_R,
-    format_height_report,
-    heights,
-    leq_L,
-    leq_R,
-    section_inverse,
-    separating_context,
-)
-from .kary import KRational, format_krational, kq, parse_krational
-from .plep import (
-    d_index_plep,
-    eq_D_plep,
-    eta_idempotent,
-    is_plep,
-    is_tlep,
-    plep_d_witness,
-    plep_element_with_index,
-)
-from .words import (
-    PrefixCode,
-    code_with_measure,
-    complement_code,
-    format_word,
-    is_maximal_code,
-    mu,
-    parse_code,
-    parse_word,
-)
+from importlib import import_module
+
+# each public name, and the module that defines it; a module's own name
+# stands for the module itself
+_HOME = {
+    **dict.fromkeys(("PrefixCodeCongruence", "collision_measure", "congruence",
+                     "max_congruence", "noncollision_measure", "split_class"), "congruence"),
+    **dict.fromkeys(("Mk1Element", "NoValue", "apply", "compose", "elements", "format_table",
+                     "identity_element", "image_code", "image_code_restriction",
+                     "inverse_element", "is_idempotent", "is_injective", "parse_table", "part",
+                     "partial_identity", "r2_normal_form", "single_row", "zero_element"),
+                    "elements"),
+    **dict.fromkeys(("Mk1Error", "ParseError", "errors"), "errors"),
+    **dict.fromkeys(("HeightReport", "d_index_M", "dense_chain", "element_with_heights",
+                     "eq_D_M", "eq_L", "eq_R", "format_height_report", "green", "heights",
+                     "leq_L", "leq_R", "section_inverse", "separating_context"), "green"),
+    **dict.fromkeys(("KRational", "format_krational", "kary", "kq", "parse_krational"), "kary"),
+    **dict.fromkeys(("d_index_plep", "eq_D_plep", "eta_idempotent", "is_plep", "is_tlep",
+                     "plep", "plep_d_witness", "plep_element_with_index"), "plep"),
+    **dict.fromkeys(("PrefixCode", "code_with_measure", "complement_code", "format_word",
+                     "is_maximal_code", "mu", "parse_code", "parse_word", "words"), "words"),
+}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """The object ``name`` from its defining module, imported now if it is
+    not yet; it is looked up on every call, so a name the module rebinds
+    resolves to the new binding."""
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{home}", __name__)
+    return module if name == home else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -5,6 +5,9 @@ prints, with no arithmetic of its own (chain's test for letters past 'z' is
 byte-deterministic output.  Exit status: 0 on success (also when the
 reader closes the output pipe early), 1 for unparseable input or bad usage,
 2 for a domain error (reported on stderr as ``error <Reason>: <message>``).
+A command imports the library modules past ``elements`` (``green``,
+``plep``, ``circuits``, ``dfa``, ``reductions``) when it calls them, so
+each start compiles and runs only the modules on its own path.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 
-from . import circuits, dfa, green, plep, reductions
 from .congruence import noncollision_measure
 from .elements import compose, format_table, parse_table, part
 from .errors import CrossCheckFailed, Mk1Error, OutOfRange, ParseError
@@ -57,46 +60,52 @@ def _checked(check, answer, other, what: str) -> str:
 
 def _cmd_measure(args):
     code = _read(args.code, parse_code)  # the empty code has no automaton to check against
+    dfa = import_module("mk1.dfa") if args.check else None
     print(_checked(args.check and code.words, lambda: str(code.mu),
                    lambda: str(dfa.dfa_measure(dfa.trie_dfa(code))), "mu and dfa_measure"))
 
 
 def _cmd_heights(args):
     e = _read(args.table, parse_table)
-    reports = (green.heights, dfa.height_report_via_dfa)
+    green = import_module("mk1.green")
+    reports = (green.heights, lambda e: import_module("mk1.dfa").height_report_via_dfa(e))
     first, second = reversed(reports) if args.dfa else reports
     print(_checked(args.check, lambda: green.format_height_report(first(e)),
                    lambda: green.format_height_report(second(e)),
                    "heights and height_report_via_dfa"))
 
 
+# each relation's module and function, imported when the command runs
 _RELATIONS = {
-    "leqR": green.leq_R,
-    "leqL": green.leq_L,
-    "eqR": green.eq_R,
-    "eqL": green.eq_L,
-    "eqD-M": green.eq_D_M,
-    "eqD-plep": plep.eq_D_plep,
+    "leqR": ("mk1.green", "leq_R"),
+    "leqL": ("mk1.green", "leq_L"),
+    "eqR": ("mk1.green", "eq_R"),
+    "eqL": ("mk1.green", "eq_L"),
+    "eqD-M": ("mk1.green", "eq_D_M"),
+    "eqD-plep": ("mk1.plep", "eq_D_plep"),
 }
 
 
 def _cmd_green(args):
-    verdict = _RELATIONS[args.relation](_read(args.f, parse_table), _read(args.g, parse_table))
+    module, name = _RELATIONS[args.relation]
+    relation = getattr(import_module(module), name)
+    verdict = relation(_read(args.f, parse_table), _read(args.g, parse_table))
     print("true" if verdict else "false")
 
 
 def _cmd_dindex(args):
     e = _read(args.table, parse_table)
     if args.kind == "M":
-        idx = green.d_index_M(e)
+        idx = import_module("mk1.green").d_index_M(e)
         print("zero" if idx is None else idx)
     else:
-        print(plep.d_index_plep(e))
+        print(import_module("mk1.plep").d_index_plep(e))
 
 
 def _cmd_chain(args):
     lo = parse_krational(args.k, args.lo)
     hi = parse_krational(args.k, args.hi)
+    green = import_module("mk1.green")
     chain = green.iter_dense_chain(args.k, lo, hi, args.count)
     if args.k > 26 and green.chain_uses_letter(args.k, lo, hi, args.count, 26):
         raise OutOfRange("letter display supports alphabets up to 26 letters")
@@ -109,20 +118,23 @@ def _cmd_chain(args):
 def _cmd_with_heights(args):
     h_r = parse_krational(args.k, args.r)
     h_l = parse_krational(args.k, args.l)
-    print(format_table(green.element_with_heights(args.k, h_r, h_l)))
+    print(format_table(import_module("mk1.green").element_with_heights(args.k, h_r, h_l)))
 
 
 def _cmd_synth_id(args):
     word = parse_word(args.word, args.k)
+    circuits = import_module("mk1.circuits")
     print(" ".join(circuits.synthesize_partial_identity(args.k, word)))
 
 
 def _cmd_eval_gen(args):
+    circuits = import_module("mk1.circuits")
     tokens = circuits.parse_generator_word(" ".join(args.tokens))
     print(format_table(circuits.eval_generator_word(args.k, tokens)))
 
 
 def _cmd_phi_b(args):
+    reductions = import_module("mk1.reductions")
     f = _read(args.formula, reductions.parse_formula)
     e = reductions.encode_formula(f)
     print(format_table(e))
@@ -138,6 +150,7 @@ def _cmd_phi_b(args):
 
 
 def _cmd_count_forallsat(args):
+    reductions = import_module("mk1.reductions")
     f = _read(args.formula, reductions.parse_formula)
     if args.via_element:
         if not reductions.covers_every_y(f):
@@ -148,6 +161,7 @@ def _cmd_count_forallsat(args):
 
 
 def _cmd_dfa_mu(args):
+    dfa = import_module("mk1.dfa")
     automaton = dfa.trie_dfa(_read(args.code, parse_code))
     if args.dump:
         print(dfa.format_dfa(automaton))
@@ -157,12 +171,14 @@ def _cmd_dfa_mu(args):
 
 
 def _cmd_witness_plep(args):
+    plep = import_module("mk1.plep")
     w = plep.plep_d_witness(_read(args.f, parse_table), _read(args.g, parse_table))
     tlep = "true" if w.tlep else "false"
     print(f"tlep {tlep}\n\n{format_table(w.b)}\n\n{format_table(w.b_prime)}")
 
 
 def _cmd_separate(args):
+    green = import_module("mk1.green")
     c1, c2 = green.separating_context(_read(args.f, parse_table), _read(args.g, parse_table))
     print(f"{format_table(c1)}\n\n{format_table(c2)}")
 

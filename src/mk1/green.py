@@ -45,7 +45,7 @@ from .errors import (
     NotDistinct,
     OutOfRange,
 )
-from .kary import KRational, kq, kq_pow_sum
+from .kary import KRational, kq, kq_one, kq_pow_sum
 from .words import (Word, check_letter_count, code_with_measure, ideal_ess_eq, ideal_ess_leq,
                     trie_leaves, words_of_length)
 
@@ -290,7 +290,9 @@ def element_with_heights(k: int, h_r: KRational, h_l: KRational) -> Mk1Element:
     go last), until they are equally large, and zipped in that order into a
     bijection from the domain code onto the image code.  The t splits of a
     last word of L letters add t((k-1)L + k) + (k-1)t(t-1)/2 letters; with
-    the two codes' own letters they are refused over 2^25 before the first.
+    the two codes' own letters they are refused over 2^25 before either code
+    is built.  The code of 0.d1 … dn has d1 + … + dn words of 1·d1 + … + n·dn
+    letters, the last of n, so all three are read off the heights' digits.
     """
     if h_r.base != k or h_l.base != k:
         raise BaseMismatch("heights must be in base k")
@@ -300,12 +302,18 @@ def element_with_heights(k: int, h_r: KRational, h_l: KRational) -> Mk1Element:
         raise IndexMismatch(
             f"digit sums differ mod {k - 1}: "
             f"{h_r.digit_sum_mod()} vs {h_l.digit_sum_mod()}")
-    image, domain = (list(code_with_measure(k, h).words) for h in (h_r, h_l))
-    short, other = sorted((image, domain), key=len)
-    t, last = (len(other) - len(short)) // (k - 1), len(short[-1]) if short else 0
-    check_letter_count(sum(map(len, image + domain)) + t * ((k - 1) * last + k)
+    if max(h_r, h_l) > kq_one(k):
+        raise OutOfRange("measures above 1 have no prefix code")
+    # each code's words, letters and last word's length; the code of 1 is {^}
+    sizes = [(whole + sum(frac), sum(i * d for i, d in enumerate(frac, 1)), len(frac))
+             for whole, frac in (h.digits() for h in (h_r, h_l))]
+    (fewer, _, last), (more, _, _) = sorted(sizes)
+    t = (more - fewer) // (k - 1)
+    check_letter_count(sizes[0][1] + sizes[1][1] + t * ((k - 1) * last + k)
                        + (k - 1) * t * (t - 1) // 2,
                        "the element of these heights would have more than 2^25 letters")
+    image, domain = (list(code_with_measure(k, h).words) for h in (h_r, h_l))
+    short = min(image, domain, key=len)
     for _ in range(t):
         short += [w + a for w in [short.pop()] for a in words_of_length(k, 1)]
     return Mk1Element._trusted_make(k, zip(domain, image))

@@ -48,15 +48,28 @@ class KRational:
     def digits(self) -> tuple[int, tuple[int, ...]]:
         """Integer part and fractional base-k digits (most significant first).
 
-        The canonical form guarantees the digit list never ends in 0.
+        The canonical form guarantees the digit list never ends in 0.  A
+        block of n > 64 digits splits at k^(n//2) into its two halves, so
+        each division works on a half, not on all the digits left; blocks
+        of at most 64 digits are peeled one digit at a time.
         """
         k = self.base
         int_part, rem = divmod(self.num, k**self.exp)
-        frac = []
-        for _ in range(self.exp):
-            rem, d = divmod(rem, k)
-            frac.append(d)
-        return int_part, tuple(reversed(frac))
+        frac, blocks, powers = [], [(rem, self.exp)], {}  # the most significant block last
+        while blocks:
+            rem, n = blocks.pop()
+            if n > 64:
+                half = n // 2
+                if half not in powers:
+                    powers[half] = k**half
+                high, low = divmod(rem, powers[half])
+                blocks += ((low, half), (high, n - half))
+                continue
+            block = [0] * n
+            for i in range(n - 1, -1, -1):
+                rem, block[i] = divmod(rem, k)
+            frac += block
+        return int_part, tuple(frac)
 
     def digit_sum_mod(self) -> int:
         """Sum of all base-k digits, reduced into {1, ..., base-1}.

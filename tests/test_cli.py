@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import os
 import runpy
@@ -186,6 +187,89 @@ def test_starting_the_cli_loads_no_numeric_tower():
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           timeout=60, env=subprocess_env())
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+PLEP = "k 2\naa -> ab\nab -> bb\nba -> ba\nbb -> aa\n"
+
+
+COMMAND_LOADS = [
+    (["normalize", "PHI1"], ()),
+    (["compose", "PHI1", "SWAP"], ()),
+    (["measure", "CODE"], ()),
+    (["heights", "PHI1"], ("green",)),
+    *[(["green", relation, "PHI1", "SWAP"], ("green",))
+      for relation in ("leqR", "leqL", "eqR", "eqL", "eqD-M")],
+    (["dindex", "M", "PHI1"], ("green",)),
+    (["chain", "2", "0.01", "0.1", "3"], ("green",)),
+    (["with-heights", "2", "0.1", "0.11"], ("green",)),
+    (["separate", "PHI1", "SWAP"], ("green",)),
+    (["heights", "--dfa", "PHI1"], ("dfa", "green")),
+    (["heights", "--check", "PHI1"], ("dfa", "green")),
+    (["measure", "--check", "CODE"], ("dfa", "green")),
+    (["dfa-mu", "CODE"], ("dfa", "green")),
+    (["green", "eqD-plep", "SWAP", "PLEP"], ("plep",)),
+    (["dindex", "plep", "SWAP"], ("plep",)),
+    (["witness-plep", "SWAP", "PLEP"], ("plep",)),
+    (["synth-id", "2", "a"], ("circuits",)),
+    (["eval-gen", "2", "proj2", "fork"], ("circuits",)),
+    (["phi-b", "FORMULA"], ("reductions",)),
+    (["count-forallsat", "FORMULA"], ("reductions",))]
+
+
+@pytest.mark.parametrize("argv, loaded", COMMAND_LOADS,
+                         ids=[" ".join(argv) for argv, _ in COMMAND_LOADS])
+def test_each_command_loads_only_the_modules_it_calls(files, argv, loaded):
+    """Every command loads ``cli`` and the layers up to ``elements``; past
+    them it imports only the modules it calls (``dfa`` brings the report
+    type from ``green``).  Each runs in a new interpreter started with -S."""
+    texts = {"PHI1": PHI1, "SWAP": SWAP, "CODE": CODE, "PLEP": PLEP, "FORMULA": FORMULA}
+    inputs = {name: files(name, text) for name, text in texts.items()}
+    child = ("import io, sys, mk1.cli; sys.stdout = io.StringIO(); "
+             "status = mk1.cli.main(sys.argv[1:]); sys.stdout = sys.__stdout__; "
+             "print(status, *sorted(m[4:] for m in sys.modules if m.startswith('mk1.')))")
+    done = subprocess.run([sys.executable, "-S", "-c", child, *[inputs.get(a, a) for a in argv]],
+                          capture_output=True, text=True, timeout=60, env=subprocess_env())
+    base = ("cli", "congruence", "elements", "errors", "kary", "words")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == ["0", *sorted(base + loaded)]
+
+
+PACKAGE_NAMES = """
+    HeightReport KRational Mk1Element Mk1Error NoValue ParseError PrefixCode
+    PrefixCodeCongruence apply code_with_measure collision_measure complement_code compose
+    congruence d_index_M d_index_plep dense_chain element_with_heights elements eq_D_M
+    eq_D_plep eq_L eq_R errors eta_idempotent format_height_report format_krational
+    format_table format_word green heights identity_element image_code
+    image_code_restriction inverse_element is_idempotent is_injective is_maximal_code
+    is_plep is_tlep kary kq leq_L leq_R max_congruence mu noncollision_measure parse_code
+    parse_krational parse_table parse_word part partial_identity plep plep_d_witness
+    plep_element_with_index r2_normal_form section_inverse separating_context single_row
+    split_class words zero_element
+""".split()
+
+
+def test_the_package_names_resolve_in_their_modules_on_first_use(monkeypatch):
+    """``mk1`` exports the same 63 names as ever, each the object its own
+    module defines, looked up afresh on every use; a bare ``import mk1``
+    loads none of them."""
+    assert mk1.__all__ == PACKAGE_NAMES and set(PACKAGE_NAMES) <= set(dir(mk1))
+    for name in PACKAGE_NAMES:
+        value = getattr(mk1, name)
+        home = value.__name__ if inspect.ismodule(value) else value.__module__
+        assert home.startswith("mk1.") and value is (
+            sys.modules[home] if home == f"mk1.{name}" else getattr(sys.modules[home], name))
+    namespace = {}
+    exec("from mk1 import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PACKAGE_NAMES
+    monkeypatch.setattr(mk1.green, "heights", len)
+    assert mk1.heights is len
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        mk1.no_such_name
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, mk1; print(*sorted(m for m in sys.modules "
+         "if m.startswith('mk1')))"], capture_output=True, text=True, timeout=60,
+        env=subprocess_env())
+    assert (done.returncode, done.stdout, done.stderr) == (0, "mk1\n", "")
 
 
 def test_green_L_on_nested_images(files, capsys):

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -332,6 +333,21 @@ def test_element_with_heights_counts_its_letters_first(monkeypatch):
     with pytest.raises(TooLarge, match="more than 2\\^25 letters"):
         element_with_heights(2, kq(2, 1, 1 << 16), parse_krational(2, "0." + "1" * 600))
     assert time.perf_counter() - started < 1.0
+
+
+def test_element_with_heights_refuses_before_it_builds_a_code():
+    """2^-5000 against 5,000 ones: the domain code alone holds 12.5 million
+    letters (about 100 MB of tuples), and the splitting would make the
+    element about 50 million.  The refusal reads the heights' digits only."""
+    h_r, h_l = kq(2, 1, 5000), kq(2, (1 << 5000) - 1, 5000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="the element of these heights"):
+            element_with_heights(2, h_r, h_l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_element_with_heights_random(seed=11):

@@ -1,6 +1,8 @@
 """Exact k-ary rational arithmetic: canonical forms, digits, laws."""
 
 import operator
+import random
+import time
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -55,6 +57,36 @@ def test_digits_roundtrip():
         assert kq_from_digits(x.base, i, frac) == x
     with pytest.raises(NegativeResult):
         kq_from_digits(2, -1, (1,))
+
+
+def _digit_by_digit(x):
+    """The integer part and the fractional digits of ``x``, one divmod of
+    the whole remainder per digit."""
+    int_part, rem = divmod(x.num, x.base ** x.exp)
+    frac = []
+    for _ in range(x.exp):
+        rem, d = divmod(rem, x.base)
+        frac.append(d)
+    return int_part, tuple(reversed(frac))
+
+
+def test_digits_split_into_halves_match_the_digit_by_digit_loop():
+    """Every split shape: 64 digits or fewer peel at once, 65 and more split,
+    and uneven halves nest to any depth; the integer part rides along."""
+    rng = random.Random(40)
+    for k in (2, 3, 10, 36):
+        for exp in [*range(0, 140), 255, 256, 257, 1000, 2049, *rng.sample(range(140, 3000), 20)]:
+            x = kq(k, rng.randrange(k ** exp * rng.choice((1, 2, 1000))), exp)
+            assert x.digits() == _digit_by_digit(x), (k, exp)
+
+
+def test_digits_of_a_long_measure_take_no_quadratic_time():
+    """131,000 binary digits, the longest argument the OS passes: one
+    divmod per digit took about 2 s."""
+    x = kq(2, (1 << 131000) - 1, 131000)
+    started = time.perf_counter()
+    assert x.digits() == (0, (1,) * 131000)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_digit_sum_mod():
