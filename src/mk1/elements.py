@@ -25,10 +25,12 @@ Inputs are checked once, where they enter: direct construction,
 :meth:`Mk1Element.make` and :func:`parse_table`.  ``make`` sorts its rows
 once, in dictionary order, checks them in one pass over adjacent pairs and
 hands them to the merge pass; :func:`compose` sorts its distinct rows and
-does the same.  Tables, codes and partitions that this module derives from
-a checked element are valid and canonically ordered by construction, so
-they are built without checks, and rows from checked values that need
-reducing go through :meth:`Mk1Element._trusted_make`.
+does the same.  :func:`apply` and f's side of :func:`compose` look words up
+in one dictionary-ordered view per element, sorted on its first lookup.
+Tables, codes and partitions that this module derives from a checked
+element are valid and canonically ordered by construction, so they are
+built without checks, and rows from checked values that need reducing go
+through :meth:`Mk1Element._trusted_make`.
 
 The empty table is the zero element (nowhere-defined map); {^ -> ^} is the
 identity.
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -89,6 +91,7 @@ class Mk1Element:
 
     k: int
     rows: tuple[Row, ...]
+    _view: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.k < 2:
@@ -188,6 +191,15 @@ def _domain_key(row: Row):
     return word_key(row[0])
 
 
+def _by_word(e: Mk1Element) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
+    """e's domain words and images in dictionary order: sorted once, kept in e."""
+    view = getattr(e, "_view", None)
+    if view is None:
+        view = tuple(zip(*sorted(e.rows))) or ((), ())
+        object.__setattr__(e, "_view", view)
+    return view
+
+
 # -- constructors ---------------------------------------------------------------
 
 def zero_element(k: int) -> Mk1Element:
@@ -220,16 +232,17 @@ def apply(e: Mk1Element, w: Word):
 
     NEED_LONGER means w is a proper prefix of some domain word, so the map is
     defined on part of w·A* but w itself is too short to determine the value.
+    Two bisects in e's dictionary-ordered view: the one domain word that can
+    be a prefix of w sits at or before w, and the one that can extend it next.
     """
     w = tuple(w)
     if w and not (0 <= min(w) and max(w) < e.k):  # check_letters names the bad letter
         check_letters(e.k, (w,))
-    partial = False
-    for x, y in e.rows:
-        if w[: len(x)] == x:
-            return y + w[len(x):]
-        partial = partial or x[: len(w)] == w
-    return NoValue.NEED_LONGER if partial else NoValue.UNDEFINED
+    ws, ys = _by_word(e)
+    i = bisect_right(ws, w)
+    if i and w[:len(x := ws[i - 1])] == x:
+        return ys[i - 1] + w[len(x):]
+    return NoValue.NEED_LONGER if i < len(ws) and ws[i][:len(w)] == w else NoValue.UNDEFINED
 
 
 def compose(f: Mk1Element, g: Mk1Element) -> Mk1Element:
@@ -241,20 +254,20 @@ def compose(f: Mk1Element, g: Mk1Element) -> Mk1Element:
     A row whose image has neither leaves f's domain ideal and dies.  The
     rows are distinct, since g's domain is a prefix code, so one sort puts
     them in order for the merge pass behind :meth:`Mk1Element.make`.  Cost:
-    one sort of f's domain, then two bisects per row of g plus one row per
-    matched domain word, then that sort and pass."""
+    two bisects per row of g in f's view (sorted on its first lookup), plus
+    one row per matched domain word, then that sort and pass."""
     if f.k != g.k:
         raise AlphabetMismatch(f"cannot compose over {f.k} and {g.k} letters")
     k = f.k
-    fdom = dict(f.rows)
-    ws = sorted(fdom)
+    ws, ys = _by_word(f)
     out: list[Row] = []
     for x, y in g.rows:
         i = bisect_right(ws, y)
         if i and y[:len(w := ws[i - 1])] == w:
-            out.append((x, fdom[w] + y[len(w):]))
+            out.append((x, ys[i - 1] + y[len(w):]))
         else:
-            out += [(x + w[len(y):], fdom[w]) for w in ws[i:bisect_left(ws, y + (k,), i)]]
+            j = bisect_left(ws, y + (k,), i)
+            out += [(x + w[len(y):], z) for w, z in zip(ws[i:j], ys[i:j])]
     out.sort()
     return Mk1Element._trusted(k, _merge_rows(k, out))
 

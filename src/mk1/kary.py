@@ -163,17 +163,24 @@ def kq_one(base: int) -> KRational:
 
 
 def kq_from_digits(base: int, int_part: int, frac_digits) -> KRational:
-    """Value int_part.d1 d2 ... dn in base k."""
+    """Value int_part.d1 d2 ... dn in base k, trailing zeros dropped: blocks
+    of equal width from the last digit pair up as hi·k^width + lo, which
+    halves their count each round, so no product runs over all the digits."""
     frac_digits = tuple(frac_digits)
     if int_part < 0:
         raise NegativeResult("integer part must be non-negative")
     for d in frac_digits:
         if not 0 <= d < base:
             raise ParseError(f"digit {d} out of range for base {base}")
-    num = int_part
-    for d in frac_digits:
-        num = num * base + d
-    return kq(base, num, len(frac_digits))
+    n = len(frac_digits)
+    while n and not frac_digits[n - 1]:  # else kq would divide out trailing zeros one at a time
+        n -= 1
+    blocks, power = [int_part, *frac_digits[:n]], base  # power = k^width
+    while len(blocks) > 1:
+        odd = len(blocks) % 2  # an odd count leaves the first block unpaired
+        blocks[odd:] = [hi * power + lo for hi, lo in zip(blocks[odd::2], blocks[odd + 1::2])]
+        power *= power
+    return kq(base, blocks[0], n)
 
 
 def format_krational(x: KRational) -> str:

@@ -14,6 +14,7 @@ from mk1.circuits import eval_generator_word, gate_element, generator_length
 from mk1.dfa import Dfa
 from mk1.elements import (
     Mk1Element,
+    NoValue,
     apply,
     compose,
     identity_element,
@@ -386,6 +387,20 @@ def reference_ideal_ess_leq(p1: PrefixCode, p2: PrefixCode) -> bool:
         return True
 
     return all(covers(w) for w in p1.words)
+
+
+def reference_apply(e: Mk1Element, w: Word):
+    """apply by scanning every row in order until a domain word is a prefix
+    of w: NEED_LONGER if some domain word extends w, else UNDEFINED."""
+    w = tuple(w)
+    if w and not (0 <= min(w) and max(w) < e.k):
+        check_letters(e.k, (w,))
+    partial = False
+    for x, y in e.rows:
+        if w[: len(x)] == x:
+            return y + w[len(x):]
+        partial = partial or x[: len(w)] == w
+    return NoValue.NEED_LONGER if partial else NoValue.UNDEFINED
 
 
 def reference_compose(f: Mk1Element, g: Mk1Element) -> Mk1Element:

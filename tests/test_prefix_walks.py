@@ -1,16 +1,19 @@
-"""Prefix walks: the trie walk, compose, separating_context and leq_L.
+"""Prefix walks: the trie walk, apply, compose, separating_context and leq_L.
 
 ``words.trie_leaves`` is the one trie walk; ``separating_context`` reads
 the leaves of the union trie of two domains, and ``compose`` takes the
-domain words of f that extend an image as one slice of f's sorted domain,
-found by two bisects, instead of trying every word of the full depth or
-scanning every domain word per row.  These properties check the walk
-against the leaves of the completed trie, check the two callers byte for
-byte against the scanning references in ``helpers``, check ``leq_L``
-against the section certificate, and time the inputs on which the scans
-blow up or a recursive walk would pass Python's recursion limit.
+domain words of f that extend an image as one slice of f's domain in
+dictionary order, found by two bisects, instead of trying every word of
+the full depth or scanning every domain word per row.  ``apply`` finds its
+row by two bisects in the same dictionary-ordered view, which an element
+sorts on its first lookup.  These properties check the walk against the
+leaves of the completed trie, check the three callers against the scanning
+references in ``helpers``, check ``leq_L`` against the section
+certificate, and time the inputs on which the scans blow up or a
+recursive walk would pass Python's recursion limit.
 """
 
+import random
 import time
 
 import pytest
@@ -20,19 +23,26 @@ from helpers import (
     deep_code,
     deep_rotation,
     el,
+    elements_over,
+    reference_apply,
     reference_compose,
     reference_separating_context,
     reference_trie_leaves,
 )
+from mk1.circuits import gate_element
 from mk1.elements import (
     Mk1Element,
+    NoValue,
+    apply,
     compose,
     format_table,
     identity_element,
+    parse_table,
     partial_identity,
+    single_row,
     zero_element,
 )
-from mk1.errors import NotDistinct
+from mk1.errors import NotDistinct, OutOfRange
 from mk1.green import eq_L, leq_L, section_inverse, separating_context
 from mk1.words import PrefixCode, is_prefix, trie_leaves, words_of_length
 
@@ -246,3 +256,99 @@ def test_compose_of_a_2000_level_table():
     assert time.perf_counter() - started < 1.0
     code = deep_code(2000)
     assert hh == Mk1Element.make(2, list(zip(code, code[2:] + code[:2])))
+
+
+# a partial table with domain words of four lengths
+_MIXED = el(3, ("a", "c"), ("ba", "^"), ("bcab", "aa"), ("bcc", "b"))
+
+
+@st.composite
+def _lookups(draw):
+    """(e, words): a table over 2 or 3 letters (mixed domain lengths, the
+    zero, the identity, or one row from the domain word ^), and words that
+    are shorter than, equal to or longer than its domain words, or anywhere."""
+    k = draw(st.sampled_from((2, 3)))
+    e = draw(st.one_of(elements_over(k), _words(k).map(lambda y: single_row(k, (), y))))
+    near = _words(k)
+    if e.rows:
+        cut = st.tuples(st.sampled_from([x for x, _ in e.rows]), st.integers(0, 5), _words(k))
+        near = st.one_of(near, cut.map(lambda c: c[0][:c[1]] + c[2]))
+    return e, draw(st.lists(near, min_size=1, max_size=12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lookups())
+@example((deep_rotation(6), [(), (0,) * 3, (0,) * 6, (0,) * 7, (0, 0, 1, 1)]))
+def test_apply_matches_the_scanning_reference(ew):
+    """Two bisects in the dictionary-ordered view give what scanning every
+    row gives, on the first lookup and on every later one."""
+    e, ws = ew
+    for w in ws + ws:
+        assert apply(e, w) == reference_apply(e, w), (format_table(e), w)
+
+
+def test_apply_gives_words_need_longer_and_undefined_as_the_scan_does():
+    """Every word up to length 5 over _MIXED, where all three kinds of
+    answer occur."""
+    e = _MIXED
+    kinds = set()
+    for n in range(6):
+        for w in words_of_length(3, n):
+            got = apply(e, w)
+            assert got == reference_apply(e, w), w
+            kinds.add(type(got) if isinstance(got, tuple) else got)
+    assert kinds == {tuple, NoValue.NEED_LONGER, NoValue.UNDEFINED}
+
+
+@pytest.mark.parametrize("w", [(0, 3), (3,), (-1,), (1, 0, 2, 5)])
+def test_apply_refuses_a_letter_past_k_as_the_scan_does(w):
+    e = el(3, ("a", "c"), ("ba", "^"))
+    with pytest.raises(OutOfRange) as got:
+        apply(e, w)
+    with pytest.raises(OutOfRange) as want:
+        reference_apply(e, w)
+    assert str(got.value) == str(want.value)
+
+
+def _built_four_ways(e):
+    """e from make (rows reversed), parse_table, the checking constructor
+    and the unchecked one, each fresh, with no lookup made yet."""
+    return [Mk1Element.make(e.k, e.rows[::-1]), parse_table(format_table(e)),
+            Mk1Element(e.k, e.rows), Mk1Element._trusted(e.k, e.rows)]
+
+
+@pytest.mark.parametrize("e", [zero_element(2), identity_element(3), deep_rotation(5), _MIXED])
+def test_apply_answers_alike_however_the_element_was_built(e):
+    ws = [w for n in range(7) for w in words_of_length(e.k, n)]
+    want = [reference_apply(e, w) for w in ws]
+    for built in _built_four_ways(e):
+        assert getattr(built, "_view", None) is None
+        assert [apply(built, w) for w in ws] == want           # fills the view
+        assert getattr(built, "_view", None) is not None
+        assert [apply(built, w) for w in ws] == want           # reads it
+
+
+def test_the_view_changes_no_equality_hash_or_repr():
+    e = _MIXED
+    fresh = _built_four_ways(e)
+    looked_up = _built_four_ways(e)
+    for f in looked_up:
+        apply(f, (1, 2))
+        compose(f, e)
+    for f, g in zip(fresh, looked_up):
+        assert f == g == e and hash(f) == hash(g) == hash(e)
+        assert repr(f) == repr(g) == repr(e) == f"Mk1Element(k=3, rows={e.rows!r})"
+    assert len({*fresh, *looked_up, e}) == 1
+
+
+def test_apply_on_the_tau_12_gate_looks_words_up():
+    """2,000 random words through the 8,192-row table of tau(12): one sort
+    on the first lookup, then two bisects per word, where scanning the rows
+    took about 2 s."""
+    rng = random.Random(41)
+    e = gate_element(2, "tau(12)")
+    ws = [tuple(rng.randrange(2) for _ in range(rng.randint(0, 16))) for _ in range(2000)]
+    started = time.perf_counter()
+    got = [apply(e, w) for w in ws]
+    assert time.perf_counter() - started < 0.5
+    assert got[:200] == [reference_apply(e, w) for w in ws[:200]]
