@@ -15,12 +15,11 @@ from importlib import import_module
 # stands for the module itself
 _HOME = {
     **dict.fromkeys(("PrefixCodeCongruence", "collision_measure", "congruence",
-                     "max_congruence", "noncollision_measure", "split_class"), "congruence"),
+                     "noncollision_measure", "split_class"), "congruence"),
     **dict.fromkeys(("Mk1Element", "NoValue", "apply", "compose", "elements", "format_table",
-                     "identity_element", "image_code", "image_code_restriction",
-                     "inverse_element", "is_idempotent", "is_injective", "parse_table", "part",
-                     "partial_identity", "r2_normal_form", "single_row", "zero_element"),
-                    "elements"),
+                     "identity_element", "image_code", "image_code_restriction", "is_idempotent",
+                     "is_injective", "parse_table", "part", "partial_identity", "r2_normal_form",
+                     "zero_element"), "elements"),
     **dict.fromkeys(("Mk1Error", "ParseError", "errors"), "errors"),
     **dict.fromkeys(("HeightReport", "d_index_M", "dense_chain", "element_with_heights",
                      "eq_D_M", "eq_L", "eq_R", "format_height_report", "green", "heights",
@@ -28,8 +27,8 @@ _HOME = {
     **dict.fromkeys(("KRational", "format_krational", "kary", "kq", "parse_krational"), "kary"),
     **dict.fromkeys(("d_index_plep", "eq_D_plep", "eta_idempotent", "is_plep", "is_tlep",
                      "plep", "plep_d_witness", "plep_element_with_index"), "plep"),
-    **dict.fromkeys(("PrefixCode", "code_with_measure", "complement_code", "format_word",
-                     "is_maximal_code", "mu", "parse_code", "parse_word", "words"), "words"),
+    **dict.fromkeys(("PrefixCode", "code_with_measure", "format_word", "mu", "parse_code",
+                     "parse_word", "words"), "words"),
 }
 
 __version__ = "0.1.0"

@@ -98,37 +98,6 @@ def split_class(c: PrefixCodeCongruence, index: int) -> PrefixCodeCongruence:
     target = c.classes[index]
     groups = [cls for i, cls in enumerate(c.classes) if i != index]
     groups.extend(tuple(w + a for w in target) for a in words_of_length(k, 1))  # stays sorted
-    return _canonical(k, groups)
-
-
-def max_congruence(c: PrefixCodeCongruence) -> PrefixCodeCongruence:
-    """Coarsen to the unique maximal form.
-
-    Whenever k classes are S·0, ..., S·(k-1) for a common stem set S, they
-    encode the same end identifications as the single class S over the
-    coarser code.  The stack pass that reduces rows merges them: each class,
-    a list in dictionary order, is pushed in the order of its least word,
-    and while the top k classes are S·0, ..., S·(k-1) they give way to S.
-    No least word lies between min(S)·a and min(S)·(a+1), so a family sits
-    on top once its members' own merges are made.  The result is the
-    canonical coarsest presentation of the end relation.
-    """
-    k, last = c.k, c.k - 1
-    stack: list[list[Word]] = []
-    for cls in sorted(sorted(cls) for cls in c.classes):  # least words are distinct
-        while len(stack) >= k - 1 and all(w and w[-1] == last for w in cls):
-            stem = [w[:-1] for w in cls]
-            if any(stack[a - k + 1] != [s + (a,) for s in stem] for a in range(k - 1)):
-                break
-            del stack[1 - k:]
-            cls = stem
-        stack.append(cls)
-    return _canonical(k, [tuple(sorted(cls, key=word_key)) for cls in stack])
-
-
-def _canonical(k: int, groups: list[tuple[Word, ...]]) -> PrefixCodeCongruence:
-    """The congruence over the code of all the words in ``groups``, which are
-    sorted classes that partition a prefix code."""
     words = tuple(sorted((w for cls in groups for w in cls), key=word_key))
     classes = tuple(sorted(groups, key=lambda cls: word_key(cls[0])))
     return PrefixCodeCongruence._trusted(PrefixCode._trusted(k, words), classes)

@@ -51,7 +51,6 @@ from .errors import (
     DomainNotPrefixCode,
     LengthTooSmall,
     NotCanonical,
-    NotInjective,
     ParseError,
 )
 from .words import (
@@ -208,10 +207,6 @@ def zero_element(k: int) -> Mk1Element:
 
 def identity_element(k: int) -> Mk1Element:
     return Mk1Element(k, (((), ()),))
-
-
-def single_row(k: int, x: Word, y: Word) -> Mk1Element:
-    return Mk1Element(k, ((tuple(x), tuple(y)),))
 
 
 def partial_identity(code: PrefixCode) -> Mk1Element:
@@ -383,19 +378,11 @@ def restrict_to_length(e: Mk1Element, m: int) -> Mk1Element:
     return Mk1Element._trusted(e.k, tuple(rows))
 
 
-# -- predicates and inverses -----------------------------------------------------
+# -- predicates ------------------------------------------------------------------
 
 def is_injective(e: Mk1Element) -> bool:
     """True iff the images are distinct and pairwise prefix-incomparable."""
     return is_prefix_code(e.image_words)
-
-
-def inverse_element(e: Mk1Element) -> Mk1Element:
-    """The inverse of an injective element (its image words form a prefix
-    code, so the flipped table is again valid)."""
-    if not is_injective(e):
-        raise NotInjective("element collapses distinct ends")
-    return Mk1Element._trusted_make(e.k, [(y, x) for x, y in e.rows])
 
 
 def is_idempotent(e: Mk1Element) -> bool:

@@ -74,10 +74,6 @@ class AlphabetMismatch(Mk1Error):
     pass
 
 
-class NotInjective(Mk1Error):
-    pass
-
-
 # -- congruences and Green structure -----------------------------------------
 
 class NotAClass(Mk1Error, ValueError):

@@ -129,8 +129,10 @@ def kq(base: int, num: int, exp: int = 0) -> KRational:
     """Canonical k-ary rational num * base**(-exp).
 
     Common factors of ``base`` are cancelled until the exponent hits 0 or
-    the numerator is no longer divisible by the base.  A negative ``exp``
-    scales the numerator up instead.
+    the numerator is no longer divisible by the base: base**t for t the
+    smaller of exp and the base-adic valuation of num, found by squaring
+    and taken out from the largest square down, in O(log t) divisions.  A
+    negative ``exp`` scales the numerator up instead.
     """
     if base < 2:
         raise BaseTooSmall(f"base must be at least 2, got {base}")
@@ -141,9 +143,16 @@ def kq(base: int, num: int, exp: int = 0) -> KRational:
     if exp < 0:
         num *= base ** (-exp)
         exp = 0
-    while exp > 0 and num % base == 0:
-        num //= base
-        exp -= 1
+    if exp > 0 and num % base == 0:
+        squares = []  # (base**n, n) for n = 1, 2, 4, ... while base**n divides num and n <= exp
+        p, n = base, 1
+        while n <= exp and num % p == 0:
+            squares.append((p, n))
+            p, n = p * p, n + n
+        for p, n in reversed(squares):  # t < 2n for the largest n: t's bits, high to low
+            if n <= exp and num % p == 0:
+                num //= p
+                exp -= n
     return KRational(base, num, exp)
 
 

@@ -249,10 +249,6 @@ def mu(k: int, words: Iterable[Word]) -> KRational:
     return kq(k, sum([k ** (top - len(w)) for w in ws]), top)
 
 
-def is_maximal_code(code: PrefixCode) -> bool:
-    return code.mu == kq_one(code.k)
-
-
 # -- essential containment by measure ------------------------------------------
 
 def ideal_ess_leq(p1: PrefixCode, p2: PrefixCode) -> bool:
@@ -278,18 +274,6 @@ def ideal_ess_leq(p1: PrefixCode, p2: PrefixCode) -> bool:
 
 def ideal_ess_eq(p1: PrefixCode, p2: PrefixCode) -> bool:
     return ideal_ess_leq(p1, p2) and ideal_ess_leq(p2, p1)
-
-
-def complement_code(code: PrefixCode) -> PrefixCode:
-    """The canonical prefix code complementary to ``code``.
-
-    Its members are the maximal tree nodes whose subtrees miss code·A*: the
-    leaves of the trie of the code and the root that are not code words.
-    With ``code`` it covers every infinite end; the complement of {} is {^}.
-    """
-    tags = {(): (), **{w: (w,) for w in code.words}}  # a leaf with no tag is no code word
-    gaps = (p for p, path in trie_leaves(code.k, tags) if not path)
-    return PrefixCode._trusted(code.k, tuple(sorted(gaps, key=word_key)))
 
 
 # -- measure-preserving rewriting ---------------------------------------------

@@ -9,7 +9,7 @@ from math import gcd
 
 from hypothesis import strategies as st
 
-from mk1.congruence import PrefixCodeCongruence, max_congruence, noncollision_measure
+from mk1.congruence import PrefixCodeCongruence, noncollision_measure
 from mk1.circuits import eval_generator_word, gate_element, generator_length
 from mk1.dfa import Dfa
 from mk1.elements import (
@@ -23,7 +23,6 @@ from mk1.elements import (
     image_ideal,
     part,
     restrict_to_length,
-    single_row,
     zero_element,
 )
 from mk1.errors import (
@@ -33,9 +32,9 @@ from mk1.errors import (
     CrossCheckFailed,
     IndexMismatch,
     LengthTooSmall,
+    NegativeResult,
     NotAClass,
     NotDistinct,
-    NotInjective,
     ParseError,
 )
 from mk1.green import ExponentSum, HeightReport, _rep_sum
@@ -247,10 +246,9 @@ def random_plep_pair(rng: random.Random, k: int) -> tuple[Mk1Element, Mk1Element
 def random_idempotent(rng: random.Random, k: int, max_depth: int = 3) -> Mk1Element:
     """A random idempotent: fix a prefix code Q pointwise, and map words from
     the uncovered region into Q·A* (such a table squares to itself)."""
-    from mk1.words import complement_code
     q = random_nonempty_code(rng, k, max_depth)
     rows = [(w, w) for w in q.words]
-    for v in complement_code(q).words:
+    for v in reference_complement_code(q).words:
         if rng.random() < 0.6:
             target = q.words[rng.randrange(len(q.words))] + \
                 random_word(rng, k, rng.randrange(0, 2))
@@ -433,14 +431,14 @@ def reference_separating_context(f: Mk1Element, g: Mk1Element):
         if len(survivor.rows) == 1:
             return identity_element(k), identity_element(k)
         x0 = survivor.rows[0][0]
-        return identity_element(k), single_row(k, x0, x0)
+        return identity_element(k), Mk1Element(k, ((x0, x0),))
     depth = max(len(x) for e in (f, g) for x, _ in e.rows)
     diff_value = None
     for w in words_of_length(k, depth):
         # at full depth a word is either in a row's ideal or outside the domain
         fv, gv = ([y + w[len(x):] for x, y in e.rows if w[: len(x)] == x] for e in (f, g))
         if bool(fv) != bool(gv):
-            return identity_element(k), single_row(k, w, w)
+            return identity_element(k), Mk1Element(k, ((w, w),))
         if fv != gv and diff_value is None:
             diff_value = (w, fv[0], gv[0])
     if diff_value is None:
@@ -448,9 +446,9 @@ def reference_separating_context(f: Mk1Element, g: Mk1Element):
     x0, y0, y1 = diff_value
     short, long_ = (y0, y1) if len(y0) <= len(y1) else (y1, y0)
     if long_[: len(short)] != short:
-        return single_row(k, y0, y0), single_row(k, x0, x0)
+        return Mk1Element(k, ((y0, y0),)), Mk1Element(k, ((x0, x0),))
     y2 = short + ((long_[len(short)] + 1) % k,)
-    return single_row(k, y2, y2), single_row(k, x0, x0)
+    return Mk1Element(k, ((y2, y2),)), Mk1Element(k, ((x0, x0),))
 
 
 @dataclass(frozen=True)
@@ -782,7 +780,7 @@ def reference_leq_L(f: Mk1Element, g: Mk1Element) -> bool:
         return True
     if g.is_zero:
         return False
-    pf, m = part(f), max_congruence(part(g))
+    pf, m = part(f), reference_max_congruence(part(g))
     q_words = set(m.code.words)
     inner = proper_prefixes(q_words)
     m_class_of = {w: cls for cls in m.classes for w in cls}
@@ -809,14 +807,6 @@ def reference_is_injective(e: Mk1Element) -> bool:
     """Distinct images after the image-code restriction."""
     r = image_code_restriction(e)
     return len({y for _, y in r.rows}) == len(r.rows)
-
-
-def reference_inverse_element(e: Mk1Element) -> Mk1Element:
-    """The flipped image-code restriction of an injective element."""
-    r = image_code_restriction(e)
-    if len({y for _, y in r.rows}) != len(r.rows):
-        raise NotInjective("element collapses distinct ends")
-    return Mk1Element.make(e.k, ((y, x) for x, y in r.rows))
 
 
 def reference_d_index_M(e: Mk1Element):
@@ -938,6 +928,23 @@ def reference_common_image_refinement(e1: Mk1Element, e2: Mk1Element):
     r1 = restrict_to_length(r1, max(len(x) for x, _ in r1.rows) + (big - j1))
     r2 = restrict_to_length(r2, max(len(x) for x, _ in r2.rows) + (big - j2))
     return r1, r2
+
+
+def reference_kq(base: int, num: int, exp: int = 0) -> KRational:
+    """num * base**(-exp) with the base's factors cancelled one division at
+    a time."""
+    if base < 2:
+        raise BaseTooSmall(f"base must be at least 2, got {base}")
+    if num < 0:
+        raise NegativeResult("k-ary rationals here are non-negative")
+    if num == 0:
+        return KRational(base, 0, 0)
+    if exp < 0:
+        num, exp = num * base ** -exp, 0
+    while exp > 0 and num % base == 0:
+        num //= base
+        exp -= 1
+    return KRational(base, num, exp)
 
 
 def reference_digit_sum_mod(x: KRational) -> int:

@@ -1,6 +1,6 @@
-"""Reduced tables, R2 normal forms and maximal congruences.
+"""Reduced tables and R2 normal forms.
 
-Each comes from one bottom-up merge.  These properties check them against
+Each comes from the one bottom-up merge pass.  These properties check them against
 the restarting loops kept in ``helpers``, check that ``make`` gives one
 canonical table however the rows are presented, and time the inputs on
 which the old loops were quadratic and about cubic.
@@ -15,19 +15,16 @@ from helpers import (
     elements,
     elements_over,
     reference_make,
-    reference_max_congruence,
     reference_r2_normal_form,
     reference_reduce_rows,
     words,
 )
-from mk1.congruence import max_congruence, split_class
 from mk1.elements import (
     Mk1Element,
     _merge_rows,
     compose,
     image_code,
     image_code_restriction,
-    part,
     partial_identity,
     r2_normal_form,
     restrict_to_length,
@@ -151,17 +148,6 @@ def test_r2_normal_form_matches_the_reference(e, extra):
         assert form == partial_identity(code).reduced().domain_code
 
 
-@settings(max_examples=300, deadline=None)
-@given(elements, st.integers(0, 2))
-def test_max_congruence_matches_the_reference(e, extra):
-    p = part(e)
-    congruences = [p, part(_deeper(e, extra))]
-    if p.classes:
-        congruences.append(split_class(p, extra % len(p.classes)))
-    for c in congruences:
-        assert max_congruence(c) == reference_max_congruence(c)
-
-
 @settings(max_examples=200, deadline=None)
 @given(elements, st.data())
 def test_make_ignores_row_order_and_splits(e, data):
@@ -203,8 +189,6 @@ def test_leq_L_with_thousands_of_classes_that_never_merge():
     started = time.perf_counter()
     assert leq_L(g, g)
     assert time.perf_counter() - started < 2.0
-    m = max_congruence(part(g))
-    assert len(m.classes) == 2**11 + 1 and ((1,),) in m.classes
 
 
 def test_r2_normal_form_of_a_1600_level_code():

@@ -39,7 +39,6 @@ from mk1.elements import (
     identity_element,
     parse_table,
     partial_identity,
-    single_row,
     zero_element,
 )
 from mk1.errors import NotDistinct, OutOfRange
@@ -268,7 +267,7 @@ def _lookups(draw):
     zero, the identity, or one row from the domain word ^), and words that
     are shorter than, equal to or longer than its domain words, or anywhere."""
     k = draw(st.sampled_from((2, 3)))
-    e = draw(st.one_of(elements_over(k), _words(k).map(lambda y: single_row(k, (), y))))
+    e = draw(st.one_of(elements_over(k), _words(k).map(lambda y: Mk1Element(k, (((), y),)))))
     near = _words(k)
     if e.rows:
         cut = st.tuples(st.sampled_from([x for x, _ in e.rows]), st.integers(0, 5), _words(k))

@@ -10,13 +10,13 @@ tables skip the check fold and carry their table; φ_B skips ``make``'s
 sort and checks.  The text readers check their input once and build
 tables and formulas without the constructors' checks.  Lints over the
 library's source keep out asserts, eval, recursion, unbounded caches,
-error classes nothing raises, imports inside functions and import cycles,
-keep the canonical word order in the modules that build codes, tables and
-congruences, keep row reduction in ``elements``, ``make`` and the checked
-identity, zero and one-row constructors to input no check has seen, keep
-``dfa``'s signature tables growing in ``_state`` alone, keep the listing
-of an alphabet's letters in ``words_of_length``, and keep ``cli`` to
-command plumbing.
+error classes nothing raises, exports only the tests read, imports inside
+functions and import cycles, keep the canonical word order in the modules
+that build codes, tables and congruences, keep row reduction in
+``elements``, ``make`` and the checked identity and zero constructors to
+input no check has seen, keep ``dfa``'s signature tables growing in
+``_state`` alone, keep the listing of an alphabet's letters in
+``words_of_length``, and keep ``cli`` to command plumbing.
 """
 
 import ast
@@ -30,7 +30,7 @@ from hypothesis import example, given, settings, strategies as st
 import mk1
 from helpers import elements, reference_image_code_restriction, tables
 from mk1 import elements as elements_module, words as words_module
-from mk1.congruence import PrefixCodeCongruence, max_congruence, split_class
+from mk1.congruence import PrefixCodeCongruence, split_class
 from mk1.elements import (
     Mk1Element,
     compose,
@@ -38,8 +38,6 @@ from mk1.elements import (
     identity_element,
     image_code,
     image_code_restriction,
-    inverse_element,
-    is_injective,
     parse_table,
     part,
     partial_identity,
@@ -136,12 +134,9 @@ def test_derived_values_pass_the_checks(e, extra):
     r = image_code_restriction(e)
     p = part(e)
     derived = [e.reduced(), r, image_code(e), p, p.code, e.domain_code,
-               max_congruence(p),
                restrict_to_length(e, max((len(x) for x, _ in e.rows), default=0) + extra)]
     if p.classes:
         derived.append(split_class(p, extra % len(p.classes)))
-    if is_injective(e):
-        derived.append(inverse_element(e))
     for value in derived + _built_unchecked(e, extra):
         assert rebuilt(value) == value
 
@@ -160,8 +155,6 @@ def test_derived_values_skip_the_letter_check(e, extra):
         patch.setattr(words_module, "check_letters", record)
         patch.setattr(elements_module, "check_letters", record)
         _built_unchecked(e, extra)
-        if is_injective(e):
-            inverse_element(e)
         e.reduced()
     assert calls == []
 
@@ -461,6 +454,20 @@ def test_every_error_class_is_named_outside_errors():
     assert defined and sorted(defined - named) == []
 
 
+def test_every_export_is_read_outside_the_tests():
+    """Each name ``mk1`` exports, other than its modules, is read by a
+    library module, by the benchmark or by an acceptance criterion: code
+    that only tests call is deleted."""
+    package, root = Path(mk1.__file__).parent, Path(__file__).parents[1]
+    paths = [*package.glob("*.py"), *(root / "perfbench").rglob("*.py"),
+             root / "tests" / "test_acceptance.py"]
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for path in paths for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    modules = {path.stem for path in package.glob("*.py")}
+    assert sorted(set(mk1.__all__) - modules - read) == []
+
+
 def test_no_library_module_imports_fractions():
     """Height exponents are reduced integer pairs, so the library builds no
     Fraction, and starting it loads no numeric tower."""
@@ -544,10 +551,10 @@ def test_make_is_called_only_on_unchecked_input():
 
 
 def test_checked_small_tables_are_built_only_on_unchecked_input():
-    """The identity, the zero and one-row tables run the constructor's
-    checks; the library builds them from checked values through
-    ``_trusted``, and calls them only where ``k`` arrives unchecked."""
-    for name in ("identity_element", "single_row", "zero_element"):
+    """The identity and the zero table run the constructor's checks; the
+    library builds them from checked values through ``_trusted``, and calls
+    them only where ``k`` arrives unchecked."""
+    for name in ("identity_element", "zero_element"):
         assert _callers(name) <= {"circuits.eval_generator_word"}, name
 
 

@@ -34,11 +34,9 @@ from mk1.words import (
     check_letter_count,
     check_letters,
     code_with_measure,
-    complement_code,
     format_word,
     ideal_ess_eq,
     ideal_ess_leq,
-    is_maximal_code,
     is_prefix,
     is_prefix_code,
     mu,
@@ -145,11 +143,11 @@ def test_measure():
 
 
 def test_maximality():
-    assert is_maximal_code(pc(2, "a", "b"))
-    assert is_maximal_code(pc(2, "a", "ba", "bb"))
-    assert not is_maximal_code(pc(2, "aa", "b"))
-    assert not is_maximal_code(pc(2))
-    assert is_maximal_code(pc(3, "a", "b", "c"))
+    """A prefix code is maximal iff its measure is 1."""
+    for code in (pc(2, "a", "b"), pc(2, "a", "ba", "bb"), pc(3, "a", "b", "c"), pc(2, "^")):
+        assert code.mu == kq_one(code.k)
+    for code in (pc(2, "aa", "b"), pc(2), pc(3, "a", "b")):
+        assert code.mu != kq_one(code.k)
 
 
 def test_covered():
@@ -176,7 +174,8 @@ def _ideal_codes(k):
     """Strategy: the empty code, {^}, prefix codes of mixed depths, and such
     codes completed to maximal ones by their complements."""
     mixed = st.lists(words(k, 5), min_size=1, max_size=10).map(prefix_free)
-    full = mixed.map(lambda ws: ws + list(complement_code(PrefixCode.make(k, ws)).words))
+    full = mixed.map(
+        lambda ws: ws + list(reference_complement_code(PrefixCode.make(k, ws)).words))
     return st.one_of(st.just([]), st.just([()]), mixed, full).map(
         lambda ws: PrefixCode.make(k, ws))
 
@@ -208,30 +207,18 @@ def test_ideal_ess_leq_matches_the_trie_reference(pair):
 
 
 def test_complement():
-    assert complement_code(pc(2, "aa", "b")) == pc(2, "ab")
-    assert complement_code(pc(2)) == pc(2, "^")
-    assert complement_code(pc(2, "a", "b")) == pc(2)
-    assert complement_code(pc(3, "b")) == pc(3, "a", "c")
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.sampled_from((2, 3)).flatmap(_ideal_codes))
-@example(pc(2))
-@example(pc(2, "^"))
-@example(pc(3, "^"))
-@example(PrefixCode.make(2, deep_code(12)[:-1]))
-@example(PrefixCode.make(3, [(2,) * 9 + (1,), (0,)]))
-def test_complement_matches_the_inner_node_reference(code):
-    assert complement_code(code).words == reference_complement_code(code).words
+    """The reference complement, which completes codes in the strategies."""
+    assert reference_complement_code(pc(2, "aa", "b")) == pc(2, "ab")
+    assert reference_complement_code(pc(2)) == pc(2, "^")
+    assert reference_complement_code(pc(2, "a", "b")) == pc(2)
+    assert reference_complement_code(pc(3, "b")) == pc(3, "a", "c")
 
 
 def test_trie_walks_past_the_recursion_limit():
-    """Covering and complements hold no Python frame per trie level."""
+    """Covering and essential equality hold no Python frame per trie level."""
     code = deep_code(1500)
     assert covered((), PrefixCode.make(2, code))
     assert ideal_ess_eq(PrefixCode.make(2, code), pc(2, "^"))
-    assert complement_code(PrefixCode.make(2, code[:-1])).words == (code[-1],)
-    assert complement_code(PrefixCode.make(2, code)) == pc(2)
 
 
 def test_complement_is_exact_cover(seed=4242):
@@ -239,7 +226,7 @@ def test_complement_is_exact_cover(seed=4242):
     for _ in range(200):
         k = rng.choice([2, 3])
         code = random_code(rng, k)
-        comp = complement_code(code)
+        comp = reference_complement_code(code)
         assert code.mu + comp.mu == kq_one(k)
         assert is_prefix_code(code.words + comp.words)
 
