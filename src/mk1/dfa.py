@@ -13,21 +13,22 @@ One trie builder, :func:`_hang`, hangs sorted words as runs: an edge
 (letter, tail, child) reads a letter and then the rest of its run, so a
 node is made only where words part (a compacted acyclic automaton, as in
 Blumer et al.).  :func:`trie_dfa` expands each node's edges into one state
-per letter, the public :class:`Dfa`; :func:`height_report_via_dfa` keeps
-the run edges as its signatures, so its cost grows with the nodes where
-words part, plus one copy of the letters into tails, not with one state
-per letter.
+per letter, the public :class:`Dfa`, which :func:`dfa_measure` measures;
+:func:`height_report_via_dfa` keeps the run edges of its fibers' automata
+as their signatures, so its cost grows with the nodes where words part,
+plus one copy of the letters into tails, not with one state per letter.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from .elements import Mk1Element, fibers
 from .errors import EmptyLanguage
 from .green import HeightReport
-from .kary import KRational, kq, kq_zero
+from .kary import KRational, kq, kq_pow_sum
 from .words import PrefixCode, Word, format_word
 
 
@@ -117,13 +118,6 @@ def _state(sig: tuple, ids: dict[tuple, int], sigs: list[tuple]) -> int:
     return sid
 
 
-def _run_table() -> tuple[list[tuple], Callable[[list], int]]:
-    """A new signature table of run edges, state 0 accepting, and the
-    ``node`` callback of :func:`_hang` that adds states to it."""
-    ids, sigs = {}, [()]
-    return sigs, lambda edges: _state(tuple(edges), ids, sigs)
-
-
 def _chain(w: Word, end: int, ids: dict[tuple, int], sigs: list[tuple]) -> int:
     """The state that reads the word w into the state end."""
     for a in reversed(w):
@@ -132,26 +126,15 @@ def _chain(w: Word, end: int, ids: dict[tuple, int], sigs: list[tuple]) -> int:
 
 
 def dfa_measure(d: Dfa) -> KRational:
-    """Measure of the accepted code, in one backward pass in id order."""
-    return kq(d.k, *_weights(d.k, [[(a, (), q) for a, q in sig] for sig in d.sigs])[d.root])
-
-
-def _weights(k: int, sigs: Sequence[tuple]) -> list[tuple[int, int]]:
-    """Each state's :func:`_weight`, in id order, (1, 0) at state 0."""
-    weights = [(1, 0)]
-    for sig in sigs[1:]:
-        weights.append(_weight(k, sig, weights))
-    return weights
-
-
-def _weight(k: int, edges: Sequence[tuple], weights: list[tuple[int, int]]) -> tuple[int, int]:
-    """(num, exp) of the node with these edges (letter, tail, child): its
-    words to state 0 weigh num * k**-exp, one more than the largest of its
-    children's exponents, each lengthened by its edge's tail, over the sum
-    of their numerators, each scaled to that exponent."""
-    kids = [(weights[child][0], weights[child][1] + len(tail)) for _, tail, child in edges]
-    top = max(exp for _, exp in kids)
-    return sum(num * k ** (top - exp) for num, exp in kids), top + 1
+    """Measure of the accepted code, in one backward pass in id order: a
+    state's words weigh num * k**-exp, one more than the largest of its
+    children's exponents, over the sum of their numerators, each scaled to
+    that exponent; state 0 weighs (1, 0)."""
+    k, weights = d.k, [(1, 0)]
+    for sig in d.sigs[1:]:
+        top = max(weights[q][1] for _, q in sig)
+        weights.append((sum(weights[q][0] * k ** (top - weights[q][1]) for _, q in sig), top + 1))
+    return kq(k, *weights[d.root])
 
 
 def _count(edges: Sequence[tuple], counts: list[tuple]) -> tuple[int, dict[int, int]]:
@@ -187,12 +170,17 @@ def height_report_via_dfa(e: Mk1Element) -> HeightReport:
     lengths are the counts of its root's edges, which no state keeps, so no
     fiber word is built.  The cost grows with the nodes where a fiber's x's
     part and the image lengths on each path, plus the letters of the tails.
-    R is the measure of the image code's run trie, in a table of its own."""
-    sigs, node = _run_table()
+    R is the measure of the image code, the walk's words z, summed from a
+    count of their lengths."""
+    ids, sigs = {}, [()]
+
+    def node(edges):
+        return _state(tuple(edges), ids, sigs)
+
     counts: list[tuple[int, dict[int, int]]] = [(0, {0: 1})]
-    zs, lengths = [], []
+    image_lengths, lengths = Counter(), []
     for z, path in fibers(e):
-        zs.append(z)
+        image_lengths[len(z)] += 1
         pairs, q, top = [], 0, len(z)
         for x, y in reversed(path):  # longest y first: the segments from z's end down
             if len(y) < top:
@@ -204,12 +192,7 @@ def height_report_via_dfa(e: Mk1Element) -> HeightReport:
             counts.append(_count(sig, counts))
         shift, by_length = _count(edges, counts) if edges else counts[0]
         lengths.append((shift, [n for n in sorted(by_length) for _ in range(by_length[n])]))
-    r = kq_zero(e.k)  # zero has no image code
-    if zs:
-        image_sigs, image_node = _run_table()
-        edges = _hang([(z, 0) for z in zs], image_node)
-        r = kq(e.k, *(_weight(e.k, edges, _weights(e.k, image_sigs)) if edges else (1, 0)))
-    return HeightReport.from_fibers(e.k, r, lengths)
+    return HeightReport.from_fibers(e.k, kq_pow_sum(e.k, image_lengths), lengths)
 
 
 def format_dfa(d: Dfa) -> str:

@@ -192,7 +192,7 @@ def _domain_key(row: Row):
 
 def _by_word(e: Mk1Element) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
     """e's domain words and images in dictionary order: sorted once, kept in e."""
-    view = getattr(e, "_view", None)
+    view = e._view
     if view is None:
         view = tuple(zip(*sorted(e.rows))) or ((), ())
         object.__setattr__(e, "_view", view)

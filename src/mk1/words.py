@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, product, zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -42,9 +42,10 @@ _new, _setattr = object.__new__, object.__setattr__  # looked up once, for _unch
 
 def _unchecked(cls, *values):
     """An instance of the slotted dataclass ``cls`` holding ``values`` in field
-    order, built without ``__post_init__``: every ``_trusted`` class method."""
+    order, and None in each later slot, built without ``__post_init__``:
+    every ``_trusted`` class method."""
     obj = _new(cls)
-    for name, value in zip(cls.__slots__, values):
+    for name, value in zip_longest(cls.__slots__, values):
         _setattr(obj, name, value)
     return obj
 

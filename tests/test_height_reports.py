@@ -4,13 +4,14 @@
 heights sum integer powers of k.  Both height reports read the fiber
 lengths and the R-height their own way and sum them through
 ``HeightReport.from_fibers``: the automaton report counts fiber lengths on
-one signature table of run edges per element and measures the image
-code's run trie in a table of its own, with no fiber word, ``trie_dfa`` or
-``heights``.  These properties check them against the references in
-``helpers`` and against each other, on tables whose words share long runs
-too; they count the states the report adds, and time and bound in memory
-the inputs on which the old prefix-slicing trie, the per-class ``apply``,
-the per-fiber automata and the image trie's length counts blew up.
+one signature table of run edges per element and sums R over the lengths
+of the fiber walk's image words, with no fiber word, ``trie_dfa``,
+``dfa_measure`` or ``heights``.  These properties check them against the
+references in ``helpers`` and against each other, on tables whose words
+share long runs too; they count the states the report adds, and time and
+bound in memory the inputs on which the old prefix-slicing trie, the
+per-class ``apply``, the per-fiber automata and the image trie's length
+counts blew up.
 """
 
 import random
@@ -157,12 +158,15 @@ def test_height_report_via_dfa_on_long_runs(e):
 
 
 def test_the_report_adds_a_state_only_where_words_part(monkeypatch):
-    """On ``deep_rotation(n)`` the automaton report adds n - 1 states (3n
-    when it added one state per letter).  Each fiber is one row x -> z, a
-    run trie whose root keeps its one edge outside the table; the image
-    code deep_code(n) parts at 0^i for each i < n, and its root is kept
-    outside its table too.  A count, unlike the time budgets below, does
-    not move with the machine's speed."""
+    """The automaton report adds only the states of its fibers' table: R is
+    summed off the fiber walk, with no trie of the image code.  On
+    ``deep_rotation(n)`` it adds none (3n with one state per letter, and
+    n - 1 more when the image code deep_code(n) had a run trie of its own):
+    each fiber is one row x -> z, a run trie whose root keeps its one edge
+    outside the table.  On ``nested_images(n)`` the fibers' x's part: 82
+    states for n = 4 and 472 for n = 6, the fiber table's counts when the
+    image trie added 14 and 62 more.  A count, unlike the time budgets
+    below, does not move with the machine's speed."""
     added = []
     state = dfa._state
 
@@ -173,17 +177,19 @@ def test_the_report_adds_a_state_only_where_words_part(monkeypatch):
         return sid
 
     monkeypatch.setattr(dfa, "_state", counted)
-    for n in (50, 200):
+    for e, want in ((deep_rotation(50), 0), (deep_rotation(200), 0),
+                    (nested_images(4), 82), (nested_images(6), 472)):
         added.clear()
-        height_report_via_dfa(deep_rotation(n))
-        assert sum(added) == n - 1
+        height_report_via_dfa(e)
+        assert sum(added) == want
 
 
 def test_height_report_via_dfa_stands_alone(monkeypatch):
     """The automaton report calls neither ``heights`` nor the per-code
-    automaton and its measure: it shares only their private parts, the
-    trie builder ``_hang`` and the measure pass, so it checks ``heights``
-    independently."""
+    automaton and its measure: it shares only the trie builder ``_hang``
+    with ``trie_dfa``, and reads R off the fiber walk's image words where
+    ``heights`` reads it off the image ideal's minimal words, so it checks
+    ``heights`` independently."""
     rng = random.Random(20)
     cases = [zero_element(2), identity_element(3), nested_images(6), deep_rotation(40),
              el(2, ("a", "a"), ("b", "^"))] + [random_element(rng, k) for k in (2, 3) * 40]

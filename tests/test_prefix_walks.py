@@ -321,10 +321,17 @@ def test_apply_answers_alike_however_the_element_was_built(e):
     ws = [w for n in range(7) for w in words_of_length(e.k, n)]
     want = [reference_apply(e, w) for w in ws]
     for built in _built_four_ways(e):
-        assert getattr(built, "_view", None) is None
         assert [apply(built, w) for w in ws] == want           # fills the view
-        assert getattr(built, "_view", None) is not None
+        assert built._view is not None
         assert [apply(built, w) for w in ws] == want           # reads it
+
+
+@pytest.mark.parametrize("e", [zero_element(2), identity_element(3), deep_rotation(5), _MIXED])
+def test_every_build_starts_with_an_empty_view(e):
+    """The view slot holds None from the start however e was built, so the
+    first lookup reads it without raising and catching an error."""
+    for built in [*_built_four_ways(e), compose(e, e), Mk1Element._trusted_make(e.k, e.rows)]:
+        assert built._view is None
 
 
 def test_the_view_changes_no_equality_hash_or_repr():

@@ -10,13 +10,14 @@ tables skip the check fold and carry their table; φ_B skips ``make``'s
 sort and checks.  The text readers check their input once and build
 tables and formulas without the constructors' checks.  Lints over the
 library's source keep out asserts, eval, recursion, unbounded caches,
-error classes nothing raises, exports only the tests read, imports inside
-functions and import cycles, keep the canonical word order in the modules
-that build codes, tables and congruences, keep row reduction in
-``elements``, ``make`` and the checked identity and zero constructors to
-input no check has seen, keep ``dfa``'s signature tables growing in
-``_state`` alone, keep the listing of an alphabet's letters in
-``words_of_length``, and keep ``cli`` to command plumbing.
+error classes nothing raises, exports only the tests read, private
+functions nothing reads, imports inside functions and import cycles, keep
+the canonical word order in the modules that build codes, tables and
+congruences, keep row reduction in ``elements``, ``make`` and the checked
+identity and zero constructors to input no check has seen, keep ``dfa``'s
+signature tables growing in ``_state`` alone, keep the listing of an
+alphabet's letters in ``words_of_length``, and keep ``cli`` to command
+plumbing.
 """
 
 import ast
@@ -466,6 +467,18 @@ def test_every_export_is_read_outside_the_tests():
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
     modules = {path.stem for path in package.glob("*.py")}
     assert sorted(set(mk1.__all__) - modules - read) == []
+
+
+def test_every_private_function_is_read_in_the_library():
+    """Each private function or method a library module defines, dunders
+    aside, is read by some library module: a helper nothing calls is
+    deleted with its last caller."""
+    nodes = [node for _, node in _library_nodes()]
+    defined = {node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_") and not node.name.endswith("__")}
+    read = {node.id if isinstance(node, ast.Name) else node.attr for node in nodes
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    assert defined and sorted(defined - read) == []
 
 
 def test_no_library_module_imports_fractions():
