@@ -151,9 +151,6 @@ class Mk1Element:
         e = Mk1Element._trusted_make(self.k, self.rows)
         return self if e.rows == self.rows else e
 
-    def __matmul__(self, other: "Mk1Element") -> "Mk1Element":
-        return compose(self, other)
-
     def __str__(self) -> str:
         return format_table(self)
 

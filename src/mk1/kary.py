@@ -6,6 +6,8 @@ canonical form keeps ``num`` coprime to ``base`` whenever ``exp > 0`` (so
 integers with ``exp == 0``.  Everything is integer arithmetic; no floats.
 Values print as base-k strings of ASCII digits (:func:`format_krational`),
 and :func:`parse_krational` reads both shapes of that form by one path.
+Integer parts and fractions alike turn into digits through :func:`_digits`
+and back through :func:`_number`, so neither has a length limit.
 """
 
 from __future__ import annotations
@@ -46,30 +48,10 @@ class KRational:
         return self.num == 0
 
     def digits(self) -> tuple[int, tuple[int, ...]]:
-        """Integer part and fractional base-k digits (most significant first).
-
-        The canonical form guarantees the digit list never ends in 0.  A
-        block of n > 64 digits splits at k^(n//2) into its two halves, so
-        each division works on a half, not on all the digits left; blocks
-        of at most 64 digits are peeled one digit at a time.
-        """
-        k = self.base
-        int_part, rem = divmod(self.num, k**self.exp)
-        frac, blocks, powers = [], [(rem, self.exp)], {}  # the most significant block last
-        while blocks:
-            rem, n = blocks.pop()
-            if n > 64:
-                half = n // 2
-                if half not in powers:
-                    powers[half] = k**half
-                high, low = divmod(rem, powers[half])
-                blocks += ((low, half), (high, n - half))
-                continue
-            block = [0] * n
-            for i in range(n - 1, -1, -1):
-                rem, block[i] = divmod(rem, k)
-            frac += block
-        return int_part, tuple(frac)
+        """Integer part and fractional base-k digits (most significant first,
+        by :func:`_digits`); the canonical form keeps the last digit nonzero."""
+        int_part, rem = divmod(self.num, self.base**self.exp)
+        return int_part, tuple(_digits(self.base, rem, self.exp))
 
     def digit_sum_mod(self) -> int:
         """Sum of all base-k digits, reduced into {1, ..., base-1}.
@@ -172,24 +154,15 @@ def kq_one(base: int) -> KRational:
 
 
 def kq_from_digits(base: int, int_part: int, frac_digits) -> KRational:
-    """Value int_part.d1 d2 ... dn in base k, trailing zeros dropped: blocks
-    of equal width from the last digit pair up as hi·k^width + lo, which
-    halves their count each round, so no product runs over all the digits."""
+    """Value int_part.d1 d2 ... dn in base k, trailing zeros dropped; the
+    digits are checked and joined by :func:`_number`."""
     frac_digits = tuple(frac_digits)
     if int_part < 0:
         raise NegativeResult("integer part must be non-negative")
-    for d in frac_digits:
-        if not 0 <= d < base:
-            raise ParseError(f"digit {d} out of range for base {base}")
     n = len(frac_digits)
     while n and not frac_digits[n - 1]:  # else kq would divide out trailing zeros one at a time
         n -= 1
-    blocks, power = [int_part, *frac_digits[:n]], base  # power = k^width
-    while len(blocks) > 1:
-        odd = len(blocks) % 2  # an odd count leaves the first block unpaired
-        blocks[odd:] = [hi * power + lo for hi, lo in zip(blocks[odd::2], blocks[odd + 1::2])]
-        power *= power
-    return kq(base, blocks[0], n)
+    return kq(base, int_part * base**n + _number(base, frac_digits[:n]), n)
 
 
 def format_krational(x: KRational) -> str:
@@ -197,17 +170,15 @@ def format_krational(x: KRational) -> str:
 
     Bases up to 10 print base-k digit strings (``0.111`` for 7/8 in base 2);
     larger bases print the integer part in decimal and the fractional digits
-    as a bracketed decimal list (``0.[10,0,3]``).
+    as a bracketed decimal list (``0.[10,0,3]``).  Both parts take their
+    digits from :func:`_digits`, so an integer part of any length prints.
     """
     int_part, frac = x.digits()
-    if x.base <= 10:
-        ip = _int_to_base(int_part, x.base)
-        if not frac:
-            return ip
-        return ip + "." + "".join(str(d) for d in frac)
-    if not frac:
-        return str(int_part)
-    return f"{int_part}.[" + ",".join(str(d) for d in frac) + "]"
+    ip_base = min(x.base, 10)
+    width = -(-int_part.bit_length() // (ip_base.bit_length() - 1))  # ip_base**width > int_part
+    ip = "".join(map(str, _digits(ip_base, int_part, width))).lstrip("0") or "0"
+    frac_text = "".join(map(str, frac)) if x.base <= 10 else "[" + ",".join(map(str, frac)) + "]"
+    return ip + "." + frac_text if frac else ip
 
 
 def parse_krational(base: int, text: str) -> KRational:
@@ -215,8 +186,9 @@ def parse_krational(base: int, text: str) -> KRational:
 
     One path for both forms: the text splits at its first point, and above
     base 10 a non-empty fraction must be ``[d,...]``, whose items are the
-    digits.  Every piece is ASCII digits, and every digit is below k (the
-    integer part is decimal above base 10).  Trailing zeros are dropped.
+    digits.  Every piece is ASCII digits that :func:`_number` reads, and
+    every digit is below k (the integer part and each item are decimal above
+    base 10).  Trailing zeros are dropped.
     """
     if base < 2:
         raise BaseTooSmall(f"base must be at least 2, got {base}")
@@ -231,17 +203,45 @@ def parse_krational(base: int, text: str) -> KRational:
             frac = frac[1:-1].split(",")
         if not all(p.isascii() and p.isdigit() for p in (ip_text, *frac)):
             raise ValueError
-        return kq_from_digits(base, int(ip_text, min(base, 10)), map(int, frac))
+        digits = (_number(10, map(int, p)) for p in frac) if base > 10 else map(int, frac)
+        return kq_from_digits(base, _number(min(base, 10), map(int, ip_text)), digits)
     except ValueError:  # the ParseError of a digit out of range is one too
         raise ParseError(f"bad base-{base} rational: {text!r}") from None
 
 
-def _int_to_base(value: int, base: int) -> str:
-    if value == 0:
-        return "0"
-    out = []
-    while value:
-        value, d = divmod(value, base)
-        out.append(str(d))
-    return "".join(reversed(out))
+def _digits(base: int, value: int, n: int) -> list[int]:
+    """The n base-k digits of value < base**n, most significant first.  A block
+    of n > 64 digits splits at k^(n//2) into its two halves, so each division
+    works on a half, not on all the digits left; blocks of at most 64 digits
+    are peeled one digit at a time."""
+    out, blocks, powers = [], [(value, n)], {}  # the most significant block last
+    while blocks:
+        rem, n = blocks.pop()
+        if n > 64:
+            half = n // 2
+            if half not in powers:
+                powers[half] = base**half
+            high, low = divmod(rem, powers[half])
+            blocks += ((low, half), (high, n - half))
+            continue
+        block = [0] * n
+        for i in range(n - 1, -1, -1):
+            rem, block[i] = divmod(rem, base)
+        out += block
+    return out
 
+
+def _number(base: int, digits) -> int:
+    """The number whose base-k digits, most significant first, are ``digits``
+    (each one checked).  Blocks of equal width from the last digit pair up as
+    hi·k^width + lo, which halves their count each round, so no product runs
+    over all the digits."""
+    blocks, power = list(digits) or [0], base  # power = k^width
+    for d in blocks:
+        if not 0 <= d < base:
+            raise ParseError(f"digit {d} out of range for base {base}")
+    while len(blocks) > 1:
+        odd = len(blocks) % 2  # an odd count leaves the first block unpaired
+        blocks[odd:] = [hi * power + lo for hi, lo in zip(blocks[odd::2], blocks[odd + 1::2])]
+        power *= power
+    return blocks[0]

@@ -50,11 +50,6 @@ def _unchecked(cls, *values):
     return obj
 
 
-def is_prefix(u: Word, v: Word) -> bool:
-    """True iff u is a (not necessarily proper) prefix of v."""
-    return len(u) <= len(v) and v[: len(u)] == u
-
-
 def word_key(w: Word) -> tuple[int, Word]:
     """Sort key for the canonical (length, dictionary) display order."""
     return (len(w), w)
@@ -193,7 +188,7 @@ def is_prefix_code(words: Iterable[Word]) -> bool:
     """True iff no word is a proper prefix of another (duplicates rejected)."""
     ws = sorted(words)
     for u, v in zip(ws, ws[1:]):
-        if is_prefix(u, v):
+        if v[:len(u)] == u:
             return False
     return True
 
@@ -266,7 +261,7 @@ def ideal_ess_leq(p1: PrefixCode, p2: PrefixCode) -> bool:
     ws = sorted(p2.words)
     for w in p1.words:
         i = bisect_right(ws, w)
-        if i and is_prefix(ws[i - 1], w):
+        if i and w[:len(u := ws[i - 1])] == u:
             continue
         if mu(k, ws[i:bisect_left(ws, w + (k,), i)]) != kq(k, 1, len(w)):
             return False

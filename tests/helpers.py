@@ -59,6 +59,10 @@ def words(k: int, max_size: int = 4, min_size: int = 0):
     return st.lists(st.integers(0, k - 1), min_size=min_size, max_size=max_size).map(tuple)
 
 
+def is_prefix(u: Word, v: Word) -> bool:
+    return v[:len(u)] == u
+
+
 def prefix_free(ws) -> list[Word]:
     """The words that have no shorter (or equal, earlier) word as a prefix."""
     code: list[Word] = []

@@ -343,6 +343,9 @@ def test_chain_past_1_fails_before_printing(capsys):
     identity."""
     assert run(capsys, "chain", "2", "0.1", "10", "5") == (
         2, "", "error OutOfRange: measures above 1 have no prefix code\n")
+    # 5,000 integer digits, more than int() reads by default, are no different
+    assert run(capsys, "chain", "3", "0", "1" * 5000, "1") == (
+        2, "", "error OutOfRange: measures above 1 have no prefix code\n")
     code, out, _ = run(capsys, "chain", "2", "0", "10", "4")
     assert code == 0 and out.split("\n\n")[-1] == "k 2\n^ -> ^\n" and out.count("k 2") == 4
 

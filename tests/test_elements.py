@@ -125,7 +125,7 @@ def test_compose_worked():
     swap = el(2, ("a", "b"), ("b", "a"))
     assert compose(PHI1, swap) == el(2, ("a", "aaa"), ("ba", "a"), ("bb", "aa"))
     assert compose(swap, PHI1) == el(2, ("aa", "b"), ("ab", "ba"), ("b", "baa"))
-    assert swap @ swap == identity_element(2)
+    assert compose(swap, swap) == identity_element(2)
 
 
 def test_compose_drops_to_zero():

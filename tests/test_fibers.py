@@ -31,6 +31,7 @@ from helpers import (
     elements,
     elements_over,
     heights_from_restriction,
+    is_prefix,
     nested_images,
     random_element,
     reference_image_code_restriction,
@@ -52,7 +53,7 @@ from mk1.elements import (
 from mk1.green import d_index_M, eq_D_M, format_height_report, heights, section_inverse
 from mk1.kary import parse_krational
 from mk1.reductions import covers_every_y, encode_formula, ensure_surjective, formula_from_truth_table
-from mk1.words import is_prefix, word_key, words_of_length
+from mk1.words import word_key, words_of_length
 
 
 @settings(max_examples=300, deadline=None)

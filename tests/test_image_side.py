@@ -17,6 +17,7 @@ from helpers import (
     el,
     elements,
     elements_over,
+    is_prefix,
     nested_images,
     plep_pairs,
     plep_tables,
@@ -48,7 +49,7 @@ from mk1.plep import (
     plep_d_witness,
     plep_element_with_index,
 )
-from mk1.words import PrefixCode, ideal_ess_eq, is_prefix
+from mk1.words import PrefixCode, ideal_ess_eq
 
 
 @st.composite

@@ -154,6 +154,30 @@ def test_parsing_a_long_measure_takes_no_quadratic_time():
     assert time.perf_counter() - started < 0.4
 
 
+def test_integer_parts_of_any_length_read_and_print():
+    """5,000 integer digits, more than int() and str() convert by default,
+    read in bases 3, 10 and 12 and print back in base 12; an integer digit
+    at or above k is still refused, with the same message."""
+    for k, frac in ((3, ".1"), (10, ".1"), (12, ".[1]")):
+        b = min(k, 10)
+        int_part = 2 * (b ** 5000 - 1) // (b - 1)  # 5,000 twos in base b
+        assert parse_krational(k, "2" * 5000 + frac) == kq(k, int_part * k + 1, 1), k
+    x = kq(12, 7 * 10 ** 4999 * 144 + 13, 2)
+    assert str(x) == "7" + "0" * 4999 + ".[1,1]"
+    assert parse_krational(12, str(x)) == x
+    for k, text in ((2, "12"), (3, "1" * 5000 + "3.1"), (10, "9" * 5000 + "a")):
+        with pytest.raises(ParseError, match=f"^bad base-{k} rational: '"):
+            parse_krational(k, text)
+
+
+def test_printing_a_long_integer_part_takes_no_quadratic_time():
+    """131,000 binary integer digits: one division of the whole integer part
+    per digit took about 2 s."""
+    started = time.perf_counter()
+    assert str(kq(2, (1 << 131000) + 1, 1)) == "1" + "0" * 130999 + ".1"
+    assert time.perf_counter() - started < 0.3
+
+
 def test_digit_sum_mod():
     # base 2: the only nonzero residue is 1
     assert kq(2, 11, 3).digit_sum_mod() == 1

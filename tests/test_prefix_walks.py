@@ -24,6 +24,7 @@ from helpers import (
     deep_rotation,
     el,
     elements_over,
+    is_prefix,
     reference_apply,
     reference_compose,
     reference_separating_context,
@@ -43,7 +44,7 @@ from mk1.elements import (
 )
 from mk1.errors import NotDistinct, OutOfRange
 from mk1.green import eq_L, leq_L, section_inverse, separating_context
-from mk1.words import PrefixCode, is_prefix, trie_leaves, words_of_length
+from mk1.words import PrefixCode, trie_leaves, words_of_length
 
 
 def _words(k):

@@ -37,7 +37,6 @@ from mk1.words import (
     format_word,
     ideal_ess_eq,
     ideal_ess_leq,
-    is_prefix,
     is_prefix_code,
     mu,
     parse_code,
@@ -117,9 +116,6 @@ def test_words_of_length_refuses_a_larger_level_at_the_call(k, n):
 
 
 def test_prefix_basics():
-    assert is_prefix((), (0, 1))
-    assert is_prefix((0,), (0, 1))
-    assert not is_prefix((1,), (0, 1))
     assert sorted([(1,), (0, 0), ()], key=word_key) == [(), (1,), (0, 0)]
 
 
