@@ -14,18 +14,18 @@ non-representative words), which :func:`collision_measure` cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import CrossCheckFailed, NotAClass, NotCanonical
-from .kary import KRational, kq_one
-from .words import PrefixCode, Word, _unchecked, format_word, mu, word_key, words_of_length
+from .kary import KRational, Record, kq_one
+from .words import PrefixCode, Word, format_word, mu, word_key, words_of_length
 
 
-@dataclass(frozen=True, slots=True)
-class PrefixCodeCongruence:
-    code: PrefixCode
-    classes: tuple[tuple[Word, ...], ...]
+class PrefixCodeCongruence(Record):
+    """A partition of ``code`` into classes; ``_trusted(code, classes)``
+    takes canonical classes that partition it."""
+
+    __slots__ = ("code", "classes")
 
     def __post_init__(self):
         seen: set[Word] = set()
@@ -49,9 +49,6 @@ class PrefixCodeCongruence:
             raise NotAClass("empty class")
         canon = tuple(sorted(sorted_groups, key=lambda c: word_key(c[0])))
         return cls(code, canon)
-
-    # _trusted(code, classes): canonical classes that partition code
-    _trusted = classmethod(_unchecked)
 
     @property
     def k(self) -> int:

@@ -23,24 +23,20 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 
 from .elements import Mk1Element, fibers
 from .errors import EmptyLanguage
 from .green import HeightReport
-from .kary import KRational, kq, kq_pow_sum
+from .kary import KRational, Record, kq, kq_pow_sum
 from .words import PrefixCode, Word, format_word
 
 
-@dataclass(frozen=True, slots=True)
-class Dfa:
+class Dfa(Record):
     """A minimal acyclic automaton over k letters: ``sigs[q]`` is state q's
     (letter, child id) pairs in letter order, each child's id lower than
     q's; state 0 accepts and ``root`` starts."""
 
-    k: int
-    root: int
-    sigs: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ("k", "root", "sigs")
 
     @property
     def n_states(self) -> int:

@@ -40,9 +40,8 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from itertools import chain
-from typing import Iterable, Iterator
 
 from .congruence import PrefixCodeCongruence
 from .errors import (
@@ -53,10 +52,10 @@ from .errors import (
     NotCanonical,
     ParseError,
 )
+from .kary import Record
 from .words import (
     PrefixCode,
     Word,
-    _unchecked,
     check_cap,
     check_count,
     check_letter_count,
@@ -80,17 +79,16 @@ class NoValue(enum.Enum):
     NEED_LONGER = "need-longer"
 
 
-@dataclass(frozen=True, slots=True)
-class Mk1Element:
+class Mk1Element(Record):
     """A table over a k-letter alphabet, rows sorted by domain word.
 
     Direct construction validates but does not reduce; use :meth:`make` (or
-    any higher-level constructor) to get the canonical reduced table.
+    any higher-level constructor) to get the canonical reduced table, and
+    ``_trusted(k, rows)`` for sorted rows whose domain words form a prefix
+    code.  The ``_view`` cache holds :func:`_by_word`'s sorted view.
     """
 
-    k: int
-    rows: tuple[Row, ...]
-    _view: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("k", "rows", "_view")
 
     def __post_init__(self):
         if self.k < 2:
@@ -125,9 +123,6 @@ class Mk1Element:
         if prefixed:
             raise DomainNotPrefixCode("domain words must form a prefix code")
         return cls._trusted(k, _merge_rows(k, rows))
-
-    # _trusted(k, rows): rows sorted by domain word, whose domain words form a prefix code
-    _trusted = classmethod(_unchecked)
 
     @classmethod
     def _trusted_make(cls, k: int, rows: Iterable[Row]) -> "Mk1Element":

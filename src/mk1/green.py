@@ -25,9 +25,8 @@ orders too, which the test-suite exploits.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence, Union
 
 from .elements import (
     Mk1Element,
@@ -45,18 +44,16 @@ from .errors import (
     NotDistinct,
     OutOfRange,
 )
-from .kary import KRational, kq, kq_one, kq_pow_sum
+from .kary import KRational, Record, kq, kq_one, kq_pow_sum
 from .words import (Word, check_letter_count, code_with_measure, ideal_ess_eq, ideal_ess_leq,
                     trie_leaves, words_of_length)
 
 
-@dataclass(frozen=True, slots=True)
-class ExponentSum:
+class ExponentSum(Record):
     """Exact value sum(count * base**(-n/d)) with fractional exponents, each
     term ((n, d), count) with n/d in lowest terms, ascending by n/d."""
 
-    base: int
-    terms: tuple[tuple[tuple[int, int], int], ...]
+    __slots__ = ("base", "terms")
 
     def __str__(self) -> str:
         parts = []
@@ -66,7 +63,7 @@ class ExponentSum:
         return " + ".join(parts)
 
 
-Height = Union[KRational, ExponentSum]
+Height = KRational | ExponentSum
 
 
 def _rep_sum(k: int, exps: Iterable[tuple[int, int]]) -> Height:
@@ -85,13 +82,11 @@ def _rep_sum(k: int, exps: Iterable[tuple[int, int]]) -> Height:
     return ExponentSum(k, tuple(terms))
 
 
-@dataclass(frozen=True, slots=True)
-class HeightReport:
-    r: KRational
-    l: KRational
-    l_max: KRational
-    l_ave: Height
-    l_med: Height
+class HeightReport(Record):
+    """The R- and L-heights of an element: r, l and l_max are KRationals,
+    l_ave and l_med Heights."""
+
+    __slots__ = ("r", "l", "l_max", "l_ave", "l_med")
 
     @classmethod
     def from_fibers(cls, k: int, r: KRational,

@@ -8,29 +8,99 @@ Values print as base-k strings of ASCII digits (:func:`format_krational`),
 and :func:`parse_krational` reads both shapes of that form by one path.
 Integer parts and fractions alike turn into digits through :func:`_digits`
 and back through :func:`_number`, so neither has a length limit.
+:class:`Record` is the frozen value base of every value type in ``mk1``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
+from itertools import zip_longest
+from operator import attrgetter
 
 from .errors import (BaseMismatch, BaseTooSmall, NegativeResult, NotCanonical, OutOfRange,
                      ParseError, ZeroValue)
 
+_new, _setattr = object.__new__, object.__setattr__  # looked up once, for the stores
+
+
+class Record:
+    """A frozen value.  Its fields are the ``__slots__`` of its class whose
+    names do not start with ``_``: built by position or by name, compared
+    (only within one class), hashed and shown in slot order.  The private
+    slots are caches that start as None.  A class checks its fields in
+    ``__post_init__``, which construction calls and :meth:`_trusted` skips."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._key = attrgetter(*cls._fields)  # the tuple of field values
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        values += tuple([named.pop(name) for name in fields[len(values):] if name in named])
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        for name, value in zip_longest(self.__slots__, values):
+            _setattr(self, name, value)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance holding ``values`` in slot order, and None in each
+        slot after them, built without ``__post_init__``."""
+        obj = _new(cls)
+        for name, value in zip_longest(cls.__slots__, values):
+            _setattr(obj, name, value)
+        return obj
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through the checks
+        return type(self), self._key(self)
+
 
 @total_ordering
-@dataclass(frozen=True, slots=True)
-class KRational:
+class KRational(Record):
     """A non-negative element of Z[1/k], kept in canonical form.
 
     Use :func:`kq` to build values; the raw constructor rejects anything
     that is not already canonical.
     """
 
-    base: int
-    num: int
-    exp: int
+    __slots__ = ("base", "num", "exp")
+
+    # the hot constructor, equality and hash, spelled out: Record's generic ones take twice as long
+    def __init__(self, base: int, num: int, exp: int):
+        _setattr(self, "base", base)
+        _setattr(self, "num", num)
+        _setattr(self, "exp", exp)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.num == other.num and self.exp == other.exp and self.base == other.base
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.num, self.exp))
 
     def __post_init__(self):
         if self.base < 2:
@@ -162,7 +232,8 @@ def kq_from_digits(base: int, int_part: int, frac_digits) -> KRational:
     n = len(frac_digits)
     while n and not frac_digits[n - 1]:  # else kq would divide out trailing zeros one at a time
         n -= 1
-    return kq(base, int_part * base**n + _number(base, frac_digits[:n]), n)
+    high = int_part * base**n if int_part else 0  # a measure's 0 needs no k^n
+    return kq(base, high + _number(base, frac_digits[:n]), n)
 
 
 def format_krational(x: KRational) -> str:

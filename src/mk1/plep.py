@@ -15,7 +15,6 @@ codes; :func:`plep_element_with_index` realizes any admissible index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 from .elements import Mk1Element, Row, image_ideal, restrict_to_length
@@ -31,7 +30,7 @@ from .errors import (
     RepNotInCode,
     ZeroElement,
 )
-from .kary import kq_one
+from .kary import Record, kq_one
 from .words import PrefixCode, Word, check_cap, words_of_length
 
 
@@ -126,8 +125,7 @@ def common_image_refinement(e1: Mk1Element, e2: Mk1Element) -> tuple[Mk1Element,
     return r1, r2
 
 
-@dataclass(frozen=True, slots=True)
-class PlepWitness:
+class PlepWitness(Record):
     """Conjugators realizing a D-equivalence between plep elements.
 
     q1 and q2 are the level-extended image codes of the two inputs; b maps
@@ -137,11 +135,7 @@ class PlepWitness:
     respectively, linking the two elements inside the submonoid.
     """
 
-    b: Mk1Element
-    b_prime: Mk1Element
-    q1: PrefixCode
-    q2: PrefixCode
-    tlep: bool
+    __slots__ = ("b", "b_prime", "q1", "q2", "tlep")
 
 
 def plep_d_witness(e1: Mk1Element, e2: Mk1Element) -> PlepWitness:

@@ -23,7 +23,6 @@ changing their measure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import and_, or_
 
@@ -37,11 +36,10 @@ from .errors import (
     TooLarge,
     TooLong,
 )
-from .kary import KRational, kq
+from .kary import KRational, Record, kq
 from .words import (
     PrefixCode,
     Word,
-    _unchecked,
     check_letters,
     parse_natural,
     words_of_length,
@@ -94,27 +92,22 @@ _FORMAT = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class BooleanFormula:
+class BooleanFormula(Record):
     """A formula over variables x1..xm and y1..yn.
 
     The ast is nested tuples: ('x', i) and ('y', i) with 1-based indices,
     ('not', a), ('and', a, b), ('or', a, b), ('const', 0 or 1).
-    Formulas the library derives from truth tables carry their table.
+    Formulas the library derives from truth tables carry their table in
+    the ``_table`` cache: ``_trusted(m, n, ast, table)`` takes an ast the
+    library built, and its truth table or None.
     """
 
-    m: int
-    n: int
-    ast: Ast
-    _table: int | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("m", "n", "ast", "_table")
 
     def __post_init__(self):
         if self.m < 0 or self.n < 0:
             raise ArityMismatch("variable counts must be non-negative")
         _fold(self.ast, lambda node: _check_leaf(self.m, self.n, node), _CHECK)
-
-    # _trusted(m, n, ast, table): an ast the library built, and its truth table or None
-    _trusted = classmethod(_unchecked)
 
     def __str__(self) -> str:
         return f"m={self.m} n={self.n} {_fold(self.ast, _format_leaf, _FORMAT)[0]}"

@@ -18,9 +18,8 @@ exactly when their measure is k**(-|w|).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from itertools import chain, product, zip_longest
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain, product
 
 from .errors import (
     AlphabetMismatch,
@@ -33,21 +32,9 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .kary import KRational, kq, kq_one
+from .kary import KRational, Record, kq, kq_one
 
 Word = tuple[int, ...]
-
-_new, _setattr = object.__new__, object.__setattr__  # looked up once, for _unchecked
-
-
-def _unchecked(cls, *values):
-    """An instance of the slotted dataclass ``cls`` holding ``values`` in field
-    order, and None in each later slot, built without ``__post_init__``:
-    every ``_trusted`` class method."""
-    obj = _new(cls)
-    for name, value in zip_longest(cls.__slots__, values):
-        _setattr(obj, name, value)
-    return obj
 
 
 def word_key(w: Word) -> tuple[int, Word]:
@@ -193,12 +180,11 @@ def is_prefix_code(words: Iterable[Word]) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class PrefixCode:
-    """A finite prefix code over a k-letter alphabet, canonically sorted."""
+class PrefixCode(Record):
+    """A finite prefix code over a k-letter alphabet, canonically sorted;
+    ``_trusted(k, words)`` takes words that are one already."""
 
-    k: int
-    words: tuple[Word, ...]
+    __slots__ = ("k", "words")
 
     def __post_init__(self):
         if self.k < 2:
@@ -212,9 +198,6 @@ class PrefixCode:
     @classmethod
     def make(cls, k: int, words: Iterable[Word]) -> "PrefixCode":
         return cls(k, tuple(sorted(set(map(tuple, words)), key=word_key)))
-
-    # _trusted(k, words): words are a canonically sorted prefix code over k letters
-    _trusted = classmethod(_unchecked)
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)

@@ -221,17 +221,19 @@ COMMAND_LOADS = [
 def test_each_command_loads_only_the_modules_it_calls(files, argv, loaded):
     """Every command loads ``cli`` and the layers up to ``elements``; past
     them it imports only the modules it calls (``dfa`` brings the report
-    type from ``green``).  Each runs in a new interpreter started with -S."""
+    type from ``green``), and none of ``dataclasses``, ``inspect`` and
+    ``typing``.  Each runs in a new interpreter started with -S."""
     texts = {"PHI1": PHI1, "SWAP": SWAP, "CODE": CODE, "PLEP": PLEP, "FORMULA": FORMULA}
     inputs = {name: files(name, text) for name, text in texts.items()}
     child = ("import io, sys, mk1.cli; sys.stdout = io.StringIO(); "
              "status = mk1.cli.main(sys.argv[1:]); sys.stdout = sys.__stdout__; "
-             "print(status, *sorted(m[4:] for m in sys.modules if m.startswith('mk1.')))")
+             "print(status, *sorted(m[4:] for m in sys.modules if m.startswith('mk1.'))); "
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", child, *[inputs.get(a, a) for a in argv]],
                           capture_output=True, text=True, timeout=60, env=subprocess_env())
     base = ("cli", "congruence", "elements", "errors", "kary", "words")
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.split() == ["0", *sorted(base + loaded)]
+    assert done.stdout.splitlines() == [" ".join(["0", *sorted(base + loaded)]), "[]"]
 
 
 PACKAGE_NAMES = """

@@ -226,6 +226,8 @@ def test_comparisons():
     assert kq(2, 1, 1) <= kq(2, 2, 2)
     assert kq(2, 1, 1) == kq(2, 2, 2)
     assert not kq(2, 1, 1) < kq(2, 2, 2)
+    assert kq(2, 1, 1) != kq(3, 1, 1) and kq(2, 1, 1) != (2, 1, 1)   # equality never raises
+    assert len({kq(2, 1, 1), kq(3, 1, 1), kq(2, 2, 2)}) == 2
     assert kq(3, 2, 1) > kq(3, 1, 1) >= kq(3, 1, 1)
     assert repr(kq(2, 1, 1)) == "KRational(base=2, num=1, exp=1)"
     for op in (operator.lt, operator.le, operator.gt, operator.ge):

@@ -44,6 +44,7 @@ from mk1.elements import (
 )
 from mk1.errors import NotDistinct, OutOfRange
 from mk1.green import eq_L, leq_L, section_inverse, separating_context
+from mk1.reductions import BooleanFormula, parse_formula, truth_table
 from mk1.words import PrefixCode, trie_leaves, words_of_length
 
 
@@ -336,6 +337,7 @@ def test_every_build_starts_with_an_empty_view(e):
 
 
 def test_the_view_changes_no_equality_hash_or_repr():
+    """Nor does the other cache slot, a formula's truth table."""
     e = _MIXED
     fresh = _built_four_ways(e)
     looked_up = _built_four_ways(e)
@@ -346,6 +348,11 @@ def test_the_view_changes_no_equality_hash_or_repr():
         assert f == g == e and hash(f) == hash(g) == hash(e)
         assert repr(f) == repr(g) == repr(e) == f"Mk1Element(k=3, rows={e.rows!r})"
     assert len({*fresh, *looked_up, e}) == 1
+    formula = parse_formula("m=1 n=1 x1 & !y1")
+    carried = BooleanFormula._trusted(1, 1, formula.ast, truth_table(formula))
+    assert formula._table is None and carried._table == truth_table(formula)
+    assert carried == formula and hash(carried) == hash(formula)
+    assert repr(carried) == repr(formula) == f"BooleanFormula(m=1, n=1, ast={formula.ast!r})"
 
 
 def test_apply_on_the_tau_12_gate_looks_words_up():

@@ -8,20 +8,23 @@ checked constructor: ``test_height_reports`` compares them with the
 checked reference automaton in ``helpers``.)  Formulas built from truth
 tables skip the check fold and carry their table; φ_B skips ``make``'s
 sort and checks.  The text readers check their input once and build
-tables and formulas without the constructors' checks.  Lints over the
-library's source keep out asserts, eval, recursion, unbounded caches,
-error classes nothing raises, exports only the tests read, private
-functions nothing reads, imports inside functions and import cycles, keep
-the canonical word order in the modules that build codes, tables and
-congruences, keep row reduction in ``elements``, ``make`` and the checked
-identity and zero constructors to input no check has seen, keep ``dfa``'s
-signature tables growing in ``_state`` alone, keep the listing of an
-alphabet's letters in ``words_of_length``, and keep ``cli`` to command
-plumbing.
+tables and formulas without the constructors' checks.  Every record
+class builds, compares, hashes, copies and pickles as a frozen value.
+Lints over the library's source keep out asserts, eval, recursion,
+unbounded caches, ``dataclasses`` and ``typing``, error classes nothing
+raises, exports only the tests read, private functions nothing reads,
+imports inside functions and import cycles, keep the canonical word order
+in the modules that build codes, tables and congruences, keep row
+reduction in ``elements``, ``make`` and the checked identity and zero
+constructors to input no check has seen, keep ``dfa``'s signature tables
+growing in ``_state`` alone, keep the listing of an alphabet's letters in
+``words_of_length``, and keep ``cli`` to command plumbing.
 """
 
 import ast
+import copy
 import operator
+import pickle
 import re
 from pathlib import Path
 
@@ -32,6 +35,7 @@ import mk1
 from helpers import elements, reference_image_code_restriction, tables
 from mk1 import elements as elements_module, words as words_module
 from mk1.congruence import PrefixCodeCongruence, split_class
+from mk1.dfa import Dfa, trie_dfa
 from mk1.elements import (
     Mk1Element,
     compose,
@@ -65,7 +69,9 @@ from mk1.reductions import (
     parse_formula,
     truth_table,
 )
-from mk1.green import element_with_heights, heights, section_inverse, separating_context
+from mk1.green import (ExponentSum, element_with_heights, heights, section_inverse,
+                       separating_context)
+from mk1.kary import KRational, kq
 from mk1.plep import eta_idempotent, plep_d_witness
 from mk1.words import (
     PrefixCode,
@@ -271,6 +277,52 @@ def test_public_constructors_still_check():
         PrefixCodeCongruence.make(code, [[(0,), (1,)], []])
 
 
+def _one_record_of_each_class():
+    """A value of each of the nine record classes, built by the library."""
+    code = parse_code("k 2\na\nba\nbb")
+    e = parse_table("k 2\na -> ^\nb -> a")
+    report = heights(e)  # its average L-height is an ExponentSum
+    return [kq(2, 5, 3), code, PrefixCodeCongruence.make(code, [[(0,)], [(1, 0), (1, 1)]]), e,
+            report.l_ave, report, trie_dfa(code),
+            plep_d_witness(identity_element(2), identity_element(2)),
+            parse_formula("m=1 n=1 x1 & !y1")]
+
+
+def test_every_record_class_is_a_frozen_value():
+    """Fields are the public slots: built by position, by name or both,
+    copied or pickled, a value equals the original, hashes alike and
+    prints alike; no slot can be assigned or deleted, and a missing, extra,
+    doubled or unknown field is a TypeError."""
+    values = _one_record_of_each_class()
+    assert len({type(v) for v in values}) == 9
+    for v in values:
+        cls = type(v)
+        names = [name for name in cls.__slots__ if not name.startswith("_")]
+        fields = [getattr(v, name) for name in names]
+        named = dict(zip(names, fields))
+        for twin in (cls(*fields), cls(**named), cls(fields[0], **dict(zip(names[1:], fields[1:]))),
+                     copy.copy(v), pickle.loads(pickle.dumps(v))):
+            assert twin is not v and twin == v and hash(twin) == hash(v) and repr(twin) == repr(v)
+        assert repr(v) == f"{cls.__name__}({', '.join(f'{n}={f!r}' for n, f in named.items())})"
+        for name in (*cls.__slots__, "other"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+        for wrong in (lambda: cls(*fields[:-1]), lambda: cls(*fields, None),
+                      lambda: cls(*fields[1:], **{names[0]: fields[0]}),
+                      lambda: cls(*fields, other=None)):
+            with pytest.raises(TypeError):
+                wrong()
+
+
+def test_records_of_two_classes_never_compare_equal():
+    pairs = [(KRational(2, 1, 0), Dfa(2, 1, 0)), (PrefixCode(2, ()), ExponentSum(2, ()))]
+    for a, b in pairs:
+        assert a != b and b != a and not a == b
+    assert len({value for pair in pairs for value in pair}) == 4
+
+
 def test_code_membership():
     code = PrefixCode.make(3, [(0,), (1, 2), (2, 0, 1), (1, 0)])
     for w in code.words:
@@ -316,14 +368,11 @@ def test_no_recursive_functions_in_the_library():
 
 
 def test_no_private_imports_across_library_modules():
-    """Modules share only public names; the one exception is the unchecked
-    constructor every ``_trusted`` classmethod wraps."""
+    """Modules share only public names."""
     found = [f"{name}:{node.lineno}:{alias.name}" for name, node in _library_nodes()
              if isinstance(node, ast.ImportFrom)
              and (node.level or (node.module or "").startswith("mk1"))
-             for alias in node.names
-             if alias.name.startswith("_")
-             and ((node.module or "").removeprefix("mk1."), alias.name) != ("words", "_unchecked")]
+             for alias in node.names if alias.name.startswith("_")]
     assert found == []
 
 
@@ -489,6 +538,19 @@ def test_no_library_module_imports_fractions():
                                                      for alias in node.names)
              or isinstance(node, ast.ImportFrom) and not node.level
              and (node.module or "").split(".")[0] == "fractions"]
+    assert found == []
+
+
+def test_no_library_module_imports_dataclasses_or_typing():
+    """Value types derive from ``kary.Record`` and abstract types come from
+    ``collections.abc``: ``dataclasses`` loads ``inspect`` and compiles code
+    for each class, and ``typing`` is a large module, at every start."""
+    heavy = ("dataclasses", "typing")
+    found = [name for name, node in _library_nodes()
+             if isinstance(node, ast.Import) and any(alias.name.split(".")[0] in heavy
+                                                     for alias in node.names)
+             or isinstance(node, ast.ImportFrom) and not node.level
+             and (node.module or "").split(".")[0] in heavy]
     assert found == []
 
 
