@@ -1,13 +1,15 @@
 """Command-line front end: each command parses, calls the library and
 prints, with no arithmetic of its own (chain's test for letters past 'z' is
-:func:`~mk1.green.chain_uses_letter`).  Every command reads exact inputs
-(table files, code files, formula files, digit strings) and writes exact,
-byte-deterministic output.  Exit status: 0 on success (also when the
-reader closes the output pipe early), 1 for unparseable input or bad usage,
-2 for a domain error (reported on stderr as ``error <Reason>: <message>``).
-A command imports the library modules past ``elements`` (``green``,
-``plep``, ``circuits``, ``dfa``, ``reductions``) when it calls them, so
-each start compiles and runs only the modules on its own path.
+:func:`~mk1.green.chain_uses_letter`).  ``_COMMANDS`` is the one place where
+a command's arguments are declared; :func:`build_parser` builds argparse
+from it.  Every command reads exact inputs (table files, code files, formula
+files, digit strings) and writes exact, byte-deterministic output.  Exit
+status: 0 on success (also when the reader closes the output pipe early), 1
+for unparseable input, bad usage or a closed standard output, 2 for a domain
+error (reported on stderr as ``error <Reason>: <message>``), 130 on SIGINT
+(Ctrl-C).  A command imports the library modules past ``elements``
+(``green``, ``plep``, ``circuits``, ``dfa``, ``reductions``) when it calls
+them, so each start compiles and runs only the modules on its own path.
 """
 
 from __future__ import annotations
@@ -183,6 +185,39 @@ def _cmd_separate(args):
     print(f"{format_table(c1)}\n\n{format_table(c2)}")
 
 
+# name: (function, help, positionals {name: argparse options}, store_true flags {flag: help})
+_COMMANDS = {
+    "normalize": (_cmd_normalize, "reduce a table to its normal form", {"table": {}}, {}),
+    "compose": (_cmd_compose, "compose two tables (f after g)", {"f": {}, "g": {}}, {}),
+    "measure": (_cmd_measure, "measure of a prefix code", {"code": {}},
+                {"--check": "also measure it through its minimal automaton"}),
+    "heights": (_cmd_heights, "R/L height report of a table", {"table": {}},
+                {"--dfa": "compute via minimal automata instead of word lists",
+                 "--check": "also compute it the other way, and fail if the two differ"}),
+    "green": (_cmd_green, "compare two tables in a Green order",
+              {"relation": {"choices": sorted(_RELATIONS)}, "f": {}, "g": {}}, {}),
+    "dindex": (_cmd_dindex, "D-class index of a table",
+               {"kind": {"choices": ["M", "plep"]}, "table": {}}, {}),
+    "chain": (_cmd_chain, "idempotents strictly between two measures",
+              {"k": {"type": integer}, "lo": {}, "hi": {}, "count": {"type": integer}}, {}),
+    "with-heights": (_cmd_with_heights, "an element with prescribed heights",
+                     {"k": {"type": integer}, "r": {}, "l": {}}, {}),
+    "synth-id": (_cmd_synth_id, "generator word for a one-hole identity",
+                 {"k": {"type": integer}, "word": {}}, {}),
+    "eval-gen": (_cmd_eval_gen, "evaluate a generator word to a table",
+                 {"k": {"type": integer}, "tokens": {"nargs": "+"}}, {}),
+    "phi-b": (_cmd_phi_b, "counting element of a boolean formula", {"formula": {}},
+              {"--check": "also report its noncollision measure and the count"}),
+    "count-forallsat": (_cmd_count_forallsat, "number of y with B(x,y) for all x", {"formula": {}},
+                        {"--via-element": "recover the count from an exact measure instead"}),
+    "dfa-mu": (_cmd_dfa_mu, "code measure via its minimal automaton", {"code": {}},
+               {"--dump": "also print the automaton"}),
+    "witness-plep": (_cmd_witness_plep, "conjugators linking two plep tables",
+                     {"f": {}, "g": {}}, {}),
+    "separate": (_cmd_separate, "contexts telling two tables apart", {"f": {}, "g": {}}, {}),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -193,101 +228,24 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mk1", description="Exact table-element calculator.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("normalize", help="reduce a table to its normal form")
-    p.add_argument("table")
-    p.set_defaults(func=_cmd_normalize)
-
-    p = sub.add_parser("compose", help="compose two tables (f after g)")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.set_defaults(func=_cmd_compose)
-
-    p = sub.add_parser("measure", help="measure of a prefix code")
-    p.add_argument("code")
-    p.add_argument("--check", action="store_true",
-                   help="also measure it through its minimal automaton")
-    p.set_defaults(func=_cmd_measure)
-
-    p = sub.add_parser("heights", help="R/L height report of a table")
-    p.add_argument("table")
-    p.add_argument("--dfa", action="store_true",
-                   help="compute via minimal automata instead of word lists")
-    p.add_argument("--check", action="store_true",
-                   help="also compute it the other way, and fail if the two differ")
-    p.set_defaults(func=_cmd_heights)
-
-    p = sub.add_parser("green", help="compare two tables in a Green order")
-    p.add_argument("relation", choices=sorted(_RELATIONS))
-    p.add_argument("f")
-    p.add_argument("g")
-    p.set_defaults(func=_cmd_green)
-
-    p = sub.add_parser("dindex", help="D-class index of a table")
-    p.add_argument("kind", choices=["M", "plep"])
-    p.add_argument("table")
-    p.set_defaults(func=_cmd_dindex)
-
-    p = sub.add_parser("chain", help="idempotents strictly between two measures")
-    p.add_argument("k", type=integer)
-    p.add_argument("lo")
-    p.add_argument("hi")
-    p.add_argument("count", type=integer)
-    p.set_defaults(func=_cmd_chain)
-
-    p = sub.add_parser("with-heights", help="an element with prescribed heights")
-    p.add_argument("k", type=integer)
-    p.add_argument("r")
-    p.add_argument("l")
-    p.set_defaults(func=_cmd_with_heights)
-
-    p = sub.add_parser("synth-id", help="generator word for a one-hole identity")
-    p.add_argument("k", type=integer)
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_synth_id)
-
-    p = sub.add_parser("eval-gen", help="evaluate a generator word to a table")
-    p.add_argument("k", type=integer)
-    p.add_argument("tokens", nargs="+")
-    p.set_defaults(func=_cmd_eval_gen)
-
-    p = sub.add_parser("phi-b", help="counting element of a boolean formula")
-    p.add_argument("formula")
-    p.add_argument("--check", action="store_true",
-                   help="also report its noncollision measure and the count")
-    p.set_defaults(func=_cmd_phi_b)
-
-    p = sub.add_parser("count-forallsat", help="number of y with ∀x B(x,y)")
-    p.add_argument("formula")
-    p.add_argument("--via-element", action="store_true",
-                   help="recover the count from an exact measure instead")
-    p.set_defaults(func=_cmd_count_forallsat)
-
-    p = sub.add_parser("dfa-mu", help="code measure via its minimal automaton")
-    p.add_argument("code")
-    p.add_argument("--dump", action="store_true", help="also print the automaton")
-    p.set_defaults(func=_cmd_dfa_mu)
-
-    p = sub.add_parser("witness-plep", help="conjugators linking two plep tables")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.set_defaults(func=_cmd_witness_plep)
-
-    p = sub.add_parser("separate", help="contexts telling two tables apart")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.set_defaults(func=_cmd_separate)
-
+    for name, (func, text, positionals, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for dest, options in positionals.items():
+            p.add_argument(dest, **options)
+        for flag, flag_help in flags.items():
+            p.add_argument(flag, action="store_true", help=flag_help)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as stop:
         return 0 if stop.code == 0 else 1
     try:
+        if sys.stdout is None:  # started with descriptor 1 closed: print would drop the output
+            raise OSError("standard output is closed")
         args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, inside the try
     except ParseError as exc:
@@ -304,6 +262,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        return 130  # 128 + SIGINT, as a shell reports a command that SIGINT ended
     return 0
 
 

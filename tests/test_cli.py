@@ -4,6 +4,7 @@ import io
 import os
 import runpy
 import select
+import signal
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ import pytest
 import mk1
 from helpers import deep_code, deep_rotation, nested_images
 from mk1 import dfa, reductions
-from mk1.cli import main
+from mk1.cli import _COMMANDS, main
 from mk1.elements import compose, format_table, parse_table
 from mk1.green import dense_chain, heights, iter_dense_chain
 from mk1.kary import kq, parse_krational
@@ -421,6 +422,37 @@ def closed_stdout(monkeypatch):
         os.close(write_end)
 
 
+def test_a_closed_stdout_is_an_error_line(files):
+    """Started with descriptor 1 closed, a command would print into
+    nothing: it ends before it runs with one error line and status 1."""
+    done = subprocess.run([sys.executable, "-m", "mk1.cli", "normalize", files("t.tbl", PHI1)],
+                          stderr=subprocess.PIPE, text=True, timeout=60, env=subprocess_env(),
+                          preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (1, "error: standard output is closed\n")
+
+
+def test_sigint_ends_with_status_130_and_no_traceback():
+    """SIGINT while an endless chain streams ends the command with the
+    shell's status for it, 128 + 2, and nothing on stderr."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "mk1.cli", "chain", "2", "0.1", "0.11", "100000000000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(),
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),  # `&` would ignore it
+    ) as proc:
+        try:
+            chunk, out, deadline = b" ", b"", time.monotonic() + 10
+            while chunk and b"\n\n" not in out and select.select(
+                    [proc.stdout], [], [], max(0, deadline - time.monotonic()))[0]:
+                chunk = os.read(proc.stdout.fileno(), 1 << 16)
+                out += chunk
+            assert b"\n\n" in out  # the first table is out: the command is running
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+    assert (proc.returncode, err) == (130, b"")  # no KeyboardInterrupt traceback
+
+
 def test_closed_stdout_pipe_in_process(monkeypatch):
     """The same exit in this process: the final flush fails, and the command
     points its output descriptor at the null device, which closes the
@@ -785,6 +817,28 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys)[0] == 1
     assert run(capsys, "compose", "onlyone")[0] == 1
     assert run(capsys, "--help")[0] == 0
+
+
+def test_every_command_prints_its_help_and_has_a_load_pin(capsys):
+    """``mk1 <command> --help`` exits 0 with a usage line naming the command
+    and its flags, for every command of the table, and each command has a
+    row in COMMAND_LOADS."""
+    for name, (_, _, _, flags) in _COMMANDS.items():
+        code, out, err = run(capsys, name, "--help")
+        usage = out.split("\n\n")[0]
+        assert (code, err) == (0, "") and usage.startswith(f"usage: mk1 {name} [-h]")
+        assert all(f"[{flag}]" in usage.split() for flag in flags)
+    assert {argv[0] for argv, _ in COMMAND_LOADS} == set(_COMMANDS)
+
+
+def test_help_is_ascii_and_prints_to_an_ascii_stdout():
+    """Every help text is ASCII, so ``--help`` prints where standard output
+    cannot encode more, as under a cp1252 or ASCII locale."""
+    texts = [t for _, text, _, flags in _COMMANDS.values() for t in (text, *flags.values())]
+    assert all(text.isascii() for text in texts)
+    done = subprocess.run([sys.executable, "-m", "mk1.cli", "--help"], capture_output=True,
+                          text=True, timeout=60, env={**subprocess_env(), "PYTHONIOENCODING": "ascii"})
+    assert (done.returncode, done.stderr) == (0, "") and "count-forallsat" in done.stdout
 
 
 def test_console_script(tmp_path):

@@ -18,7 +18,8 @@ in the modules that build codes, tables and congruences, keep row
 reduction in ``elements``, ``make`` and the checked identity and zero
 constructors to input no check has seen, keep ``dfa``'s signature tables
 growing in ``_state`` alone, keep the listing of an alphabet's letters in
-``words_of_length``, and keep ``cli`` to command plumbing.
+``words_of_length``, and keep ``cli`` to command plumbing, its commands
+declared in one table.
 """
 
 import ast
@@ -676,6 +677,16 @@ def test_cli_keeps_only_command_plumbing():
              for name in [owner.get(id(fn), "") + fn.name]
              if not name.startswith("_cmd_") and name not in plumbing]
     assert found == []
+
+
+def test_cli_declares_commands_only_in_its_table():
+    """Commands and their arguments are declared in ``cli._COMMANDS``: the
+    loop that builds argparse from it holds the one ``add_parser`` call and
+    the only ``add_argument`` calls, one for positionals, one for flags."""
+    tree = ast.parse((Path(mk1.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    calls = [node.func.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    assert calls.count("add_parser") == 1 and calls.count("add_argument") <= 2
 
 
 def test_only_words_reads_the_header():
