@@ -12,8 +12,10 @@ package loads only that module and the layers under it.
 from importlib import import_module
 
 # each public name, and the module that defines it; a module's own name
-# stands for the module itself
+# stands for the module itself.  This is the library's one lazy loader:
+# ``cli`` reads every name it calls through it.
 _HOME = {
+    "circuits": "circuits", "dfa": "dfa", "reductions": "reductions",
     **dict.fromkeys(("PrefixCodeCongruence", "collision_measure", "congruence",
                      "noncollision_measure", "split_class"), "congruence"),
     **dict.fromkeys(("Mk1Element", "NoValue", "apply", "compose", "elements", "format_table",

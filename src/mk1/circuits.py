@@ -35,8 +35,8 @@ from __future__ import annotations
 import re
 
 from .elements import Mk1Element, compose, fiber_offsets, identity_element
-from .errors import BaseTooSmall, EmptyTarget, TooLarge, UnknownGate
-from .words import Word, check_letters, words_of_length
+from .errors import EmptyTarget, TooLarge, UnknownGate
+from .words import Word, check_alphabet, check_letters, words_of_length
 
 _TAU = re.compile(r"^tau\(([0-9]+)\)$")
 _PROBE = re.compile(r"^E([0-9]{1,18})$")
@@ -111,8 +111,7 @@ def eval_generator_word(k: int, tokens: list[str]) -> Mk1Element:
 
 def synthesize_partial_identity(k: int, target: Word) -> list[str]:
     """A generator word for the partial identity on A^m minus {target}."""
-    if k < 2:
-        raise BaseTooSmall(f"alphabet size must be at least 2, got {k}")
+    check_alphabet(k)
     target = tuple(target)
     m = len(target)
     if m == 0:

@@ -7,9 +7,11 @@ files, digit strings) and writes exact, byte-deterministic output.  Exit
 status: 0 on success (also when the reader closes the output pipe early), 1
 for unparseable input, bad usage or a closed standard output, 2 for a domain
 error (reported on stderr as ``error <Reason>: <message>``), 130 on SIGINT
-(Ctrl-C).  A command imports the library modules past ``elements``
-(``green``, ``plep``, ``circuits``, ``dfa``, ``reductions``) when it calls
-them, so each start compiles and runs only the modules on its own path.
+(Ctrl-C).  The library is read through ``import mk1`` alone: each name is
+an attribute that the package's name table resolves, importing its module
+on first use, so each start compiles and runs only the modules on its own
+path.  Every command loads ``cli``, ``errors``, ``kary`` and ``words``, and
+``measure`` loads nothing more.
 """
 
 from __future__ import annotations
@@ -17,13 +19,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from importlib import import_module
 
-from .congruence import noncollision_measure
-from .elements import compose, format_table, parse_table, part
-from .errors import CrossCheckFailed, Mk1Error, OutOfRange, ParseError
-from .kary import parse_krational
-from .words import parse_code, parse_natural, parse_word
+import mk1
 
 
 def _read(path: str, parse):
@@ -31,23 +28,24 @@ def _read(path: str, parse):
         try:
             text = handle.read()  # one decode of the whole file: exc.start is a file offset
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{path} is not UTF-8 text (byte {exc.start})") from None
+            raise mk1.ParseError(f"{path} is not UTF-8 text (byte {exc.start})") from None
     return parse(text)
 
 
 def integer(text: str) -> int:
     """An ASCII decimal numeral with at most one leading '-', read by
     :func:`~mk1.words.parse_natural`; argparse names it in its refusal."""
+    parse_natural = mk1.words.parse_natural
     return -parse_natural(text[1:]) if text.startswith("-") else parse_natural(text)
 
 
 def _cmd_normalize(args):
-    print(format_table(_read(args.table, parse_table).reduced()))
+    print(mk1.format_table(_read(args.table, mk1.parse_table).reduced()))
 
 
 def _cmd_compose(args):
-    f, g = _read(args.f, parse_table), _read(args.g, parse_table)
-    print(format_table(compose(f, g)))
+    f, g = _read(args.f, mk1.parse_table), _read(args.g, mk1.parse_table)
+    print(mk1.format_table(mk1.compose(f, g)))
 
 
 def _checked(check, answer, other, what: str) -> str:
@@ -56,103 +54,88 @@ def _checked(check, answer, other, what: str) -> str:
     printed if the two differ."""
     text = answer()
     if check and other() != text:
-        raise CrossCheckFailed(f"{what} disagree")
+        raise mk1.errors.CrossCheckFailed(f"{what} disagree")
     return text
 
 
 def _cmd_measure(args):
-    code = _read(args.code, parse_code)  # the empty code has no automaton to check against
-    dfa = import_module("mk1.dfa") if args.check else None
+    code = _read(args.code, mk1.parse_code)  # the empty code has no automaton to check against
     print(_checked(args.check and code.words, lambda: str(code.mu),
-                   lambda: str(dfa.dfa_measure(dfa.trie_dfa(code))), "mu and dfa_measure"))
+                   lambda: str(mk1.dfa.dfa_measure(mk1.dfa.trie_dfa(code))), "mu and dfa_measure"))
 
 
 def _cmd_heights(args):
-    e = _read(args.table, parse_table)
-    green = import_module("mk1.green")
-    reports = (green.heights, lambda e: import_module("mk1.dfa").height_report_via_dfa(e))
+    e = _read(args.table, mk1.parse_table)
+    reports = (mk1.heights, lambda e: mk1.dfa.height_report_via_dfa(e))
     first, second = reversed(reports) if args.dfa else reports
-    print(_checked(args.check, lambda: green.format_height_report(first(e)),
-                   lambda: green.format_height_report(second(e)),
+    print(_checked(args.check, lambda: mk1.format_height_report(first(e)),
+                   lambda: mk1.format_height_report(second(e)),
                    "heights and height_report_via_dfa"))
 
 
-# each relation's module and function, imported when the command runs
-_RELATIONS = {
-    "leqR": ("mk1.green", "leq_R"),
-    "leqL": ("mk1.green", "leq_L"),
-    "eqR": ("mk1.green", "eq_R"),
-    "eqL": ("mk1.green", "eq_L"),
-    "eqD-M": ("mk1.green", "eq_D_M"),
-    "eqD-plep": ("mk1.plep", "eq_D_plep"),
-}
+# each relation's name in the package
+_RELATIONS = {"leqR": "leq_R", "leqL": "leq_L", "eqR": "eq_R", "eqL": "eq_L",
+              "eqD-M": "eq_D_M", "eqD-plep": "eq_D_plep"}
 
 
 def _cmd_green(args):
-    module, name = _RELATIONS[args.relation]
-    relation = getattr(import_module(module), name)
-    verdict = relation(_read(args.f, parse_table), _read(args.g, parse_table))
+    relation = getattr(mk1, _RELATIONS[args.relation])
+    verdict = relation(_read(args.f, mk1.parse_table), _read(args.g, mk1.parse_table))
     print("true" if verdict else "false")
 
 
 def _cmd_dindex(args):
-    e = _read(args.table, parse_table)
-    if args.kind == "M":
-        idx = import_module("mk1.green").d_index_M(e)
-        print("zero" if idx is None else idx)
-    else:
-        print(import_module("mk1.plep").d_index_plep(e))
+    idx = getattr(mk1, f"d_index_{args.kind}")(_read(args.table, mk1.parse_table))
+    print("zero" if idx is None else idx)  # only M's index of the zero element is None
 
 
 def _cmd_chain(args):
-    lo = parse_krational(args.k, args.lo)
-    hi = parse_krational(args.k, args.hi)
-    green = import_module("mk1.green")
-    chain = green.iter_dense_chain(args.k, lo, hi, args.count)
-    if args.k > 26 and green.chain_uses_letter(args.k, lo, hi, args.count, 26):
-        raise OutOfRange("letter display supports alphabets up to 26 letters")
-    tables = (format_table(e) for e in chain)
+    lo = mk1.parse_krational(args.k, args.lo)
+    hi = mk1.parse_krational(args.k, args.hi)
+    chain = mk1.green.iter_dense_chain(args.k, lo, hi, args.count)
+    if args.k > 26 and mk1.green.chain_uses_letter(args.k, lo, hi, args.count, 26):
+        raise mk1.errors.OutOfRange("letter display supports alphabets up to 26 letters")
+    tables = (mk1.format_table(e) for e in chain)
     print(next(tables, ""))  # an empty chain prints one empty line
     for text in tables:
         print("\n" + text)
 
 
 def _cmd_with_heights(args):
-    h_r = parse_krational(args.k, args.r)
-    h_l = parse_krational(args.k, args.l)
-    print(format_table(import_module("mk1.green").element_with_heights(args.k, h_r, h_l)))
+    h_r = mk1.parse_krational(args.k, args.r)
+    h_l = mk1.parse_krational(args.k, args.l)
+    print(mk1.format_table(mk1.element_with_heights(args.k, h_r, h_l)))
 
 
 def _cmd_synth_id(args):
-    word = parse_word(args.word, args.k)
-    circuits = import_module("mk1.circuits")
-    print(" ".join(circuits.synthesize_partial_identity(args.k, word)))
+    word = mk1.parse_word(args.word, args.k)
+    print(" ".join(mk1.circuits.synthesize_partial_identity(args.k, word)))
 
 
 def _cmd_eval_gen(args):
-    circuits = import_module("mk1.circuits")
-    tokens = circuits.parse_generator_word(" ".join(args.tokens))
-    print(format_table(circuits.eval_generator_word(args.k, tokens)))
+    tokens = mk1.circuits.parse_generator_word(" ".join(args.tokens))
+    print(mk1.format_table(mk1.circuits.eval_generator_word(args.k, tokens)))
 
 
 def _cmd_phi_b(args):
-    reductions = import_module("mk1.reductions")
+    reductions = mk1.reductions
     f = _read(args.formula, reductions.parse_formula)
     e = reductions.encode_formula(f)
-    print(format_table(e))
+    print(mk1.format_table(e))
     if args.check:
-        noncoll = noncollision_measure(part(e))
+        noncoll = mk1.noncollision_measure(mk1.part(e))
         count = reductions.count_forall_sat(f)
         predicted = reductions.predicted_noncollision(f.m, f.n, count)
         if noncoll != predicted:
-            raise CrossCheckFailed(f"noncollision {noncoll}; count {count} predicts {predicted}")
+            raise mk1.errors.CrossCheckFailed(
+                f"noncollision {noncoll}; count {count} predicts {predicted}")
         print(f"noncollision {noncoll}")
         print(f"predicted {predicted}")
         print(f"count {count}")
 
 
 def _cmd_count_forallsat(args):
-    reductions = import_module("mk1.reductions")
+    reductions = mk1.reductions
     f = _read(args.formula, reductions.parse_formula)
     if args.via_element:
         if not reductions.covers_every_y(f):
@@ -163,8 +146,8 @@ def _cmd_count_forallsat(args):
 
 
 def _cmd_dfa_mu(args):
-    dfa = import_module("mk1.dfa")
-    automaton = dfa.trie_dfa(_read(args.code, parse_code))
+    dfa = mk1.dfa
+    automaton = dfa.trie_dfa(_read(args.code, mk1.parse_code))
     if args.dump:
         print(dfa.format_dfa(automaton))
         print(f"mu: {dfa.dfa_measure(automaton)}")
@@ -173,16 +156,14 @@ def _cmd_dfa_mu(args):
 
 
 def _cmd_witness_plep(args):
-    plep = import_module("mk1.plep")
-    w = plep.plep_d_witness(_read(args.f, parse_table), _read(args.g, parse_table))
+    w = mk1.plep_d_witness(_read(args.f, mk1.parse_table), _read(args.g, mk1.parse_table))
     tlep = "true" if w.tlep else "false"
-    print(f"tlep {tlep}\n\n{format_table(w.b)}\n\n{format_table(w.b_prime)}")
+    print(f"tlep {tlep}\n\n{mk1.format_table(w.b)}\n\n{mk1.format_table(w.b_prime)}")
 
 
 def _cmd_separate(args):
-    green = import_module("mk1.green")
-    c1, c2 = green.separating_context(_read(args.f, parse_table), _read(args.g, parse_table))
-    print(f"{format_table(c1)}\n\n{format_table(c2)}")
+    c1, c2 = mk1.separating_context(_read(args.f, mk1.parse_table), _read(args.g, mk1.parse_table))
+    print(f"{mk1.format_table(c1)}\n\n{mk1.format_table(c2)}")
 
 
 # name: (function, help, positionals {name: argparse options}, store_true flags {flag: help})
@@ -248,10 +229,10 @@ def main(argv=None) -> int:
             raise OSError("standard output is closed")
         args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, inside the try
-    except ParseError as exc:
+    except mk1.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Mk1Error as exc:
+    except mk1.Mk1Error as exc:
         print(f"error {exc.reason}: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

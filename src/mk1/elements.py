@@ -46,7 +46,6 @@ from itertools import chain
 from .congruence import PrefixCodeCongruence
 from .errors import (
     AlphabetMismatch,
-    BaseTooSmall,
     DomainNotPrefixCode,
     LengthTooSmall,
     NotCanonical,
@@ -56,6 +55,7 @@ from .kary import Record
 from .words import (
     PrefixCode,
     Word,
+    check_alphabet,
     check_cap,
     check_count,
     check_letter_count,
@@ -91,12 +91,13 @@ class Mk1Element(Record):
     __slots__ = ("k", "rows", "_view")
 
     def __post_init__(self):
-        if self.k < 2:
-            raise BaseTooSmall("alphabet needs at least two letters")
+        check_alphabet(self.k)
         check_letters(self.k, (w for row in self.rows for w in row))
         doms = [x for x, _ in self.rows]
         if doms != sorted(set(doms), key=word_key):
-            raise NotCanonical("rows must be sorted by domain word, without repeats")
+            raise NotCanonical("a domain word has more than one image"
+                               if len(set(doms)) < len(set(self.rows))
+                               else "rows must be sorted by domain word, without repeats")
         if not is_prefix_code(doms):
             raise DomainNotPrefixCode("domain words must form a prefix code")
 
@@ -110,15 +111,14 @@ class Mk1Element(Record):
         first extension, so one pass over adjacent pairs finds both.  The
         sorted rows then go straight to the merge pass, :func:`_merge_rows`.
         """
-        if k < 2:
-            raise BaseTooSmall("alphabet needs at least two letters")
+        check_alphabet(k)
         rows = sorted(dict.fromkeys((tuple(x), tuple(y)) for x, y in rows))
         check_letters(k, chain.from_iterable(rows))
         prefixed = False
         for (u, _), (v, _) in zip(rows, rows[1:]):
             if v[:len(u)] == u:
                 if u == v:
-                    raise NotCanonical("rows must be sorted by domain word, without repeats")
+                    raise NotCanonical("a domain word has more than one image")
                 prefixed = True
         if prefixed:
             raise DomainNotPrefixCode("domain words must form a prefix code")

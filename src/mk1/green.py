@@ -105,8 +105,8 @@ class HeightReport(Record):
             ave.append((sum(ls) + m * n, m))
             h = m // 2
             med.append((ls[h] + n, 1) if m % 2 else (ls[h - 1] + ls[h] + 2 * n, 2))
-        return cls(r=r, l=kq_pow_sum(k, Counter(lo)), l_max=kq_pow_sum(k, Counter(hi)),
-                   l_ave=_rep_sum(k, ave), l_med=_rep_sum(k, med))
+        return cls(r, kq_pow_sum(k, Counter(lo)), kq_pow_sum(k, Counter(hi)),
+                   _rep_sum(k, ave), _rep_sum(k, med))
 
 
 def heights(e: Mk1Element) -> HeightReport:

@@ -20,7 +20,6 @@ from itertools import islice
 from .elements import Mk1Element, Row, image_ideal, restrict_to_length
 from .errors import (
     AlphabetMismatch,
-    BaseTooSmall,
     CrossCheckFailed,
     DivisibleIndex,
     IndexMismatch,
@@ -31,7 +30,7 @@ from .errors import (
     ZeroElement,
 )
 from .kary import Record, kq_one
-from .words import PrefixCode, Word, check_cap, words_of_length
+from .words import PrefixCode, Word, check_alphabet, check_cap, words_of_length
 
 
 def is_plep(e: Mk1Element) -> bool:
@@ -81,8 +80,7 @@ def plep_element_with_index(k: int, i: int) -> Mk1Element:
     """A total plep idempotent whose D-index is i (i must be prime to k):
     :func:`eta_idempotent` of the first i words of the least level with more
     than i words, the first word the representative."""
-    if k < 2:
-        raise BaseTooSmall(f"alphabet size must be at least 2, got {k}")
+    check_alphabet(k)
     if i < 1:
         raise OutOfRange("index must be positive")
     if i % k == 0:
@@ -155,10 +153,5 @@ def plep_d_witness(e1: Mk1Element, e2: Mk1Element) -> PlepWitness:
     if total:
         rows_b += _level_rest(k, q1.words, q2.words[0])
         rows_bp += _level_rest(k, q2.words, q1.words[0])
-    return PlepWitness(
-        b=Mk1Element._trusted_make(k, rows_b),
-        b_prime=Mk1Element._trusted_make(k, rows_bp),
-        q1=q1,
-        q2=q2,
-        tlep=total,
-    )
+    return PlepWitness(Mk1Element._trusted_make(k, rows_b), Mk1Element._trusted_make(k, rows_bp),
+                       q1, q2, total)

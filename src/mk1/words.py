@@ -164,6 +164,14 @@ def parse_code(text: str) -> PrefixCode:
     return PrefixCode._trusted(k, tuple(words))
 
 
+def check_alphabet(k: int) -> None:
+    """Raise BaseTooSmall unless k, an alphabet size, is an int of at least 2."""
+    if type(k) is not int:
+        raise BaseTooSmall(f"alphabet size must be an integer, got {k!r}")
+    if k < 2:
+        raise BaseTooSmall(f"alphabet size must be at least 2, got {k}")
+
+
 def check_letters(k: int, words: Iterable[Word]) -> None:
     """Raise OutOfRange unless every letter of every word is in range(k)."""
     bad = [j for j in set(chain.from_iterable(words)) if not 0 <= j < k]
@@ -187,8 +195,7 @@ class PrefixCode(Record):
     __slots__ = ("k", "words")
 
     def __post_init__(self):
-        if self.k < 2:
-            raise BaseTooSmall("alphabet needs at least two letters")
+        check_alphabet(self.k)
         check_letters(self.k, self.words)
         if list(self.words) != sorted(set(self.words), key=word_key):
             raise NotCanonical("words must be canonically sorted and distinct")

@@ -2,6 +2,7 @@ import contextlib
 import inspect
 import io
 import os
+import re
 import runpy
 import select
 import signal
@@ -193,37 +194,40 @@ def test_starting_the_cli_loads_no_numeric_tower():
 PLEP = "k 2\naa -> ab\nab -> bb\nba -> ba\nbb -> aa\n"
 
 
+# the modules a command loads past cli, errors, kary and words
+TABLES = ("congruence", "elements")
 COMMAND_LOADS = [
-    (["normalize", "PHI1"], ()),
-    (["compose", "PHI1", "SWAP"], ()),
+    (["normalize", "PHI1"], TABLES),
+    (["compose", "PHI1", "SWAP"], TABLES),
     (["measure", "CODE"], ()),
-    (["heights", "PHI1"], ("green",)),
-    *[(["green", relation, "PHI1", "SWAP"], ("green",))
+    (["heights", "PHI1"], (*TABLES, "green")),
+    *[(["green", relation, "PHI1", "SWAP"], (*TABLES, "green"))
       for relation in ("leqR", "leqL", "eqR", "eqL", "eqD-M")],
-    (["dindex", "M", "PHI1"], ("green",)),
-    (["chain", "2", "0.01", "0.1", "3"], ("green",)),
-    (["with-heights", "2", "0.1", "0.11"], ("green",)),
-    (["separate", "PHI1", "SWAP"], ("green",)),
-    (["heights", "--dfa", "PHI1"], ("dfa", "green")),
-    (["heights", "--check", "PHI1"], ("dfa", "green")),
-    (["measure", "--check", "CODE"], ("dfa", "green")),
-    (["dfa-mu", "CODE"], ("dfa", "green")),
-    (["green", "eqD-plep", "SWAP", "PLEP"], ("plep",)),
-    (["dindex", "plep", "SWAP"], ("plep",)),
-    (["witness-plep", "SWAP", "PLEP"], ("plep",)),
-    (["synth-id", "2", "a"], ("circuits",)),
-    (["eval-gen", "2", "proj2", "fork"], ("circuits",)),
-    (["phi-b", "FORMULA"], ("reductions",)),
-    (["count-forallsat", "FORMULA"], ("reductions",))]
+    (["dindex", "M", "PHI1"], (*TABLES, "green")),
+    (["chain", "2", "0.01", "0.1", "3"], (*TABLES, "green")),
+    (["with-heights", "2", "0.1", "0.11"], (*TABLES, "green")),
+    (["separate", "PHI1", "SWAP"], (*TABLES, "green")),
+    (["heights", "--dfa", "PHI1"], (*TABLES, "dfa", "green")),
+    (["heights", "--check", "PHI1"], (*TABLES, "dfa", "green")),
+    (["measure", "--check", "CODE"], (*TABLES, "dfa", "green")),
+    (["dfa-mu", "CODE"], (*TABLES, "dfa", "green")),
+    (["green", "eqD-plep", "SWAP", "PLEP"], (*TABLES, "plep")),
+    (["dindex", "plep", "SWAP"], (*TABLES, "plep")),
+    (["witness-plep", "SWAP", "PLEP"], (*TABLES, "plep")),
+    (["synth-id", "2", "a"], (*TABLES, "circuits")),
+    (["eval-gen", "2", "proj2", "fork"], (*TABLES, "circuits")),
+    (["phi-b", "FORMULA"], (*TABLES, "reductions")),
+    (["count-forallsat", "FORMULA"], (*TABLES, "reductions"))]
 
 
 @pytest.mark.parametrize("argv, loaded", COMMAND_LOADS,
                          ids=[" ".join(argv) for argv, _ in COMMAND_LOADS])
 def test_each_command_loads_only_the_modules_it_calls(files, argv, loaded):
-    """Every command loads ``cli`` and the layers up to ``elements``; past
-    them it imports only the modules it calls (``dfa`` brings the report
-    type from ``green``), and none of ``dataclasses``, ``inspect`` and
-    ``typing``.  Each runs in a new interpreter started with -S."""
+    """Every command loads ``cli``, ``errors``, ``kary`` and ``words``; past
+    them it imports only the modules it calls (``measure`` none, one that
+    works on tables ``elements`` and ``congruence``, ``dfa`` the report type
+    from ``green``), and none of ``dataclasses``, ``inspect`` and ``typing``.
+    Each runs in a new interpreter started with -S."""
     texts = {"PHI1": PHI1, "SWAP": SWAP, "CODE": CODE, "PLEP": PLEP, "FORMULA": FORMULA}
     inputs = {name: files(name, text) for name, text in texts.items()}
     child = ("import io, sys, mk1.cli; sys.stdout = io.StringIO(); "
@@ -232,7 +236,7 @@ def test_each_command_loads_only_the_modules_it_calls(files, argv, loaded):
              "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", child, *[inputs.get(a, a) for a in argv]],
                           capture_output=True, text=True, timeout=60, env=subprocess_env())
-    base = ("cli", "congruence", "elements", "errors", "kary", "words")
+    base = ("cli", "errors", "kary", "words")
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines() == [" ".join(["0", *sorted(base + loaded)]), "[]"]
 
@@ -251,18 +255,19 @@ PACKAGE_NAMES = """
 
 
 def test_the_package_names_resolve_in_their_modules_on_first_use(monkeypatch):
-    """``mk1`` exports these 58 names, each the object its own module
-    defines, looked up afresh on every use; a bare ``import mk1`` loads none
-    of them."""
-    assert mk1.__all__ == PACKAGE_NAMES and set(PACKAGE_NAMES) <= set(dir(mk1))
-    for name in PACKAGE_NAMES:
+    """``mk1`` exports these 58 names and the modules ``circuits``, ``dfa``
+    and ``reductions``, each the object its own module defines, looked up
+    afresh on every use; a bare ``import mk1`` loads none of them."""
+    names = sorted(PACKAGE_NAMES + ["circuits", "dfa", "reductions"])
+    assert mk1.__all__ == names and set(names) <= set(dir(mk1))
+    for name in names:
         value = getattr(mk1, name)
         home = value.__name__ if inspect.ismodule(value) else value.__module__
         assert home.startswith("mk1.") and value is (
             sys.modules[home] if home == f"mk1.{name}" else getattr(sys.modules[home], name))
     namespace = {}
     exec("from mk1 import *", namespace)
-    assert sorted(set(namespace) - {"__builtins__"}) == PACKAGE_NAMES
+    assert sorted(set(namespace) - {"__builtins__"}) == names
     monkeypatch.setattr(mk1.green, "heights", len)
     assert mk1.heights is len
     with pytest.raises(AttributeError, match="'no_such_name'"):
@@ -850,3 +855,17 @@ def test_console_script(tmp_path):
     )
     assert done.returncode == 0
     assert done.stdout == "1\n"
+
+
+def test_the_installed_script_runs_main(tmp_path):
+    """The ``mk1`` entry of pyproject.toml names a function that exists
+    and runs a command, called as the installed script calls it: with no
+    arguments, its return value the exit status."""
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    module, function = re.search(r'^mk1 = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    path = tmp_path / "c.txt"
+    path.write_text(CODE)
+    script = f"import sys; from {module} import {function}; sys.exit({function}())"
+    done = subprocess.run([sys.executable, "-c", script, "measure", str(path)],
+                          capture_output=True, text=True, timeout=60, env=subprocess_env())
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")

@@ -1,7 +1,8 @@
 """Checked boundaries and the unchecked results built behind them.
 
-Public constructors check their input; results the library derives from
-checked values skip those checks.  These properties make sure every such
+Public constructors check their input, an alphabet size with the one
+``words.check_alphabet``; results the library derives from checked
+values skip those checks.  These properties make sure every such
 result would have passed them anyway, and that the one-pass image-code
 restriction agrees with the counter-loop reference.  (Automata have no
 checked constructor: ``test_height_reports`` compares them with the
@@ -13,20 +14,19 @@ class builds, compares, hashes, copies and pickles as a frozen value.
 Lints over the library's source keep out asserts, eval, recursion,
 unbounded caches, ``dataclasses`` and ``typing``, error classes nothing
 raises, exports only the tests read, private functions nothing reads,
-imports inside functions and import cycles, keep the canonical word order
-in the modules that build codes, tables and congruences, keep row
-reduction in ``elements``, ``make`` and the checked identity and zero
-constructors to input no check has seen, keep ``dfa``'s signature tables
-growing in ``_state`` alone, keep the listing of an alphabet's letters in
-``words_of_length``, and keep ``cli`` to command plumbing, its commands
-declared in one table.
+imports inside functions, import cycles and any lazy loader but the
+package's name table, keep the canonical word order in the modules that
+build codes, tables and congruences, keep row reduction in ``elements``,
+``make`` and the checked identity and zero constructors to input no
+check has seen, keep ``dfa``'s signature tables growing in ``_state``
+alone, keep the listing of an alphabet's letters in ``words_of_length``,
+and keep ``cli`` to command plumbing, its commands declared in one table.
 """
 
 import ast
 import copy
 import operator
 import pickle
-import re
 from pathlib import Path
 
 import pytest
@@ -35,6 +35,7 @@ from hypothesis import example, given, settings, strategies as st
 import mk1
 from helpers import elements, reference_image_code_restriction, tables
 from mk1 import elements as elements_module, words as words_module
+from mk1.circuits import synthesize_partial_identity
 from mk1.congruence import PrefixCodeCongruence, split_class
 from mk1.dfa import Dfa, trie_dfa
 from mk1.elements import (
@@ -73,7 +74,7 @@ from mk1.reductions import (
 from mk1.green import (ExponentSum, element_with_heights, heights, section_inverse,
                        separating_context)
 from mk1.kary import KRational, kq
-from mk1.plep import eta_idempotent, plep_d_witness
+from mk1.plep import eta_idempotent, plep_d_witness, plep_element_with_index
 from mk1.words import (
     PrefixCode,
     code_with_measure,
@@ -262,6 +263,11 @@ def test_public_constructors_still_check():
         Mk1Element.make(2, [((2,), ())])
     with pytest.raises(ValueError):
         Mk1Element.make(2, [((0,), (0,)), ((0,), (1,))])  # one word, two images
+    for build in (Mk1Element.make, Mk1Element):
+        with pytest.raises(NotCanonical, match="^a domain word has more than one image$"):
+            build(2, (((0,), (1,)), ((0,), (0,))))
+    with pytest.raises(NotCanonical, match="without repeats"):
+        Mk1Element(2, (((0,), (1,)), ((0,), (1,))))       # one row twice
     with pytest.raises(ValueError):
         PrefixCode(2, ((0, 0), (1,)))                     # not canonically sorted
     with pytest.raises(BaseTooSmall):
@@ -276,6 +282,22 @@ def test_public_constructors_still_check():
             PrefixCodeCongruence(code, classes)
     with pytest.raises(NotAClass):
         PrefixCodeCongruence.make(code, [[(0,), (1,)], []])
+
+
+def test_every_alphabet_check_refuses_a_size_that_is_not_an_int():
+    """The five constructors that take an alphabet size check it with
+    ``words.check_alphabet``: a float 2.0 equals 2, but a table built over it
+    prints as ``k 2.0``, its merge pass or its measure's ``str`` fails, and
+    its letters cannot be listed."""
+    for build in (lambda k: PrefixCode(k, ((0,), (1,))),
+                  lambda k: Mk1Element(k, (((0,), (1,)), ((1,), (0,)))),
+                  lambda k: Mk1Element.make(k, [((0,), (0,)), ((1,), (1,))]),
+                  lambda k: plep_element_with_index(k, 1),
+                  lambda k: synthesize_partial_identity(k, (0,))):
+        for k, match in ((2.0, "must be an integer, got 2.0"), (True, "integer, got True"),
+                         (1, "must be at least 2, got 1")):
+            with pytest.raises(BaseTooSmall, match=match):
+                build(k)
 
 
 def _one_record_of_each_class():
@@ -570,11 +592,12 @@ LAYERS = (("errors",), ("kary",), ("words",), ("congruence",), ("elements",),
 
 
 def test_imports_run_one_way_through_the_layers():
-    """No import cycle: every relative import goes to an earlier layer.  Only
-    the top layer imports by ``import_module``, and a literal target, "mk1.x"
-    or ".x", is a library module of an earlier layer; the targets it reads
-    from tables (``__init__``'s names, ``cli``'s relations) are pinned by the
-    tests in ``test_cli`` that resolve every name and run every command."""
+    """No import cycle: every relative import goes to an earlier layer.  The
+    package's name table is the one lazy loader: ``import_module`` appears
+    only in ``__init__``, and ``cli`` reads the library through a bare
+    ``import mk1`` alone, with no relative import.  The names the table
+    resolves are pinned by the tests in ``test_cli`` that resolve every name
+    and run every command."""
     layer = {module: i for i, modules in enumerate(LAYERS) for module in modules}
     found = []
     for name, node in _library_nodes():
@@ -582,15 +605,16 @@ def test_imports_run_one_way_through_the_layers():
         if isinstance(node, ast.ImportFrom) and node.level:
             targets = [alias.name for alias in node.names] if node.module is None \
                 else [node.module.split(".")[0]]
-            found += [(module, t) for t in targets if layer[t] >= layer[module]]
-        elif isinstance(node, ast.Call) and "import_module" in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-            target = node.args[0]
-            literal = isinstance(target, ast.Constant)
-            match = literal and re.fullmatch(r"(?:mk1)?\.(\w+)", target.value)
-            below = match and layer.get(match[1], len(LAYERS)) < layer[module]
-            if module not in LAYERS[-1] or literal and not below:
-                found.append((module, ast.unparse(target)))
+            found += [(module, t) for t in targets if module == "cli" or layer[t] >= layer[module]]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mk1":
+            found.append((module, node.module))
+        elif isinstance(node, ast.Import):
+            found += [(module, alias.name) for alias in node.names
+                      if alias.name.split(".")[0] == "mk1"
+                      and (module, alias.name, alias.asname) != ("cli", "mk1", None)]
+        elif module != "__init__" and "import_module" in (
+                getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+            found.append((module, "import_module"))
     assert found == []
 
 
